@@ -22,19 +22,6 @@ void AppendInt(std::string* out, int64_t v) {
   out->append(buf);
 }
 
-const char* ModeName(engine::MigrationMode mode) {
-  switch (mode) {
-    case engine::MigrationMode::kIndirect:
-      return "indirect";
-    case engine::MigrationMode::kEpoch:
-      return "epoch";
-    case engine::MigrationMode::kLease:
-      return "lease";
-    default:
-      return "direct";
-  }
-}
-
 }  // namespace
 
 Status RoundJournal::Open(const std::string& path) {
@@ -109,7 +96,7 @@ std::string RoundJournal::ToJson(const ControllerRound& round) {
     out += ",\"to\":";
     AppendInt(&out, d.to);
     out += ",\"mode\":\"";
-    out += ModeName(d.mode);
+    out += engine::MigrationModeName(d.mode);
     out += "\",\"reason\":\"";
     out += d.reason;  // fixed vocabulary, never needs escaping
     out += "\",\"predicted_pause_us\":";

@@ -199,25 +199,16 @@ void LocalEngine::WireMetrics() {
   metrics_.groups_recovered = reg->Counter("engine_groups_recovered_total");
   metrics_.epoch_transfer_bytes =
       reg->Counter("engine_epoch_transfer_bytes_total");
-  metrics_.migrations_direct =
-      reg->Counter("engine_migrations_total", {{"mode", "direct"}});
-  metrics_.migrations_indirect =
-      reg->Counter("engine_migrations_total", {{"mode", "indirect"}});
-  metrics_.migrations_epoch =
-      reg->Counter("engine_migrations_total", {{"mode", "epoch"}});
-  metrics_.migrations_lease =
-      reg->Counter("engine_migrations_total", {{"mode", "lease"}});
-  // All four byte series are wired eagerly so the lease series exists (at
-  // zero, forever — leases ship no bytes) for dashboards and the bench
+  // Both per-mode series are wired eagerly so the lease byte series exists
+  // (at zero, forever — leases ship no bytes) for dashboards and the bench
   // self-checks to read.
-  metrics_.migration_bytes_direct =
-      reg->Counter("engine_migration_bytes_total", {{"mode", "direct"}});
-  metrics_.migration_bytes_indirect =
-      reg->Counter("engine_migration_bytes_total", {{"mode", "indirect"}});
-  metrics_.migration_bytes_epoch =
-      reg->Counter("engine_migration_bytes_total", {{"mode", "epoch"}});
-  metrics_.migration_bytes_lease =
-      reg->Counter("engine_migration_bytes_total", {{"mode", "lease"}});
+  for (int m = 0; m < kNumMigrationModes; ++m) {
+    const MetricLabels mode = {
+        {"mode", MigrationModeName(static_cast<MigrationMode>(m))}};
+    metrics_.migrations[m] = reg->Counter("engine_migrations_total", mode);
+    metrics_.migration_bytes[m] =
+        reg->Counter("engine_migration_bytes_total", mode);
+  }
   metrics_.mailbox_highwater = reg->Gauge("engine_mailbox_highwater");
   metrics_.chain_len_highwater =
       reg->Gauge("engine_checkpoint_chain_len_highwater");
@@ -467,7 +458,7 @@ Status LocalEngine::Inject(OperatorId source_op, const Tuple& tuple) {
   }
   // The cascade is complete — a safe point for an incremental checkpoint
   // and, equally, an epoch boundary for pending kEpoch migrations.
-  if (!epoch_pending_.empty()) StampEpochBoundaries();
+  if (!flip_pending_.empty()) StampEpochBoundaries();
   if (checkpointer_ != nullptr) checkpointer_->OnSafePoint(this);
   return Status::OK();
 }
@@ -599,7 +590,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
       } else {
         Deliver(source_op, group_index, t);
       }
-      if (!epoch_pending_.empty()) StampEpochBoundaries();
+      if (!flip_pending_.empty()) StampEpochBoundaries();
       if (checkpointer_ != nullptr) checkpointer_->OnSafePoint(this);
     }
     return Status::OK();
@@ -1098,7 +1089,7 @@ void LocalEngine::DrainAll() {
     // quiescence is the epoch boundary: pending kEpoch migrations stamp
     // here, transfer in the background, and flip routing before the next
     // wave resolves any owner.
-    if (!epoch_pending_.empty()) StampEpochBoundaries();
+    if (!flip_pending_.empty()) StampEpochBoundaries();
     if (checkpointer_ != nullptr) checkpointer_->OnSafePoint(this);
   }
   // Fold the workers' period contributions into the engine's stats.
@@ -1210,7 +1201,19 @@ void LocalEngine::MaybeFireWindowsBatched(int64_t new_time) {
 }
 
 // ---------------------------------------------------------------------------
-// Migration, checkpointing and recovery (shared by both modes).
+// The reconfiguration pipeline (shared by both execution modes). Every
+// ownership change is one rebuild step (RebuildGroup) plus one cutover step,
+// and each migration mode is one row of the table:
+//
+//   mode       state source           cutover
+//   kDirect    live round-trip        buffer; flip + drain at FinishMigration
+//   kIndirect  chain + logged suffix  buffer; flip + drain at FinishMigration
+//   kEpoch     chain + logged suffix  flip at the next quiescent instant
+//   kLease     none                   flip at the next quiescent instant
+//   recovery   chain + logged suffix  buffer; flip + drain at RecoverGroup
+//
+// A move whose chain is unusable falls back to the live round-trip; a lost
+// group has no live state, so its recovery fails instead.
 // ---------------------------------------------------------------------------
 
 Status LocalEngine::StartMigration(KeyGroupId group, NodeId to,
@@ -1242,17 +1245,132 @@ Status LocalEngine::StartMigration(KeyGroupId group, NodeId to,
   mig.active = true;
   mig.target = to;
   mig.mode = mode;
-  if (mode == MigrationMode::kEpoch || mode == MigrationMode::kLease) {
-    // Both modes resolve at the next quiescent instant. Note kLease never
+  if (!MigrationBuffers(mode)) {
+    // Flip cutover at the next quiescent instant. Note kLease never
     // degraded above: the lease flip needs no checkpoint chain to ship —
     // the state stays put in the arena — so it works without
     // checkpointing, and without weakening it (dirty tracking and replay
     // logging are untouched by the flip).
-    mig.epoch_stamped = false;
-    mig.epoch_boundary_seq = 0;
-    epoch_pending_.push_back(group);
+    flip_pending_.push_back(group);
   }
   return Status::OK();
+}
+
+bool LocalEngine::UsableChain(KeyGroupId g, CheckpointInfo* info,
+                              std::string* base,
+                              std::vector<std::string>* deltas) const {
+  return checkpointer_->store()->LatestChain(g, info, base, deltas) &&
+         group_logs_[g].base_seq() <= info->seq;
+}
+
+LocalEngine::StateSource LocalEngine::MoveSource(KeyGroupId g,
+                                                 MigrationMode mode) const {
+  switch (mode) {
+    case MigrationMode::kLease:
+      return StateSource::kNone;
+    case MigrationMode::kDirect:
+      return StateSource::kLive;
+    case MigrationMode::kIndirect:
+    case MigrationMode::kEpoch:
+      break;
+  }
+  CheckpointInfo info;
+  return UsableChain(g, &info) ? StateSource::kChain : StateSource::kLive;
+}
+
+Status LocalEngine::RebuildGroup(KeyGroupId g, StateSource source,
+                                 Rebuild* out) {
+  StreamOperator* op = operators_[topology_->group_operator(g)];
+  if (op == nullptr || source == StateSource::kNone) return Status::OK();
+  const int local = topology_->group_index_in_operator(g);
+  Status s = Status::OK();
+  if (source == StateSource::kLive) {
+    // The live round-trip: serialize at the source, clear, deserialize at
+    // the target. Real in this single-process runtime; only the inter-node
+    // transfer is modeled.
+    const std::string state = op->SerializeGroupState(local);
+    op->ClearGroupState(local);
+    s = op->DeserializeGroupState(local, state);
+    out->bytes = static_cast<int64_t>(state.size());
+  } else {
+    // The chain restore: base, chained deltas, then the logged suffix past
+    // the newest record (emissions discarded — downstream groups already
+    // received them). At a quiescent instant the result is bit-identical
+    // to the live state, the checkpoint subsystem's core invariant.
+    CheckpointInfo info;
+    std::string base;
+    std::vector<std::string> deltas;
+    const bool chain = UsableChain(g, &info, &base, &deltas);
+    if (!chain && group_logs_[g].base_seq() > 0) {
+      s = Status::Internal("replay log truncated past the latest checkpoint");
+    } else {
+      const int64_t restore_t0_ns = NowNs();
+      op->ClearGroupState(local);
+      if (chain) {
+        s = op->DeserializeGroupState(local, base);
+        for (const std::string& d : deltas) {
+          if (s.ok()) s = op->ApplyGroupDelta(local, d);
+          out->delta_bytes += static_cast<int64_t>(d.size());
+        }
+        out->bytes = static_cast<int64_t>(base.size()) + out->delta_bytes;
+      }
+      if (s.ok()) {
+        // The restore's wall time per chain byte is the observed restore
+        // rate the delta-aware compaction budget prices chains at.
+        ObserveRestoreRate(
+            static_cast<double>(NowNs() - restore_t0_ns) / 1000.0,
+            static_cast<double>(out->bytes));
+        out->replayed = ReplayLogSuffix(g, chain ? info.seq : 0);
+        period_.tuples_replayed += out->replayed;
+      }
+    }
+  }
+  // One rule for every mode: a group whose rebuild failed must never
+  // process input on its partly rebuilt state, so it is lost exactly as if
+  // its node had died — recovered by RecoverGroup, input buffered until
+  // then.
+  if (!s.ok()) LoseGroup(g);
+  return s;
+}
+
+void LocalEngine::Cutover(KeyGroupId g, NodeId to) {
+  MigrationState& mig = migrating_[g];
+  if (to != kInvalidNode && !mig.flipped) {
+    arena_.Flip(g, to);
+    if (!mig.lost && !MigrationBuffers(mig.mode)) {
+      // A flip cutover at its quiescent instant: ownership changed hands,
+      // and the move stays open until FinishMigration reports it.
+      mig.flipped = true;
+      return;
+    }
+  }
+  if (mig.lost) {
+    lost_groups_.erase(
+        std::remove(lost_groups_.begin(), lost_groups_.end(), g),
+        lost_groups_.end());
+  }
+  mig.active = false;
+  mig.lost = false;
+  mig.flipped = false;
+  mig.target = kInvalidNode;
+  mig.mode = MigrationMode::kDirect;
+  mig.error = Status::OK();
+  DrainMigrationBuffer(g);
+}
+
+void LocalEngine::LoseGroup(KeyGroupId g) {
+  StreamOperator* op = operators_[topology_->group_operator(g)];
+  if (op != nullptr) op->ClearGroupState(topology_->group_index_in_operator(g));
+  MigrationState& mig = migrating_[g];
+  if (!mig.lost) lost_groups_.push_back(g);
+  mig.active = true;
+  mig.lost = true;
+  mig.target = kInvalidNode;
+  // A lost group never flips: a pending epoch/lease entry self-cleans at
+  // the next stamp (the mode is no longer kEpoch/kLease), and recovery goes
+  // through checkpoint + replay (RecoverGroup).
+  mig.mode = MigrationMode::kDirect;
+  mig.flipped = false;
 }
 
 void LocalEngine::DrainMigrationBuffer(KeyGroupId group) {
@@ -1279,91 +1397,41 @@ void LocalEngine::DrainMigrationBuffer(KeyGroupId group) {
 }
 
 void LocalEngine::StampEpochBoundaries() {
-  if (epoch_pending_.empty()) return;
+  if (flip_pending_.empty()) return;
   PhaseScope prof_scope(coordinator_.prof, WavePhase::kMigration);
   std::vector<KeyGroupId> pending;
-  pending.swap(epoch_pending_);
+  pending.swap(flip_pending_);
   for (const KeyGroupId g : pending) {
     MigrationState& mig = migrating_[g];
     // Validate against the live migration record: FailNode may have
     // cancelled the move or turned the group into a lost one since Start —
     // stale entries drop out here.
-    if (!mig.active || mig.lost ||
-        (mig.mode != MigrationMode::kEpoch &&
-         mig.mode != MigrationMode::kLease) ||
-        mig.epoch_stamped) {
+    if (!mig.active || mig.lost || MigrationBuffers(mig.mode) ||
+        mig.flipped) {
       continue;
     }
-    if (mig.mode == MigrationMode::kLease) {
-      // Zero-copy reassignment: the group's state slot lives in the
-      // process-wide arena and never moves — flipping the lease at this
-      // quiescent instant IS the whole migration. No bytes serialized, no
-      // background transfer, and none of the checkpoint machinery is
-      // touched (the group's dirty flags, replay log and chain stay
-      // exactly as they are, so the failure path is unaffected).
-      ALBIC_TRACE_SPAN2("migration", "migration.lease.flip", "group", g, "to",
-                        mig.target);
-      if (!group_logs_.empty()) {
-        mig.epoch_boundary_seq = group_logs_[g].next_seq();
-      }
-      arena_.Flip(g, mig.target);
-      mig.epoch_stamped = true;
+    ALBIC_TRACE_SPAN2("migration",
+                      mig.mode == MigrationMode::kLease
+                          ? "migration.lease.flip"
+                          : "migration.epoch.stamp",
+                      "group", g, "to", mig.target);
+    // This instant is the boundary: every logged event so far was
+    // processed at the old owner. Epoch rebuilds the group "at the target"
+    // from the newest chain cut here plus that suffix — background bytes,
+    // none of them pause. A lease rebuilds nothing: the slot never moves,
+    // and the group's dirty flags, replay log and chain stay as they are.
+    Rebuild rebuilt;
+    const Status s = RebuildGroup(g, MoveSource(g, mig.mode), &rebuilt);
+    if (!s.ok()) {
+      mig.error = s;  // the group is lost now; its FinishMigration reports
       continue;
     }
-    ALBIC_TRACE_SPAN2("migration", "migration.epoch.stamp", "group", g, "to",
-                      mig.target);
-    // The boundary: every logged event below this seq was processed at the
-    // old owner and travels with the chain cut; everything at or above it
-    // runs at the new owner after the flip.
-    mig.epoch_boundary_seq = group_logs_[g].next_seq();
-    const OperatorId op = topology_->group_operator(g);
-    const int local = topology_->group_index_in_operator(g);
-    if (operators_[op] != nullptr) {
-      // Background transfer: rebuild the group "at the target" from the
-      // newest chain cut at the boundary — base, chained deltas, then the
-      // logged suffix below the stamped seq. At a quiescent instant the
-      // reconstruction is bit-identical to the live state (the checkpoint
-      // subsystem's core invariant), and none of these bytes are charged
-      // as pause: pre-boundary tuples kept processing while they moved.
-      CheckpointInfo info;
-      std::string base;
-      std::vector<std::string> deltas;
-      int64_t moved = 0;
-      if (checkpointer_->store()->LatestChain(g, &info, &base, &deltas) &&
-          group_logs_[g].base_seq() <= info.seq) {
-        operators_[op]->ClearGroupState(local);
-        Status s = operators_[op]->DeserializeGroupState(local, base);
-        moved += static_cast<int64_t>(base.size());
-        for (const std::string& d : deltas) {
-          if (s.ok()) s = operators_[op]->ApplyGroupDelta(local, d);
-          moved += static_cast<int64_t>(d.size());
-        }
-        if (s.ok()) {
-          const int64_t replayed = ReplayLogSuffix(g, info.seq);
-          period_.tuples_replayed += replayed;
-          moved += replayed * static_cast<int64_t>(sizeof(Tuple));
-        } else if (epoch_error_.ok()) {
-          epoch_error_ = s;  // surfaced by the group's FinishMigration
-        }
-      } else {
-        // No usable chain (e.g. the log was truncated past it): round-trip
-        // the live state instead — still in the background, still no
-        // pause, just the whole state's bytes on the wire.
-        const std::string state = operators_[op]->SerializeGroupState(local);
-        operators_[op]->ClearGroupState(local);
-        const Status s = operators_[op]->DeserializeGroupState(local, state);
-        if (!s.ok() && epoch_error_.ok()) epoch_error_ = s;
-        moved += static_cast<int64_t>(state.size());
-      }
-      period_.epoch_transfer_bytes += moved;
-      if (metrics_.migration_bytes_epoch != nullptr) {
-        metrics_.migration_bytes_epoch->Add(moved);
-      }
-    }
+    period_.epoch_transfer_bytes += rebuilt.shipped();
+    CounterMetric* bytes = metrics_.migration_bytes[static_cast<int>(mig.mode)];
+    if (bytes != nullptr) bytes->Add(rebuilt.shipped());
     // The atomic routing flip: from here every delivery — in-flight mailbox
     // batches included — resolves the new owner. Redirected, not stalled.
-    arena_.Flip(g, mig.target);
-    mig.epoch_stamped = true;
+    Cutover(g, mig.target);
   }
 }
 
@@ -1373,134 +1441,58 @@ Result<double> LocalEngine::FinishMigration(KeyGroupId group) {
   if (!mig.active) {
     return Status::InvalidArgument("group is not migrating");
   }
+  if (!mig.lost && !MigrationBuffers(mig.mode)) {
+    ALBIC_TRACE_SPAN1("migration",
+                      mig.mode == MigrationMode::kLease
+                          ? "migration.lease.finish"
+                          : "migration.epoch.finish",
+                      "group", group);
+    // Flip cutover: the driving thread being here is itself a quiescent
+    // instant — if no wave barrier happened since Start, rebuild and flip
+    // now. Nothing buffered and nothing drains, so the pause is the single
+    // wave barrier: zero in the engine's byte-proportional model.
+    if (!mig.flipped) StampEpochBoundaries();
+  }
+  if (!mig.error.ok()) return std::exchange(mig.error, Status::OK());
   if (mig.lost) {
     return Status::InvalidArgument("group is lost; use RecoverGroup");
   }
-  const OperatorId op = topology_->group_operator(group);
-  const int local = topology_->group_index_in_operator(group);
-
-  if (mig.mode == MigrationMode::kLease) {
-    ALBIC_TRACE_SPAN1("migration", "migration.lease.finish", "group", group);
-    // The driving thread being here is itself a quiescent instant — if no
-    // wave barrier happened since Start, flip the lease now.
-    if (!mig.epoch_stamped) StampEpochBoundaries();
-    // Ownership changed hands at the flip; no bytes moved, nothing
-    // buffered, nothing can have failed. The pause is the single wave
-    // barrier — zero in the engine's byte-proportional model.
-    mig.active = false;
-    mig.target = kInvalidNode;
-    mig.mode = MigrationMode::kDirect;
-    mig.epoch_stamped = false;
-    mig.epoch_boundary_seq = 0;
-    DrainMigrationBuffer(group);  // empty by construction; keeps the invariant
-    if (metrics_.migrations_lease != nullptr) {
-      metrics_.migrations_lease->Increment();
-    }
-    return 0.0;
-  }
-
-  if (mig.mode == MigrationMode::kEpoch) {
-    ALBIC_TRACE_SPAN1("migration", "migration.epoch.finish", "group", group);
-    // The driving thread being here is itself a quiescent instant — if no
-    // wave barrier happened since Start (nothing was injected), stamp the
-    // boundary now.
-    if (!mig.epoch_stamped) StampEpochBoundaries();
-    if (!epoch_error_.ok()) {
-      const Status err = epoch_error_;
-      epoch_error_ = Status::OK();
-      return err;
-    }
-    // Routing flipped and the state travelled at the stamp; nothing
-    // buffered and nothing drained, so the observed pause is the single
-    // wave barrier — zero in the engine's byte-proportional model.
-    mig.active = false;
-    mig.target = kInvalidNode;
-    mig.mode = MigrationMode::kDirect;
-    mig.epoch_stamped = false;
-    mig.epoch_boundary_seq = 0;
-    DrainMigrationBuffer(group);  // empty by construction; keeps the invariant
-    if (metrics_.migrations_epoch != nullptr) {
-      metrics_.migrations_epoch->Increment();
-    }
-    return 0.0;
-  }
-
+  MigrationMode counted = mig.mode;
   double pause_us = 0.0;
-  bool indirect_done = false;
-  if (operators_[op] != nullptr) {
-    if (mig.mode == MigrationMode::kIndirect) {
-      // Indirect migration (§3): the target restores the group's latest
-      // checkpoint chain — the base is transferred in the background, so
-      // it contributes no pause — then applies the chained deltas and
-      // replays the logged suffix during the pause. O(change) instead of
-      // O(state); with deltas off the chain is just the base and this is
-      // the original O(suffix) pause.
-      CheckpointInfo info;
-      std::string base;
-      std::vector<std::string> deltas;
-      if (checkpointer_->store()->LatestChain(group, &info, &base, &deltas) &&
-          group_logs_[group].base_seq() <= info.seq) {
-        ALBIC_TRACE_SPAN2("migration", "migration.indirect", "group", group,
-                          "to", mig.target);
-        const int64_t restore_t0_ns = NowNs();
-        operators_[op]->ClearGroupState(local);
-        ALBIC_RETURN_NOT_OK(
-            operators_[op]->DeserializeGroupState(local, base));
-        double delta_bytes = 0.0;
-        for (const std::string& d : deltas) {
-          ALBIC_RETURN_NOT_OK(operators_[op]->ApplyGroupDelta(local, d));
-          delta_bytes += static_cast<double>(d.size());
-        }
-        // The wall time of this chain restore, per byte, is the observed
-        // restore rate the delta-aware compaction budget prices chains at.
-        ObserveRestoreRate(
-            static_cast<double>(NowNs() - restore_t0_ns) / 1000.0,
-            static_cast<double>(base.size()) + delta_bytes);
-        const int64_t replayed = ReplayLogSuffix(group, info.seq);
-        period_.tuples_replayed += replayed;
-        pause_us = kEnginePauseUsPerByte *
-                   (static_cast<double>(replayed) * sizeof(Tuple) +
-                    delta_bytes);
-        if (metrics_.migration_bytes_indirect != nullptr) {
-          metrics_.migration_bytes_indirect->Add(static_cast<int64_t>(
-              static_cast<double>(replayed) * sizeof(Tuple) + delta_bytes));
-        }
-        indirect_done = true;
-      }
-      // No usable checkpoint — fall back to the direct round-trip below.
-    }
-    if (!indirect_done) {
-      // Direct state migration: serialize at the source, clear,
-      // deserialize at the target. In this single-process runtime the
-      // round-trip is real; the inter-node transfer is modeled as pause
-      // time proportional to the serialized size (2.5 s/MiB, §5.2.2).
-      ALBIC_TRACE_SPAN2("migration", "migration.direct", "group", group, "to",
-                        mig.target);
-      const std::string state = operators_[op]->SerializeGroupState(local);
-      operators_[op]->ClearGroupState(local);
-      ALBIC_RETURN_NOT_OK(operators_[op]->DeserializeGroupState(local, state));
-      pause_us = kEnginePauseUsPerByte * static_cast<double>(state.size());
-      if (metrics_.migration_bytes_direct != nullptr) {
-        metrics_.migration_bytes_direct->Add(
-            static_cast<int64_t>(state.size()));
-      }
-    }
+  if (MigrationBuffers(mig.mode)) {
+    // Buffered cutover: rebuild while new input buffers at the target. An
+    // indirect move without a usable chain is a direct one — span, pause
+    // and metrics all follow the source actually used.
+    const StateSource source = MoveSource(group, mig.mode);
+    counted = source == StateSource::kChain ? MigrationMode::kIndirect
+                                            : MigrationMode::kDirect;
+    ALBIC_TRACE_SPAN2("migration",
+                      source == StateSource::kChain ? "migration.indirect"
+                                                    : "migration.direct",
+                      "group", group, "to", mig.target);
+    Rebuild rebuilt;
+    ALBIC_RETURN_NOT_OK(RebuildGroup(group, source, &rebuilt));
+    // Direct pauses on the whole image; indirect only on the chained
+    // deltas and the replayed suffix (the base travelled in the
+    // background, §3). The inter-node transfer the single process cannot
+    // make is modeled as pause proportional to those bytes (2.5 s/MiB,
+    // §5.2.2).
+    const int64_t paused_bytes =
+        source == StateSource::kChain
+            ? rebuilt.delta_bytes +
+                  rebuilt.replayed * static_cast<int64_t>(sizeof(Tuple))
+            : rebuilt.bytes;
+    pause_us = kEnginePauseUsPerByte * static_cast<double>(paused_bytes);
+    CounterMetric* bytes = metrics_.migration_bytes[static_cast<int>(counted)];
+    if (bytes != nullptr) bytes->Add(paused_bytes);
   }
   period_.migration_pause_us += pause_us;
-  if (options_.metrics != nullptr) {
-    (indirect_done ? metrics_.migrations_indirect : metrics_.migrations_direct)
-        ->Increment();
-  }
+  CounterMetric* moves = metrics_.migrations[static_cast<int>(counted)];
+  if (moves != nullptr) moves->Increment();
   // Tuples that buffered while the group was unavailable experienced the
   // pause as latency; account it before the drain re-delivers them.
   RecordBufferedPause(pause_us, mig.buffer.size());
-
-  arena_.Flip(group, mig.target);
-  mig.active = false;
-  mig.target = kInvalidNode;
-  mig.mode = MigrationMode::kDirect;
-
-  DrainMigrationBuffer(group);
+  Cutover(group, mig.target);
   return pause_us;
 }
 
@@ -1508,6 +1500,69 @@ Status LocalEngine::MigrateGroup(KeyGroupId group, NodeId to,
                                  MigrationMode mode) {
   ALBIC_RETURN_NOT_OK(StartMigration(group, to, mode));
   return FinishMigration(group).status();
+}
+
+Status LocalEngine::FailNode(NodeId node) {
+  if (node < 0 || node >= cluster_->num_nodes_total()) {
+    return Status::InvalidArgument("unknown node");
+  }
+  if (checkpointer_ == nullptr) {
+    return Status::InvalidArgument(
+        "failure injection requires checkpointing: lost state would be "
+        "unrecoverable");
+  }
+  ALBIC_TRACE_INSTANT("recovery", "node.failed");
+  PhaseScope prof_scope(coordinator_.prof, WavePhase::kRecovery);
+  for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
+    const MigrationState& mig = migrating_[g];
+    if (arena_.owner_of(g) == node) {
+      // The group dies with its node: its live state is lost, and new
+      // input buffers exactly as during a migration until RecoverGroup
+      // restores it elsewhere — recovery is just another reconfiguration.
+      LoseGroup(g);
+    } else if (mig.active && mig.target == node) {
+      // A move toward the dead node: the state never left the source —
+      // cancel it without a flip and release the buffered tuples at the
+      // source. (An unflipped epoch or lease move buffered nothing; its
+      // pending entry self-cleans at the next stamp.)
+      Cutover(g, kInvalidNode);
+    }
+  }
+  return Status::OK();
+}
+
+Result<GroupRecovery> LocalEngine::RecoverGroup(KeyGroupId group, NodeId to) {
+  if (group < 0 || group >= topology_->num_key_groups()) {
+    return Status::InvalidArgument("unknown key group");
+  }
+  MigrationState& mig = migrating_[group];
+  if (!mig.active || !mig.lost) {
+    return Status::InvalidArgument("group is not lost");
+  }
+  if (checkpointer_ == nullptr) {
+    // Without checkpointing only a failed rebuild loses a group, and then
+    // nothing is left to restore it from.
+    return Status::InvalidArgument("recovery requires checkpointing");
+  }
+  if (to < 0 || to >= cluster_->num_nodes_total() ||
+      !cluster_->is_active(to)) {
+    return Status::InvalidArgument("recovery target node not active");
+  }
+  ALBIC_TRACE_SPAN2("recovery", "recovery.group", "group", group, "to", to);
+  PhaseScope prof_scope(coordinator_.prof, WavePhase::kRecovery);
+  // The state was cleared when the group was lost, so the chain is the
+  // only source, and the whole rebuild is paused on: restore + replay.
+  Rebuild rebuilt;
+  ALBIC_RETURN_NOT_OK(RebuildGroup(group, StateSource::kChain, &rebuilt));
+  GroupRecovery out;
+  out.replayed = rebuilt.replayed;
+  out.restored_bytes = static_cast<uint64_t>(rebuilt.bytes);
+  out.pause_us =
+      kEnginePauseUsPerByte * static_cast<double>(rebuilt.shipped());
+  ++period_.groups_recovered;
+  RecordBufferedPause(out.pause_us, mig.buffer.size());
+  Cutover(group, to);
+  return out;
 }
 
 MigrationPauseEstimate LocalEngine::EstimateMigrationPause(
@@ -1528,8 +1583,7 @@ MigrationPauseEstimate LocalEngine::EstimateMigrationPause(
     est.epoch_available = true;
     est.epoch_us = 0.0;
     CheckpointInfo info;
-    if (checkpointer_->store()->Latest(group, &info, /*state=*/nullptr) &&
-        group_logs_[group].base_seq() <= info.seq) {
+    if (UsableChain(group, &info)) {
       // FinishMigration replays exactly the events with seq >= info.seq
       // and applies exactly the chained delta records, so at a quiescent
       // point this prediction is exact.
@@ -1559,8 +1613,7 @@ std::vector<double> LocalEngine::ReplaySuffixBytes() const {
   out.assign(static_cast<size_t>(topology_->num_key_groups()), -1.0);
   for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
     CheckpointInfo info;
-    if (checkpointer_->store()->Latest(g, &info, /*state=*/nullptr) &&
-        group_logs_[g].base_seq() <= info.seq) {
+    if (UsableChain(g, &info)) {
       out[g] = static_cast<double>(group_logs_[g].next_seq() - info.seq) *
                sizeof(Tuple);
     }
@@ -1588,22 +1641,20 @@ std::vector<uint8_t> LocalEngine::LeaseAvailability() const {
 }
 
 std::vector<double> LocalEngine::EpochTransferBytes() const {
-  std::vector<double> out;
-  if (checkpointer_ == nullptr) return out;
-  out.assign(static_cast<size_t>(topology_->num_key_groups()), -1.0);
-  for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
-    CheckpointInfo info;
-    if (checkpointer_->store()->Latest(g, &info, /*state=*/nullptr) &&
-        group_logs_[g].base_seq() <= info.seq) {
-      // What the stamp would ship: the newest chain cut at the boundary
-      // plus the logged suffix replayed on top of it.
-      out[g] = static_cast<double>(checkpointer_->store()->ChainBytes(g)) +
-               static_cast<double>(group_logs_[g].next_seq() - info.seq) *
-                   sizeof(Tuple);
+  // What the stamp would ship: the newest chain cut at the boundary plus
+  // the logged suffix replayed on top of it.
+  std::vector<double> out = ReplaySuffixBytes();
+  for (KeyGroupId g = 0; g < static_cast<KeyGroupId>(out.size()); ++g) {
+    if (out[g] >= 0.0) {
+      out[g] += static_cast<double>(checkpointer_->store()->ChainBytes(g));
     }
   }
   return out;
 }
+
+// ---------------------------------------------------------------------------
+// Checkpointing (shared by both execution modes).
+// ---------------------------------------------------------------------------
 
 Status LocalEngine::EnableCheckpointing(CheckpointCoordinator* coordinator) {
   if (coordinator == nullptr) {
@@ -1757,122 +1808,6 @@ int64_t LocalEngine::ReplayLogSuffix(KeyGroupId g, uint64_t from_seq) {
       from_seq,
       [&](const Tuple& t) { op->Process(t, local, &discard); },
       [&] { op->OnWindow(local, &discard); });
-}
-
-Status LocalEngine::FailNode(NodeId node) {
-  if (node < 0 || node >= cluster_->num_nodes_total()) {
-    return Status::InvalidArgument("unknown node");
-  }
-  if (checkpointer_ == nullptr) {
-    return Status::InvalidArgument(
-        "failure injection requires checkpointing: lost state would be "
-        "unrecoverable");
-  }
-  ALBIC_TRACE_INSTANT("recovery", "node.failed");
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kRecovery);
-  for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
-    MigrationState& mig = migrating_[g];
-    if (arena_.owner_of(g) == node) {
-      // The group dies with its node: its live state is lost, and new
-      // input buffers exactly as during a migration until RecoverGroup
-      // restores it elsewhere — recovery is just another reconfiguration.
-      const OperatorId op = topology_->group_operator(g);
-      if (operators_[op] != nullptr) {
-        operators_[op]->ClearGroupState(
-            topology_->group_index_in_operator(g));
-      }
-      if (!mig.lost) lost_groups_.push_back(g);
-      mig.active = true;
-      mig.lost = true;
-      mig.target = kInvalidNode;
-      mig.mode = MigrationMode::kDirect;
-      // A stamped epoch/lease group lives on the dead node already
-      // (routing flipped at the stamp) and is handled right here as a
-      // lost group; an unstamped one self-cleans out of epoch_pending_
-      // because its mode is no longer kEpoch/kLease. Either way the lease
-      // is dead with the node: recovery goes through checkpoint + replay
-      // (RecoverGroup), never through another flip.
-      mig.epoch_stamped = false;
-      mig.epoch_boundary_seq = 0;
-    } else if (mig.active && mig.target == node) {
-      // Migration toward the dead node: the state never left the source —
-      // cancel the move and release the buffered tuples at the source.
-      // (For an unstamped epoch or lease move nothing buffered; the
-      // pending entry self-cleans at the next stamp pass.)
-      mig.active = false;
-      mig.target = kInvalidNode;
-      mig.mode = MigrationMode::kDirect;
-      mig.epoch_stamped = false;
-      mig.epoch_boundary_seq = 0;
-      DrainMigrationBuffer(g);
-    }
-  }
-  return Status::OK();
-}
-
-Result<GroupRecovery> LocalEngine::RecoverGroup(KeyGroupId group, NodeId to) {
-  if (group < 0 || group >= topology_->num_key_groups()) {
-    return Status::InvalidArgument("unknown key group");
-  }
-  MigrationState& mig = migrating_[group];
-  if (!mig.active || !mig.lost) {
-    return Status::InvalidArgument("group is not lost");
-  }
-  if (to < 0 || to >= cluster_->num_nodes_total() ||
-      !cluster_->is_active(to)) {
-    return Status::InvalidArgument("recovery target node not active");
-  }
-  const OperatorId op = topology_->group_operator(group);
-  const int local = topology_->group_index_in_operator(group);
-  GroupRecovery out;
-  ALBIC_TRACE_SPAN2("recovery", "recovery.group", "group", group, "to", to);
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kRecovery);
-  if (operators_[op] != nullptr) {
-    // Reconstruct: latest checkpoint chain + logged suffix. The state was
-    // cleared at failure time, so a group that was never checkpointed
-    // replays its full log onto fresh state (EnableCheckpointing's initial
-    // full round makes that case an error-path rarity, not the norm).
-    CheckpointInfo info;
-    std::string base;
-    std::vector<std::string> deltas;
-    uint64_t from_seq = 0;
-    if (checkpointer_->store()->LatestChain(group, &info, &base, &deltas)) {
-      const int64_t restore_t0_ns = NowNs();
-      ALBIC_RETURN_NOT_OK(operators_[op]->DeserializeGroupState(local, base));
-      out.restored_bytes = base.size();
-      for (const std::string& d : deltas) {
-        ALBIC_RETURN_NOT_OK(operators_[op]->ApplyGroupDelta(local, d));
-        out.restored_bytes += d.size();
-      }
-      // Fold this restore's wall time into the observed restore rate the
-      // delta-aware compaction budget uses.
-      ObserveRestoreRate(
-          static_cast<double>(NowNs() - restore_t0_ns) / 1000.0,
-          static_cast<double>(out.restored_bytes));
-      from_seq = info.seq;
-    }
-    if (group_logs_[group].base_seq() > from_seq) {
-      return Status::Internal(
-          "replay log truncated past the latest checkpoint");
-    }
-    out.replayed = ReplayLogSuffix(group, from_seq);
-    out.pause_us =
-        kEnginePauseUsPerByte *
-        (static_cast<double>(out.restored_bytes) +
-         static_cast<double>(out.replayed) * sizeof(Tuple));
-    period_.tuples_replayed += out.replayed;
-  }
-  ++period_.groups_recovered;
-  RecordBufferedPause(out.pause_us, mig.buffer.size());
-  arena_.Flip(group, to);
-  mig.active = false;
-  mig.lost = false;
-  mig.target = kInvalidNode;
-  lost_groups_.erase(
-      std::remove(lost_groups_.begin(), lost_groups_.end(), group),
-      lost_groups_.end());
-  DrainMigrationBuffer(group);
-  return out;
 }
 
 EnginePeriodStats LocalEngine::HarvestPeriod() {

@@ -6,13 +6,15 @@
 /// and implements direct, indirect (checkpoint + replay), epoch-marker
 /// (stamp at a wave barrier, background transfer, atomic routing flip)
 /// and lease (zero-copy ownership flip over the shared state arena) state
-/// migration plus checkpoint-based failure recovery.
+/// migration plus checkpoint-based failure recovery — all five as one
+/// rebuild step plus one cutover step.
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/metrics_registry.h"
@@ -36,6 +38,7 @@
 namespace albic::engine {
 
 class CheckpointCoordinator;
+struct CheckpointInfo;
 
 /// \brief How the runtime executes operator code.
 enum class ExecutionMode {
@@ -262,27 +265,32 @@ class LocalEngine {
   /// tuple-at-a-time mode, where nothing is ever in flight).
   void Flush();
 
-  /// \brief Begins a state migration of a key group. kDirect/kIndirect:
-  /// subsequent tuples for the group buffer at the target until Finish.
-  /// kEpoch/kLease: nothing buffers — the group keeps processing at the
-  /// old owner until the boundary stamp (epoch) or lease flip at the next
-  /// wave barrier (see FinishMigration). kIndirect requires checkpointing
-  /// to be enabled (EnableCheckpointing); kEpoch silently falls back to
-  /// kDirect without it (the caller asked for a move, not for a
-  /// mechanism). kLease needs no checkpointing at all — the state never
-  /// leaves the arena.
+  /// \brief Begins moving a key group to \p to. Each mode is one row of
+  /// the reconfiguration pipeline, a state source plus a cutover (see
+  /// docs/ARCHITECTURE.md, "Reconfiguration pipeline"). kDirect/kIndirect
+  /// cut over by buffering: subsequent tuples for the group buffer at the
+  /// target until FinishMigration. kEpoch/kLease cut over by a flip:
+  /// nothing buffers — the group keeps processing at the old owner until
+  /// the next quiescent instant rebuilds it (epoch) and flips ownership.
+  /// kIndirect requires checkpointing (EnableCheckpointing); kEpoch
+  /// silently falls back to kDirect without it (the caller asked for a
+  /// move, not for a mechanism). kLease needs no checkpointing at all —
+  /// the state never leaves the arena.
   Status StartMigration(KeyGroupId group, NodeId to,
                         MigrationMode mode = MigrationMode::kDirect);
 
-  /// \brief Completes the migration and returns the modeled pause time
-  /// (us). Direct: serialize -> move -> deserialize -> drain the buffer;
-  /// the pause is O(state). Indirect: the target restores the group's
-  /// latest checkpoint (background transfer, no pause) and replays the
-  /// logged suffix, so the pause is O(suffix); falls back to the direct
-  /// pause when the group has no checkpoint yet. Epoch: the boundary was
-  /// stamped at a wave barrier (here, if none occurred since Start), the
-  /// state unit travelled in the background and routing already flipped —
-  /// nothing buffered, nothing drains, and the returned pause is zero.
+  /// \brief Completes the migration and returns the modeled pause (us).
+  /// Buffered cutover: direct round-trips the live state (pause O(state));
+  /// indirect restores the newest checkpoint chain and replays the logged
+  /// suffix (the base travels in the background, so the pause is
+  /// O(deltas + suffix)), falling back to the direct round-trip without a
+  /// usable chain; then ownership flips and the buffer drains. Flip
+  /// cutover (epoch, lease): the rebuild and flip happened at a wave
+  /// barrier (here, if none occurred since Start); nothing buffered,
+  /// nothing drains, and the returned pause is zero. A failed rebuild is
+  /// returned here and by this group's call only; the group is then lost
+  /// exactly as after FailNode (listed in lost_groups(), input buffered
+  /// until RecoverGroup).
   Result<double> FinishMigration(KeyGroupId group);
 
   /// \brief Convenience: start + finish in one step.
@@ -361,21 +369,24 @@ class LocalEngine {
 
   /// \brief Drops a node abruptly: the cluster keeps the node id but the
   /// state of every key group on it is lost (cleared), and the groups
-  /// switch to buffering new input exactly as during a migration. Requires
-  /// checkpointing (there is nothing to recover from otherwise). Groups
-  /// mid-migration *to* the failed node fall back to their source node.
-  /// The caller is responsible for Cluster::Fail on the same node.
+  /// buffer new input until RecoverGroup — the path a group whose rebuild
+  /// failed takes too. Requires checkpointing (there is nothing to recover
+  /// from otherwise). Moves *to* the failed node are cancelled: the group
+  /// stays at its source and drains its buffer there. The caller is
+  /// responsible for Cluster::Fail on the same node.
   Status FailNode(NodeId node);
 
   /// \brief Key groups lost to failures and not yet recovered.
   const std::vector<KeyGroupId>& lost_groups() const { return lost_groups_; }
 
-  /// \brief Restores a lost group onto \p to: deserializes the group's
-  /// latest checkpoint, replays the logged suffix (emissions are
-  /// discarded — downstream groups already received them), reassigns the
-  /// group, and drains the tuples buffered during the outage. Zero tuples
-  /// are lost: everything delivered before the failure is covered by
-  /// checkpoint + log, everything after it sits in the buffer.
+  /// \brief Restores a lost group onto \p to: the pipeline's chain rebuild
+  /// (newest checkpoint chain + logged suffix; emissions are discarded —
+  /// downstream groups already received them) with a buffered cutover —
+  /// ownership flips to \p to and the tuples buffered during the outage
+  /// drain. Zero tuples are lost: everything delivered before the failure
+  /// is covered by checkpoint + log, everything after it sits in the
+  /// buffer. A failed rebuild is returned and the group stays lost.
+  /// Requires checkpointing (there is nothing to restore from otherwise).
   Result<GroupRecovery> RecoverGroup(KeyGroupId group, NodeId to);
 
   /// \brief Cumulative tuples ingested per source shard over the engine's
@@ -432,19 +443,36 @@ class LocalEngine {
 
   struct MigrationState {
     bool active = false;
-    bool lost = false;  ///< Group died with its node; awaiting recovery.
+    /// Group's state is gone (its node died, or its rebuild failed);
+    /// awaiting RecoverGroup.
+    bool lost = false;
     MigrationMode mode = MigrationMode::kDirect;
     NodeId target = kInvalidNode;
-    /// kEpoch/kLease only: the boundary was stamped at a wave barrier —
-    /// the state unit transferred (epoch) or the lease flipped (lease) and
-    /// routing changed hands; Finish is pure bookkeeping.
-    bool epoch_stamped = false;
-    /// kEpoch/kLease only: replay-log seq of the stamped boundary. For
-    /// epoch, entries below it travelled with the chain cut; entries at or
-    /// above it were processed at the new owner. For lease, informational
-    /// (nothing travels).
-    uint64_t epoch_boundary_seq = 0;
+    /// Flip cutover (kEpoch/kLease) only: ownership already flipped at a
+    /// quiescent instant; FinishMigration only reports the move.
+    bool flipped = false;
+    /// A failed epoch-stamp rebuild, parked for FinishMigration to report.
+    Status error = Status::OK();
     std::deque<Tuple> buffer;
+  };
+
+  /// Where a rebuild takes a group's state from (the cutover is
+  /// MigrationBuffers).
+  enum class StateSource {
+    kNone,   ///< Lease: the slot never moves; nothing to rebuild.
+    kLive,   ///< Direct: round-trip the live state.
+    kChain,  ///< Indirect, epoch, recovery: newest chain + logged suffix.
+  };
+
+  /// What one RebuildGroup call deserialized and replayed.
+  struct Rebuild {
+    int64_t bytes = 0;        ///< Deserialized: live image or base + deltas.
+    int64_t delta_bytes = 0;  ///< Of bytes, the chained delta records.
+    int64_t replayed = 0;     ///< Log entries reapplied on top of the chain.
+    /// Bytes the rebuild carried: the image plus the replayed suffix.
+    int64_t shipped() const {
+      return bytes + replayed * static_cast<int64_t>(sizeof(Tuple));
+    }
   };
 
   /// One staged unit of work: a batch bound for (op, group).
@@ -537,19 +565,39 @@ class LocalEngine {
             ? 0.5 * observed_restore_us_per_byte_ + 0.5 * rate
             : rate;
   }
+  // --- the reconfiguration pipeline (table in local_engine.cc) ---
+  /// True when \p g has a checkpoint chain the replay log still reaches,
+  /// so chain + logged suffix rebuilds its live state exactly. Fills
+  /// \p info, and the chain's payloads when \p base / \p deltas are set.
+  bool UsableChain(KeyGroupId g, CheckpointInfo* info,
+                   std::string* base = nullptr,
+                   std::vector<std::string>* deltas = nullptr) const;
+  /// The source a move of \p g in \p mode rebuilds from: the mode's row,
+  /// with a chain falling back to the live round-trip when none is usable.
+  StateSource MoveSource(KeyGroupId g, MigrationMode mode) const;
+  /// The rebuild step of every mode and of recovery. A lost group without
+  /// a chain whose log still starts at seq 0 rebuilds from empty state plus
+  /// its whole log. On failure the group is lost (LoseGroup) and the error
+  /// returned.
+  Status RebuildGroup(KeyGroupId g, StateSource source, Rebuild* out);
+  /// The cutover of every mode and of recovery: ownership flips to \p to,
+  /// once per move (kInvalidNode: a cancelled move, no flip). A flip
+  /// cutover flipping at its stamp stays open until FinishMigration; every
+  /// other call ends the move: the record resets, the buffer drains.
+  void Cutover(KeyGroupId g, NodeId to);
+  /// Marks \p g lost (FailNode, failed rebuilds): its state is cleared and
+  /// new input buffers until RecoverGroup.
+  void LoseGroup(KeyGroupId g);
   /// Drains the tuples buffered for a group while it migrated/recovered.
   void DrainMigrationBuffer(KeyGroupId g);
-  /// Epoch and lease migrations: called on the driving thread at quiescent
-  /// instants (wave barriers, between tuples, FinishMigration). For every
-  /// group with a pending kEpoch/kLease migration this instant IS the
-  /// boundary. kEpoch: pins the boundary seq, performs the background
-  /// state transfer (chain cut + suffix replay, or a round-trip when no
-  /// usable chain exists) and atomically flips the group's routing to the
-  /// target — batches already in flight resolve the new owner at delivery,
-  /// redirected rather than stalled. kLease: the state slot never moves —
-  /// the lease flip IS the whole migration, zero bytes. A failed epoch
-  /// transfer is parked in epoch_error_ for FinishMigration to surface
-  /// (the callers here cannot return Status); lease flips cannot fail.
+  /// Flip cutovers (epoch, lease): called on the driving thread at
+  /// quiescent instants (wave barriers, between tuples, FinishMigration).
+  /// For every group with a pending kEpoch/kLease move this instant IS
+  /// the boundary: the group is rebuilt at the target (epoch: chain cut +
+  /// suffix, background bytes and no pause; lease: nothing) and its
+  /// ownership flips — batches already in flight resolve the new owner at
+  /// delivery, redirected rather than stalled. A failed rebuild parks its
+  /// error on the group (the callers here cannot return Status).
   void StampEpochBoundaries();
 
   // --- latency telemetry helpers ---
@@ -626,19 +674,15 @@ class LocalEngine {
     CounterMetric* tuples_replayed = nullptr;
     CounterMetric* groups_recovered = nullptr;
     CounterMetric* epoch_transfer_bytes = nullptr;
-    CounterMetric* migrations_direct = nullptr;
-    CounterMetric* migrations_indirect = nullptr;
-    CounterMetric* migrations_epoch = nullptr;
-    CounterMetric* migrations_lease = nullptr;
+    /// Completed moves per mode (`engine_migrations_total{mode=...}`),
+    /// indexed by MigrationMode.
+    CounterMetric* migrations[kNumMigrationModes] = {};
     /// Bytes each migration mode moved or replayed
     /// (`engine_migration_bytes_total{mode=...}`): direct = serialized
     /// state round-trips, indirect = chained deltas + replayed suffix,
     /// epoch = background transfer volume, lease = always zero (the
     /// series exists so dashboards and benches can assert the zero).
-    CounterMetric* migration_bytes_direct = nullptr;
-    CounterMetric* migration_bytes_indirect = nullptr;
-    CounterMetric* migration_bytes_epoch = nullptr;
-    CounterMetric* migration_bytes_lease = nullptr;
+    CounterMetric* migration_bytes[kNumMigrationModes] = {};
     GaugeMetric* mailbox_highwater = nullptr;
     GaugeMetric* chain_len_highwater = nullptr;
     GaugeMetric* worker_pool_runs = nullptr;
@@ -666,13 +710,10 @@ class LocalEngine {
   LocalEngineOptions options_;
 
   std::vector<MigrationState> migrating_;  // per key group
-  /// Groups whose kEpoch/kLease migration awaits its boundary stamp or
-  /// lease flip; entries are validated against migrating_ at the stamp,
-  /// so cancelled or failed-over migrations self-clean.
-  std::vector<KeyGroupId> epoch_pending_;
-  /// First background-transfer failure since the last FinishMigration of
-  /// an epoch group (stamping happens in void contexts).
-  Status epoch_error_ = Status::OK();
+  /// Groups whose kEpoch/kLease move awaits its flip cutover; entries are
+  /// validated against migrating_ at the stamp, so cancelled or
+  /// failed-over moves self-clean.
+  std::vector<KeyGroupId> flip_pending_;
   EnginePeriodStats period_;
 
   // Checkpointing state (unused until EnableCheckpointing).

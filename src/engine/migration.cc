@@ -2,6 +2,20 @@
 
 namespace albic::engine {
 
+const char* MigrationModeName(MigrationMode mode) {
+  switch (mode) {
+    case MigrationMode::kIndirect:
+      return "indirect";
+    case MigrationMode::kEpoch:
+      return "epoch";
+    case MigrationMode::kLease:
+      return "lease";
+    case MigrationMode::kDirect:
+      break;
+  }
+  return "direct";
+}
+
 double MigrationCost(const Topology& topology, KeyGroupId g,
                      const MigrationCostModel& model) {
   return model.alpha_per_byte * topology.group_state_bytes(g);

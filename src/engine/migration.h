@@ -42,6 +42,14 @@ enum class MigrationMode {
   kLease,
 };
 
+/// \brief Number of MigrationMode values (extent of per-mode tables).
+inline constexpr int kNumMigrationModes = 4;
+
+/// \brief Stable lower-case name of \p mode ("direct", "indirect", "epoch",
+/// "lease"): the `mode` label of the engine's per-mode metric series and
+/// the decision journal's `mode` field.
+const char* MigrationModeName(MigrationMode mode);
+
 /// \brief True for the modes that buffer new input at the target while the
 /// state travels (direct/indirect). Epoch and lease migrations never
 /// buffer: the group keeps processing at whichever owner the routing

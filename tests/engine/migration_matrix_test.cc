@@ -5,12 +5,16 @@
 // group, single key, large FlatMap64 mid-incremental-rehash) and edge
 // timings (migration started mid-window with in-flight traffic,
 // back-to-back migrations of the same group, target equal to source).
-// Plus the mode-request contracts: kEpoch without checkpointing falls back
-// to direct, kLease without checkpointing still flips (the arena lease
-// needs no checkpoint subsystem), kIndirect without checkpointing is
-// rejected, a group already mid-migration rejects a second StartMigration,
-// and a lease flip racing a node kill loses no tuples on either side of
-// the stamp.
+// The same loop pins each mode's accounting: returned pause, buffered and
+// replayed tuples, background transfer bytes, the per-mode migration
+// counters and exactly one lease flip per move. Plus the mode-request
+// contracts: kEpoch without checkpointing falls back to direct, kLease
+// without checkpointing still flips (the arena lease needs no checkpoint
+// subsystem), kIndirect without checkpointing is rejected, a group already
+// mid-migration rejects a second StartMigration, a lease flip racing a
+// node kill loses no tuples on either side of the stamp, and a failed
+// rebuild loses only its own group, which recovers from checkpoint +
+// replay.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics_registry.h"
 #include "engine/checkpoint.h"
 #include "engine/local_engine.h"
 #include "ops/store.h"
@@ -54,6 +59,7 @@ struct StorePipeline {
   engine::Topology topo;
   engine::Cluster cluster{kStoreNodes};
   ops::StoreSinkOperator sink{kStoreGroups};
+  MetricsRegistry registry;
   engine::MemoryCheckpointStore cstore;
   std::unique_ptr<engine::CheckpointCoordinator> coordinator;
   std::unique_ptr<engine::LocalEngine> engine;
@@ -71,6 +77,7 @@ struct StorePipeline {
     engine::LocalEngineOptions opts;
     opts.mode = engine::ExecutionMode::kBatched;
     opts.window_every_us = 0;
+    opts.metrics = &registry;
     engine = std::make_unique<engine::LocalEngine>(
         &topo, &cluster, assign,
         std::vector<engine::StreamOperator*>{nullptr, &sink}, opts);
@@ -107,10 +114,26 @@ std::vector<Tuple> KeysFor(int group, int distinct) {
   return out;
 }
 
+/// The `mode` labels of the engine's per-mode migration series, indexed by
+/// MigrationMode.
+constexpr const char* kModeLabels[] = {"direct", "indirect", "epoch", "lease"};
+
 struct StoreRunResult {
   std::vector<std::string> states;
   int64_t processed = 0;
   int64_t buffered = 0;
+  // Migrated runs: the move's accounting...
+  double pause_us = 0.0;
+  int64_t replayed = 0;
+  int64_t epoch_transfer_bytes = 0;
+  int64_t flips = 0;
+  int64_t migrations[4] = {};       ///< engine_migrations_total{mode}.
+  int64_t migration_bytes[4] = {};  ///< engine_migration_bytes_total{mode}.
+  // ...and what it should be, measured when the move starts.
+  int64_t in_flight = 0;          ///< Tuples offered between Start and Finish.
+  int64_t state_bytes = 0;        ///< Serialized live state of the group.
+  int64_t chain_bytes = 0;        ///< Its newest checkpoint chain...
+  int64_t chain_delta_bytes = 0;  ///< ...of which chained delta records.
 };
 
 /// One run: half the keys, checkpoint, migrate (or not), the other half
@@ -127,9 +150,16 @@ StoreRunResult RunStoreScenario(const StoreScenario& scenario,
     p.engine->Flush();
   }
   EXPECT_TRUE(p.coordinator->CheckpointNow(p.engine.get()).ok());
+  StoreRunResult out;
   if (migrate) {
     const NodeId to = (p.engine->assignment().node_of(group) + 1) %
                       kStoreNodes;
+    out.in_flight = static_cast<int64_t>(keys.size() - half);
+    out.state_bytes =
+        static_cast<int64_t>(p.sink.SerializeGroupState(0).size());
+    out.chain_bytes = static_cast<int64_t>(p.cstore.ChainBytes(group));
+    out.chain_delta_bytes =
+        static_cast<int64_t>(p.cstore.ChainDeltaBytes(group));
     EXPECT_TRUE(p.engine->StartMigration(group, to, mode).ok());
     if (keys.size() > half) {
       // In-flight traffic between Start and Finish: buffered for direct
@@ -143,18 +173,79 @@ StoreRunResult RunStoreScenario(const StoreScenario& scenario,
     const auto pause = p.engine->FinishMigration(group);
     EXPECT_TRUE(pause.ok()) << pause.status().ToString();
     EXPECT_EQ(p.engine->assignment().node_of(group), to);
+    out.pause_us = pause.ok() ? *pause : -1.0;
   } else if (keys.size() > half) {
     EXPECT_TRUE(
         p.engine->InjectBatch(0, keys.data() + half, keys.size() - half)
             .ok());
   }
   p.engine->Flush();
-  StoreRunResult out;
   out.states = p.SinkStates();
   const engine::EnginePeriodStats stats = p.engine->HarvestPeriod();
   out.processed = stats.tuples_processed;
   out.buffered = stats.tuples_buffered;
+  out.replayed = stats.tuples_replayed;
+  out.epoch_transfer_bytes = stats.epoch_transfer_bytes;
+  out.flips = p.engine->arena().leases().flips();
+  for (int m = 0; m < 4; ++m) {
+    const MetricLabels mode = {{"mode", kModeLabels[m]}};
+    out.migrations[m] =
+        p.registry.Counter("engine_migrations_total", mode)->value();
+    out.migration_bytes[m] =
+        p.registry.Counter("engine_migration_bytes_total", mode)->value();
+  }
   return out;
+}
+
+/// What one move of \p mode must account in \p run: the returned pause,
+/// buffered and replayed tuples, background transfer and the bytes its
+/// per-mode series counts.
+void ExpectMoveAccounting(const StoreRunResult& run, MigrationMode mode,
+                          const std::string& where) {
+  const int64_t tuple_bytes = static_cast<int64_t>(sizeof(Tuple));
+  double pause_us = 0.0;
+  int64_t buffered = 0;
+  int64_t replayed = 0;
+  int64_t transfer = 0;
+  int64_t bytes = 0;
+  switch (mode) {
+    case MigrationMode::kDirect:
+      // The live round-trip: O(state) pause, in-flight input buffered.
+      bytes = run.state_bytes;
+      pause_us = engine::kEnginePauseUsPerByte * static_cast<double>(bytes);
+      buffered = run.in_flight;
+      break;
+    case MigrationMode::kIndirect:
+      // Chain restore with nothing logged past it (in-flight input
+      // buffered): the pause is the chained deltas only.
+      bytes = run.chain_delta_bytes;
+      pause_us = engine::kEnginePauseUsPerByte * static_cast<double>(bytes);
+      buffered = run.in_flight;
+      break;
+    case MigrationMode::kEpoch:
+      // In-flight input processed live at the old owner, then the stamp
+      // rebuilt chain + that suffix in the background: zero pause.
+      replayed = run.in_flight;
+      transfer = run.chain_bytes + run.in_flight * tuple_bytes;
+      bytes = transfer;
+      break;
+    case MigrationMode::kLease:
+      break;  // a flip and nothing else
+  }
+  EXPECT_DOUBLE_EQ(run.pause_us, pause_us) << where;
+  EXPECT_EQ(run.buffered, buffered) << where;
+  EXPECT_EQ(run.replayed, replayed) << where;
+  EXPECT_EQ(run.epoch_transfer_bytes, transfer) << where;
+  EXPECT_EQ(run.flips, 1) << where << ": one lease flip per move";
+  for (int m = 0; m < 4; ++m) {
+    const bool own = m == static_cast<int>(mode);
+    EXPECT_EQ(run.migrations[m], own ? 1 : 0)
+        << where << ": engine_migrations_total{mode=" << kModeLabels[m]
+        << "}";
+    EXPECT_EQ(run.migration_bytes[m], own ? bytes : 0)
+        << where << ": engine_migration_bytes_total{mode=" << kModeLabels[m]
+        << "}";
+  }
 }
 
 class MigrationMatrixTest : public ::testing::TestWithParam<StoreScenario> {};
@@ -178,6 +269,9 @@ TEST_P(MigrationMatrixTest, AllModesMatchTheUnmigratedBaseline) {
       EXPECT_EQ(run.buffered, 0)
           << scenario.name << ": an epoch/lease migration buffered tuples";
     }
+    ExpectMoveAccounting(run, mode,
+                         std::string(scenario.name) + ": mode " +
+                             kModeLabels[static_cast<int>(mode)]);
   }
 }
 
@@ -489,6 +583,120 @@ TEST(MigrationModeContractTest, LeasedGroupDyingWithNodeRecoversLossFree) {
   p.engine->Flush();
   EXPECT_EQ(p.SinkStates(), baseline.states);
   EXPECT_EQ(p.engine->HarvestPeriod().tuples_processed, baseline.processed);
+}
+
+TEST(MigrationModeContractTest, FailedRebuildLosesOnlyItsOwnGroup) {
+  // Group A's newest checkpoint record is a truncated image, so its chain
+  // rebuild fails while group B moves concurrently in the same mode. The
+  // failure is reported on A alone — B finishes cleanly — and A never
+  // processes input on its wiped state: it is lost exactly as if its node
+  // had died, buffers its input, and RecoverGroup rebuilds it once a sound
+  // record exists again.
+  const std::vector<Tuple> a_keys = KeysFor(0, 30);
+  const std::vector<Tuple> b_keys = KeysFor(1, 20);
+  StorePipeline baseline;
+  ASSERT_TRUE(baseline.engine->InjectBatch(0, a_keys.data(), 30).ok());
+  ASSERT_TRUE(baseline.engine->InjectBatch(0, b_keys.data(), 20).ok());
+  baseline.engine->Flush();
+  const int64_t baseline_processed =
+      baseline.engine->HarvestPeriod().tuples_processed;
+
+  for (const MigrationMode mode :
+       {MigrationMode::kEpoch, MigrationMode::kIndirect}) {
+    SCOPED_TRACE(kModeLabels[static_cast<int>(mode)]);
+    StorePipeline p;
+    const KeyGroupId a = p.topo.first_group(1);  // store group 0
+    const KeyGroupId b = a + 1;                  // store group 1
+    ASSERT_TRUE(p.engine->InjectBatch(0, a_keys.data(), 10).ok());
+    ASSERT_TRUE(p.engine->InjectBatch(0, b_keys.data(), 10).ok());
+    p.engine->Flush();
+    ASSERT_TRUE(p.coordinator->CheckpointNow(p.engine.get()).ok());
+    const std::string sound = p.sink.SerializeGroupState(0);
+    const uint64_t seq = p.engine->replay_log(a).next_seq();
+    ASSERT_TRUE(p.cstore.Put(a, seq, sound.substr(0, 3)).ok());
+
+    const NodeId a_from = p.engine->assignment().node_of(a);
+    const NodeId b_to = (p.engine->assignment().node_of(b) + 1) % kStoreNodes;
+    ASSERT_TRUE(
+        p.engine->StartMigration(a, (a_from + 1) % kStoreNodes, mode).ok());
+    ASSERT_TRUE(p.engine->StartMigration(b, b_to, mode).ok());
+    // In-flight input for both groups: processed live before the epoch
+    // stamp, buffered by the indirect moves.
+    ASSERT_TRUE(p.engine->InjectBatch(0, a_keys.data() + 10, 10).ok());
+    ASSERT_TRUE(p.engine->InjectBatch(0, b_keys.data() + 10, 10).ok());
+    p.engine->Flush();
+
+    const auto b_pause = p.engine->FinishMigration(b);
+    EXPECT_TRUE(b_pause.ok()) << b_pause.status().ToString();
+    EXPECT_EQ(p.engine->assignment().node_of(b), b_to);
+    const auto a_pause = p.engine->FinishMigration(a);
+    EXPECT_EQ(a_pause.status().code(), StatusCode::kOutOfRange)
+        << a_pause.status().ToString();
+    EXPECT_EQ(p.engine->lost_groups(), std::vector<KeyGroupId>{a});
+    EXPECT_EQ(p.engine->assignment().node_of(a), a_from)
+        << "a failed rebuild must not flip ownership";
+
+    // Lost, not live on a wiped state: new input for A buffers.
+    ASSERT_TRUE(p.engine->InjectBatch(0, a_keys.data() + 20, 10).ok());
+    p.engine->Flush();
+    EXPECT_EQ(p.sink.ValueFor(0, a_keys[20].key), 0.0);
+
+    ASSERT_TRUE(p.cstore.Put(a, seq, sound).ok());
+    const auto recovered = p.engine->RecoverGroup(a, a_from);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    p.engine->Flush();
+    EXPECT_TRUE(p.engine->lost_groups().empty());
+    EXPECT_EQ(p.SinkStates(), baseline.SinkStates());
+    EXPECT_EQ(p.engine->HarvestPeriod().tuples_processed, baseline_processed);
+  }
+}
+
+TEST(MigrationModeContractTest, FailedRoundTripWithoutCheckpointingIsLost) {
+  // The live round-trip obeys the same rule, with no checkpoint subsystem
+  // at all: an operator that cannot read its own state image fails the
+  // direct move, which reports the error and leaves the group lost rather
+  // than live on a wiped state. With nothing to restore from, recovery is
+  // refused with a Status.
+  struct UnreadableStore : ops::StoreSinkOperator {
+    using ops::StoreSinkOperator::StoreSinkOperator;
+    Status DeserializeGroupState(int, const std::string&) override {
+      return Status::Internal("unreadable state image");
+    }
+  };
+  engine::Topology topo;
+  topo.AddOperator("src", 1);
+  topo.AddOperator("store", kStoreGroups, 1 << 14);
+  ASSERT_TRUE(
+      topo.AddStream(0, 1, engine::PartitioningPattern::kFullPartitioning)
+          .ok());
+  engine::Cluster cluster(kStoreNodes);
+  engine::Assignment assign(topo.num_key_groups());
+  for (KeyGroupId g = 0; g < topo.num_key_groups(); ++g) {
+    assign.set_node(g, g % kStoreNodes);
+  }
+  UnreadableStore sink(kStoreGroups);
+  engine::LocalEngineOptions opts;
+  opts.mode = engine::ExecutionMode::kBatched;
+  opts.window_every_us = 0;
+  engine::LocalEngine engine(
+      &topo, &cluster, assign,
+      std::vector<engine::StreamOperator*>{nullptr, &sink}, opts);
+
+  const std::vector<Tuple> keys = KeysFor(0, 2);
+  ASSERT_TRUE(engine.InjectBatch(0, keys.data(), 1).ok());
+  engine.Flush();
+  const KeyGroupId group = topo.first_group(1);
+  const NodeId from = engine.assignment().node_of(group);
+  const Status moved = engine.MigrateGroup(group, (from + 1) % kStoreNodes);
+  EXPECT_EQ(moved.code(), StatusCode::kInternal) << moved.ToString();
+  EXPECT_EQ(engine.lost_groups(), std::vector<KeyGroupId>{group});
+  EXPECT_EQ(engine.assignment().node_of(group), from);
+  ASSERT_TRUE(engine.InjectBatch(0, &keys[1], 1).ok());
+  engine.Flush();
+  EXPECT_EQ(sink.ValueFor(0, keys[1].key), 0.0);  // buffered, not applied
+  const auto recovered = engine.RecoverGroup(group, from);
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument)
+      << recovered.status().ToString();
 }
 
 TEST(MigrationModeContractTest, SecondStartOnMigratingGroupIsRejected) {

@@ -9,7 +9,7 @@
 // windowed output — reconfiguration is supposed to be invisible to the
 // computation, whatever the schedule.
 //
-// Seed count defaults to 24 and can be raised via ALBIC_SOAK_SEEDS; every
+// Seed count defaults to 96 and can be changed via ALBIC_SOAK_SEEDS; every
 // assertion prints the failing seed so a counterexample replays directly.
 
 #include <gtest/gtest.h>
@@ -58,7 +58,7 @@ int SeedCount() {
     const int n = std::atoi(env);
     if (n > 0) return n;
   }
-  return 24;
+  return 96;
 }
 
 /// Cuts \p stream into chunks that never cross an (anchored) window
