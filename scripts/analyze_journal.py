@@ -6,6 +6,7 @@ Usage: analyze_journal.py JOURNAL.jsonl
 
 Reads one ControllerRound record per line and reports:
   - round counts (total, SLO-triggered, recovery rounds)
+  - planning time per round (plan_ms: p50 and max)
   - migration mode shares and the reasons the controller recorded
   - predicted-vs-actual pause error per mode (the cost model's accuracy)
   - checkpoint volume and recovery totals
@@ -20,6 +21,7 @@ validates the checks themselves against inline pass/fail fixtures.
 """
 
 import json
+import statistics
 import sys
 
 # WavePhaseName's fixed vocabulary (src/common/profiler.h), plus "off" for
@@ -62,8 +64,8 @@ def main(argv):
             except json.JSONDecodeError as exc:
                 print(f"{path}:{lineno}: invalid JSON: {exc}", file=sys.stderr)
                 return 1
-            for key in ("round", "migrations", "decisions", "recovery",
-                        "attribution"):
+            for key in ("round", "plan_ms", "migrations", "decisions",
+                        "recovery", "attribution"):
                 if key not in rec:
                     print(f"{path}:{lineno}: missing key '{key}'",
                           file=sys.stderr)
@@ -94,6 +96,9 @@ def main(argv):
     print(f"rounds: {len(rounds)} "
           f"(slo-triggered: {slo}, with recovery: {recovery_rounds})")
     print(f"migrations: {applied} applied of {planned} planned")
+    plan_ms = [r["plan_ms"] for r in rounds]
+    print(f"planning: p50 {statistics.median(plan_ms):.3f} ms, "
+          f"max {max(plan_ms):.3f} ms")
 
     # Mode shares, reasons and prediction error, from the decision records.
     by_mode = {}
@@ -186,7 +191,7 @@ def self_test():
     import tempfile
 
     valid = {
-        "round": 0, "slo_triggered": False,
+        "round": 0, "slo_triggered": False, "plan_ms": 0.25,
         "migrations": {"planned": 0, "applied": 0},
         "decisions": [],
         "checkpoint": {"taken": 0, "bytes": 0},
@@ -211,6 +216,7 @@ def self_test():
     lease = dict(valid, migrations={"planned": 1, "applied": 1},
                  decisions=[lease_decision])
     missing = {k: v for k, v in valid.items() if k != "attribution"}
+    no_plan_ms = {k: v for k, v in valid.items() if k != "plan_ms"}
     bad_phase = dict(valid, attribution={"dominant_phase": "banana"})
     bad_reason = dict(valid,
                       decisions=[dict(lease_decision, reason="vibes")])
@@ -235,6 +241,8 @@ def self_test():
         failures.append("valid-journal-accepted")
     if run_on([missing]) == 0:
         failures.append("missing-attribution-rejected")
+    if run_on([no_plan_ms]) == 0:
+        failures.append("missing-plan-ms-rejected")
     if run_on([bad_phase]) == 0:
         failures.append("invalid-phase-rejected")
     if run_on([bad_reason]) == 0:

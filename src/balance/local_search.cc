@@ -1,19 +1,14 @@
 #include "balance/local_search.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <numeric>
-
-#include "common/rng.h"
 
 namespace albic::balance {
 
 namespace {
 
-using engine::KeyGroupId;
 using engine::NodeId;
 
 constexpr double kEps = 1e-9;
@@ -28,17 +23,16 @@ class Search {
       : snap_(snap),
         items_(items),
         constraints_(constraints),
-        rng_(options.seed),
         deadline_(std::chrono::steady_clock::now() +
                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                       std::chrono::duration<double, std::milli>(
-                          options.time_budget_ms))),
-        kick_fraction_(options.kick_fraction) {
+                          options.time_budget_ms))) {
     retained_ = snap.cluster->retained_nodes();
     marked_ = snap.cluster->marked_nodes();
     const int num_nodes = snap.cluster->num_nodes_total();
     node_load_.assign(num_nodes, 0.0);
     node_secondary_.assign(num_nodes, 0.0);
+    node_items_.resize(static_cast<size_t>(num_nodes));
     item_node_.assign(items.size(), engine::kInvalidNode);
 
     // Candidate order: measured service-time share, heaviest first, when
@@ -105,17 +99,25 @@ class Search {
     }
   };
 
-  Objective Evaluate() const {
+  /// The objective of the current placement, with node \p a's load read as
+  /// \p load_a and \p b's as \p load_b: a candidate move or swap is scored
+  /// from its two substituted node loads without touching node_load_.
+  Objective Evaluate(NodeId a = engine::kInvalidNode, double load_a = 0.0,
+                     NodeId b = engine::kInvalidNode,
+                     double load_b = 0.0) const {
+    const auto load = [&](NodeId n) {
+      return n == a ? load_a : n == b ? load_b : node_load_[n];
+    };
     Objective obj;
     double total = 0.0;
-    for (NodeId n : retained_) total += node_load_[n];
+    for (NodeId n : retained_) total += load(n);
     for (NodeId n : marked_) {
-      total += node_load_[n];
-      obj.drain += node_load_[n];
+      total += load(n);
+      obj.drain += load(n);
     }
     const double mean = total / static_cast<double>(retained_.size());
     for (NodeId n : retained_) {
-      const double dev = node_load_[n] - mean;
+      const double dev = load(n) - mean;
       obj.distance = std::max(obj.distance, std::fabs(dev));
       obj.ssq += dev * dev;
     }
@@ -124,31 +126,44 @@ class Search {
 
   // Applies the whole pipeline; returns the final solution.
   LocalSearchSolution Run() {
+    Descend();
     Objective best_obj = Evaluate();
     std::vector<NodeId> best_placement = item_node_;
 
-    bool first_pass = true;
-    while (first_pass || TimeLeft()) {
-      first_pass = false;
-      // Greedy single-move improvement to a local optimum.
-      while (ImproveOnce() && TimeLeft()) {
+    // Perturbation sweep: from the best placement, try each feasible
+    // single-item move (never into B, so Lemma 1 holds), re-descend, and
+    // keep the result only if it is strictly better. The moves cycle
+    // through item_order_ x retained_; the search has converged once a
+    // whole cycle since the best placement last changed finds nothing
+    // better. Every step is a function of the snapshot alone and the clock
+    // only truncates the sequence: host speed decides how much of it runs,
+    // and for a fixed speed a shorter cap runs a prefix of a longer cap's
+    // steps, so best_obj never gets worse as the cap grows.
+    // ForceDrainResidual runs after the best placement is chosen and is
+    // outside that guarantee.
+    const size_t positions = item_order_.size() * retained_.size();
+    size_t next = 0;
+    for (size_t untried = positions; untried > 0; --untried) {
+      const int item = item_order_[next / retained_.size()];
+      const NodeId dst = retained_[next % retained_.size()];
+      next = (next + 1) % positions;
+      if (items_[item].pinned != engine::kInvalidNode ||
+          dst == item_node_[item] || !SecondaryAllows(item, dst)) {
+        continue;
       }
-      // Swap refinement (helps when the budget or granularity blocks single
-      // moves).
-      while (SwapOnce() && TimeLeft()) {
-        while (ImproveOnce() && TimeLeft()) {
-        }
-      }
-      Objective obj = Evaluate();
+      const MoveDelta delta = DeltaFor(item, dst);
+      if (!BudgetAllows(delta.cost, delta.count)) continue;
+      if (!TimeLeft()) break;
+      Apply(item, dst);
+      Descend();
+      const Objective obj = Evaluate();
       if (obj.BetterThan(best_obj)) {
         best_obj = obj;
         best_placement = item_node_;
+        untried = positions + 1;  // a whole cycle from the best, this move too
       } else {
-        // Restore the best known before kicking again.
         Restore(best_placement);
       }
-      if (!TimeLeft()) break;
-      Kick();
     }
 
     Restore(best_placement);
@@ -160,11 +175,34 @@ class Search {
     out.drain_load = final_obj.drain;
     out.used_cost = used_cost_;
     out.used_count = used_count_;
-    out.iterations = accepted_moves_;
     return out;
   }
 
  private:
+  struct MoveDelta {
+    double cost;
+    int count;
+  };
+
+  // Migration cost and count of placing the item on n: ItemMoveCost and
+  // ItemMoveCount in one inline pass over its groups, since every
+  // candidate the search scores calls this twice.
+  MoveDelta MigrationTo(int item, NodeId n) const {
+    MoveDelta m{0.0, 0};
+    for (const engine::KeyGroupId g : items_[item].groups) {
+      if (snap_.assignment.node_of(g) == n) continue;
+      m.cost += snap_.migration_costs[g];
+      ++m.count;
+    }
+    return m;
+  }
+
+  MoveDelta DeltaFor(int item, NodeId to) const {
+    const MoveDelta next = MigrationTo(item, to);
+    const MoveDelta now = MigrationTo(item, item_node_[item]);
+    return {next.cost - now.cost, next.count - now.count};
+  }
+
   NodeId EmptiestRetained() const {
     NodeId best = retained_.front();
     for (NodeId n : retained_) {
@@ -182,9 +220,9 @@ class Search {
     item_node_[item] = n;
     node_load_[n] += LoadOn(n, items_[item].load);
     node_secondary_[n] += items_[item].secondary_load;
-    used_cost_ += ItemMoveCost(items_[item], n, snap_.assignment,
-                               snap_.migration_costs);
-    used_count_ += ItemMoveCount(items_[item], n, snap_.assignment);
+    const MoveDelta m = MigrationTo(item, n);
+    used_cost_ += m.cost;
+    used_count_ += m.count;
   }
 
   bool BudgetAllows(double cost_delta, int count_delta) const {
@@ -207,18 +245,14 @@ class Search {
   void Apply(int item, NodeId n) {
     const NodeId cur = item_node_[item];
     if (cur == n) return;
+    const MoveDelta delta = DeltaFor(item, n);
     node_load_[cur] -= LoadOn(cur, items_[item].load);
     node_load_[n] += LoadOn(n, items_[item].load);
     node_secondary_[cur] -= items_[item].secondary_load;
     node_secondary_[n] += items_[item].secondary_load;
-    used_cost_ += ItemMoveCost(items_[item], n, snap_.assignment,
-                               snap_.migration_costs) -
-                  ItemMoveCost(items_[item], cur, snap_.assignment,
-                               snap_.migration_costs);
-    used_count_ += ItemMoveCount(items_[item], n, snap_.assignment) -
-                   ItemMoveCount(items_[item], cur, snap_.assignment);
+    used_cost_ += delta.cost;
+    used_count_ += delta.count;
     item_node_[item] = n;
-    ++accepted_moves_;
   }
 
   void Restore(const std::vector<NodeId>& placement) {
@@ -228,18 +262,24 @@ class Search {
     }
   }
 
-  struct MoveDelta {
-    double cost;
-    int count;
-  };
-  MoveDelta DeltaFor(int item, NodeId to) const {
-    const NodeId cur = item_node_[item];
-    return {ItemMoveCost(items_[item], to, snap_.assignment,
-                         snap_.migration_costs) -
-                ItemMoveCost(items_[item], cur, snap_.assignment,
-                             snap_.migration_costs),
-            ItemMoveCount(items_[item], to, snap_.assignment) -
-                ItemMoveCount(items_[item], cur, snap_.assignment)};
+  // Best-improvement move steps, falling back to a swap step whenever no
+  // move improves, until neither improves or the cap expires (checked after
+  // each step, so every descent takes at least one).
+  void Descend() {
+    for (;;) {
+      CollectNodeItems();
+      if (!(ImproveOnce() || SwapOnce()) || !TimeLeft()) return;
+    }
+  }
+
+  // Each node's unpinned items in candidate order, rebuilt once per step
+  // for ImproveOnce and SwapOnce.
+  void CollectNodeItems() {
+    for (std::vector<int>& list : node_items_) list.clear();
+    for (const int item : item_order_) {
+      if (items_[item].pinned != engine::kInvalidNode) continue;
+      node_items_[item_node_[item]].push_back(item);
+    }
   }
 
   // Source nodes worth moving load away from: all of B (drain), plus the
@@ -266,31 +306,26 @@ class Search {
 
   // One best-improvement single-item move. Returns true if a move was made.
   bool ImproveOnce() {
-    const Objective base = Evaluate();
+    const std::vector<NodeId> sources = SourceNodes();
+    const std::vector<NodeId> dests = DestNodes();
+
     int best_item = -1;
     NodeId best_to = engine::kInvalidNode;
-    Objective best_obj = base;
-
-    for (NodeId src : SourceNodes()) {
-      for (const int oi : item_order_) {
-        const size_t i = static_cast<size_t>(oi);
-        if (item_node_[i] != src) continue;
-        if (items_[i].pinned != engine::kInvalidNode) continue;
-        for (NodeId dst : DestNodes()) {
+    Objective best_obj = Evaluate();
+    for (NodeId src : sources) {
+      for (const int i : node_items_[src]) {
+        const double src_load = node_load_[src] - LoadOn(src, items_[i].load);
+        for (NodeId dst : dests) {
           if (dst == src) continue;
-          if (!SecondaryAllows(static_cast<int>(i), dst)) continue;
-          MoveDelta delta = DeltaFor(static_cast<int>(i), dst);
+          if (!SecondaryAllows(i, dst)) continue;
+          const MoveDelta delta = DeltaFor(i, dst);
           if (!BudgetAllows(delta.cost, delta.count)) continue;
-          // Tentatively apply.
-          const NodeId cur = item_node_[i];
-          node_load_[cur] -= LoadOn(cur, items_[i].load);
-          node_load_[dst] += LoadOn(dst, items_[i].load);
-          Objective obj = Evaluate();
-          node_load_[dst] -= LoadOn(dst, items_[i].load);
-          node_load_[cur] += LoadOn(cur, items_[i].load);
+          const Objective obj =
+              Evaluate(src, src_load, dst,
+                       node_load_[dst] + LoadOn(dst, items_[i].load));
           if (obj.BetterThan(best_obj)) {
             best_obj = obj;
-            best_item = static_cast<int>(i);
+            best_item = i;
             best_to = dst;
           }
         }
@@ -303,7 +338,6 @@ class Search {
 
   // One best-improvement swap between a loaded and an unloaded node.
   bool SwapOnce() {
-    const Objective base = Evaluate();
     std::vector<NodeId> by_load = retained_;
     std::sort(by_load.begin(), by_load.end(), [&](NodeId a, NodeId b) {
       return node_load_[a] > node_load_[b];
@@ -312,26 +346,16 @@ class Search {
 
     const size_t top = std::min<size_t>(2, by_load.size());
     int best_a = -1, best_b = -1;
-    Objective best_obj = base;
+    Objective best_obj = Evaluate();
     for (size_t hi = 0; hi < top; ++hi) {
       const NodeId src = by_load[hi];
       for (size_t lo = 0; lo < top; ++lo) {
         const NodeId dst = by_load[by_load.size() - 1 - lo];
         if (src == dst) continue;
-        for (const int oa : item_order_) {
-          const size_t a = static_cast<size_t>(oa);
-          if (item_node_[a] != src ||
-              items_[a].pinned != engine::kInvalidNode) {
-            continue;
-          }
-          for (const int ob : item_order_) {
-            const size_t b = static_cast<size_t>(ob);
-            if (item_node_[b] != dst ||
-                items_[b].pinned != engine::kInvalidNode) {
-              continue;
-            }
-            MoveDelta da = DeltaFor(static_cast<int>(a), dst);
-            MoveDelta db = DeltaFor(static_cast<int>(b), src);
+        for (const int a : node_items_[src]) {
+          for (const int b : node_items_[dst]) {
+            const MoveDelta da = DeltaFor(a, dst);
+            const MoveDelta db = DeltaFor(b, src);
             if (!BudgetAllows(da.cost + db.cost, da.count + db.count)) {
               continue;
             }
@@ -347,20 +371,15 @@ class Search {
                 continue;
               }
             }
-            // Tentative double apply.
-            node_load_[src] +=
-                LoadOn(src, items_[b].load - items_[a].load);
-            node_load_[dst] +=
-                LoadOn(dst, items_[a].load - items_[b].load);
-            Objective obj = Evaluate();
-            node_load_[src] -=
-                LoadOn(src, items_[b].load - items_[a].load);
-            node_load_[dst] -=
-                LoadOn(dst, items_[a].load - items_[b].load);
+            const Objective obj = Evaluate(
+                src,
+                node_load_[src] + LoadOn(src, items_[b].load - items_[a].load),
+                dst,
+                node_load_[dst] + LoadOn(dst, items_[a].load - items_[b].load));
             if (obj.BetterThan(best_obj)) {
               best_obj = obj;
-              best_a = static_cast<int>(a);
-              best_b = static_cast<int>(b);
+              best_a = a;
+              best_b = b;
             }
           }
         }
@@ -375,7 +394,7 @@ class Search {
   }
 
   // Drain completion. Lemma 2 guarantees the true optimum leaves B empty,
-  // but the greedy can stall just short of it: once B's residual is small,
+  // but the descent can stall just short of it: once B's residual is small,
   // the mean is inflated by only residual / |A| — far below one item's
   // granularity — so every remaining drain move pushes its destination
   // above the mean, worsens d/ssq, and is rejected. That is a local
@@ -412,18 +431,18 @@ class Search {
       });
       bool moved = false;
       for (const int item : residual) {
+        const NodeId cur = item_node_[item];
+        const double cur_load =
+            node_load_[cur] - LoadOn(cur, items_[item].load);
         NodeId best_to = engine::kInvalidNode;
         Objective best_obj;
         for (NodeId dst : retained_) {
           if (!SecondaryAllows(item, dst)) continue;
-          MoveDelta delta = DeltaFor(item, dst);
+          const MoveDelta delta = DeltaFor(item, dst);
           if (!BudgetAllows(delta.cost, delta.count)) continue;
-          const NodeId cur = item_node_[item];
-          node_load_[cur] -= LoadOn(cur, items_[item].load);
-          node_load_[dst] += LoadOn(dst, items_[item].load);
-          Objective obj = Evaluate();
-          node_load_[dst] -= LoadOn(dst, items_[item].load);
-          node_load_[cur] += LoadOn(cur, items_[item].load);
+          const Objective obj =
+              Evaluate(cur, cur_load, dst,
+                       node_load_[dst] + LoadOn(dst, items_[item].load));
           if (best_to == engine::kInvalidNode || obj.BetterThan(best_obj)) {
             best_obj = obj;
             best_to = dst;
@@ -439,29 +458,10 @@ class Search {
     }
   }
 
-  // Perturbation: move a few random items to random retained nodes (budget
-  // permitting) to escape local optima; the caller keeps the best solution.
-  void Kick() {
-    const int kicks = std::max<int>(
-        1, static_cast<int>(kick_fraction_ * static_cast<double>(
-                                items_.size())));
-    for (int k = 0; k < kicks; ++k) {
-      const int item = static_cast<int>(rng_.Index(items_.size()));
-      if (items_[item].pinned != engine::kInvalidNode) continue;
-      const NodeId dst = retained_[rng_.Index(retained_.size())];
-      if (!SecondaryAllows(item, dst)) continue;
-      MoveDelta d = DeltaFor(item, dst);
-      if (!BudgetAllows(d.cost, d.count)) continue;
-      Apply(item, dst);
-    }
-  }
-
   const engine::SystemSnapshot& snap_;
   const std::vector<BalanceItem>& items_;
   const RebalanceConstraints& constraints_;
-  Rng rng_;
   std::chrono::steady_clock::time_point deadline_;
-  double kick_fraction_;
 
   std::vector<NodeId> retained_;
   std::vector<NodeId> marked_;
@@ -469,9 +469,9 @@ class Search {
   std::vector<double> node_secondary_;
   std::vector<NodeId> item_node_;
   std::vector<int> item_order_;  ///< Candidate order (measured share desc).
+  std::vector<std::vector<int>> node_items_;  ///< See CollectNodeItems().
   double used_cost_ = 0.0;
   int used_count_ = 0;
-  int accepted_moves_ = 0;
 };
 
 }  // namespace

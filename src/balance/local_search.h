@@ -1,11 +1,10 @@
 #pragma once
 
 /// \file
-/// \brief Anytime local search for the integrated balancing objective;
+/// \brief Converging local search for the integrated balancing objective;
 /// under measured-cost planning candidates are tried in descending
 /// measured service-time share order.
 
-#include <cstdint>
 #include <vector>
 
 #include "balance/balance_item.h"
@@ -14,16 +13,18 @@
 
 namespace albic::balance {
 
-/// \brief Options for the anytime assignment local search.
+/// \brief Options for the assignment local search.
 struct LocalSearchOptions {
-  /// Wall-clock budget. The search runs greedy improvement, then swap
-  /// refinement, then perturb-and-reoptimize rounds until the budget is
-  /// exhausted — solution quality improves monotonically with budget,
-  /// mirroring the paper's CPLEX quality-vs-time curves (Figs 2-4).
+  /// Wall-clock cap. The search returns as soon as a whole perturbation
+  /// sweep finds nothing better, or when the cap expires, whichever comes
+  /// first. Its steps do not depend on the cap, but host speed decides how
+  /// many of them run inside it. For a fixed execution speed a shorter cap
+  /// runs a prefix of a longer one's steps, so the objective before the
+  /// final drain pass never gets worse as the cap grows, and it stops
+  /// changing once the search converges (the paper's CPLEX quality-vs-time
+  /// curves, Figs 2-4). The drain pass (see LocalSearchSolver) is outside
+  /// this guarantee.
   double time_budget_ms = 10.0;
-  uint64_t seed = 42;
-  /// Perturbation strength for the kick phase (fraction of items).
-  double kick_fraction = 0.02;
 };
 
 /// \brief Outcome of a local-search solve.
@@ -33,22 +34,28 @@ struct LocalSearchSolution {
   double drain_load = 0.0;     ///< Residual load on nodes marked for removal.
   double used_cost = 0.0;      ///< Migration cost consumed.
   int used_count = 0;          ///< Key groups migrated.
-  int iterations = 0;          ///< Accepted moves.
 };
 
-/// \brief Anytime local search for the integrated balancing objective.
+/// \brief Deterministic, converging local search for the integrated
+/// balancing objective.
 ///
 /// Optimizes the paper's MILP objective lexicographically — minimize load
 /// distance, then the sum of squared deviations (a smooth stand-in for
-/// maximizing du + dl tightness) — subject to the migration budget. Drain
-/// moves off nodes marked for removal fall out of that minimization
-/// (Lemma 2: the optimum only exists with B empty), interleaved with
-/// urgent overload fixes; a final completion pass force-drains whatever
-/// residual the greedy leaves behind with the unspent budget, because a
-/// nearly-empty marked set is a local optimum the greedy cannot escape
-/// (moving the last items necessarily overshoots the mean). Items are
-/// atomic; pinned items are placed first and never moved (ALBIC's
-/// collocation constraints).
+/// maximizing du + dl tightness) — subject to the migration budget. A
+/// descent of best-improvement single-item moves and pairwise swaps reaches
+/// a local optimum; perturbation sweeps then try every feasible single-item
+/// move from the best placement, re-descend, and keep the result only if it
+/// is strictly better. The search converges when a whole sweep finds
+/// nothing better; LocalSearchOptions::time_budget_ms only caps it. Plans
+/// are therefore a function of the snapshot, not of host speed, whenever
+/// the search converges inside the cap. Drain moves off nodes marked for
+/// removal fall out of that minimization (Lemma 2: the optimum only exists
+/// with B empty), interleaved with urgent overload fixes; a final
+/// completion pass force-drains whatever residual the descent leaves
+/// behind with the unspent budget, because a nearly-empty marked set is a
+/// local optimum the descent cannot escape (moving the last items
+/// necessarily overshoots the mean). Items are atomic; pinned items are
+/// placed first and never moved (ALBIC's collocation constraints).
 class LocalSearchSolver {
  public:
   /// \brief Solves the placement problem. `snapshot` supplies the cluster,

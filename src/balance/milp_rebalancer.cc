@@ -1,6 +1,5 @@
 #include "balance/milp_rebalancer.h"
 
-#include <chrono>
 #include <cmath>
 
 #include "common/logging.h"
@@ -95,25 +94,18 @@ Result<RebalancePlan> MilpRebalancer::SolveHeuristic(
     const engine::SystemSnapshot& snapshot,
     const std::vector<BalanceItem>& items,
     const RebalanceConstraints& constraints) {
-  const auto t0 = std::chrono::steady_clock::now();
   LocalSearchOptions ls;
   ls.time_budget_ms = options_.time_budget_ms;
-  ls.seed = options_.seed;
   ALBIC_ASSIGN_OR_RETURN(
       LocalSearchSolution sol,
       LocalSearchSolver::Solve(snapshot, items, constraints, ls));
-  RebalancePlan plan = PlanFromItemPlacement(snapshot, items, sol.item_node);
-  plan.solve_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  return plan;
+  return PlanFromItemPlacement(snapshot, items, sol.item_node);
 }
 
 Result<RebalancePlan> MilpRebalancer::SolveExact(
     const engine::SystemSnapshot& snapshot,
     const std::vector<BalanceItem>& items,
     const RebalanceConstraints& constraints) {
-  const auto t0 = std::chrono::steady_clock::now();
   const std::vector<NodeId> active = snapshot.cluster->active_nodes();
   const std::vector<NodeId> retained = snapshot.cluster->retained_nodes();
   if (retained.empty()) {
@@ -269,11 +261,7 @@ Result<RebalancePlan> MilpRebalancer::SolveExact(
       }
     }
   }
-  RebalancePlan plan = PlanFromItemPlacement(snapshot, items, item_node);
-  plan.solve_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  return plan;
+  return PlanFromItemPlacement(snapshot, items, item_node);
 }
 
 }  // namespace albic::balance

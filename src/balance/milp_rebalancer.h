@@ -2,9 +2,8 @@
 
 /// \file
 /// \brief The paper's MILP rebalancer: exact branch-and-bound and the
-/// time-budgeted local-search heuristic over the same model.
+/// converging local-search heuristic over the same model.
 
-#include <cstdint>
 #include <vector>
 
 #include "balance/balance_item.h"
@@ -18,14 +17,14 @@ namespace albic::balance {
 struct MilpRebalancerOptions {
   /// Which solver realizes the MILP. kExact builds the paper's §4.3.1 model
   /// verbatim and solves it with branch & bound (CPLEX's role) — only viable
-  /// for small instances. kHeuristic runs the anytime local search over the
-  /// identical objective. kAuto picks exact when items x nodes is small.
+  /// for small instances. kHeuristic runs the converging local search over
+  /// the identical objective. kAuto picks exact when items x nodes is small.
   enum class Mode { kAuto, kExact, kHeuristic };
   Mode mode = Mode::kAuto;
 
-  /// Optimizer wall-clock budget (exact: B&B limit; heuristic: search time).
+  /// Optimizer wall-clock cap (exact: B&B limit; heuristic: the local
+  /// search's cap — it returns earlier once it converges).
   double time_budget_ms = 20.0;
-  uint64_t seed = 42;
 
   /// Objective weights; the paper requires w1 >> w2 so that minimizing d
   /// strictly dominates tightening du + dl.

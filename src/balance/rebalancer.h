@@ -49,7 +49,6 @@ struct RebalancePlan {
   /// Load distance the plan predicts, using the snapshot's (location
   /// independent) group loads.
   double predicted_load_distance = 0.0;
-  double solve_ms = 0.0;  ///< Optimizer wall-clock time.
 };
 
 /// \brief Interface of all key-group allocation algorithms (keyGroupAlloc()

@@ -1,8 +1,10 @@
 #include "core/adaptation_framework.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/logging.h"
+#include "common/trace.h"
 
 namespace albic::core {
 
@@ -87,6 +89,17 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
     const engine::LatencySummary* latency,
     const engine::MeasuredSignals* measured) {
   AdaptationRound round;
+  // Every keyGroupAlloc() call of the round runs here, timed and traced.
+  const auto compute_plan = [&](const engine::SystemSnapshot& snap) -> Status {
+    ALBIC_TRACE_SPAN("controller", "controller.plan");
+    const auto start = std::chrono::steady_clock::now();
+    ALBIC_ASSIGN_OR_RETURN(
+        round.plan, rebalancer_->ComputePlan(snap, options_.constraints));
+    round.plan_ms += std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    return Status::OK();
+  };
 
   // Lines 1-3: terminate drained nodes marked in previous rounds.
   for (NodeId n : cluster->marked_nodes()) {
@@ -101,8 +114,7 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
       BuildSnapshot(topology, load_model, group_proc_loads, comm, *cluster,
                     *assignment, measured);
   if (latency != nullptr) snap.latency = *latency;
-  ALBIC_ASSIGN_OR_RETURN(
-      round.plan, rebalancer_->ComputePlan(snap, options_.constraints));
+  ALBIC_RETURN_NOT_OK(compute_plan(snap));
 
   // Line 5: scaling decision, informed by the potential plan.
   if (policy_ != nullptr) {
@@ -121,8 +133,7 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
         snap = BuildSnapshot(topology, load_model, group_proc_loads, comm,
                              *cluster, *assignment, measured);
         if (latency != nullptr) snap.latency = *latency;
-        ALBIC_ASSIGN_OR_RETURN(
-            round.plan, rebalancer_->ComputePlan(snap, options_.constraints));
+        ALBIC_RETURN_NOT_OK(compute_plan(snap));
       }
     }
   }

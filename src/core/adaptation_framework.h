@@ -25,6 +25,9 @@ struct AdaptationOptions {
 /// \brief Result of one adaptation round.
 struct AdaptationRound {
   balance::RebalancePlan plan;
+  /// Wall-clock time of the round's ComputePlan calls (both, when the
+  /// round re-plans after scaling), traced as controller.plan spans.
+  double plan_ms = 0.0;
   engine::MigrationReport report;
   scaling::ScalingDecision scaling;
   int nodes_terminated = 0;

@@ -464,6 +464,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   round.tuples_buffered = stats.tuples_buffered;
   round.checkpoints_taken = stats.checkpoints_taken;
   round.checkpoint_bytes = stats.checkpoint_bytes;
+  round.plan_ms = adaptation.plan_ms;
   round.nodes_added = adaptation.nodes_added;
   round.nodes_terminated = adaptation.nodes_terminated;
   round.nodes_marked = adaptation.nodes_marked;

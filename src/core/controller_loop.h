@@ -143,6 +143,8 @@ struct ControllerRound {
   int64_t tuples_ingested = 0;
   int64_t tuples_buffered = 0;
   double migration_pause_us = 0.0;  ///< Pause incurred by this round's moves.
+  /// Measured planning time of the round (AdaptationRound::plan_ms).
+  double plan_ms = 0.0;
   int migrations_planned = 0;
   int migrations_applied = 0;
   int migrations_direct = 0;    ///< Applied with direct O(state) moves.

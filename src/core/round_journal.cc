@@ -63,6 +63,8 @@ std::string RoundJournal::ToJson(const ControllerRound& round) {
   out += round.slo_triggered ? "true" : "false";
   out += ",\"measured_costs\":";
   out += round.measured_costs ? "true" : "false";
+  out += ",\"plan_ms\":";
+  AppendDouble(&out, round.plan_ms);
   out += ",\"tuples\":{\"processed\":";
   AppendInt(&out, round.tuples_processed);
   out += ",\"ingested\":";

@@ -34,7 +34,7 @@ struct MilpSolution {
 ///
 /// Plays the role CPLEX plays in the paper for instances small enough for
 /// exact solving (tests, small clusters). Cluster-scale balancing instances
-/// are handled by the anytime heuristic in balance/ (DESIGN.md §4.2).
+/// are handled by the local-search heuristic in balance/ (DESIGN.md §4.2).
 class BranchAndBoundSolver {
  public:
   struct Options {

@@ -133,7 +133,6 @@ TEST(MilpRebalancerTest, Lemma1NothingMovesIntoMarkedNodes) {
     MilpRebalancerOptions opts;
     opts.mode = MilpRebalancerOptions::Mode::kExact;
     opts.time_budget_ms = 3000;
-    opts.seed = 100 + trial;
     MilpRebalancer r(opts);
     RebalanceConstraints cons;
     cons.max_migrations = 3;  // tight budget: partial drain allowed

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <thread>
+
 #include "balance/milp_rebalancer.h"
+#include "common/trace.h"
 
 namespace albic::core {
 namespace {
@@ -116,6 +121,54 @@ TEST(AdaptationFrameworkTest, MigrationBudgetFlowsThrough) {
                            &f.cluster, &f.assign);
   ASSERT_TRUE(round.ok());
   EXPECT_LE(round->report.count, 2);
+}
+
+/// Sleeps 2 ms before delegating to a real planner and counts its calls,
+/// so a round's planning time has a known lower bound.
+class SlowPlanner : public balance::Rebalancer {
+ public:
+  explicit SlowPlanner(balance::Rebalancer* inner) : inner_(inner) {}
+
+  Result<balance::RebalancePlan> ComputePlan(
+      const engine::SystemSnapshot& snapshot,
+      const balance::RebalanceConstraints& constraints) override {
+    ++calls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return inner_->ComputePlan(snapshot, constraints);
+  }
+  std::string name() const override { return "slow"; }
+
+  int calls = 0;
+
+ private:
+  balance::Rebalancer* inner_;
+};
+
+TEST(AdaptationFrameworkTest, TimesAndTracesEveryPlanCall) {
+  // A round that scales out re-plans: both ComputePlan calls count toward
+  // plan_ms, and each one gets its own controller.plan span.
+  Fixture f(2, 4, 48.0);
+  SlowPlanner planner(&f.rebalancer);
+  scaling::UtilizationScalingPolicy policy;
+  AdaptationFramework fw(&planner, &policy, AdaptationOptions{});
+  Tracer::Global().Clear();
+  Tracer::Global().Enable();
+  auto round = fw.RunRound(f.topo, f.load_model, f.proc, nullptr,
+                           &f.cluster, &f.assign);
+  Tracer::Global().Disable();
+  ASSERT_TRUE(round.ok());
+  ASSERT_GT(round->nodes_added, 0);
+  EXPECT_EQ(planner.calls, 2);
+  EXPECT_GE(round->plan_ms, 4.0);
+  const std::string json = Tracer::Global().ChromeTraceJson();
+  const std::string span = "\"name\":\"controller.plan\"";
+  int spans = 0;
+  for (size_t at = json.find(span); at != std::string::npos;
+       at = json.find(span, at + 1)) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, 2);
+  Tracer::Global().Clear();
 }
 
 }  // namespace

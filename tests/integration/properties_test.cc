@@ -67,7 +67,6 @@ TEST_P(SeededProperty, LocalSearchNeverExceedsCountBudget) {
   cons.max_migrations = 7;
   balance::LocalSearchOptions opts;
   opts.time_budget_ms = 8;
-  opts.seed = GetParam();
   auto sol = balance::LocalSearchSolver::Solve(
       inst.snap, balance::ItemsFromGroups(inst.snap), cons, opts);
   ASSERT_TRUE(sol.ok());
@@ -89,7 +88,6 @@ TEST_P(SeededProperty, LocalSearchNeverExceedsCostBudget) {
   cons.max_migration_cost = 6.0;
   balance::LocalSearchOptions opts;
   opts.time_budget_ms = 8;
-  opts.seed = GetParam() ^ 0xff;
   auto sol = balance::LocalSearchSolver::Solve(
       inst.snap, balance::ItemsFromGroups(inst.snap), cons, opts);
   ASSERT_TRUE(sol.ok());
@@ -109,7 +107,6 @@ TEST_P(SeededProperty, LocalSearchNeverWorsensTheObjective) {
   cons.max_migrations = 10;
   balance::LocalSearchOptions opts;
   opts.time_budget_ms = 8;
-  opts.seed = GetParam();
   auto sol = balance::LocalSearchSolver::Solve(
       inst.snap, balance::ItemsFromGroups(inst.snap), cons, opts);
   ASSERT_TRUE(sol.ok());
@@ -139,7 +136,6 @@ TEST_P(SeededProperty, MilpHeuristicBeatsOrMatchesFlux) {
   balance::MilpRebalancerOptions mopts;
   mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 25;
-  mopts.seed = GetParam();
   balance::MilpRebalancer milp(mopts);
   auto milp_plan = milp.ComputePlan(inst.snap, cons);
   ASSERT_TRUE(milp_plan.ok());
@@ -159,7 +155,6 @@ TEST_P(SeededProperty, ExactMilpDominatesHeuristicOnSmallInstances) {
   balance::MilpRebalancerOptions heur_opts;
   heur_opts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   heur_opts.time_budget_ms = 10;
-  heur_opts.seed = GetParam();
   balance::MilpRebalancer heur(heur_opts);
   auto ph = heur.ComputePlan(inst.snap, cons);
   ASSERT_TRUE(ph.ok());
