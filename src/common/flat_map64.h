@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -234,6 +235,31 @@ class FlatMap64 {
     for (const value_type& s : old_slots_) {
       if (s.first != 0) fn(s.first, s.second);
     }
+  }
+
+  /// \brief Appends a copy of every entry to \p out, in the iterator's
+  /// order (zero key first, then the slot array, then — mid-drain — the
+  /// old array). The gather is branch-free: every slot is written to the
+  /// next free position, which advances only past occupied slots, so the
+  /// buffer is sized size() + 1 to absorb the trailing empty writes. For
+  /// trivially copyable values, where copying a slot beats a branch on it.
+  void AppendEntries(std::vector<value_type>* out) const {
+    static_assert(std::is_trivially_copyable_v<V>,
+                  "AppendEntries copies every slot; use ForEach");
+    const size_t base = out->size();
+    out->resize(base + size_ + 1);
+    value_type* dst = out->data() + base;
+    size_t n = 0;
+    if (zero_used_) dst[n++] = value_type{0, zero_val_};
+    for (const value_type& s : slots_) {
+      dst[n] = s;
+      n += s.first != 0;
+    }
+    for (const value_type& s : old_slots_) {
+      dst[n] = s;
+      n += s.first != 0;
+    }
+    out->resize(base + n);
   }
 
   /// \brief Removes all entries, keeping the slot array's capacity. A drain

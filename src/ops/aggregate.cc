@@ -68,32 +68,19 @@ double SumByKeyOperator::GroupTotal(int group_index) const {
   return total;
 }
 
+// The image is the sum map as WriteMapRows rows, ascending by id: equal
+// sums serialize identically whatever the insertion history, so a group
+// rebuilt from checkpoint + replay is byte-identical to the live one.
 std::string SumByKeyOperator::SerializeGroupState(int group_index) const {
   StateWriter w;
-  const auto& m = sums_[group_index];
-  w.PutU64(m.size());
-  for (const auto& [id, sum] : m) {
-    w.PutU64(id);
-    w.PutDouble(sum);
-  }
+  WriteMapRows(w, sums_[group_index]);
   return w.Take();
 }
 
 Status SumByKeyOperator::DeserializeGroupState(int group_index,
                                                const std::string& data) {
   StateReader r(data);
-  uint64_t n = 0;
-  ALBIC_RETURN_NOT_OK(r.GetU64(&n));
-  auto& m = sums_[group_index];
-  m.clear();
-  m.Reserve(n);  // land on the final capacity instead of growing through it
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t id = 0;
-    double sum = 0.0;
-    ALBIC_RETURN_NOT_OK(r.GetU64(&id));
-    ALBIC_RETURN_NOT_OK(r.GetDouble(&sum));
-    m[id] = sum;
-  }
+  ALBIC_RETURN_NOT_OK(ReadMapRows(r, sums_[group_index]));
   if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkReset();
   return Status::OK();
 }

@@ -87,7 +87,7 @@ Status RouteRainJoinOperator::DeserializeGroupState(int group_index,
                                                     const std::string& data) {
   StateReader r(data);
   uint64_t n = 0;
-  ALBIC_RETURN_NOT_OK(r.GetU64(&n));
+  ALBIC_RETURN_NOT_OK(r.GetRowCount(kMapRowBytes, &n));
   auto& rd = route_decade_[group_index];
   rd.clear();
   rd.Reserve(n);  // final capacity up front, not every power of two
@@ -98,7 +98,7 @@ Status RouteRainJoinOperator::DeserializeGroupState(int group_index,
     ALBIC_RETURN_NOT_OK(r.GetI64(&decade));
     rd[route] = static_cast<int>(decade);
   }
-  ALBIC_RETURN_NOT_OK(r.GetU64(&n));
+  ALBIC_RETURN_NOT_OK(r.GetRowCount(kMapRowBytes, &n));
   auto& dd = decade_delay_[group_index];
   dd.clear();
   dd.Reserve(n);

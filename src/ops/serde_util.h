@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file
-/// \brief Binary (de)serialization helpers for operator state images, plus
-/// the shared map-delta record layout behind delta-encoded checkpoints.
+/// \brief Binary (de)serialization helpers for operator state images: the
+/// canonical map-row section the map-backed operators share, and the
+/// map-delta record layout behind delta-encoded checkpoints.
 
 #include <algorithm>
 #include <cstdint>
@@ -28,6 +29,14 @@ class StateWriter {
   void PutI64(int64_t v) { Append(&v, sizeof(v)); }
   void PutDouble(double v) { Append(&v, sizeof(v)); }
 
+  /// Grows the image by \p n bytes and returns where they start, for bulk
+  /// writers that fill them directly (valid until the next Put).
+  char* Extend(size_t n) {
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   std::string Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
 
@@ -47,20 +56,119 @@ class StateReader {
   Status GetI64(int64_t* v) { return Get(v, sizeof(*v)); }
   Status GetDouble(double* v) { return Get(v, sizeof(*v)); }
 
+  /// Reads a u64 count of \p row_bytes-byte rows; OutOfRange when the
+  /// bytes left cannot hold that many, so no caller sizes a table by a
+  /// hostile count.
+  Status GetRowCount(size_t row_bytes, uint64_t* n) {
+    ALBIC_RETURN_NOT_OK(GetU64(n));
+    if (*n > remaining() / row_bytes) {
+      return Status::OutOfRange("state image row count exceeds its bytes");
+    }
+    return Status::OK();
+  }
+
   bool AtEnd() const { return pos_ == data_.size(); }
 
- private:
-  Status Get(void* p, size_t n) {
-    if (pos_ + n > data_.size()) {
-      return Status::OutOfRange("state image truncated");
-    }
-    std::memcpy(p, data_.data() + pos_, n);
+  /// Consumes the next \p n bytes as one checked span starting at \p *p.
+  Status GetSpan(size_t n, const char** p) {
+    if (n > remaining()) return Status::OutOfRange("state image truncated");
+    *p = data_.data() + pos_;
     pos_ += n;
+    return Status::OK();
+  }
+
+ private:
+  size_t remaining() const { return data_.size() - pos_; }
+  Status Get(void* p, size_t n) {
+    const char* src = nullptr;
+    ALBIC_RETURN_NOT_OK(GetSpan(n, &src));
+    std::memcpy(p, src, n);
     return Status::OK();
   }
   const std::string& data_;
   size_t pos_ = 0;
 };
+
+/// \brief Sorts (key, value) rows by ascending key: an LSD radix sort over
+/// only the 8-bit digits in which the keys differ (the bits set in the OR
+/// of all keys but not in their AND), so keys below 2^16 take at most two
+/// counting passes. Each pass is stable; rows gathered from one map have
+/// unique keys, so the result is the canonical order.
+template <typename T>
+void SortRowsByKey(std::vector<std::pair<uint64_t, T>>* rows) {
+  const size_t n = rows->size();
+  if (n < 2) return;
+  uint64_t any = 0;
+  uint64_t all = ~uint64_t{0};
+  for (const auto& row : *rows) {
+    any |= row.first;
+    all &= row.first;
+  }
+  const uint64_t varying = any ^ all;
+  std::vector<std::pair<uint64_t, T>> spare(n);
+  std::pair<uint64_t, T>* src = rows->data();
+  std::pair<uint64_t, T>* dst = spare.data();
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    size_t next[256] = {};
+    for (size_t i = 0; i < n; ++i) ++next[(src[i].first >> shift) & 0xff];
+    size_t offset = 0;
+    for (size_t& slot : next) {
+      const size_t count = slot;
+      slot = offset;
+      offset += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[next[(src[i].first >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != rows->data()) rows->swap(spare);
+}
+
+/// Bytes per map row in a state image: a u64 key and an 8-byte value.
+inline constexpr size_t kMapRowBytes = 16;
+
+/// \brief Writes a map as a state-image section: a u64 row count, then one
+/// (u64 key, 8-byte value) row per entry in ascending key order, so equal
+/// maps give equal bytes whatever their insertion or rehash history.
+template <typename V>
+void WriteMapRows(StateWriter& w, const FlatMap64<V>& map) {
+  static_assert(sizeof(V) == 8, "map rows carry 8-byte values");
+  std::vector<std::pair<uint64_t, V>> rows;
+  map.AppendEntries(&rows);
+  SortRowsByKey(&rows);
+  w.PutU64(rows.size());
+  char* out = w.Extend(rows.size() * kMapRowBytes);
+  for (const auto& [key, value] : rows) {
+    std::memcpy(out, &key, 8);
+    std::memcpy(out + 8, &value, 8);
+    out += kMapRowBytes;
+  }
+}
+
+/// \brief Reads a WriteMapRows section into \p map, replacing its contents.
+/// The row count is checked against the bytes left before anything is
+/// reserved, so a hostile count is OutOfRange, never a huge allocation;
+/// on any error \p map is left untouched.
+template <typename V>
+Status ReadMapRows(StateReader& r, FlatMap64<V>& map) {
+  static_assert(sizeof(V) == 8, "map rows carry 8-byte values");
+  uint64_t n = 0;
+  ALBIC_RETURN_NOT_OK(r.GetRowCount(kMapRowBytes, &n));
+  const char* in = nullptr;
+  ALBIC_RETURN_NOT_OK(r.GetSpan(n * kMapRowBytes, &in));
+  map.clear();
+  map.Reserve(n);  // land on the final capacity instead of growing through it
+  for (uint64_t i = 0; i < n; ++i, in += kMapRowBytes) {
+    uint64_t key = 0;
+    V value{};
+    std::memcpy(&key, in, 8);
+    std::memcpy(&value, in + 8, 8);
+    map[key] = value;
+  }
+  return Status::OK();
+}
 
 /// Delta records start with a flags word; bit 0 says the tracked state was
 /// wholesale reset since the base (apply clears before upserting).
@@ -89,8 +197,7 @@ void WriteMapDelta(StateWriter& w, const engine::StateChangeTracker& tracker,
       erases.push_back(key);
     }
   });
-  std::sort(upserts.begin(), upserts.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  SortRowsByKey(&upserts);
   std::sort(erases.begin(), erases.end());
   w.PutU64(tracker.reset() ? kDeltaResetFlag : 0);
   w.PutU64(upserts.size());

@@ -1,8 +1,5 @@
 #include "ops/store.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "ops/serde_util.h"
 
 namespace albic::ops {
@@ -35,21 +32,11 @@ double StoreSinkOperator::ValueFor(int group_index, uint64_t key) const {
   return v == nullptr ? 0.0 : *v;
 }
 
+// The image is the table's canonical WriteMapRows rows (see store.h), then
+// the flush counter.
 std::string StoreSinkOperator::SerializeGroupState(int group_index) const {
   StateWriter w;
-  const auto& m = table_[group_index];
-  // Canonical order: equal tables serialize identically whatever the
-  // insertion history (live vs. checkpoint + replay reconstruction).
-  std::vector<std::pair<uint64_t, double>> rows;
-  rows.reserve(m.size());
-  for (const auto& [key, value] : m) rows.emplace_back(key, value);
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.PutU64(rows.size());
-  for (const auto& [key, value] : rows) {
-    w.PutU64(key);
-    w.PutDouble(value);
-  }
+  WriteMapRows(w, table_[group_index]);
   w.PutI64(flushes_[group_index]);
   return w.Take();
 }
@@ -57,18 +44,7 @@ std::string StoreSinkOperator::SerializeGroupState(int group_index) const {
 Status StoreSinkOperator::DeserializeGroupState(int group_index,
                                                 const std::string& data) {
   StateReader r(data);
-  uint64_t n = 0;
-  ALBIC_RETURN_NOT_OK(r.GetU64(&n));
-  auto& m = table_[group_index];
-  m.clear();
-  m.Reserve(n);  // land on the final capacity instead of growing through it
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t key = 0;
-    double value = 0.0;
-    ALBIC_RETURN_NOT_OK(r.GetU64(&key));
-    ALBIC_RETURN_NOT_OK(r.GetDouble(&value));
-    m[key] = value;
-  }
+  ALBIC_RETURN_NOT_OK(ReadMapRows(r, table_[group_index]));
   if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkReset();
   return r.GetI64(&flushes_[group_index]);
 }

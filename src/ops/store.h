@@ -19,9 +19,11 @@ namespace albic::ops {
 /// The per-group table is a FlatMap64 (open addressing, no per-entry
 /// allocation) — upsert-per-tuple is this operator's entire hot path, and
 /// the node allocation + pointer chase of std::unordered_map dominated it.
-/// Serialization is canonical (ascending key order), so any two tables
-/// with equal contents serialize identically regardless of insertion
-/// history — what keeps checkpoint + replay reconstruction byte-stable.
+/// The state image is the table as WriteMapRows rows (serde_util.h),
+/// gathered branch-free and radix-sorted into ascending key order, then
+/// the flush counter: any two tables with equal contents serialize
+/// identically regardless of insertion history — what keeps checkpoint +
+/// replay reconstruction byte-stable.
 /// Supports delta state: with a tracker attached, each upsert marks its
 /// key, and a delta record carries only the marked keys (plus the small
 /// flush counter), so checkpoint bytes track the change, not the table.

@@ -70,8 +70,7 @@ void WindowedTopKOperator::OnWindow(int group_index, engine::Emitter* out) {
   auto& counts = window_counts_[group_index];
   if (counts.empty()) return;
   std::vector<std::pair<uint64_t, int64_t>> entries;
-  entries.reserve(counts.size());
-  for (const auto& [id, count] : counts) entries.emplace_back(id, count);
+  counts.AppendEntries(&entries);
   const size_t keep = std::min<size_t>(static_cast<size_t>(k_),
                                        entries.size());
   std::partial_sort(entries.begin(), entries.begin() + keep, entries.end(),
@@ -97,20 +96,12 @@ void WindowedTopKOperator::OnWindow(int group_index, engine::Emitter* out) {
 
 std::string WindowedTopKOperator::SerializeGroupState(int group_index) const {
   StateWriter w;
-  const auto& counts = window_counts_[group_index];
-  // Canonical order (sorted by id): the hash map's iteration order depends
-  // on its insertion/rehash history, so two maps with identical content can
-  // iterate differently. Sorting makes state images content-addressed —
-  // checkpoint + replay reconstruction is bit-identical to the live state.
-  std::vector<std::pair<uint64_t, int64_t>> entries;
-  entries.reserve(counts.size());
-  for (const auto& [id, count] : counts) entries.emplace_back(id, count);
-  std::sort(entries.begin(), entries.end());
-  w.PutU64(entries.size());
-  for (const auto& [id, count] : entries) {
-    w.PutU64(id);
-    w.PutI64(count);
-  }
+  // The count map as WriteMapRows rows, sorted by id: the hash map's
+  // iteration order depends on its insertion/rehash history, so two maps
+  // with identical content can iterate differently. Sorting makes state
+  // images content-addressed — checkpoint + replay reconstruction is
+  // bit-identical to the live state. Then last_top_ in its emitted order.
+  WriteMapRows(w, window_counts_[group_index]);
   const auto& top = last_top_[group_index];
   w.PutU64(top.size());
   for (const auto& [id, count] : top) {
@@ -123,18 +114,8 @@ std::string WindowedTopKOperator::SerializeGroupState(int group_index) const {
 Status WindowedTopKOperator::DeserializeGroupState(int group_index,
                                                    const std::string& data) {
   StateReader r(data);
+  ALBIC_RETURN_NOT_OK(ReadMapRows(r, window_counts_[group_index]));
   uint64_t n = 0;
-  ALBIC_RETURN_NOT_OK(r.GetU64(&n));
-  auto& counts = window_counts_[group_index];
-  counts.clear();
-  counts.Reserve(n);  // final capacity up front, not every power of two
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t id = 0;
-    int64_t count = 0;
-    ALBIC_RETURN_NOT_OK(r.GetU64(&id));
-    ALBIC_RETURN_NOT_OK(r.GetI64(&count));
-    counts[id] = count;
-  }
   ALBIC_RETURN_NOT_OK(r.GetU64(&n));
   auto& top = last_top_[group_index];
   top.clear();

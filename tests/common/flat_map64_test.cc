@@ -1,6 +1,7 @@
 // FlatMap64: growth/rehash behaviour, erase (backward-shift deletion) and
-// erase-reinsert cycles, iteration under load, and a randomized
-// differential test against std::unordered_map.
+// erase-reinsert cycles, iteration (and the AppendEntries gather) under
+// load and mid-drain, and a randomized differential test against
+// std::unordered_map.
 
 #include "common/flat_map64.h"
 
@@ -9,10 +10,22 @@
 #include <cstdint>
 #include <random>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace albic {
 namespace {
+
+/// AppendEntries must append exactly the iterator's sequence (zero key
+/// first, then the slot array, then — mid-drain — the old one), after
+/// whatever the buffer already holds.
+void ExpectAppendEntriesMatchesIterator(const FlatMap64<int64_t>& map) {
+  std::vector<std::pair<uint64_t, int64_t>> expected = {{7, -7}};
+  for (const auto& entry : map) expected.push_back(entry);
+  std::vector<std::pair<uint64_t, int64_t>> gathered = {{7, -7}};
+  map.AppendEntries(&gathered);
+  ASSERT_EQ(gathered, expected);
+}
 
 TEST(FlatMap64Test, GrowthAndRehashKeepAllEntries) {
   FlatMap64<int64_t> map;
@@ -95,6 +108,7 @@ TEST(FlatMap64Test, IterationUnderLoadVisitsEveryEntryOnce) {
   EXPECT_EQ(visited, reference.size());
   EXPECT_EQ(map.size(), reference.size());
   EXPECT_EQ(sum, expected_sum);
+  ExpectAppendEntriesMatchesIterator(map);
 }
 
 TEST(FlatMap64Test, RandomizedDifferentialAgainstUnorderedMap) {
@@ -218,6 +232,10 @@ TEST(FlatMap64Test, RandomizedDifferentialIncrementalRehash) {
       inc.SetIncrementalRehash(on);
     }
     EXPECT_EQ(inc.size(), reference.size()) << "step " << step;
+    // Every step, so each mid-drain state (entries in both tables) is
+    // gathered too.
+    ASSERT_NO_FATAL_FAILURE(ExpectAppendEntriesMatchesIterator(inc))
+        << "step " << step;
   }
   EXPECT_LE(inc.max_drain_step(), FlatMap64<int64_t>::kDrainBudget);
   for (const auto& [key, value] : reference) {
@@ -234,6 +252,7 @@ TEST(FlatMap64Test, RandomizedDifferentialIncrementalRehash) {
     EXPECT_EQ(it->second, value);
   }
   EXPECT_EQ(visited, reference.size());
+  ExpectAppendEntriesMatchesIterator(legacy);
 }
 
 TEST(FlatMap64Test, ReserveEndsAtGrownCapacityWithoutRehashes) {

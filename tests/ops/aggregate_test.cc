@@ -4,6 +4,9 @@
 
 #include <vector>
 
+#include "common/rng.h"
+#include "ops/serde_util.h"
+
 namespace albic::ops {
 namespace {
 
@@ -84,6 +87,36 @@ TEST(SumByKeyTest, StateRoundTrip) {
 TEST(SumByKeyTest, DeserializeRejectsGarbage) {
   SumByKeyOperator op(1, GroupField::kKey);
   EXPECT_FALSE(op.DeserializeGroupState(0, "abc").ok());
+  // A row count far beyond the image's bytes is rejected before anything
+  // is reserved for it.
+  StateWriter hostile;
+  hostile.PutU64(uint64_t{1} << 40);  // the row count; no rows follow
+  EXPECT_EQ(op.DeserializeGroupState(0, hostile.Take()).code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(SumByKeyTest, SerializationIsCanonicalAcrossInsertionOrders) {
+  // Equal sums must serialize to equal bytes regardless of insertion
+  // history — what keeps checkpoint + replay reconstruction byte-stable.
+  SumByKeyOperator forward(1, GroupField::kKey), shuffled(1, GroupField::kKey);
+  Capture out;
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k < 50; ++k) keys.push_back(k);
+  for (uint64_t k : keys) {
+    engine::Tuple t;
+    t.key = k;
+    t.num = static_cast<double>(k) * 1.5;
+    forward.Process(t, 0, &out);
+  }
+  Rng rng(9);
+  rng.Shuffle(&keys);
+  for (uint64_t k : keys) {
+    engine::Tuple t;
+    t.key = k;
+    t.num = static_cast<double>(k) * 1.5;
+    shuffled.Process(t, 0, &out);
+  }
+  EXPECT_EQ(forward.SerializeGroupState(0), shuffled.SerializeGroupState(0));
 }
 
 }  // namespace

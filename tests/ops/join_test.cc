@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "ops/serde_util.h"
+
 namespace albic::ops {
 namespace {
 
@@ -80,6 +82,21 @@ TEST(JoinTest, StateRoundTrip) {
   // The route->decade map also survived: new delays keep joining correctly.
   op.Process(Delay(1, 1.0), 0, &out);
   EXPECT_DOUBLE_EQ(op.DelayForDecade(0, 60), 10.0);
+}
+
+TEST(JoinTest, DeserializeRejectsHostileRowCount) {
+  // A row count far beyond the image's bytes, in either map's section, is
+  // rejected before anything is reserved for it.
+  RouteRainJoinOperator op(1);
+  StateWriter route_section;
+  route_section.PutU64(uint64_t{1} << 40);
+  EXPECT_EQ(op.DeserializeGroupState(0, route_section.Take()).code(),
+            StatusCode::kOutOfRange);
+  StateWriter delay_section;
+  delay_section.PutU64(0);  // no routes
+  delay_section.PutU64(uint64_t{1} << 40);
+  EXPECT_EQ(op.DeserializeGroupState(0, delay_section.Take()).code(),
+            StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ops/serde_util.h"
 
 namespace albic::ops {
 namespace {
@@ -59,6 +60,16 @@ TEST(StoreTest, StateRoundTrip) {
 TEST(StoreTest, UnseenKeyIsZero) {
   StoreSinkOperator op(1);
   EXPECT_DOUBLE_EQ(op.ValueFor(0, 42), 0.0);
+}
+
+TEST(StoreTest, DeserializeRejectsHostileRowCount) {
+  // A row count far beyond the image's bytes is rejected before anything
+  // is reserved for it.
+  StoreSinkOperator op(1);
+  StateWriter hostile;
+  hostile.PutU64(uint64_t{1} << 40);  // the row count; no rows follow
+  EXPECT_EQ(op.DeserializeGroupState(0, hostile.Take()).code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(StoreTest, RandomizedDifferentialVsUnorderedMapReference) {

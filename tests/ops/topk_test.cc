@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "ops/serde_util.h"
+
 namespace albic::ops {
 namespace {
 
@@ -87,6 +89,16 @@ TEST(TopKTest, StateRoundTripPreservesCountsAndLastTop) {
   EXPECT_EQ(op.counts(0).at(2), 1);
   ASSERT_EQ(op.last_window_top(0).size(), 1u);
   EXPECT_EQ(op.last_window_top(0)[0].first, 1u);
+}
+
+TEST(TopKTest, DeserializeRejectsHostileRowCount) {
+  // A row count far beyond the image's bytes is rejected before anything
+  // is reserved for it.
+  WindowedTopKOperator op(1, 2);
+  StateWriter hostile;
+  hostile.PutU64(uint64_t{1} << 40);  // the row count; no rows follow
+  EXPECT_EQ(op.DeserializeGroupState(0, hostile.Take()).code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(TopKTest, SumNumModeMergesUpstreamSummaries) {
