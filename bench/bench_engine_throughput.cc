@@ -1,12 +1,13 @@
 // Engine-throughput microbench: the Real Job 1 wiki top-k pipeline
 // (GeoHash -> per-cell windowed TopK -> global TopK) driven through the
-// tuple-at-a-time path, the batched path, the sharded source ingestion
-// path, and the batched path with checkpointing enabled (steady-state
-// checkpoint overhead at the default interval). Verifies that all modes
-// process the same number of tuples (the 1-shard sharded run must be
-// bit-identical to the batched InjectBatch run) and reports tuples/second
-// plus the speedups. The sharded runs take their queue capacity and chunk
-// size from ALBIC_BENCH_SHARD_QUEUE / ALBIC_BENCH_SHARD_CHUNK.
+// engine with one worker and with several, through the sharded source
+// ingestion path, and with checkpointing enabled (steady-state checkpoint
+// overhead at the default interval) or observability on. Verifies that all
+// configurations process the same number of tuples (the 1-shard sharded
+// run must be bit-identical to the InjectBatch run) and reports
+// tuples/second plus each configuration's ratio to the 1-worker run. The
+// sharded runs take their queue capacity and chunk size from
+// ALBIC_BENCH_SHARD_QUEUE / ALBIC_BENCH_SHARD_CHUNK.
 
 #include <algorithm>
 #include <chrono>
@@ -89,17 +90,10 @@ RunResult RunOne(const engine::LocalEngineOptions& opts,
   }
 
   // The stream is pre-generated so the timed section measures the engine,
-  // not the Zipf sampler (which otherwise dominates the loop). The
-  // tuple-at-a-time path ingests per tuple — that is the path under test —
-  // while the batched path ingests in chunks, as a chunked source would.
+  // not the Zipf sampler (which otherwise dominates the loop), and ingested
+  // in one chunk, as a chunked source would hand it over.
   const auto start = std::chrono::steady_clock::now();
-  if (opts.mode == engine::ExecutionMode::kBatched) {
-    (void)p.engine->InjectBatch(0, stream.data(), stream.size());
-  } else {
-    for (const engine::Tuple& t : stream) {
-      (void)p.engine->Inject(0, t);
-    }
-  }
+  (void)p.engine->InjectBatch(0, stream.data(), stream.size());
   p.engine->Flush();
   const auto stop = std::chrono::steady_clock::now();
   const double secs =
@@ -122,7 +116,7 @@ RunResult RunOne(const engine::LocalEngineOptions& opts,
 /// Sharded-ingestion run: the stream is split round-robin into num_shards
 /// VectorSources (each shard's timestamps stay monotone) and driven through
 /// the ShardedSourceRunner. 1 shard is the inline pass-through and must be
-/// bit-identical to the batched InjectBatch run above.
+/// bit-identical to the InjectBatch run above.
 RunResult RunSharded(const engine::LocalEngineOptions& opts,
                      const std::vector<engine::Tuple>& stream, int num_shards,
                      const engine::ShardedSourceOptions& sopts) {
@@ -227,12 +221,7 @@ int main() {
     return best;
   };
 
-  albic::engine::LocalEngineOptions legacy;
-  albic::RunResult r_legacy =
-      best_of([&] { return albic::RunOne(legacy, stream); });
-
   albic::engine::LocalEngineOptions batched1;
-  batched1.mode = albic::engine::ExecutionMode::kBatched;
   batched1.num_workers = 1;
   if (batch > 0) batched1.max_batch_tuples = batch;
   albic::RunResult r_batched1 =
@@ -292,12 +281,9 @@ int main() {
   albic::RunResult r_attributed =
       best_of([&] { return albic::RunOne(attributed, stream); });
 
-  albic::TablePrinter table({"mode", "tuples/s", "speedup"});
-  const double base = r_legacy.tuples_per_sec;
-  table.AddRow({"tuple-at-a-time", albic::FormatDouble(base, 0), "1.0"});
-  table.AddRow({"batched (1 worker)",
-                albic::FormatDouble(r_batched1.tuples_per_sec, 0),
-                albic::FormatDouble(r_batched1.tuples_per_sec / base, 2)});
+  albic::TablePrinter table({"mode", "tuples/s", "vs 1 worker"});
+  const double base = r_batched1.tuples_per_sec;
+  table.AddRow({"batched (1 worker)", albic::FormatDouble(base, 0), "1.00"});
   char label[64];
   std::snprintf(label, sizeof(label), "batched (%d workers)", workers);
   table.AddRow({label, albic::FormatDouble(r_batchedN.tuples_per_sec, 0),
@@ -377,13 +363,13 @@ int main() {
               r_ckpt.checkpoint_wall_us / 1000.0, ckpt_overhead_pct,
               ckpt_steady_overhead_pct);
 
-  if (r_legacy.tuples_processed != r_batched1.tuples_processed ||
-      r_legacy.tuples_processed != r_batchedN.tuples_processed ||
-      r_legacy.tuples_processed != r_ckpt.tuples_processed ||
-      r_legacy.tuples_processed != r_telemetry.tuples_processed ||
-      r_legacy.tuples_processed != r_observed.tuples_processed ||
-      r_legacy.tuples_processed != r_attributed.tuples_processed ||
-      r_legacy.tuples_processed != r_shardedN.tuples_processed) {
+  const int64_t processed = r_batched1.tuples_processed;
+  if (processed != r_batchedN.tuples_processed ||
+      processed != r_ckpt.tuples_processed ||
+      processed != r_telemetry.tuples_processed ||
+      processed != r_observed.tuples_processed ||
+      processed != r_attributed.tuples_processed ||
+      processed != r_shardedN.tuples_processed) {
     std::fprintf(stderr, "FAIL: modes processed different tuple counts\n");
     return 1;
   }
@@ -399,22 +385,17 @@ int main() {
   }
   std::printf("\nall modes processed %lld tuples (incl. downstream hops); "
               "%d-shard run saw %lld backpressure stalls\n",
-              static_cast<long long>(r_legacy.tuples_processed), shards,
+              static_cast<long long>(processed), shards,
               static_cast<long long>(r_shardedN.blocked_pushes));
 
-  BenchJson("engine_throughput", "tuple_at_a_time", base, "tuples/s");
   BenchJson("engine_throughput", "batched_1worker", r_batched1.tuples_per_sec,
             "tuples/s");
   BenchJson("engine_throughput", "batched_nworker", r_batchedN.tuples_per_sec,
             "tuples/s");
-  BenchJson("engine_throughput", "batched_speedup",
-            r_batched1.tuples_per_sec / base, "x");
   BenchJson("engine_throughput", "sharded_1shard", r_sharded1.tuples_per_sec,
             "tuples/s");
   BenchJson("engine_throughput", "sharded_nshard", r_shardedN.tuples_per_sec,
             "tuples/s");
-  BenchJson("engine_throughput", "sharded_speedup",
-            r_shardedN.tuples_per_sec / base, "x");
   BenchJson("engine_throughput", "batched_checkpointed",
             r_ckpt.tuples_per_sec, "tuples/s");
   BenchJson("engine_throughput", "checkpoint_overhead_pct",

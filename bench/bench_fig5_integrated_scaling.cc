@@ -86,7 +86,6 @@ SeriesResult RunOne(bool integrated, int overloaded, int max_periods) {
   ops::SumByKeyOperator work(kGroups, ops::GroupField::kKey,
                              /*emit_updates=*/false);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   eopts.serde_cost = 0.0;  // pure load balancing, as in the original figure
   engine::LocalEngine engine(&topology, &cluster, assignment,

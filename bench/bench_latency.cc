@@ -87,7 +87,6 @@ TimelineResult RunTimeline(const std::vector<engine::Tuple>& stream,
   // per-article counts are the big migratable state.
   ops::WindowedTopKOperator topk(kGroups, 32);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;  // state accumulates across the whole run
   eopts.latency_sample_every = sample_every;
   eopts.metrics = &bench::BenchRegistry();

@@ -92,7 +92,6 @@ BenchRun RunJob(const std::vector<engine::Tuple>& stream, bool checkpoint,
   ops::WindowedTopKOperator topk(kGroups, 32);
   ops::WindowedTopKOperator global(kGroups, 32, ops::TopKCountMode::kSumNum);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.metrics = &bench::BenchRegistry();
   engine::LocalEngine engine(&topo, &cluster, assign,
                              {&geohash, &topk, &global}, eopts);
@@ -322,7 +321,6 @@ LargeStats RunLargeState(int large_keys, int hot_keys, int rounds, int chain,
   ops::StoreSinkOperator store_op(kGroups);
   store_op.SetIncrementalRehash(incremental_rehash);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;  // no windows: steady state is pure upserts
   eopts.metrics = &bench::BenchRegistry();
   engine::LocalEngine engine(&topo, &cluster, assign, {&store_op}, eopts);

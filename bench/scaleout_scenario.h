@@ -96,7 +96,6 @@ inline ScaleOutScenarioResult RunScaleOutScenario(
   // its state.
   SkewedCostSinkOperator sink(kGroups, /*num_hot=*/0, /*hot_us=*/0);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   engine::LocalEngine engine(&topo, &cluster, assign,
                              std::vector<engine::StreamOperator*>{&sink},

@@ -165,7 +165,6 @@ inline SkewScenarioResult RunSkewScenario(const SkewScenarioOptions& opts) {
     engine::Cluster probe_cluster(kSkewNodes);
     SkewedCostSinkOperator probe_op(kSkewGroups, kHot, opts.hot_us);
     engine::LocalEngineOptions eopts;
-    eopts.mode = engine::ExecutionMode::kBatched;
     eopts.window_every_us = 0;
     eopts.latency_sample_every = 8;
     engine::LocalEngine probe(&topo, &probe_cluster, initial_assignment(),
@@ -190,7 +189,6 @@ inline SkewScenarioResult RunSkewScenario(const SkewScenarioOptions& opts) {
   engine::Cluster cluster(kSkewNodes);
   SkewedCostSinkOperator skew(kSkewGroups, kHot, opts.hot_us);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   eopts.latency_sample_every = 8;
   engine::LocalEngine engine(&topo, &cluster, initial_assignment(),

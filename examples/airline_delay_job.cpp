@@ -51,7 +51,6 @@ int main() {
   engine::LocalEngineOptions eopts;
   eopts.serde_cost = 1.0;
   eopts.window_every_us = 0;
-  eopts.mode = engine::ExecutionMode::kBatched;  // batched runtime
   engine::LocalEngine engine(&topology, &cluster, assignment,
                              {&extract, &sum}, eopts);
 

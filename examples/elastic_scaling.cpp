@@ -92,7 +92,6 @@ int main() {
                                  /*emit_updates=*/false);
 
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   engine::LocalEngine engine(&topology, &cluster, assignment, {&pipeline},
                              eopts);

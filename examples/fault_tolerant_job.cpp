@@ -149,7 +149,6 @@ int main(int argc, char** argv) {
   engine::LocalEngineOptions eopts;
   eopts.serde_cost = 0.3;
   eopts.window_every_us = kPeriodUs;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.metrics = &registry;
   engine::LocalEngine engine(&topology, &cluster, assignment,
                              {&geohash, &topk, &global_topk}, eopts);

@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
   engine::LocalEngineOptions eopts;
   eopts.serde_cost = 0.3;
   eopts.window_every_us = kPeriodUs;
-  eopts.mode = engine::ExecutionMode::kBatched;
   // Latency telemetry: one sampled ingestion stamp per 32 tuples feeds the
   // per-period p50/p99 columns below (and would drive an SLO trigger).
   eopts.latency_sample_every = 32;

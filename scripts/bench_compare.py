@@ -11,9 +11,12 @@ the same file in the candidate directory (or the per-metric MEDIAN across
 several candidate directories, for median-of-N noise rejection). Metrics
 are gated by a direction-aware policy: only metrics that are meaningful to
 gate (deterministic byte counts, pause times, overhead percentages,
-speedup ratios, absolute throughput) fail the run, each with a relative
+unitless ratios, absolute throughput) fail the run, each with a relative
 tolerance AND an absolute floor so tiny values cannot trip on rounding
-noise. Everything else is advisory — printed, never fatal.
+noise. Everything else is advisory — printed, never fatal. A gated
+baseline metric that no candidate emits is a regression too, so a bench
+that stops emitting a metric cannot lose its gate silently; a missing
+advisory metric is only reported.
 
 --inject-slowdown FACTOR degrades every gated candidate metric by FACTOR
 (lower-better values multiplied, higher-better divided) before comparing;
@@ -68,7 +71,8 @@ RULES = [
     # helped by the baselines being per-metric medians of several captures.
     Rule("overhead_pct", lambda m, u: m.endswith("overhead_pct"),
          "abs_points", None, 25.0),
-    # Speedup ratios (batched vs legacy etc.): unitless, fairly stable.
+    # Unitless ratios (unit "x", e.g. bench_recovery's delta_ratio; a
+    # pause_ratio_* name meets the pause rule first): fairly stable.
     Rule("speedup", lambda m, u: "speedup" in m or u == "x",
          "higher", 0.35, 0.3),
     # Absolute throughput: the noisiest gate, so the widest tolerance —
@@ -163,31 +167,57 @@ def compare(baseline_dir, candidate_dirs, inject_slowdown=None, out=print):
                 "thresholds assume comparable machines")
 
         out(f"== {fname} ({found} candidate run(s), median compared)")
-        for key in sorted(base):
-            bench, metric = key
-            base_value, unit = base[key]
-            if key not in cand_values:
-                out(f"  MISSING {metric} (baseline "
-                    f"{base_value:g} {unit})")
-                continue
-            cand_value = statistics.median(cand_values[key])
-            rule = find_rule(metric, unit_of.get(key, unit))
-            if rule is None:
-                advisory += 1
-                out(f"  advisory {metric}: {base_value:g} -> "
-                    f"{cand_value:g} {unit}")
-                continue
-            gated += 1
-            if inject_slowdown is not None:
-                cand_value = degrade(rule, cand_value, inject_slowdown)
-            worse, detail = judge(rule, base_value, cand_value)
-            verdict = "FAIL" if worse else "ok"
-            if worse:
-                regressions += 1
-            out(f"  {verdict:8} {metric} [{rule.name}]: "
-                f"{base_value:g} -> {cand_value:g} {unit} ({detail})")
+        counts = compare_snapshot(base, cand_values, unit_of,
+                                  inject_slowdown, out)
+        regressions += counts[0]
+        gated += counts[1]
+        advisory += counts[2]
     out(f"\ngate: {gated} gated metrics, {advisory} advisory, "
         f"{regressions} regression(s)")
+    return regressions, gated, advisory
+
+
+def compare_snapshot(base, cand_values, unit_of, inject_slowdown=None,
+                     out=print):
+    """Judges one snapshot's candidate medians against its baseline.
+
+    base maps (bench, metric) -> (value, unit); cand_values maps the same
+    keys to the candidate runs' values. Returns (regressions, gated,
+    advisory) counts. A baseline metric absent from every candidate fails
+    when a rule gates it and is only reported when it is advisory."""
+    regressions = 0
+    gated = 0
+    advisory = 0
+    for key in sorted(base):
+        bench, metric = key
+        base_value, unit = base[key]
+        rule = find_rule(metric, unit_of.get(key, unit))
+        if key not in cand_values:
+            if rule is None:
+                advisory += 1
+                out(f"  MISSING  {metric} (advisory; baseline "
+                    f"{base_value:g} {unit})")
+            else:
+                gated += 1
+                regressions += 1
+                out(f"  MISSING  {metric} [{rule.name}]: gated baseline "
+                    f"{base_value:g} {unit} has no candidate value (FAIL)")
+            continue
+        cand_value = statistics.median(cand_values[key])
+        if rule is None:
+            advisory += 1
+            out(f"  advisory {metric}: {base_value:g} -> "
+                f"{cand_value:g} {unit}")
+            continue
+        gated += 1
+        if inject_slowdown is not None:
+            cand_value = degrade(rule, cand_value, inject_slowdown)
+        worse, detail = judge(rule, base_value, cand_value)
+        verdict = "FAIL" if worse else "ok"
+        if worse:
+            regressions += 1
+        out(f"  {verdict:8} {metric} [{rule.name}]: "
+            f"{base_value:g} -> {cand_value:g} {unit} ({detail})")
     return regressions, gated, advisory
 
 
@@ -247,9 +277,9 @@ def self_test():
            one("attribution_overhead_pct", "%", -2.0, 20.0) is False)
     expect("overhead-fails",
            one("attribution_overhead_pct", "%", -2.0, 25.0) is True)
-    # Speedups: modest loss passes, halving fails.
-    expect("speedup-ok", one("batched_speedup", "x", 2.4, 2.0) is False)
-    expect("speedup-fails", one("batched_speedup", "x", 2.4, 1.1) is True)
+    # Unitless ratios: modest loss passes, halving fails.
+    expect("ratio-ok", one("delta_ratio", "x", 2.4, 2.0) is False)
+    expect("ratio-fails", one("delta_ratio", "x", 2.4, 1.1) is True)
     # Throughput: very generous, only collapse fails.
     expect("tps-noise-ok",
            one("batched_1worker", "tuples/s", 2e7, 1.2e7) is False)
@@ -266,6 +296,20 @@ def self_test():
     expect("advisory-none", find_rule("steady_p99_ms_direct", "ms") is None)
     expect("unknown-advisory", one("some_random_metric", "widgets", 1, 99)
            is None)
+
+    # A baseline metric no candidate emits: a gated one fails (the bench
+    # stopped emitting it, which must not drop its gate), an advisory one
+    # is reported and passes. Present metrics beside it still gate.
+    def missing(metric, unit):
+        base = {("b", metric): (2.0, unit), ("b", "tps"): (1e6, "tuples/s")}
+        cand = {("b", "tps"): [1e6]}
+        return compare_snapshot(base, cand, {("b", "tps"): "tuples/s"},
+                                out=lambda line: None)
+
+    expect("missing-gated-fails",
+           missing("delta_ratio", "x") == (1, 2, 0))
+    expect("missing-advisory-ok",
+           missing("steady_p99_ms_direct", "ms") == (0, 1, 1))
 
     if failures:
         print("bench_compare self-test FAILED:", ", ".join(failures))

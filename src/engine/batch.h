@@ -16,9 +16,9 @@ namespace albic::engine {
 ///
 /// The unit of work of the batched runtime: routing, delivery accounting and
 /// operator invocation all happen once per batch instead of once per tuple,
-/// which is where the batched path's throughput win comes from. Tuples
-/// within a batch preserve their arrival order, so per-key-group FIFO
-/// semantics match the tuple-at-a-time path.
+/// which is where the runtime's throughput comes from. Tuples within a
+/// batch preserve their arrival order, so each key group sees its input in
+/// FIFO order, as one tuple at a time would deliver it.
 class TupleBatch {
  public:
   TupleBatch() = default;

@@ -254,9 +254,9 @@ struct CheckpointCoordinatorStats {
 
 /// \brief Drives periodic asynchronous incremental checkpoints.
 ///
-/// The engine calls OnSafePoint at quiescent instants — between worker
-/// waves in the batched runtime, between tuples in the tuple-at-a-time
-/// path. When a round is due (event-time interval elapsed, or some group's
+/// The engine calls OnSafePoint at quiescent instants: between worker
+/// waves, where every operator is idle and each group's log matches its
+/// state. When a round is due (event-time interval elapsed, or some group's
 /// replay log overflowed its soft bound), the coordinator snapshots every
 /// dirty group: only groups whose state changed since their last snapshot
 /// are serialized (incremental), and processing never drains globally —

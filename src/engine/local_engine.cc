@@ -44,22 +44,6 @@ class NullEmitter : public Emitter {
 
 }  // namespace
 
-/// Emitter bound to the producing (operator, group); forwards into the
-/// engine's router. Namespace-scope so LocalEngine's friend declaration
-/// grants it access to the private router.
-class GroupEmitter : public Emitter {
- public:
-  GroupEmitter(LocalEngine* engine, OperatorId op, int group)
-      : engine_(engine), op_(op), group_(group) {}
-
-  void Emit(const Tuple& tuple) override;
-
- private:
-  LocalEngine* engine_;
-  OperatorId op_;
-  int group_;
-};
-
 /// Emitter that scatters emitted tuples straight into the context's
 /// per-destination-group route buckets — the fast path for operators with a
 /// single partitioning downstream edge, which skips the intermediate
@@ -106,8 +90,7 @@ LocalEngine::LocalEngine(const Topology* topology, const Cluster* cluster,
   if (options_.latency_sample_every < 0) options_.latency_sample_every = 0;
   if (options_.journey_sample_every < 0) options_.journey_sample_every = 0;
   telemetry_ = options_.latency_sample_every > 0;
-  prof_enabled_ = options_.profile_wave_phases &&
-                  options_.mode == ExecutionMode::kBatched;
+  prof_enabled_ = options_.profile_wave_phases;
   period_.group_work.assign(
       static_cast<size_t>(topology_->num_key_groups()), 0.0);
   period_.node_work.assign(
@@ -129,53 +112,50 @@ LocalEngine::LocalEngine(const Topology* topology, const Cluster* cluster,
     prof_acc_.Reset(period_start_wall_ns_);
     coordinator_.prof = &prof_acc_;
   }
-  if (options_.journey_sample_every > 0 && telemetry_ &&
-      options_.mode == ExecutionMode::kBatched) {
+  if (options_.journey_sample_every > 0 && telemetry_) {
     journeys_.Enable(options_.journey_sample_every,
                      topology_->num_operators(), is_sink_);
   }
-  if (options_.mode == ExecutionMode::kBatched) {
-    downstream_.reserve(static_cast<size_t>(topology_->num_operators()));
-    for (OperatorId op = 0; op < topology_->num_operators(); ++op) {
-      downstream_.push_back(topology_->downstream(op));
+  downstream_.reserve(static_cast<size_t>(topology_->num_operators()));
+  for (OperatorId op = 0; op < topology_->num_operators(); ++op) {
+    downstream_.push_back(topology_->downstream(op));
+  }
+  ingress_slot_.assign(static_cast<size_t>(topology_->num_key_groups()), -1);
+  mailboxes_.resize(static_cast<size_t>(cluster_->num_nodes_total()));
+  coordinator_.stats = &period_;
+  coordinator_.direct = true;
+  coordinator_.open_slot.assign(
+      static_cast<size_t>(topology_->num_key_groups()), -1);
+  if (options_.num_workers > 1) {
+    pool_ = std::make_unique<WorkerPool>(options_.num_workers);
+    worker_ctx_.resize(static_cast<size_t>(options_.num_workers));
+    if (prof_enabled_) {
+      worker_prof_.resize(static_cast<size_t>(options_.num_workers));
+      for (PhaseAccumulator& acc : worker_prof_) {
+        acc.Reset(period_start_wall_ns_);
+      }
     }
-    ingress_slot_.assign(static_cast<size_t>(topology_->num_key_groups()), -1);
-    mailboxes_.resize(static_cast<size_t>(cluster_->num_nodes_total()));
-    coordinator_.stats = &period_;
-    coordinator_.direct = true;
-    coordinator_.open_slot.assign(
-        static_cast<size_t>(topology_->num_key_groups()), -1);
-    if (options_.num_workers > 1) {
-      pool_ = std::make_unique<WorkerPool>(options_.num_workers);
-      worker_ctx_.resize(static_cast<size_t>(options_.num_workers));
+    for (size_t w = 0; w < worker_ctx_.size(); ++w) {
+      WorkerContext& ctx = worker_ctx_[w];
+      ctx.local.group_work.assign(
+          static_cast<size_t>(topology_->num_key_groups()), 0.0);
+      ctx.local.comm = CommMatrix(topology_->num_key_groups());
+      if (telemetry_) {
+        ctx.local.latency.EnableFor(topology_->num_operators(),
+                                    topology_->num_key_groups());
+      }
       if (prof_enabled_) {
-        worker_prof_.resize(static_cast<size_t>(options_.num_workers));
-        for (PhaseAccumulator& acc : worker_prof_) {
-          acc.Reset(period_start_wall_ns_);
-        }
+        ctx.local.phases.EnableFor(
+            static_cast<size_t>(topology_->num_key_groups()));
+        // Worker 0 runs on the calling thread: its service time carves
+        // out of the driving accumulator's wave-barrier phase. Workers
+        // > 0 own an accumulator, flushed at the drain's merge point.
+        ctx.prof = w == 0 ? &prof_acc_ : &worker_prof_[w];
       }
-      for (size_t w = 0; w < worker_ctx_.size(); ++w) {
-        WorkerContext& ctx = worker_ctx_[w];
-        ctx.local.group_work.assign(
-            static_cast<size_t>(topology_->num_key_groups()), 0.0);
-        ctx.local.comm = CommMatrix(topology_->num_key_groups());
-        if (telemetry_) {
-          ctx.local.latency.EnableFor(topology_->num_operators(),
-                                      topology_->num_key_groups());
-        }
-        if (prof_enabled_) {
-          ctx.local.phases.EnableFor(
-              static_cast<size_t>(topology_->num_key_groups()));
-          // Worker 0 runs on the calling thread: its service time carves
-          // out of the driving accumulator's wave-barrier phase. Workers
-          // > 0 own an accumulator, flushed at the drain's merge point.
-          ctx.prof = w == 0 ? &prof_acc_ : &worker_prof_[w];
-        }
-        ctx.stats = &ctx.local;
-        ctx.direct = false;
-        ctx.open_slot.assign(
-            static_cast<size_t>(topology_->num_key_groups()), -1);
-      }
+      ctx.stats = &ctx.local;
+      ctx.direct = false;
+      ctx.open_slot.assign(
+          static_cast<size_t>(topology_->num_key_groups()), -1);
     }
   }
   WireMetrics();
@@ -371,36 +351,6 @@ void LocalEngine::RecordBufferedPause(double pause_us, size_t buffered) {
       static_cast<int64_t>(buffered));
 }
 
-// ---------------------------------------------------------------------------
-// Legacy tuple-at-a-time path. Kept byte-for-byte equivalent to the original
-// synchronous runtime so existing tests and benches remain valid.
-// ---------------------------------------------------------------------------
-
-void LocalEngine::MaybeFireWindows(int64_t new_time) {
-  if (options_.window_every_us <= 0) return;
-  if (!time_initialized_) {
-    // Align the window origin with the first event's time so jobs replaying
-    // real timestamps do not fire a storm of catch-up windows.
-    last_window_us_ = new_time;
-    time_initialized_ = true;
-    return;
-  }
-  while (new_time - last_window_us_ >= options_.window_every_us) {
-    last_window_us_ += options_.window_every_us;
-    for (OperatorId op : topology_->TopologicalOrder()) {
-      if (operators_[op] == nullptr) continue;
-      const int n = topology_->op(op).num_key_groups;
-      for (int gi = 0; gi < n; ++gi) {
-        const KeyGroupId g = topology_->first_group(op) + gi;
-        if (migrating_[g].lost) continue;  // nothing to fire; see FailNode
-        if (checkpointer_ != nullptr) LogWindowFire(g);
-        GroupEmitter emitter(this, op, gi);
-        operators_[op]->OnWindow(gi, &emitter);
-      }
-    }
-  }
-}
-
 void LocalEngine::CountIngested(int shard, size_t count) {
   if (static_cast<size_t>(shard) >= period_.shard_ingested.size()) {
     period_.shard_ingested.resize(static_cast<size_t>(shard) + 1, 0);
@@ -419,47 +369,26 @@ Status LocalEngine::Inject(OperatorId source_op, const Tuple& tuple) {
   CountIngested(/*shard=*/0, 1);
   if (telemetry_) MaybeSampleIngest(tuple.ts, 1, 0);
   if (journeys_.enabled()) journeys_.MaybeStart(tuple.ts, 0, 1);
-  if (options_.mode == ExecutionMode::kBatched) {
-    PhaseScope prof_scope(coordinator_.prof, WavePhase::kIngest);
-    if (tuple.ts >= event_time_us_) {
-      if (WindowBoundaryCrossed(tuple.ts)) MaybeFireWindowsBatched(tuple.ts);
-      event_time_us_ = tuple.ts;
-    }
-    const int group =
-        RouteKey(tuple.key, topology_->op(source_op).num_key_groups);
-    if (operators_[source_op] == nullptr) {
-      // Null source operators fan out uncharged; their tuples stage in
-      // ingress_ and are routed in bulk at the next drain.
-      StageIngress(source_op, group, tuple);
-    } else {
-      // Real source operators deliver like any other hop: append straight
-      // into the open batch in the owning node's mailbox.
-      const KeyGroupId g = topology_->first_group(source_op) + group;
-      AppendRouted(&coordinator_, arena_.owner_of(g), source_op, group, g,
-                   &tuple, 1);
-      ++staged_tuples_;
-    }
-    if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
-    return Status::OK();
-  }
+  PhaseScope prof_scope(coordinator_.prof, WavePhase::kIngest);
   if (tuple.ts >= event_time_us_) {
-    MaybeFireWindows(tuple.ts);
+    if (WindowBoundaryCrossed(tuple.ts)) MaybeFireWindows(tuple.ts);
     event_time_us_ = tuple.ts;
   }
-  // Source operators do not process; they fan out directly.
+  const int group =
+      RouteKey(tuple.key, topology_->op(source_op).num_key_groups);
   if (operators_[source_op] == nullptr) {
-    Route(source_op, RouteKey(tuple.key,
-                              topology_->op(source_op).num_key_groups),
-          tuple);
+    // Null source operators fan out uncharged; their tuples stage in
+    // ingress_ and are routed in bulk at the next drain.
+    StageIngress(source_op, group, tuple);
   } else {
-    Deliver(source_op, RouteKey(tuple.key,
-                                topology_->op(source_op).num_key_groups),
-            tuple);
+    // Real source operators deliver like any other hop: append straight
+    // into the open batch in the owning node's mailbox.
+    const KeyGroupId g = topology_->first_group(source_op) + group;
+    AppendRouted(&coordinator_, arena_.owner_of(g), source_op, group, g,
+                 &tuple, 1);
+    ++staged_tuples_;
   }
-  // The cascade is complete — a safe point for an incremental checkpoint
-  // and, equally, an epoch boundary for pending kEpoch migrations.
-  if (!flip_pending_.empty()) StampEpochBoundaries();
-  if (checkpointer_ != nullptr) checkpointer_->OnSafePoint(this);
+  if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
   return Status::OK();
 }
 
@@ -492,12 +421,6 @@ Status LocalEngine::InjectBatch(OperatorId source_op, const Tuple* tuples,
   if (source_op < 0 || source_op >= topology_->num_operators()) {
     return Status::InvalidArgument("unknown source operator");
   }
-  if (options_.mode != ExecutionMode::kBatched) {
-    for (size_t i = 0; i < count; ++i) {
-      ALBIC_RETURN_NOT_OK(Inject(source_op, tuples[i]));
-    }
-    return Status::OK();
-  }
   CountIngested(/*shard=*/0, count);
   if (telemetry_ && count > 0) {
     const int64_t now = NowNs();  // one read per chunk, shared with samples
@@ -526,7 +449,7 @@ Status LocalEngine::InjectBatch(OperatorId source_op, const Tuple* tuples,
         // The scattered prefix belongs to the closing window: deliver it
         // before the boundary fires.
         FlushInjectScatter(source_op);
-        MaybeFireWindowsBatched(t.ts);
+        MaybeFireWindows(t.ts);
       }
       event_time_us_ = t.ts;
     }
@@ -575,27 +498,6 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
     }
   }
   PhaseScope prof_scope(coordinator_.prof, WavePhase::kIngest);
-
-  if (options_.mode != ExecutionMode::kBatched) {
-    // Reference path: deliver each tuple exactly as Inject would, with the
-    // routing decision already made by the shard.
-    for (size_t i = 0; i < count; ++i) {
-      const Tuple& t = tuples[i];
-      if (t.ts >= event_time_us_) {
-        MaybeFireWindows(t.ts);
-        event_time_us_ = t.ts;
-      }
-      if (operators_[source_op] == nullptr) {
-        Route(source_op, group_index, t);
-      } else {
-        Deliver(source_op, group_index, t);
-      }
-      if (!flip_pending_.empty()) StampEpochBoundaries();
-      if (checkpointer_ != nullptr) checkpointer_->OnSafePoint(this);
-    }
-    return Status::OK();
-  }
-
   const bool null_source = operators_[source_op] == nullptr;
   int64_t max_ts = tuples[0].ts;
   for (size_t i = 1; i < count; ++i) max_ts = std::max(max_ts, tuples[i].ts);
@@ -605,7 +507,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
     for (size_t i = 0; i < count; ++i) {
       const Tuple& t = tuples[i];
       if (t.ts >= event_time_us_) {
-        if (WindowBoundaryCrossed(t.ts)) MaybeFireWindowsBatched(t.ts);
+        if (WindowBoundaryCrossed(t.ts)) MaybeFireWindows(t.ts);
         event_time_us_ = t.ts;
       }
       if (null_source) {
@@ -637,83 +539,8 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
   return Status::OK();
 }
 
-void LocalEngine::Deliver(OperatorId op, int group_index, const Tuple& tuple) {
-  const KeyGroupId g = topology_->first_group(op) + group_index;
-  MigrationState& mig = migrating_[g];
-  if (mig.active && MigrationBuffers(mig.mode)) {
-    // Direct state migration: new tuples buffer at the target node until
-    // the state arrives (§3, "State Migration"). Epoch and lease
-    // migrations never buffer — the group keeps processing at whichever
-    // owner the routing currently names (old before the boundary
-    // stamp/lease flip, new after).
-    mig.buffer.push_back(tuple);
-    ++period_.tuples_buffered;
-    return;
-  }
-  const NodeId node = arena_.owner_of(g);
-  const double cost = topology_->op(op).cost_per_tuple;
-  period_.group_work[g] += cost;
-  EnsureNodeSlot(&period_.node_work, node);
-  if (node != kInvalidNode) period_.node_work[node] += cost;
-  ++period_.tuples_processed;
-  if (operators_[op] != nullptr) {
-    if (checkpointer_ != nullptr) LogDeliveredRun(g, &tuple, 1);
-    GroupEmitter emitter(this, op, group_index);
-    operators_[op]->Process(tuple, group_index, &emitter);
-    // Tuple-at-a-time telemetry is end-to-end only, sampled at sinks (the
-    // batched path carries the full queue/service breakdown; per-tuple
-    // clock reads here would dwarf the work being measured).
-    if (telemetry_ && is_sink_[op] && --legacy_sink_countdown_ <= 0) {
-      legacy_sink_countdown_ = options_.latency_sample_every;
-      IngestSample sample;
-      bool found = LookupIngestSample(tuple.ts, &sample);
-      if (!found) found = LookupIngestSample(event_time_us_, &sample);
-      if (found) {
-        period_.latency.e2e_us.Record((NowNs() - sample.wall_ns) / 1000);
-      }
-    }
-  } else {
-    Route(op, group_index, tuple);
-  }
-}
-
-void LocalEngine::Route(OperatorId from_op, int from_group,
-                        const Tuple& tuple) {
-  const KeyGroupId src_global = topology_->first_group(from_op) + from_group;
-  const NodeId src_node = arena_.owner_of(src_global);
-  for (const StreamEdge& e : topology_->edges()) {
-    if (e.from != from_op) continue;
-    const int down_groups = topology_->op(e.to).num_key_groups;
-    int target;
-    switch (e.pattern) {
-      case PartitioningPattern::kOneToOne:
-      case PartitioningPattern::kPartialMerge:
-        target = from_group % down_groups;
-        break;
-      case PartitioningPattern::kPartialPartitioning:
-      case PartitioningPattern::kFullPartitioning:
-        target = RouteKey(tuple.key, down_groups);
-        break;
-      default:
-        target = RouteKey(tuple.key, down_groups);
-    }
-    const KeyGroupId dst_global = topology_->first_group(e.to) + target;
-    period_.comm.Add(src_global, dst_global, 1.0);
-    const NodeId dst_node = arena_.owner_of(dst_global);
-    if (src_node != dst_node && src_node != kInvalidNode &&
-        dst_node != kInvalidNode) {
-      // Serialization at the sender, deserialization at the receiver.
-      EnsureNodeSlot(&period_.node_work, src_node);
-      EnsureNodeSlot(&period_.node_work, dst_node);
-      period_.node_work[src_node] += options_.serde_cost;
-      period_.node_work[dst_node] += options_.serde_cost;
-    }
-    Deliver(e.to, target, tuple);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Batched path.
+// Staging, waves and routing.
 // ---------------------------------------------------------------------------
 
 void LocalEngine::StageIngress(OperatorId op, int group_index,
@@ -733,9 +560,7 @@ void LocalEngine::StageIngress(OperatorId op, int group_index,
   ++staged_tuples_;
 }
 
-void LocalEngine::Flush() {
-  if (options_.mode == ExecutionMode::kBatched) DrainAll();
-}
+void LocalEngine::Flush() { DrainAll(); }
 
 std::vector<Tuple> LocalEngine::AcquireVec(WorkerContext* ctx) {
   if (ctx->vec_pool.empty()) return {};
@@ -1052,8 +877,8 @@ void LocalEngine::DrainAll() {
   for (;;) {
     staged_tuples_ = 0;
     if (!ingress_.empty()) {
-      // Fan staged null-source batches out through the router (uncharged,
-      // as in legacy Inject).
+      // Fan staged null-source batches out through the router (uncharged:
+      // a null source does no work of its own).
       std::vector<PendingBatch> ingress;
       ingress.swap(ingress_);
       for (const KeyGroupId g : ingress_used_) ingress_slot_[g] = -1;
@@ -1167,17 +992,19 @@ void LocalEngine::MergeStats(EnginePeriodStats* into,
   from->groups_recovered = 0;
 }
 
-void LocalEngine::MaybeFireWindowsBatched(int64_t new_time) {
+void LocalEngine::MaybeFireWindows(int64_t new_time) {
   if (options_.window_every_us <= 0) return;
   if (!time_initialized_) {
+    // Align the window origin with the first event's time so jobs replaying
+    // real timestamps do not fire a storm of catch-up windows.
     last_window_us_ = new_time;
     time_initialized_ = true;
     return;
   }
   if (new_time - last_window_us_ < options_.window_every_us) return;
   PhaseScope prof_scope(coordinator_.prof, WavePhase::kWindow);
-  // Complete all in-flight work before closing the window, so its contents
-  // match what the synchronous path would have processed by now.
+  // Complete all in-flight work before closing the window, so it closes
+  // over every tuple that arrived before the boundary.
   DrainAll();
   while (new_time - last_window_us_ >= options_.window_every_us) {
     last_window_us_ += options_.window_every_us;
@@ -1201,9 +1028,9 @@ void LocalEngine::MaybeFireWindowsBatched(int64_t new_time) {
 }
 
 // ---------------------------------------------------------------------------
-// The reconfiguration pipeline (shared by both execution modes). Every
-// ownership change is one rebuild step (RebuildGroup) plus one cutover step,
-// and each migration mode is one row of the table:
+// The reconfiguration pipeline. Every ownership change is one rebuild step
+// (RebuildGroup) plus one cutover step, and each migration mode is one row
+// of the table:
 //
 //   mode       state source           cutover
 //   kDirect    live round-trip        buffer; flip + drain at FinishMigration
@@ -1381,19 +1208,13 @@ void LocalEngine::DrainMigrationBuffer(KeyGroupId group) {
                     static_cast<int64_t>(buffered.size()));
   const OperatorId op = topology_->group_operator(group);
   const int local = topology_->group_index_in_operator(group);
-  if (options_.mode == ExecutionMode::kBatched) {
-    if (!buffered.empty()) {
-      TupleBatch batch;
-      batch.reserve(buffered.size());
-      for (const Tuple& t : buffered) batch.push_back(t);
-      DeliverBatch(&coordinator_, op, local, &batch);
-    }
-    DrainAll();
-  } else {
-    for (const Tuple& t : buffered) {
-      Deliver(op, local, t);
-    }
+  if (!buffered.empty()) {
+    TupleBatch batch;
+    batch.reserve(buffered.size());
+    for (const Tuple& t : buffered) batch.push_back(t);
+    DeliverBatch(&coordinator_, op, local, &batch);
   }
+  DrainAll();
 }
 
 void LocalEngine::StampEpochBoundaries() {
@@ -1653,7 +1474,7 @@ std::vector<double> LocalEngine::EpochTransferBytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpointing (shared by both execution modes).
+// Checkpointing.
 // ---------------------------------------------------------------------------
 
 Status LocalEngine::EnableCheckpointing(CheckpointCoordinator* coordinator) {
@@ -1811,7 +1632,7 @@ int64_t LocalEngine::ReplayLogSuffix(KeyGroupId g, uint64_t from_seq) {
 }
 
 EnginePeriodStats LocalEngine::HarvestPeriod() {
-  if (options_.mode == ExecutionMode::kBatched) DrainAll();
+  DrainAll();
   if (prof_enabled_) {
     // Close the period's phase accounting: charge the driving thread's
     // open phase up to now and stamp the measured wall time the breakdown
@@ -1844,10 +1665,6 @@ EnginePeriodStats LocalEngine::HarvestPeriod() {
   }
   PublishPeriodMetrics(out);
   return out;
-}
-
-void GroupEmitter::Emit(const Tuple& tuple) {
-  engine_->Route(op_, group_, tuple);
 }
 
 }  // namespace albic::engine

@@ -2,8 +2,8 @@
 
 /// \file
 /// \brief LocalEngine, the single-process PSPE runtime: executes
-/// operator code over simulated nodes in tuple-at-a-time or batched mode,
-/// and implements direct, indirect (checkpoint + replay), epoch-marker
+/// operator code over simulated nodes in batches drained in waves, and
+/// implements direct, indirect (checkpoint + replay), epoch-marker
 /// (stamp at a wave barrier, background transfer, atomic routing flip)
 /// and lease (zero-copy ownership flip over the shared state arena) state
 /// migration plus checkpoint-based failure recovery — all five as one
@@ -40,11 +40,9 @@ namespace albic::engine {
 class CheckpointCoordinator;
 struct CheckpointInfo;
 
-/// \brief How the runtime executes operator code.
+/// \brief How the runtime executes operator code. The batched runtime is
+/// the only one; the enum remains for callers that still name it.
 enum class ExecutionMode {
-  /// Legacy path: every injected tuple cascades synchronously through the
-  /// whole DAG before the next one. Deterministic, simple, slow.
-  kTupleAtATime,
   /// Routed tuples are staged into per-(simulated-)node mailboxes and
   /// drained in TupleBatch units by a worker pool. num_workers = 1 runs the
   /// same wave schedule inline on the calling thread.
@@ -59,15 +57,16 @@ struct LocalEngineOptions {
   double serde_cost = 0.5;
   /// Window cadence in event-time microseconds (0 disables windows).
   int64_t window_every_us = 60LL * 1000 * 1000;
-  ExecutionMode mode = ExecutionMode::kTupleAtATime;
-  /// Worker threads draining node mailboxes (batched mode only). Worker w
-  /// owns the mailboxes of nodes with id % num_workers == w; 1 means no
-  /// threads are spawned and execution is deterministic.
+  /// Unread: kBatched is the only execution mode.
+  ExecutionMode mode = ExecutionMode::kBatched;
+  /// Worker threads draining node mailboxes. Worker w owns the mailboxes of
+  /// nodes with id % num_workers == w; 1 means no threads are spawned and
+  /// execution is deterministic.
   int num_workers = 1;
-  /// Injected tuples buffered before the pipeline is drained (batched mode
-  /// only); also caps the size of one TupleBatch. Larger batches amortize
-  /// routing and statistics work further at the cost of staging memory
-  /// (32 bytes/tuple) and coarser drain granularity.
+  /// Injected tuples buffered before the pipeline is drained; also caps the
+  /// size of one TupleBatch. Larger batches amortize routing and statistics
+  /// work further at the cost of staging memory (32 bytes/tuple) and
+  /// coarser drain granularity.
   int max_batch_tuples = 4096;
   /// Latency telemetry: sample one ingestion timestamp (event time + wall
   /// clock) every this many ingested tuples and derive queueing delay,
@@ -76,21 +75,21 @@ struct LocalEngineOptions {
   /// clock reads, no histograms, no change to any hot path. Telemetry never
   /// touches tuple flow, so outputs are bit-identical either way.
   int latency_sample_every = 0;
-  /// Wave-phase profiling (batched mode): decompose the driving thread's
-  /// wall time into phases — ingest routing, per-(operator, key-group)
-  /// service, wave-barrier coordination, window fires, checkpoint rounds,
-  /// migration stalls, recovery, idle — folded across workers at wave
-  /// barriers and harvested as EnginePeriodStats::phases. Like latency
-  /// telemetry, profiling observes and never steers: outputs are
-  /// bit-identical on or off, and off costs one predictable branch per
-  /// instrumented site (no clock reads).
+  /// Wave-phase profiling: decompose the driving thread's wall time into
+  /// phases — ingest routing, per-(operator, key-group) service,
+  /// wave-barrier coordination, window fires, checkpoint rounds, migration
+  /// stalls, recovery, idle — folded across workers at wave barriers and
+  /// harvested as EnginePeriodStats::phases. Like latency telemetry,
+  /// profiling observes and never steers: outputs are bit-identical on or
+  /// off, and off costs one predictable branch per instrumented site (no
+  /// clock reads).
   bool profile_wave_phases = false;
-  /// Sampled per-tuple journeys (batched mode; requires
-  /// latency_sample_every > 0, whose ingest stamps the journeys extend):
-  /// start one causal journey record every this many ingested tuples and
-  /// surface the worst few per period in EnginePeriodStats::journeys,
-  /// with per-hop queue/service breakdown. 0 disables journeys. Journeys
-  /// observe, never steer — outputs bit-identical either way.
+  /// Sampled per-tuple journeys (requires latency_sample_every > 0, whose
+  /// ingest stamps the journeys extend): start one causal journey record
+  /// every this many ingested tuples and surface the worst few per period
+  /// in EnginePeriodStats::journeys, with per-hop queue/service breakdown.
+  /// 0 disables journeys. Journeys observe, never steer — outputs
+  /// bit-identical either way.
   int journey_sample_every = 0;
   /// Metrics registry the engine publishes into: per-period counters at
   /// HarvestPeriod (tuples, waves, checkpoint/replay/recovery totals,
@@ -125,8 +124,8 @@ struct EnginePeriodStats {
   /// as its shard). Grown on demand; the sum is the true offered load, as
   /// opposed to tuples_processed which also counts downstream hops.
   std::vector<int64_t> shard_ingested;
-  /// Drain waves executed this period (batched mode; a wave = one pass
-  /// over the node mailboxes, the engine's unit of quiescence).
+  /// Drain waves executed this period (a wave = one pass over the node
+  /// mailboxes, the engine's unit of quiescence).
   int64_t waves = 0;
   /// Largest number of batches pending in any single node mailbox when a
   /// wave collected it — the formerly invisible staging depth between
@@ -207,17 +206,17 @@ struct MigrationPauseEstimate {
 /// redirect, new tuples buffer at the target, the state is
 /// serialized/deserialized, then buffered tuples drain.
 ///
-/// Two execution modes (LocalEngineOptions::mode):
-///  - kTupleAtATime: the original synchronous cascade, unchanged.
-///  - kBatched: injected tuples stage into per-(operator, key-group)
-///    TupleBatches; a drain processes them in waves — each wave takes the
-///    current node mailboxes, delivers their batches (ProcessBatch), and
-///    routes the emitted tuples into next-wave mailboxes. With
-///    num_workers > 1 the nodes of a wave are split across a worker pool;
-///    per-worker stats and outboxes are merged at the wave barrier in
-///    worker order, so results are deterministic for a fixed worker count.
-///    Tuple order is preserved per (source group -> destination group)
-///    stream, the guarantee key-group parallelism gives (§3).
+/// Injected tuples stage into per-(operator, key-group) TupleBatches; a
+/// drain processes them in waves — each wave takes the current node
+/// mailboxes, delivers their batches (ProcessBatch), and routes the emitted
+/// tuples into next-wave mailboxes. With num_workers > 1 the nodes of a
+/// wave are split across a worker pool; per-worker stats and outboxes are
+/// merged at the wave barrier in worker order, so results are
+/// deterministic for a fixed worker count. Tuple order is preserved per
+/// (source group -> destination group) stream, the guarantee key-group
+/// parallelism gives (§3). Statistics and operator state match a
+/// synchronous depth-first cascade of the same input bit for bit
+/// (tests/engine/reference_cascade.h is that oracle).
 ///
 /// Migrations and cluster changes must be performed from the driving thread
 /// between injections; a migration started while batches are in flight
@@ -232,17 +231,15 @@ class LocalEngine {
               LocalEngineOptions options = LocalEngineOptions());
 
   /// \brief Injects one source tuple into \p source_op. Advances event time
-  /// and fires windows as needed. In tuple-at-a-time mode processing
-  /// cascades synchronously; in batched mode the tuple is staged and the
-  /// pipeline drains once max_batch_tuples accumulated (or on Flush /
-  /// window boundaries / HarvestPeriod).
+  /// and fires windows as needed. The tuple is staged; the pipeline drains
+  /// once max_batch_tuples accumulated (or on Flush / window boundaries /
+  /// HarvestPeriod), so read operator state only after one of those.
   Status Inject(OperatorId source_op, const Tuple& tuple);
 
   /// \brief Bulk injection: semantically identical to calling Inject for
-  /// every tuple in order, but the batched runtime scatters the whole chunk
-  /// to its source groups in one pass (sources hand the engine chunks, so
-  /// per-call overhead is a tuple-at-a-time artifact). In tuple-at-a-time
-  /// mode this simply loops Inject.
+  /// every tuple in order, but the whole chunk scatters to its source
+  /// groups in one pass (sources hand the engine chunks, so per-call
+  /// overhead buys nothing).
   Status InjectBatch(OperatorId source_op, const Tuple* tuples, size_t count);
 
   /// \brief Sharded ingestion entry point: a run of tuples that an
@@ -261,8 +258,8 @@ class LocalEngine {
                       const Tuple* tuples, size_t count,
                       int64_t ingest_wall_ns = 0);
 
-  /// \brief Drains all staged and in-flight batches (no-op in
-  /// tuple-at-a-time mode, where nothing is ever in flight).
+  /// \brief Drains all staged and in-flight batches: afterwards every
+  /// injected tuple has been processed (or buffered by a migration).
   void Flush();
 
   /// \brief Begins moving a key group to \p to. Each mode is one row of
@@ -347,9 +344,9 @@ class LocalEngine {
   /// \brief Attaches the checkpoint subsystem: every delivery (and window
   /// firing) is recorded in per-group replay logs, dirty groups are
   /// tracked, and \p coordinator is invoked at safe points (between worker
-  /// waves / between tuples) to take periodic incremental checkpoints. An
-  /// initial full checkpoint of all operator groups is taken immediately so
-  /// "latest checkpoint + logged suffix = live state" holds from the start.
+  /// waves) to take periodic incremental checkpoints. An initial full
+  /// checkpoint of all operator groups is taken immediately so "latest
+  /// checkpoint + logged suffix = live state" holds from the start.
   /// \p coordinator is not owned and must outlive the engine's use of it.
   Status EnableCheckpointing(CheckpointCoordinator* coordinator);
 
@@ -406,11 +403,11 @@ class LocalEngine {
   /// \brief Latency telemetry active (latency_sample_every > 0)?
   bool latency_telemetry_enabled() const { return telemetry_; }
 
-  /// \brief Wave-phase profiling active (profile_wave_phases, batched)?
+  /// \brief Wave-phase profiling active (profile_wave_phases)?
   bool phase_profiling_enabled() const { return prof_enabled_; }
 
-  /// \brief Journey sampling active (journey_sample_every > 0, batched,
-  /// telemetry on)?
+  /// \brief Journey sampling active (journey_sample_every > 0, telemetry
+  /// on)?
   bool journey_sampling_enabled() const { return journeys_.enabled(); }
 
   /// \brief Percentile summary of the running (not yet harvested) period's
@@ -438,7 +435,6 @@ class LocalEngine {
   static int RouteKey(uint64_t key, int num_groups);
 
  private:
-  friend class GroupEmitter;
   class ScatterEmitter;
 
   struct MigrationState {
@@ -518,11 +514,6 @@ class LocalEngine {
     PhaseAccumulator* prof = nullptr;
   };
 
-  // --- legacy tuple-at-a-time path (unchanged behaviour) ---
-  void Deliver(OperatorId op, int group_index, const Tuple& tuple);
-  void Route(OperatorId from_op, int from_group, const Tuple& tuple);
-  void MaybeFireWindows(int64_t new_time);
-
   // --- checkpointing helpers ---
   /// Marks a group dirty after a log append and raises the overflow flag
   /// when its log outgrew the coordinator's soft bound. Called from
@@ -533,14 +524,9 @@ class LocalEngine {
       log_overflow_.store(true, std::memory_order_relaxed);
     }
   }
-  /// Copy-append of a delivered run (tuple-at-a-time path).
-  void LogDeliveredRun(KeyGroupId g, const Tuple* tuples, size_t count) {
-    group_logs_[g].AppendRun(tuples, count);
-    MarkLogged(g);
-  }
   /// Zero-copy append of a delivered batch: the log takes the batch's
-  /// vector (the batched path's unit of delivery), so logging adds no
-  /// second copy of the tuple stream. The caller's batch is left empty.
+  /// vector (the unit of delivery), so logging adds no second copy of the
+  /// tuple stream. The caller's batch is left empty.
   void LogDeliveredBatch(KeyGroupId g, TupleBatch* batch) {
     group_logs_[g].AppendChunk(std::move(batch->mutable_tuples()));
     MarkLogged(g);
@@ -591,7 +577,7 @@ class LocalEngine {
   /// Drains the tuples buffered for a group while it migrated/recovered.
   void DrainMigrationBuffer(KeyGroupId g);
   /// Flip cutovers (epoch, lease): called on the driving thread at
-  /// quiescent instants (wave barriers, between tuples, FinishMigration).
+  /// quiescent instants (wave barriers, FinishMigration).
   /// For every group with a pending kEpoch/kLease move this instant IS
   /// the boundary: the group is rebuilt at the target (epoch: chain cut +
   /// suffix, background bytes and no pause; lease: nothing) and its
@@ -620,7 +606,7 @@ class LocalEngine {
   /// cannot make the inter-node transfer take real wall time).
   void RecordBufferedPause(double pause_us, size_t buffered);
 
-  // --- batched path ---
+  // --- staging, waves and routing ---
   void CountIngested(int shard, size_t count);
   void StageIngress(OperatorId op, int group_index, const Tuple& tuple);
   void FlushInjectScatter(OperatorId source_op);
@@ -649,7 +635,10 @@ class LocalEngine {
   /// pre-reserves capacity when checkpointing has drained the pool.
   std::vector<Tuple> AcquireVecFor(WorkerContext* ctx, size_t first_run);
   static void ReleaseVec(WorkerContext* ctx, std::vector<Tuple>&& vec);
-  void MaybeFireWindowsBatched(int64_t new_time);
+  /// Closes every window boundary up to \p new_time: drains, then fires
+  /// each operator's groups in topological order, draining the emissions
+  /// before the next operator fires.
+  void MaybeFireWindows(int64_t new_time);
   /// True when \p ts requires the out-of-line window machinery (boundary
   /// crossed, or origin not yet initialized).
   bool WindowBoundaryCrossed(int64_t ts) const {
@@ -758,7 +747,6 @@ class LocalEngine {
   static constexpr size_t kMaxIngestSamples = 256;
   int64_t sample_countdown_ = 1;     ///< Tuples until the next sample.
   int64_t last_sample_ts_us_ = INT64_MIN;
-  int64_t legacy_sink_countdown_ = 1;  ///< Tuple-at-a-time sink sampling.
 
   // Wave-phase profiling state (inert when prof_enabled_ is false).
   bool prof_enabled_ = false;
@@ -773,7 +761,7 @@ class LocalEngine {
   /// Sampled journey tracking (inert unless journey_sample_every > 0).
   JourneyTracker journeys_;
 
-  // Batched-mode state.
+  // Staging and mailbox state.
   std::vector<std::vector<StreamEdge>> downstream_;  ///< Edges per operator.
   std::vector<PendingBatch> ingress_;        ///< Staged injected tuples.
   std::vector<int32_t> ingress_slot_;        ///< Global group -> ingress_ idx.

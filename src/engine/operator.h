@@ -88,10 +88,10 @@ class StreamOperator {
   virtual void Process(const Tuple& tuple, int group_index, Emitter* out) = 0;
 
   /// \brief Processes a batch of tuples, all belonging to key group
-  /// \p group_index, in order. The batched runtime calls this instead of
-  /// Process; hot operators override it to hoist per-tuple work (group-state
+  /// \p group_index, in order. The engine calls this instead of Process;
+  /// hot operators override it to hoist per-tuple work (group-state
   /// lookups, mode branches) out of the loop. The default is semantically
-  /// identical to tuple-at-a-time delivery. Under a multi-worker engine,
+  /// identical to calling Process per tuple. Under a multi-worker engine,
   /// batches for different groups may be processed concurrently, so
   /// implementations must keep all mutable state per group (already the
   /// migration contract above).

@@ -32,31 +32,18 @@ namespace albic::engine {
 ///
 /// Storage is a sequence of tuple chunks plus a sorted side list of
 /// window-firing sequence numbers. The chunk design makes hot-path logging
-/// (near) zero-copy: the batched runtime moves each delivered batch's
-/// vector straight into the log (AppendChunk) instead of recycling it, so
-/// enabling checkpointing adds no second copy of the tuple stream;
-/// truncation hands the freed vectors back for reuse. Copy appends
-/// (AppendTuple/AppendRun) serve the tuple-at-a-time path.
+/// zero-copy: the engine moves each delivered batch's vector straight into
+/// the log (AppendChunk) instead of recycling it, so enabling checkpointing
+/// adds no second copy of the tuple stream; truncation hands the freed
+/// vectors back for reuse.
 ///
 /// Single-writer: a group's log is only appended by the thread processing
 /// that group (the engine's per-node worker ownership guarantees
 /// exclusivity), and read/truncated from the driving thread at safe points.
 class ReplayLog {
  public:
-  void AppendTuple(const Tuple& t) { AppendRun(&t, 1); }
-
-  /// \brief Appends a delivered run in order, copying.
-  void AppendRun(const Tuple* tuples, size_t count) {
-    if (count == 0) return;
-    if (chunks_.empty()) chunks_.emplace_back();
-    std::vector<Tuple>& back = chunks_.back();
-    back.insert(back.end(), tuples, tuples + count);
-    retained_tuples_ += count;
-    next_seq_ += count;
-  }
-
   /// \brief Appends a delivered batch by taking ownership of its vector —
-  /// the zero-copy hot path of the batched runtime.
+  /// the engine's zero-copy logging path.
   void AppendChunk(std::vector<Tuple>&& tuples) {
     if (tuples.empty()) return;
     retained_tuples_ += tuples.size();

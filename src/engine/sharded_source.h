@@ -31,7 +31,7 @@ class ShardSink {
 
   /// \brief An unrouted chunk in source order — the single-shard
   /// pass-through, equivalent to InjectBatch (which keeps num_shards = 1
-  /// bit-identical to the legacy ingestion path).
+  /// bit-identical to unsharded ingestion).
   virtual Status IngestChunk(OperatorId source_op, const Tuple* tuples,
                              size_t count) = 0;
 

@@ -50,7 +50,6 @@ struct Harness {
     engine::Assignment assign(kGroups);
     for (KeyGroupId g = 0; g < kGroups; ++g) assign.set_node(g, g % 2);
     engine::LocalEngineOptions eopts;
-    eopts.mode = engine::ExecutionMode::kBatched;
     eopts.window_every_us = 0;
     engine = std::make_unique<engine::LocalEngine>(
         &topo, &cluster, assign,
@@ -166,7 +165,6 @@ TEST(ControllerLoopTest, SloBreachTriggersEarlyRoundWithCooldown) {
   for (KeyGroupId g = 0; g < kGroups; ++g) assign.set_node(g, g % 2);
   SlowSinkOperator slow;
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   eopts.max_batch_tuples = 64;        // drain (and measure) often
   eopts.latency_sample_every = 16;    // telemetry on

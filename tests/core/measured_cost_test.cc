@@ -98,7 +98,6 @@ struct LptHarness {
     engine::Assignment assign(kGroups);
     for (KeyGroupId g = 0; g < kGroups; ++g) assign.set_node(g, g % 3);
     engine::LocalEngineOptions eopts;
-    eopts.mode = engine::ExecutionMode::kBatched;
     eopts.window_every_us = 0;
     // Telemetry OFF: the measured-cost path must fall back bit-identically.
     eopts.latency_sample_every = 0;
@@ -250,7 +249,6 @@ TEST(MeasuredCostPlanningTest, MigrationModeChosenPerGroupFromCostModel) {
   ops::SumByKeyOperator big(2, ops::GroupField::kKey, false);
   ops::SumByKeyOperator small(2, ops::GroupField::kKey, false);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   engine::LocalEngine engine(&topo, &cluster, assign,
                              std::vector<engine::StreamOperator*>{&big,
@@ -334,7 +332,6 @@ TEST(MeasuredCostPlanningTest, EpochModeWinsWhenOptedIn) {
   ops::SumByKeyOperator big(2, ops::GroupField::kKey, false);
   ops::SumByKeyOperator small(2, ops::GroupField::kKey, false);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   engine::LocalEngine engine(&topo, &cluster, assign,
                              std::vector<engine::StreamOperator*>{&big,
@@ -400,7 +397,6 @@ TEST(MeasuredCostPlanningTest, LeaseModeWinsWhenOptedIn) {
   ops::SumByKeyOperator big(2, ops::GroupField::kKey, false);
   ops::SumByKeyOperator small(2, ops::GroupField::kKey, false);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   engine::LocalEngine engine(&topo, &cluster, assign,
                              std::vector<engine::StreamOperator*>{&big,
@@ -472,7 +468,6 @@ TEST(MeasuredCostPlanningTest, LeaseOffLeavesDecisionsUnchanged) {
   ops::SumByKeyOperator big(2, ops::GroupField::kKey, false);
   ops::SumByKeyOperator small(2, ops::GroupField::kKey, false);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   engine::LocalEngine engine(&topo, &cluster, assign,
                              std::vector<engine::StreamOperator*>{&big,

@@ -133,7 +133,6 @@ TEST(SloTriggerPolicyTest, SloRoundRestartsPeriodCadence) {
   for (engine::KeyGroupId g = 0; g < kGroups; ++g) assign.set_node(g, g % 2);
   SlowSinkOperator slow;
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   eopts.max_batch_tuples = 64;
   eopts.latency_sample_every = 16;

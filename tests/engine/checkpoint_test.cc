@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "balance/milp_rebalancer.h"
@@ -54,7 +55,7 @@ struct Pipeline {
   std::unique_ptr<CheckpointCoordinator> coordinator;
   std::unique_ptr<engine::LocalEngine> engine;
 
-  explicit Pipeline(engine::ExecutionMode mode = engine::ExecutionMode::kBatched) {
+  Pipeline() {
     topo.AddOperator("geohash", kGroups, 1 << 14);
     topo.AddOperator("topk", kGroups, 1 << 14);
     topo.AddOperator("global", kGroups, 1 << 14);
@@ -70,7 +71,6 @@ struct Pipeline {
     }
     engine::LocalEngineOptions opts;
     opts.window_every_us = kWindowUs;
-    opts.mode = mode;
     engine = std::make_unique<engine::LocalEngine>(
         &topo, &cluster, assign,
         std::vector<engine::StreamOperator*>{&geohash, &topk, &global}, opts);
@@ -137,13 +137,14 @@ TEST(ReplayLogTest, SequencesTruncationAndReplayOrder) {
   EXPECT_TRUE(log.empty());
   Tuple t;
   t.key = 7;
-  log.AppendTuple(t);   // seq 0
+  log.AppendChunk({t});    // seq 0
   log.AppendWindowFire();  // seq 1
-  Tuple run[2];
+  std::vector<Tuple> run(2);
   run[0].key = 8;
   run[1].key = 9;
-  log.AppendRun(run, 2);   // seqs 2, 3
-  log.AppendWindowFire();  // seq 4
+  const Tuple* run_data = run.data();
+  log.AppendChunk(std::move(run));  // seqs 2, 3: the log takes the vector
+  log.AppendWindowFire();           // seq 4
   EXPECT_EQ(log.next_seq(), 5u);
   EXPECT_EQ(log.base_seq(), 0u);
   EXPECT_EQ(log.size(), 5u);
@@ -153,19 +154,40 @@ TEST(ReplayLogTest, SequencesTruncationAndReplayOrder) {
   EXPECT_EQ(TraceFrom(log, 1), "Wt8t9W");
   EXPECT_EQ(TraceFrom(log, 3), "t9W");
 
-  log.TruncateBefore(2);
+  // Truncation hands back exactly the chunk vectors it fully consumed.
+  std::vector<std::vector<Tuple>> freed;
+  log.TruncateBefore(2, &freed);
   EXPECT_EQ(log.base_seq(), 2u);
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(TraceFrom(log, 0), "t8t9W");  // clamped to base_seq
+  ASSERT_EQ(freed.size(), 1u);
+  ASSERT_EQ(freed[0].size(), 1u);
+  EXPECT_EQ(freed[0][0].key, 7u);
   // Truncating to an already-dropped point is a no-op.
-  log.TruncateBefore(1);
+  log.TruncateBefore(1, &freed);
   EXPECT_EQ(log.base_seq(), 2u);
-  // Truncating past the end empties the log but keeps the counter.
-  log.TruncateBefore(100);
+  EXPECT_EQ(freed.size(), 1u);
+  // Truncating inside a multi-tuple chunk skips its consumed front and
+  // keeps the chunk.
+  log.TruncateBefore(3, &freed);
+  EXPECT_EQ(log.base_seq(), 3u);
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.tuple_count(), 1u);
+  EXPECT_EQ(TraceFrom(log, 0), "t9W");
+  EXPECT_EQ(TraceFrom(log, 4), "W");
+  EXPECT_EQ(freed.size(), 1u);
+  // Truncating past the end empties the log but keeps the counter, and
+  // frees the partly skipped chunk whole: the very vector appended.
+  log.TruncateBefore(100, &freed);
   EXPECT_TRUE(log.empty());
   EXPECT_EQ(log.next_seq(), 5u);
   EXPECT_EQ(log.base_seq(), 5u);
   EXPECT_EQ(TraceFrom(log, 0), "");
+  ASSERT_EQ(freed.size(), 2u);
+  EXPECT_EQ(freed[1].data(), run_data);
+  ASSERT_EQ(freed[1].size(), 2u);
+  EXPECT_EQ(freed[1][0].key, 8u);
+  EXPECT_EQ(freed[1][1].key, 9u);
 }
 
 // ---------------------------------------------------------------------------
@@ -526,7 +548,6 @@ void RunBudgetedRounds(double max_chain_restore_us, int keys_per_round,
   assign.set_node(0, 0);
   ops::StoreSinkOperator sink(1);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   engine::LocalEngine engine(&topo, &cluster, assign,
                              std::vector<engine::StreamOperator*>{&sink},
@@ -730,9 +751,8 @@ struct ControlledRun {
 };
 
 ControlledRun RunControlled(const std::vector<Tuple>& stream, bool kill,
-                            engine::ExecutionMode mode,
                             int64_t period_us = kWindowUs) {
-  Pipeline p(mode);
+  Pipeline p;
   CheckpointCoordinatorOptions copts;
   copts.interval_us = 20LL * 1000 * 1000;
   p.EnableCheckpointing(copts);
@@ -784,9 +804,9 @@ TEST(CheckpointRecoveryTest, KillNodeMidStreamLosesNothing) {
   const std::vector<Tuple> stream =
       MakeStream(120000, /*articles=*/300, /*seed=*/17, /*rate=*/500.0);
   const ControlledRun baseline =
-      RunControlled(stream, /*kill=*/false, engine::ExecutionMode::kBatched);
+      RunControlled(stream, /*kill=*/false);
   const ControlledRun failed =
-      RunControlled(stream, /*kill=*/true, engine::ExecutionMode::kBatched);
+      RunControlled(stream, /*kill=*/true);
 
   // Zero tuples lost: the failure run offered and processed the whole
   // stream, and every operator group ends in exactly the state of the
@@ -829,10 +849,10 @@ TEST(CheckpointRecoveryTest, EagerRecoveryAllowsWindowsDuringFormerOutage) {
   constexpr int64_t kOddPeriodUs = 13LL * 1000 * 1000;
   static_assert(kWindowUs % kOddPeriodUs != 0,
                 "the period must not divide the window cadence");
-  const ControlledRun baseline = RunControlled(
-      stream, /*kill=*/false, engine::ExecutionMode::kBatched, kOddPeriodUs);
-  const ControlledRun failed = RunControlled(
-      stream, /*kill=*/true, engine::ExecutionMode::kBatched, kOddPeriodUs);
+  const ControlledRun baseline =
+      RunControlled(stream, /*kill=*/false, kOddPeriodUs);
+  const ControlledRun failed =
+      RunControlled(stream, /*kill=*/true, kOddPeriodUs);
 
   EXPECT_EQ(failed.ingested, static_cast<int64_t>(stream.size()));
   ASSERT_FALSE(baseline.counts.empty());

@@ -163,7 +163,6 @@ struct Pipeline {
     }
     engine::LocalEngineOptions opts;
     opts.window_every_us = kWindowUs;
-    opts.mode = engine::ExecutionMode::kBatched;
     opts.num_workers = num_workers;
     opts.latency_sample_every = 32;
     opts.journey_sample_every = journey_sample_every;

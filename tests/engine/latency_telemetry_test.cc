@@ -1,6 +1,6 @@
 // Engine latency telemetry: enabling it must not change any output
 // (bit-identity), it must populate the end-to-end / queueing / service
-// histograms in both execution modes, buffered tuples must account the
+// histograms with one worker or several, buffered tuples must account the
 // modeled migration pause as latency, and HarvestPeriod must reset the
 // running histograms.
 
@@ -39,9 +39,7 @@ struct Pipeline {
   ops::WindowedTopKOperator global{kGroups, 16, ops::TopKCountMode::kSumNum};
   std::unique_ptr<engine::LocalEngine> engine;
 
-  explicit Pipeline(int sample_every,
-                    engine::ExecutionMode mode = engine::ExecutionMode::kBatched,
-                    int num_workers = 1) {
+  explicit Pipeline(int sample_every, int num_workers = 1) {
     topo.AddOperator("geohash", kGroups, 1 << 14);
     topo.AddOperator("topk", kGroups, 1 << 14);
     topo.AddOperator("global", kGroups, 1 << 14);
@@ -57,7 +55,6 @@ struct Pipeline {
     }
     engine::LocalEngineOptions opts;
     opts.window_every_us = kWindowUs;
-    opts.mode = mode;
     opts.num_workers = num_workers;
     opts.latency_sample_every = sample_every;
     engine = std::make_unique<engine::LocalEngine>(
@@ -140,22 +137,10 @@ TEST(LatencyTelemetryTest, OutputsBitIdenticalWithTelemetryEnabled) {
   EXPECT_EQ(geohash_tuples, static_cast<int64_t>(stream.size()));
 }
 
-TEST(LatencyTelemetryTest, TupleAtATimeSamplesEndToEnd) {
-  const std::vector<Tuple> stream = MakeStream(60000);
-  Pipeline p(/*sample_every=*/32, engine::ExecutionMode::kTupleAtATime);
-  for (const Tuple& t : stream) ASSERT_TRUE(p.engine->Inject(0, t).ok());
-  engine::EnginePeriodStats stats = p.engine->HarvestPeriod();
-  ASSERT_TRUE(stats.latency.enabled);
-  // Legacy mode carries end-to-end sampling only (no mailboxes to queue
-  // in, per-tuple service timing would dwarf the work measured).
-  EXPECT_GT(stats.latency.e2e_us.count(), 0);
-  EXPECT_EQ(stats.latency.queue_us.count(), 0);
-}
-
 TEST(LatencyTelemetryTest, MultiWorkerMergesWorkerHistograms) {
   const std::vector<Tuple> stream = MakeStream(60000);
-  Pipeline p1(/*sample_every=*/32, engine::ExecutionMode::kBatched, 1);
-  Pipeline p2(/*sample_every=*/32, engine::ExecutionMode::kBatched, 2);
+  Pipeline p1(/*sample_every=*/32, /*num_workers=*/1);
+  Pipeline p2(/*sample_every=*/32, /*num_workers=*/2);
   ASSERT_TRUE(p1.engine->InjectBatch(0, stream.data(), stream.size()).ok());
   ASSERT_TRUE(p2.engine->InjectBatch(0, stream.data(), stream.size()).ok());
   p1.engine->Flush();
@@ -188,7 +173,6 @@ TEST(LatencyTelemetryTest, MigrationPauseAccountedForBufferedTuples) {
   ops::SumByKeyOperator sum(kGroups, ops::GroupField::kKey,
                             /*emit_updates=*/false);
   engine::LocalEngineOptions opts;
-  opts.mode = engine::ExecutionMode::kBatched;
   opts.window_every_us = 0;
   opts.latency_sample_every = 8;
   engine::LocalEngine eng(&topo, &cluster, assign, {&sum}, opts);

@@ -49,6 +49,7 @@ TEST(LocalEngineTest, RoutesByKeyHashDeterministically) {
   t.num = 2.0;
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
+  f.engine->Flush();  // injected tuples stage until the next drain
   const int group = LocalEngine::RouteKey(1234, 4);
   EXPECT_DOUBLE_EQ(f.sum.SumFor(group, 1234), 4.0);
 }
@@ -90,6 +91,7 @@ TEST(LocalEngineTest, OneToOnePatternPreservesGroupIndex) {
   t.key = 42;
   t.num = 3.0;
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
+  f.engine->Flush();
   const int src_group = LocalEngine::RouteKey(42, 4);
   EXPECT_DOUBLE_EQ(f.sum.SumFor(src_group, 42), 3.0);
   EnginePeriodStats stats = f.engine->HarvestPeriod();
@@ -102,6 +104,7 @@ TEST(LocalEngineTest, DirectMigrationMovesStateAndDrainsBuffer) {
   t.key = 99;
   t.num = 5.0;
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
+  f.engine->Flush();
   const int local = LocalEngine::RouteKey(99, 4);
   const KeyGroupId g = 4 + local;
   EXPECT_DOUBLE_EQ(f.sum.SumFor(local, 99), 5.0);
@@ -109,6 +112,7 @@ TEST(LocalEngineTest, DirectMigrationMovesStateAndDrainsBuffer) {
   ASSERT_TRUE(f.engine->StartMigration(g, 0).ok());
   // Tuples during migration are buffered, not processed.
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
+  f.engine->Flush();
   EXPECT_DOUBLE_EQ(f.sum.SumFor(local, 99), 5.0);
 
   auto pause = f.engine->FinishMigration(g);
@@ -141,6 +145,7 @@ TEST(LocalEngineTest, BufferedTupleCountsReported) {
     }
   }
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
+  f.engine->Flush();  // deliver into the migrating group, which buffers
   ASSERT_TRUE(f.engine->FinishMigration(4).ok());
   EnginePeriodStats stats = f.engine->HarvestPeriod();
   EXPECT_EQ(stats.tuples_buffered, 1);

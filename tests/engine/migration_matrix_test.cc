@@ -75,7 +75,6 @@ struct StorePipeline {
       assign.set_node(g, g % kStoreNodes);
     }
     engine::LocalEngineOptions opts;
-    opts.mode = engine::ExecutionMode::kBatched;
     opts.window_every_us = 0;
     opts.metrics = &registry;
     engine = std::make_unique<engine::LocalEngine>(
@@ -433,7 +432,6 @@ TEST(MigrationModeContractTest, EpochWithoutCheckpointingFallsBackToDirect) {
   }
   ops::StoreSinkOperator sink(kStoreGroups);
   engine::LocalEngineOptions opts;
-  opts.mode = engine::ExecutionMode::kBatched;
   opts.window_every_us = 0;
   engine::LocalEngine engine(
       &topo, &cluster, assign,
@@ -487,7 +485,6 @@ TEST(MigrationModeContractTest, LeaseWithoutCheckpointingStillFlips) {
   }
   ops::StoreSinkOperator sink(kStoreGroups);
   engine::LocalEngineOptions opts;
-  opts.mode = engine::ExecutionMode::kBatched;
   opts.window_every_us = 0;
   engine::LocalEngine engine(
       &topo, &cluster, assign,
@@ -676,7 +673,6 @@ TEST(MigrationModeContractTest, FailedRoundTripWithoutCheckpointingIsLost) {
   }
   UnreadableStore sink(kStoreGroups);
   engine::LocalEngineOptions opts;
-  opts.mode = engine::ExecutionMode::kBatched;
   opts.window_every_us = 0;
   engine::LocalEngine engine(
       &topo, &cluster, assign,

@@ -60,7 +60,6 @@ struct Pipeline {
     }
     engine::LocalEngineOptions opts;
     opts.window_every_us = kWindowUs;
-    opts.mode = engine::ExecutionMode::kBatched;
     opts.num_workers = num_workers;
     opts.profile_wave_phases = profile;
     opts.latency_sample_every = latency_sample_every;

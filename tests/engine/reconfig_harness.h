@@ -31,7 +31,6 @@ struct ReconfigOptions {
   int groups = 8;  ///< Key groups PER OPERATOR (three operators).
   int64_t window_every_us = 500LL * 1000;
   int num_workers = 1;
-  engine::ExecutionMode mode = engine::ExecutionMode::kBatched;
   /// Optional registry the engine publishes into (soak test: counters must
   /// be live when traffic flowed).
   MetricsRegistry* metrics = nullptr;
@@ -71,7 +70,6 @@ struct ReconfigPipeline {
       assign.set_node(g, g % opts.nodes);
     }
     engine::LocalEngineOptions eopts;
-    eopts.mode = opts.mode;
     eopts.window_every_us = opts.window_every_us;
     eopts.num_workers = opts.num_workers;
     eopts.metrics = opts.metrics;

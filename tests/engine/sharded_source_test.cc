@@ -1,10 +1,11 @@
-// The sharded source subsystem's contracts: a 1-shard run reproduces the
-// legacy InjectBatch ingestion bit-identically (same EnginePeriodStats,
-// same operator outputs) on the wiki pipeline; multi-shard runs lose no
-// tuples and keep per-(shard, key-group) order, including across a
-// migration started while shard batches are in flight; the bounded staging
-// queues actually backpressure the producers; and per-shard offered load is
-// folded into EnginePeriodStats.
+// The sharded source subsystem's contracts: a 1-shard run reproduces
+// InjectBatch ingestion and the depth-first reference cascade
+// bit-identically (same EnginePeriodStats, same operator outputs) on the
+// wiki pipeline; multi-shard runs lose no tuples and keep per-(shard,
+// key-group) order, including across a migration started while shard
+// batches are in flight; the bounded staging queues actually backpressure
+// the producers; and per-shard offered load is folded into
+// EnginePeriodStats.
 
 #include <gtest/gtest.h>
 
@@ -19,17 +20,30 @@
 #include "engine/source.h"
 #include "ops/geohash.h"
 #include "ops/topk.h"
+#include "tests/engine/reference_cascade.h"
 #include "workload/streams.h"
 
 namespace albic {
 namespace {
 
-using engine::ExecutionMode;
 using engine::KeyGroupId;
 using engine::Tuple;
 
 constexpr int kNodes = 4;
 constexpr int kGroups = 8;
+
+/// Per-article counts of the last closed window, merged over \p global's
+/// groups: the pipeline's answer.
+std::map<uint64_t, int64_t> GlobalCounts(
+    const ops::WindowedTopKOperator& global) {
+  std::map<uint64_t, int64_t> out;
+  for (int g = 0; g < kGroups; ++g) {
+    for (const auto& [article, count] : global.last_window_top(g)) {
+      out[article] += count;
+    }
+  }
+  return out;
+}
 
 struct Pipeline {
   engine::Topology topo;
@@ -37,6 +51,7 @@ struct Pipeline {
   ops::GeoHashOperator geohash{kGroups, 256};
   ops::WindowedTopKOperator topk{kGroups, 64};
   ops::WindowedTopKOperator global{kGroups, 64, ops::TopKCountMode::kSumNum};
+  engine::Assignment initial;
   std::unique_ptr<engine::LocalEngine> engine;
 
   explicit Pipeline(engine::LocalEngineOptions opts) {
@@ -49,23 +64,17 @@ struct Pipeline {
     EXPECT_TRUE(
         topo.AddStream(1, 2, engine::PartitioningPattern::kFullPartitioning)
             .ok());
-    engine::Assignment assign(topo.num_key_groups());
+    initial = engine::Assignment(topo.num_key_groups());
     for (KeyGroupId g = 0; g < topo.num_key_groups(); ++g) {
-      assign.set_node(g, g % kNodes);
+      initial.set_node(g, g % kNodes);
     }
     engine = std::make_unique<engine::LocalEngine>(
-        &topo, &cluster, assign,
+        &topo, &cluster, initial,
         std::vector<engine::StreamOperator*>{&geohash, &topk, &global}, opts);
   }
 
   std::map<uint64_t, int64_t> GlobalCounts() const {
-    std::map<uint64_t, int64_t> out;
-    for (int g = 0; g < kGroups; ++g) {
-      for (const auto& [article, count] : global.last_window_top(g)) {
-        out[article] += count;
-      }
-    }
-    return out;
+    return albic::GlobalCounts(global);
   }
 };
 
@@ -102,19 +111,18 @@ std::vector<Tuple> WikiStream(int tuples) {
 
 // --- the num_shards = 1 parity contract -----------------------------------
 
-TEST(ShardedSourceTest, OneShardMatchesLegacyInjectBatchOnWikiPipeline) {
+TEST(ShardedSourceTest, OneShardMatchesInjectBatchOnWikiPipeline) {
   constexpr int kTuples = 70000;  // > 2 one-minute windows at 400 tuples/s
   const std::vector<Tuple> stream = WikiStream(kTuples);
 
   engine::LocalEngineOptions opts;
-  opts.mode = ExecutionMode::kBatched;
   opts.num_workers = 1;
 
-  // Reference: the legacy bulk-ingestion path, one InjectBatch call.
-  Pipeline legacy(opts);
+  // Reference: the unsharded bulk-ingestion path, one InjectBatch call.
+  Pipeline unsharded(opts);
   ASSERT_TRUE(
-      legacy.engine->InjectBatch(0, stream.data(), stream.size()).ok());
-  legacy.engine->Flush();
+      unsharded.engine->InjectBatch(0, stream.data(), stream.size()).ok());
+  unsharded.engine->Flush();
 
   // Same stream through the sharded subsystem with a single shard.
   Pipeline sharded(opts);
@@ -129,43 +137,49 @@ TEST(ShardedSourceTest, OneShardMatchesLegacyInjectBatchOnWikiPipeline) {
       << "the inline single-shard path never queues";
   sharded.engine->Flush();
 
-  engine::EnginePeriodStats legacy_stats = legacy.engine->HarvestPeriod();
+  engine::EnginePeriodStats unsharded_stats =
+      unsharded.engine->HarvestPeriod();
   engine::EnginePeriodStats sharded_stats = sharded.engine->HarvestPeriod();
-  ExpectStatsEqual(legacy_stats, sharded_stats);
+  ExpectStatsEqual(unsharded_stats, sharded_stats);
   // Offered load: every source tuple counted, on shard 0, in both paths.
   ASSERT_EQ(sharded_stats.shard_ingested.size(), 1u);
   EXPECT_EQ(sharded_stats.shard_ingested[0], kTuples);
 
   // The job answer must be identical too.
-  const std::map<uint64_t, int64_t> a = legacy.GlobalCounts();
+  const std::map<uint64_t, int64_t> a = unsharded.GlobalCounts();
   const std::map<uint64_t, int64_t> b = sharded.GlobalCounts();
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }
 
-TEST(ShardedSourceTest, OneShardMatchesTupleAtATimeReferenceSemantics) {
-  // Transitivity check against the original reference path: per-tuple
-  // Inject on a tuple-at-a-time engine.
+TEST(ShardedSourceTest, OneShardMatchesReferenceCascade) {
+  // Transitivity check against the reference semantics: every tuple
+  // cascaded depth-first through the DAG before the next one enters.
   constexpr int kTuples = 40000;
   const std::vector<Tuple> stream = WikiStream(kTuples);
 
-  Pipeline reference((engine::LocalEngineOptions()));
-  for (const Tuple& t : stream) {
-    ASSERT_TRUE(reference.engine->Inject(0, t).ok());
-  }
-
-  engine::LocalEngineOptions batched;
-  batched.mode = ExecutionMode::kBatched;
-  Pipeline sharded(batched);
+  const engine::LocalEngineOptions opts;
+  Pipeline sharded(opts);
   engine::VectorSource source(stream.data(), stream.size());
   engine::EngineShardSink sink(sharded.engine.get());
   engine::ShardedSourceRunner runner;
   ASSERT_TRUE(runner.Run({&source}, 0, kGroups, &sink).ok());
   sharded.engine->Flush();
 
-  ExpectStatsEqual(reference.engine->HarvestPeriod(),
-                   sharded.engine->HarvestPeriod());
-  EXPECT_EQ(reference.GlobalCounts(), sharded.GlobalCounts());
+  // The reference runs the same topology and initial assignment over its
+  // own operator instances.
+  ops::GeoHashOperator geohash{kGroups, 256};
+  ops::WindowedTopKOperator topk{kGroups, 64};
+  ops::WindowedTopKOperator global{kGroups, 64, ops::TopKCountMode::kSumNum};
+  testing::ReferenceCascade reference(
+      &sharded.topo, kNodes, sharded.initial, {&geohash, &topk, &global},
+      opts.serde_cost, opts.window_every_us);
+  for (const Tuple& t : stream) reference.Inject(0, t);
+
+  ExpectStatsEqual(reference.Harvest(), sharded.engine->HarvestPeriod());
+  const std::map<uint64_t, int64_t> expected = GlobalCounts(global);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(expected, sharded.GlobalCounts());
 }
 
 // --- multi-shard: ordering, backpressure, migration safety ----------------
@@ -241,7 +255,6 @@ TEST(ShardedSourceTest, MultiShardNoLossInOrderAcrossMidIngestionMigration) {
   }
   RecordingOperator rec(4);
   engine::LocalEngineOptions opts;
-  opts.mode = ExecutionMode::kBatched;
   opts.window_every_us = 0;
   // Small drain threshold so the pipeline drains (and therefore delivers
   // into the migrating group, which must buffer) while the migration from

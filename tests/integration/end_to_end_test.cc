@@ -137,18 +137,23 @@ TEST(EndToEndTest, MigrationsDuringTrafficLoseNothing) {
       injected += t.num;
       ASSERT_TRUE(job.engine->Inject(0, t).ok());
     }
+    job.engine->Flush();
     const KeyGroupId g = static_cast<KeyGroupId>(round % (2 * kGroups));
     const NodeId target =
         (job.engine->assignment().node_of(g) + 1) % kNodes;
     ASSERT_TRUE(job.engine->StartMigration(g, target).ok());
-    // Traffic lands while the group is in flight.
+    // Traffic lands while the group is in flight: flushed before the
+    // finish, so the group's share reaches its migration buffer rather
+    // than staying staged until after the flip.
     for (int i = 0; i < 10; ++i) {
       engine::Tuple t = flights.Next();
       injected += t.num;
       ASSERT_TRUE(job.engine->Inject(0, t).ok());
     }
+    job.engine->Flush();
     ASSERT_TRUE(job.engine->FinishMigration(g).ok());
   }
+  EXPECT_GT(job.engine->HarvestPeriod().tuples_buffered, 0);
   double summed = 0.0;
   for (int g = 0; g < kGroups; ++g) summed += job.sum.GroupTotal(g);
   EXPECT_NEAR(summed, injected, 1e-6);
