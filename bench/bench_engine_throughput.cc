@@ -1,13 +1,13 @@
 // Engine-throughput microbench: the Real Job 1 wiki top-k pipeline
 // (GeoHash -> per-cell windowed TopK -> global TopK) driven through the
-// engine with one worker and with several, through the sharded source
-// ingestion path, and with checkpointing enabled (steady-state checkpoint
-// overhead at the default interval) or observability on. Verifies that all
-// configurations process the same number of tuples (the 1-shard sharded
-// run must be bit-identical to the InjectBatch run) and reports
-// tuples/second plus each configuration's ratio to the 1-worker run. The
-// sharded runs take their queue capacity and chunk size from
-// ALBIC_BENCH_SHARD_QUEUE / ALBIC_BENCH_SHARD_CHUNK.
+// batched engine, through the sharded source ingestion path, and with
+// checkpointing enabled (steady-state checkpoint overhead at the default
+// interval) or observability on. Verifies that all configurations process
+// the same number of tuples (the 1-shard sharded run must be bit-identical
+// to the InjectBatch run) and reports tuples/second plus each
+// configuration's ratio to the plain batched run. The sharded runs take
+// their queue capacity and chunk size from ALBIC_BENCH_SHARD_QUEUE /
+// ALBIC_BENCH_SHARD_CHUNK.
 
 #include <algorithm>
 #include <chrono>
@@ -182,7 +182,6 @@ int main() {
   using albic::bench::BenchJson;
   using albic::bench::EnvInt;
   const int tuples = std::max(1, EnvInt("ALBIC_BENCH_TUPLES", 1500000));
-  const int workers = EnvInt("ALBIC_BENCH_WORKERS", 4);
   const int batch = EnvInt("ALBIC_BENCH_BATCH", 8192);
   const int shards = std::max(2, EnvInt("ALBIC_BENCH_SHARDS", 4));
   // Distinct articles in the stream; matches examples/wiki_topk_job.cpp.
@@ -201,7 +200,6 @@ int main() {
   // Self-describing snapshot: record the effective shard/telemetry knobs.
   albic::bench::BenchMetaCommon(sopts.queue_capacity, sopts.chunk_tuples,
                                 sample_every);
-  albic::bench::BenchMetaInt("workers", workers);
   albic::bench::BenchMetaInt("shards", shards);
   std::printf(
       "Engine throughput: wiki top-k pipeline, %d tuples, %d articles, "
@@ -222,18 +220,12 @@ int main() {
   };
 
   albic::engine::LocalEngineOptions batched1;
-  batched1.num_workers = 1;
   if (batch > 0) batched1.max_batch_tuples = batch;
   albic::RunResult r_batched1 =
       best_of([&] { return albic::RunOne(batched1, stream); });
 
-  albic::engine::LocalEngineOptions batchedN = batched1;
-  batchedN.num_workers = workers;
-  albic::RunResult r_batchedN =
-      best_of([&] { return albic::RunOne(batchedN, stream); });
-
-  // Sharded ingestion over the single-worker batched engine, so the delta
-  // against r_batched1 isolates the ingestion path.
+  // Sharded ingestion over the same batched engine, so the delta against
+  // r_batched1 isolates the ingestion path.
   albic::RunResult r_sharded1 =
       best_of([&] { return albic::RunSharded(batched1, stream, 1, sopts); });
   albic::RunResult r_shardedN = best_of(
@@ -281,13 +273,10 @@ int main() {
   albic::RunResult r_attributed =
       best_of([&] { return albic::RunOne(attributed, stream); });
 
-  albic::TablePrinter table({"mode", "tuples/s", "vs 1 worker"});
+  albic::TablePrinter table({"mode", "tuples/s", "vs batched"});
   const double base = r_batched1.tuples_per_sec;
-  table.AddRow({"batched (1 worker)", albic::FormatDouble(base, 0), "1.00"});
+  table.AddRow({"batched", albic::FormatDouble(base, 0), "1.00"});
   char label[64];
-  std::snprintf(label, sizeof(label), "batched (%d workers)", workers);
-  table.AddRow({label, albic::FormatDouble(r_batchedN.tuples_per_sec, 0),
-                albic::FormatDouble(r_batchedN.tuples_per_sec / base, 2)});
   table.AddRow({"sharded (1 shard)",
                 albic::FormatDouble(r_sharded1.tuples_per_sec, 0),
                 albic::FormatDouble(r_sharded1.tuples_per_sec / base, 2)});
@@ -317,7 +306,7 @@ int main() {
           ? 100.0 *
                 (1.0 - r_telemetry.tuples_per_sec / r_batched1.tuples_per_sec)
           : 0.0;
-  std::printf("\nlatency telemetry: %.1f%% overhead vs batched (1 worker)\n",
+  std::printf("\nlatency telemetry: %.1f%% overhead vs batched\n",
               telemetry_overhead_pct);
 
   const double observability_overhead_pct =
@@ -326,7 +315,7 @@ int main() {
                 (1.0 - r_observed.tuples_per_sec / r_batched1.tuples_per_sec)
           : 0.0;
   std::printf("full observability (registry + telemetry + tracer): %.1f%% "
-              "overhead vs batched (1 worker)\n",
+              "overhead vs batched\n",
               observability_overhead_pct);
 
   const double attribution_overhead_pct =
@@ -335,7 +324,7 @@ int main() {
                 (1.0 - r_attributed.tuples_per_sec / r_batched1.tuples_per_sec)
           : 0.0;
   std::printf("causal attribution (telemetry + wave phases + journeys): "
-              "%.1f%% overhead vs batched (1 worker)\n",
+              "%.1f%% overhead vs batched\n",
               attribution_overhead_pct);
 
   const double ckpt_overhead_pct =
@@ -357,15 +346,14 @@ int main() {
   std::printf("\ncheckpointing: %lld snapshots, %.1f MiB written, "
               "%.1f ms in rounds; %.1f%% raw overhead on this "
               "time-compressed trace, %.1f%% steady-state (logging) "
-              "overhead vs batched (1 worker)\n",
+              "overhead vs batched\n",
               static_cast<long long>(r_ckpt.checkpoints),
               static_cast<double>(r_ckpt.checkpoint_bytes) / (1 << 20),
               r_ckpt.checkpoint_wall_us / 1000.0, ckpt_overhead_pct,
               ckpt_steady_overhead_pct);
 
   const int64_t processed = r_batched1.tuples_processed;
-  if (processed != r_batchedN.tuples_processed ||
-      processed != r_ckpt.tuples_processed ||
+  if (processed != r_ckpt.tuples_processed ||
       processed != r_telemetry.tuples_processed ||
       processed != r_observed.tuples_processed ||
       processed != r_attributed.tuples_processed ||
@@ -389,8 +377,6 @@ int main() {
               static_cast<long long>(r_shardedN.blocked_pushes));
 
   BenchJson("engine_throughput", "batched_1worker", r_batched1.tuples_per_sec,
-            "tuples/s");
-  BenchJson("engine_throughput", "batched_nworker", r_batchedN.tuples_per_sec,
             "tuples/s");
   BenchJson("engine_throughput", "sharded_1shard", r_sharded1.tuples_per_sec,
             "tuples/s");

@@ -21,8 +21,7 @@ namespace albic {
 /// values at or above kMaxTrackable clamp into the overflow bucket and
 /// report kMaxTrackable. Recording is branch-light and allocation-free, so
 /// per-batch recording sits on the hot path; merging is element-wise
-/// addition, which is what lets per-worker histograms combine
-/// deterministically at wave boundaries (merge order = worker order).
+/// addition, so merged histograms do not depend on merge order.
 class LogHistogram {
  public:
   static constexpr int kSubBits = 4;

@@ -62,9 +62,9 @@ class GaugeMetric {
   std::atomic<int64_t> value_{0};
 };
 
-/// \brief LogHistogram behind a mutex. Publishers record per period (or
-/// merge whole per-worker histograms at wave barriers), so the lock is
-/// uncontended in practice; it exists for the exposition reader.
+/// \brief LogHistogram behind a mutex. Publishers record or merge whole
+/// histograms once per period, so the lock is uncontended in practice; it
+/// exists for the exposition reader.
 class HistogramMetric {
  public:
   void Record(int64_t value_us) {

@@ -32,23 +32,6 @@ void PhaseBreakdown::EnableFor(size_t num_groups) {
   group_service_ns.assign(num_groups, 0);
 }
 
-void PhaseBreakdown::MergeFrom(PhaseBreakdown* from) {
-  if (!from->enabled) return;
-  for (int p = 0; p < kNumWavePhases; ++p) {
-    ns[p] += from->ns[p];
-    from->ns[p] = 0;
-  }
-  wall_ns += from->wall_ns;
-  from->wall_ns = 0;
-  if (group_service_ns.size() < from->group_service_ns.size()) {
-    group_service_ns.resize(from->group_service_ns.size(), 0);
-  }
-  for (size_t g = 0; g < from->group_service_ns.size(); ++g) {
-    group_service_ns[g] += from->group_service_ns[g];
-    from->group_service_ns[g] = 0;
-  }
-}
-
 int64_t PhaseBreakdown::TotalNs() const {
   int64_t total = 0;
   for (const int64_t v : ns) total += v;

@@ -16,9 +16,7 @@
 /// phase on exit, which makes nesting exact: an inner checkpoint scope
 /// carves its time *out of* the surrounding wave-barrier phase instead of
 /// double-counting it. On the engine's driving thread the phase totals of
-/// a period therefore sum to the measured wall time of the period; pool
-/// workers add thread-time on top (their totals are folded at the wave
-/// barrier, exactly like the latency histograms).
+/// a period therefore sum to the measured wall time of the period.
 ///
 /// Cost contract, mirroring the latency telemetry: off by default; when
 /// off, no clock reads, no stores, and engine outputs are bit-identical
@@ -35,8 +33,7 @@ namespace albic {
 /// flat enum so a breakdown is a plain array and a metric label.
 enum class WavePhase : int {
   /// Time on the driving thread outside any engine call (between
-  /// injections: source generation, controller work, caller logic) and,
-  /// on pool workers, time inside a wave not attributed to service.
+  /// injections: source generation, controller work, caller logic).
   kIdle = 0,
   /// Ingestion: routing injected tuples to source groups and staging them
   /// into mailboxes (Inject / InjectBatch / InjectRouted).
@@ -44,8 +41,8 @@ enum class WavePhase : int {
   /// Operator service: ProcessBatch plus per-batch delivery bookkeeping.
   /// Also attributed per key group (PhaseBreakdown::group_service_ns).
   kService,
-  /// Wave coordination: collecting mailboxes, running the worker-pool
-  /// barrier, merging outboxes — drain time that is not operator service.
+  /// Wave coordination: collecting mailboxes and fanning out null-source
+  /// batches — drain time that is not operator service.
   kWaveBarrier,
   /// Window boundary processing (firing window operators).
   kWindow,
@@ -68,8 +65,7 @@ const char* WavePhaseName(WavePhase phase);
 /// latency telemetry and the tracer so all three observe one timeline.
 int64_t ProfilerNowNs();
 
-/// \brief One period's phase totals, merged across threads at wave
-/// barriers and harvested with EnginePeriodStats.
+/// \brief One period's phase totals, harvested with EnginePeriodStats.
 struct PhaseBreakdown {
   /// Profiling active. When false every other field is zero/empty and the
   /// struct costs nothing to carry.
@@ -77,8 +73,7 @@ struct PhaseBreakdown {
   /// Nanoseconds charged to each phase (indexed by WavePhase).
   int64_t ns[kNumWavePhases] = {};
   /// Measured wall time of the period on the driving thread (stamped at
-  /// harvest). With one worker, TotalNs() accounts for ~all of it; pool
-  /// workers add thread-time on top, so multi-worker totals may exceed it.
+  /// harvest). TotalNs() accounts for ~all of it.
   int64_t wall_ns = 0;
   /// Service nanoseconds per key group — the per-(operator, key-group)
   /// attribution the controller ranks to explain load decisions. Sums to
@@ -87,9 +82,6 @@ struct PhaseBreakdown {
 
   /// \brief Activates the breakdown and sizes the per-group attribution.
   void EnableFor(size_t num_groups);
-  /// \brief Folds \p from into this and resets \p from to zero (the wave
-  /// barrier / harvest merge, same contract as LatencyPeriodStats).
-  void MergeFrom(PhaseBreakdown* from);
   /// \brief Total nanoseconds across all phases, idle included.
   int64_t TotalNs() const;
   /// \brief TotalNs() / wall_ns — the phase-sum coverage of measured wall
@@ -103,8 +95,7 @@ struct PhaseBreakdown {
 };
 
 /// \brief Per-thread exclusive phase clock. Not thread-safe — each thread
-/// owns one; the engine flushes worker accumulators only at wave barriers
-/// (pool join gives the happens-before edge).
+/// owns one.
 class PhaseAccumulator {
  public:
   /// \brief Zeroes all charges and (re)opens kIdle at \p now_ns.
@@ -133,19 +124,6 @@ class PhaseAccumulator {
     cur_start_ns_ = now_ns;
     for (int p = 0; p < kNumWavePhases; ++p) {
       out->ns[p] += ns_[p];
-      ns_[p] = 0;
-    }
-  }
-
-  /// \brief FlushInto minus the idle charge: pool workers park in kIdle
-  /// between waves, which is pool wait, not engine time — dropping it
-  /// keeps worker contributions to service/checkpoint phases additive on
-  /// top of the driving thread's exclusive decomposition.
-  void FlushNonIdleInto(PhaseBreakdown* out, int64_t now_ns) {
-    ns_[static_cast<int>(cur_)] += now_ns - cur_start_ns_;
-    cur_start_ns_ = now_ns;
-    for (int p = 0; p < kNumWavePhases; ++p) {
-      if (p != static_cast<int>(WavePhase::kIdle)) out->ns[p] += ns_[p];
       ns_[p] = 0;
     }
   }

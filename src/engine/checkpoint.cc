@@ -19,6 +19,17 @@ constexpr uint64_t kSnapshotMagic = 0x414c42434b505431ULL;  // "ALBCKPT1"
 constexpr uint64_t kDeltaMagic = 0x414c42434b444c31ULL;     // "ALBCKDL1"
 constexpr uint64_t kManifestMagic = 0x414c424d414e4631ULL;  // "ALBMANF1"
 
+/// Bytes between \p in's read position and the end of its file: what a
+/// length field read from the file must match before anything is
+/// allocated for it.
+uint64_t BytesLeft(std::ifstream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  return here < 0 || end < here ? 0 : static_cast<uint64_t>(end - here);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -347,7 +358,9 @@ bool FileCheckpointStore::Get(KeyGroupId group, uint64_t version,
     in.read(reinterpret_cast<char*>(&seq), sizeof(seq));
     in.read(reinterpret_cast<char*>(&size), sizeof(size));
     const uint64_t want = found->is_delta ? kDeltaMagic : kSnapshotMagic;
-    if (!in || magic != want) return false;
+    // A length that disagrees with the payload on disk is corruption; check
+    // it before it sizes the buffer.
+    if (!in || magic != want || size != BytesLeft(in)) return false;
     state->resize(size);
     in.read(state->data(), static_cast<std::streamsize>(size));
     if (!in) return false;
@@ -377,6 +390,10 @@ bool FileCheckpointStore::LatestManifest(CheckpointManifest* out) const {
   in.read(reinterpret_cast<char*>(&epoch), sizeof(epoch));
   in.read(reinterpret_cast<char*>(&n), sizeof(n));
   if (!in || magic != kManifestMagic) return false;
+  // n must describe exactly the bytes after the header; comparing it with
+  // their count / 8 keeps n * 8 from overflowing.
+  const uint64_t left = BytesLeft(in);
+  if (left % sizeof(int64_t) != 0 || n != left / sizeof(int64_t)) return false;
   CheckpointManifest manifest;
   manifest.epoch = epoch;
   manifest.shard_offsets.resize(n);

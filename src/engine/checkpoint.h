@@ -254,7 +254,7 @@ struct CheckpointCoordinatorStats {
 
 /// \brief Drives periodic asynchronous incremental checkpoints.
 ///
-/// The engine calls OnSafePoint at quiescent instants: between worker
+/// The engine calls OnSafePoint at quiescent instants: between drain
 /// waves, where every operator is idle and each group's log matches its
 /// state. When a round is due (event-time interval elapsed, or some group's
 /// replay log overflowed its soft bound), the coordinator snapshots every

@@ -16,7 +16,7 @@ void JourneyTracker::Enable(int sample_every, int num_operators,
   countdown_ = 1;
   const size_t n = static_cast<size_t>(kMaxActive) *
                    static_cast<size_t>(num_operators_);
-  claimed_ = std::vector<std::atomic<uint8_t>>(n);
+  claimed_.assign(n, 0);
   hop_group_.assign(n, 0);
   hop_enqueue_ns_.assign(n, 0);
   hop_t0_ns_.assign(n, 0);
@@ -41,8 +41,7 @@ void JourneyTracker::MaybeStart(int64_t event_ts_us, int64_t wall_ns,
     slot.ingest_wall_ns = wall_ns != 0 ? wall_ns : TelemetryNowNs();
     last_start_ts_us_ = event_ts_us;
     for (OperatorId op = 0; op < num_operators_; ++op) {
-      claimed_[static_cast<size_t>(HopIndex(s, op))].store(
-          0, std::memory_order_relaxed);
+      claimed_[static_cast<size_t>(HopIndex(s, op))] = 0;
     }
     return;
   }
@@ -57,9 +56,10 @@ void JourneyTracker::OnBatchDelivered(OperatorId op, KeyGroupId group,
     if (!slot.in_use || last_ts < slot.event_ts_us) continue;
     const size_t idx = static_cast<size_t>(HopIndex(s, op));
     // Exactly-once per (journey, operator): re-deliveries — a migration
-    // buffer draining, a recovered group's backlog — lose the exchange and
-    // leave the first claim's measurements untouched.
-    if (claimed_[idx].exchange(1, std::memory_order_relaxed) != 0) continue;
+    // buffer draining, a recovered group's backlog — find the hop claimed
+    // and leave the first claim's measurements untouched.
+    if (claimed_[idx] != 0) continue;
+    claimed_[idx] = 1;
     hop_group_[idx] = group;
     hop_enqueue_ns_[idx] = enqueue_ns;
     hop_t0_ns_[idx] = t0_ns;
@@ -77,7 +77,7 @@ void JourneyTracker::Sweep(std::vector<CompletedJourney>* worst) {
     for (OperatorId op = 0; op < num_operators_; ++op) {
       const size_t idx = static_cast<size_t>(HopIndex(s, op));
       if (is_sink_[static_cast<size_t>(op)] == 0) continue;
-      if (claimed_[idx].load(std::memory_order_relaxed) == 0) continue;
+      if (claimed_[idx] == 0) continue;
       end_ns = std::max(end_ns, hop_t1_ns_[idx]);
     }
     if (end_ns == 0) continue;
@@ -89,7 +89,7 @@ void JourneyTracker::Sweep(std::vector<CompletedJourney>* worst) {
     j.e2e_us = static_cast<double>(end_ns - slot.ingest_wall_ns) / 1000.0;
     for (OperatorId op = 0; op < num_operators_; ++op) {
       const size_t idx = static_cast<size_t>(HopIndex(s, op));
-      if (claimed_[idx].load(std::memory_order_relaxed) == 0) continue;
+      if (claimed_[idx] == 0) continue;
       JourneyHop hop;
       hop.op = op;
       hop.group = hop_group_[idx];

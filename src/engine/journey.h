@@ -18,19 +18,16 @@
 /// rather than one physical tuple (tuples fan out; a single causal chain
 /// does not exist once an operator emits more than one tuple).
 ///
-/// Concurrency: journey slots are started and swept only on the driving
-/// thread between drain waves. During a wave, pool workers race to claim
-/// hops; the claim is a relaxed atomic exchange (exactly-once per
-/// (journey, operator), including re-deliveries after migrations and
-/// recovery), and the hop's measurements are plain stores by the claim
-/// winner, read by the driving thread only after the wave barrier — the
-/// pool join supplies the happens-before edge.
+/// Claims: the first claim of a (journey, operator) hop wins and records
+/// its measurements; later deliveries to that operator — re-deliveries
+/// after migrations and recovery included — leave them untouched. Every
+/// call runs on the engine's driving thread, so a claim is a plain byte.
 ///
 /// Cost contract: off by default. When off, one predictable branch per
 /// ingest call and none per delivery (callers check enabled()). Journeys
 /// observe and never steer — engine outputs are bit-identical either way.
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -79,21 +76,20 @@ class JourneyTracker {
 
   /// \brief Counts \p count ingested tuples and starts a journey when the
   /// sampling interval elapses and a slot is free. \p wall_ns is the
-  /// ingest stamp (0 = read the clock here). Driving thread only, between
-  /// waves.
+  /// ingest stamp (0 = read the clock here).
   void MaybeStart(int64_t event_ts_us, int64_t wall_ns, size_t count);
 
   /// \brief Offers a delivered batch as a hop claim: the first batch at
   /// \p op whose newest event time \p last_ts has reached an active
-  /// journey's stamp claims that journey's hop at \p op. Called by pool
-  /// workers during waves; allocation-free.
+  /// journey's stamp claims that journey's hop at \p op. Called per
+  /// delivered batch; allocation-free.
   void OnBatchDelivered(OperatorId op, KeyGroupId group, int64_t last_ts,
                         int64_t enqueue_ns, int64_t t0_ns, int64_t t1_ns);
 
   /// \brief Moves journeys whose sink hop was claimed into \p worst,
   /// keeping at most kWorstPerPeriod entries by e2e latency, and frees
   /// their slots. Emits trace spans for completed journeys when the
-  /// global tracer is enabled. Driving thread only, between waves.
+  /// global tracer is enabled. Called between drain waves.
   void Sweep(std::vector<CompletedJourney>* worst);
 
   /// \brief Drops every in-flight journey. In-flight journeys survive
@@ -103,7 +99,7 @@ class JourneyTracker {
 
  private:
   struct Slot {
-    bool in_use = false;  ///< Driving thread only.
+    bool in_use = false;
     int64_t id = 0;
     int64_t event_ts_us = 0;
     int64_t ingest_wall_ns = 0;
@@ -121,10 +117,9 @@ class JourneyTracker {
   int64_t last_start_ts_us_ = INT64_MIN;
   int64_t next_id_ = 0;
   Slot slots_[kMaxActive];
-  /// Hop claim flags and measurements, kMaxActive * num_operators_ each.
-  /// claimed_ is the once-flag (atomic exchange); the remaining arrays are
-  /// written only by the claim winner and read after the wave barrier.
-  std::vector<std::atomic<uint8_t>> claimed_;
+  /// Hop claim flags and measurements, kMaxActive * num_operators_ each;
+  /// the measurements are written only by a hop's first claim.
+  std::vector<uint8_t> claimed_;
   std::vector<KeyGroupId> hop_group_;
   std::vector<int64_t> hop_enqueue_ns_;
   std::vector<int64_t> hop_t0_ns_;

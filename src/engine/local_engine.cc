@@ -44,24 +44,24 @@ class NullEmitter : public Emitter {
 
 }  // namespace
 
-/// Emitter that scatters emitted tuples straight into the context's
+/// Emitter that scatters emitted tuples straight into the engine's
 /// per-destination-group route buckets — the fast path for operators with a
 /// single partitioning downstream edge, which skips the intermediate
 /// emission staging entirely.
 class LocalEngine::ScatterEmitter : public Emitter {
  public:
-  ScatterEmitter(WorkerContext* ctx, int down_groups)
-      : ctx_(ctx), down_groups_(down_groups) {}
+  ScatterEmitter(LocalEngine* engine, int down_groups)
+      : engine_(engine), down_groups_(down_groups) {}
 
   void Emit(const Tuple& tuple) override {
     const int target = RouteKey(tuple.key, down_groups_);
-    std::vector<Tuple>& bucket = ctx_->buckets[target];
-    if (bucket.empty()) ctx_->touched.push_back(target);
+    std::vector<Tuple>& bucket = engine_->route_buckets_[target];
+    if (bucket.empty()) engine_->route_touched_.push_back(target);
     bucket.push_back(tuple);
   }
 
  private:
-  WorkerContext* ctx_;
+  LocalEngine* engine_;
   int down_groups_;
 };
 
@@ -85,12 +85,10 @@ LocalEngine::LocalEngine(const Topology* topology, const Cluster* cluster,
       options_(options),
       migrating_(static_cast<size_t>(topology->num_key_groups())) {
   assert(static_cast<int>(operators_.size()) == topology_->num_operators());
-  if (options_.num_workers < 1) options_.num_workers = 1;
   if (options_.max_batch_tuples < 1) options_.max_batch_tuples = 1;
   if (options_.latency_sample_every < 0) options_.latency_sample_every = 0;
   if (options_.journey_sample_every < 0) options_.journey_sample_every = 0;
   telemetry_ = options_.latency_sample_every > 0;
-  prof_enabled_ = options_.profile_wave_phases;
   period_.group_work.assign(
       static_cast<size_t>(topology_->num_key_groups()), 0.0);
   period_.node_work.assign(
@@ -105,12 +103,12 @@ LocalEngine::LocalEngine(const Topology* topology, const Cluster* cluster,
     }
     ingest_samples_.reserve(2 * kMaxIngestSamples);
   }
-  if (prof_enabled_) {
+  if (options_.profile_wave_phases) {
     period_.phases.EnableFor(
         static_cast<size_t>(topology_->num_key_groups()));
     period_start_wall_ns_ = ProfilerNowNs();
     prof_acc_.Reset(period_start_wall_ns_);
-    coordinator_.prof = &prof_acc_;
+    prof_ = &prof_acc_;
   }
   if (options_.journey_sample_every > 0 && telemetry_) {
     journeys_.Enable(options_.journey_sample_every,
@@ -122,42 +120,7 @@ LocalEngine::LocalEngine(const Topology* topology, const Cluster* cluster,
   }
   ingress_slot_.assign(static_cast<size_t>(topology_->num_key_groups()), -1);
   mailboxes_.resize(static_cast<size_t>(cluster_->num_nodes_total()));
-  coordinator_.stats = &period_;
-  coordinator_.direct = true;
-  coordinator_.open_slot.assign(
-      static_cast<size_t>(topology_->num_key_groups()), -1);
-  if (options_.num_workers > 1) {
-    pool_ = std::make_unique<WorkerPool>(options_.num_workers);
-    worker_ctx_.resize(static_cast<size_t>(options_.num_workers));
-    if (prof_enabled_) {
-      worker_prof_.resize(static_cast<size_t>(options_.num_workers));
-      for (PhaseAccumulator& acc : worker_prof_) {
-        acc.Reset(period_start_wall_ns_);
-      }
-    }
-    for (size_t w = 0; w < worker_ctx_.size(); ++w) {
-      WorkerContext& ctx = worker_ctx_[w];
-      ctx.local.group_work.assign(
-          static_cast<size_t>(topology_->num_key_groups()), 0.0);
-      ctx.local.comm = CommMatrix(topology_->num_key_groups());
-      if (telemetry_) {
-        ctx.local.latency.EnableFor(topology_->num_operators(),
-                                    topology_->num_key_groups());
-      }
-      if (prof_enabled_) {
-        ctx.local.phases.EnableFor(
-            static_cast<size_t>(topology_->num_key_groups()));
-        // Worker 0 runs on the calling thread: its service time carves
-        // out of the driving accumulator's wave-barrier phase. Workers
-        // > 0 own an accumulator, flushed at the drain's merge point.
-        ctx.prof = w == 0 ? &prof_acc_ : &worker_prof_[w];
-      }
-      ctx.stats = &ctx.local;
-      ctx.direct = false;
-      ctx.open_slot.assign(
-          static_cast<size_t>(topology_->num_key_groups()), -1);
-    }
-  }
+  open_slot_.assign(static_cast<size_t>(topology_->num_key_groups()), -1);
   WireMetrics();
 }
 
@@ -192,13 +155,12 @@ void LocalEngine::WireMetrics() {
   metrics_.mailbox_highwater = reg->Gauge("engine_mailbox_highwater");
   metrics_.chain_len_highwater =
       reg->Gauge("engine_checkpoint_chain_len_highwater");
-  metrics_.worker_pool_runs = reg->Gauge("engine_worker_pool_runs");
   if (telemetry_) {
     metrics_.e2e_latency_us = reg->Histogram("engine_e2e_latency_us");
     metrics_.queue_delay_us = reg->Histogram("engine_queue_delay_us");
     metrics_.stall_e2e_us = reg->Histogram("engine_stall_e2e_us");
   }
-  if (prof_enabled_) {
+  if (prof_ != nullptr) {
     for (int p = 0; p < kNumWavePhases; ++p) {
       metrics_.phase_ns[p] =
           reg->Counter("engine_phase_ns_total",
@@ -220,7 +182,6 @@ void LocalEngine::PublishPeriodMetrics(const EnginePeriodStats& stats) {
   metrics_.groups_recovered->Add(stats.groups_recovered);
   metrics_.epoch_transfer_bytes->Add(stats.epoch_transfer_bytes);
   metrics_.mailbox_highwater->SetMax(stats.mailbox_highwater);
-  if (pool_ != nullptr) metrics_.worker_pool_runs->Set(pool_->runs());
   int64_t max_chain = 0;
   for (const int len : chain_len_) {
     if (len > max_chain) max_chain = len;
@@ -240,7 +201,7 @@ void LocalEngine::PublishPeriodMetrics(const EnginePeriodStats& stats) {
     metrics_.queue_delay_us->Merge(stats.latency.queue_us);
     metrics_.stall_e2e_us->Merge(stats.latency.stall_e2e_us);
   }
-  if (prof_enabled_ && stats.phases.enabled) {
+  if (prof_ != nullptr && stats.phases.enabled) {
     for (int p = 0; p < kNumWavePhases; ++p) {
       metrics_.phase_ns[p]->Add(stats.phases.ns[p]);
     }
@@ -297,7 +258,7 @@ void LocalEngine::MaybeSampleIngest(int64_t ts, size_t count,
     wall = NowNs();
     // Piggyback on the clock read we just paid (shard stamps are from the
     // past — possibly a queue wait ago — so they never refresh the cache).
-    coordinator_.wall_cache_ns = wall;
+    wall_cache_ns_ = wall;
   }
   ingest_samples_.push_back(IngestSample{ts, wall});
 }
@@ -315,10 +276,10 @@ bool LocalEngine::LookupIngestSample(int64_t ts, IngestSample* out) const {
   return false;
 }
 
-int64_t LocalEngine::RecordBatchLatency(WorkerContext* ctx, OperatorId op,
-                                        KeyGroupId g, size_t tuples,
-                                        int64_t last_ts, int64_t t0_ns) {
-  LatencyPeriodStats& lat = ctx->stats->latency;
+int64_t LocalEngine::RecordBatchLatency(OperatorId op, KeyGroupId g,
+                                        size_t tuples, int64_t last_ts,
+                                        int64_t t0_ns) {
+  LatencyPeriodStats& lat = period_.latency;
   const int64_t t1 = NowNs();
   const int64_t service_us = (t1 - t0_ns) / 1000;
   lat.op_service_us[op].Record(service_us);
@@ -331,8 +292,7 @@ int64_t LocalEngine::RecordBatchLatency(WorkerContext* ctx, OperatorId op,
   if (is_sink_[op]) {
     // Window-fire aggregates carry ts = 0 (they summarize a whole window,
     // not one input tuple); fall back to the event-time frontier — the
-    // newest data the aggregate can reflect. event_time_us_ only advances
-    // between waves, so the read is stable under worker concurrency.
+    // newest data the aggregate can reflect.
     IngestSample sample;
     bool found = LookupIngestSample(last_ts, &sample);
     if (!found) found = LookupIngestSample(event_time_us_, &sample);
@@ -369,7 +329,7 @@ Status LocalEngine::Inject(OperatorId source_op, const Tuple& tuple) {
   CountIngested(/*shard=*/0, 1);
   if (telemetry_) MaybeSampleIngest(tuple.ts, 1, 0);
   if (journeys_.enabled()) journeys_.MaybeStart(tuple.ts, 0, 1);
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kIngest);
+  PhaseScope prof_scope(prof_, WavePhase::kIngest);
   if (tuple.ts >= event_time_us_) {
     if (WindowBoundaryCrossed(tuple.ts)) MaybeFireWindows(tuple.ts);
     event_time_us_ = tuple.ts;
@@ -384,8 +344,7 @@ Status LocalEngine::Inject(OperatorId source_op, const Tuple& tuple) {
     // Real source operators deliver like any other hop: append straight
     // into the open batch in the owning node's mailbox.
     const KeyGroupId g = topology_->first_group(source_op) + group;
-    AppendRouted(&coordinator_, arena_.owner_of(g), source_op, group, g,
-                 &tuple, 1);
+    AppendRouted(arena_.owner_of(g), source_op, group, g, &tuple, 1);
     ++staged_tuples_;
   }
   if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
@@ -402,13 +361,13 @@ void LocalEngine::FlushInjectScatter(OperatorId source_op) {
     std::vector<Tuple>& bucket = inject_buckets_[group];
     const size_t delivered = bucket.size();
     TupleBatch batch(std::move(bucket));
-    DeliverBatch(&coordinator_, source_op, group, &batch);
+    DeliverBatch(source_op, group, &batch);
     bucket = std::move(batch.mutable_tuples());
     // The replay log may have taken the vector; replace it from the pool,
     // pre-sized to what this bucket just carried, so the bucket keeps
     // amortizing its growth.
     if (bucket.capacity() == 0) {
-      bucket = AcquireVec(&coordinator_);
+      bucket = AcquireVec();
       if (bucket.capacity() < delivered) bucket.reserve(delivered);
     }
     bucket.clear();
@@ -424,7 +383,7 @@ Status LocalEngine::InjectBatch(OperatorId source_op, const Tuple* tuples,
   CountIngested(/*shard=*/0, count);
   if (telemetry_ && count > 0) {
     const int64_t now = NowNs();  // one read per chunk, shared with samples
-    coordinator_.wall_cache_ns = now;
+    wall_cache_ns_ = now;
     // Stamp the run's FIRST event time: the sample must not outrun the
     // event-time frontier, or window-fire aggregates emitted mid-run could
     // never find a covering sample.
@@ -433,7 +392,7 @@ Status LocalEngine::InjectBatch(OperatorId source_op, const Tuple* tuples,
       journeys_.MaybeStart(tuples[0].ts, now, count);
     }
   }
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kIngest);
+  PhaseScope prof_scope(prof_, WavePhase::kIngest);
   const int src_groups = topology_->op(source_op).num_key_groups;
   const bool null_source = operators_[source_op] == nullptr;
   if (static_cast<int>(inject_buckets_.size()) < src_groups) {
@@ -487,7 +446,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
   CountIngested(shard, count);
   if (telemetry_) {
     const int64_t now = NowNs();  // one read per routed run
-    coordinator_.wall_cache_ns = now;
+    wall_cache_ns_ = now;
     // Prefer the shard-thread stamp (it includes the queue wait) and fall
     // back to the read we just paid for.
     MaybeSampleIngest(tuples[0].ts, count,
@@ -497,7 +456,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
                            ingest_wall_ns != 0 ? ingest_wall_ns : now, count);
     }
   }
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kIngest);
+  PhaseScope prof_scope(prof_, WavePhase::kIngest);
   const bool null_source = operators_[source_op] == nullptr;
   int64_t max_ts = tuples[0].ts;
   for (size_t i = 1; i < count; ++i) max_ts = std::max(max_ts, tuples[i].ts);
@@ -514,8 +473,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
         StageIngress(source_op, group_index, t);
       } else {
         const KeyGroupId g = topology_->first_group(source_op) + group_index;
-        AppendRouted(&coordinator_, arena_.owner_of(g), source_op,
-                     group_index, g, &t, 1);
+        AppendRouted(arena_.owner_of(g), source_op, group_index, g, &t, 1);
         ++staged_tuples_;
       }
       if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
@@ -531,8 +489,8 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
     }
   } else {
     const KeyGroupId g = topology_->first_group(source_op) + group_index;
-    AppendRouted(&coordinator_, arena_.owner_of(g), source_op, group_index,
-                 g, tuples, count);
+    AppendRouted(arena_.owner_of(g), source_op, group_index, g, tuples,
+                 count);
     staged_tuples_ += static_cast<int64_t>(count);
   }
   if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
@@ -554,7 +512,7 @@ void LocalEngine::StageIngress(OperatorId op, int group_index,
     slot = static_cast<int32_t>(ingress_.size());
     ingress_slot_[g] = slot;
     ingress_.push_back(
-        PendingBatch{op, group_index, TupleBatch(AcquireVec(&coordinator_))});
+        PendingBatch{op, group_index, TupleBatch(AcquireVec())});
   }
   ingress_[slot].batch.push_back(tuple);
   ++staged_tuples_;
@@ -562,17 +520,16 @@ void LocalEngine::StageIngress(OperatorId op, int group_index,
 
 void LocalEngine::Flush() { DrainAll(); }
 
-std::vector<Tuple> LocalEngine::AcquireVec(WorkerContext* ctx) {
-  if (ctx->vec_pool.empty()) return {};
-  std::vector<Tuple> v = std::move(ctx->vec_pool.back());
-  ctx->vec_pool.pop_back();
+std::vector<Tuple> LocalEngine::AcquireVec() {
+  if (vec_pool_.empty()) return {};
+  std::vector<Tuple> v = std::move(vec_pool_.back());
+  vec_pool_.pop_back();
   v.clear();
   return v;
 }
 
-std::vector<Tuple> LocalEngine::AcquireVecFor(WorkerContext* ctx,
-                                              size_t first_run) {
-  std::vector<Tuple> v = AcquireVec(ctx);
+std::vector<Tuple> LocalEngine::AcquireVecFor(size_t first_run) {
+  std::vector<Tuple> v = AcquireVec();
   // With checkpointing on, the replay log keeps the delivered vectors, so
   // the pool often runs dry and fresh vectors would regrow by doubling on
   // every appended run — an extra pass over the whole stream. Reserving a
@@ -585,100 +542,65 @@ std::vector<Tuple> LocalEngine::AcquireVecFor(WorkerContext* ctx,
   return v;
 }
 
-void LocalEngine::ReleaseVec(WorkerContext* ctx, std::vector<Tuple>&& vec) {
+void LocalEngine::ReleaseVec(std::vector<Tuple>&& vec) {
   if (vec.capacity() == 0) return;  // taken by a replay log; nothing to keep
-  if (ctx->vec_pool.size() < 256) ctx->vec_pool.push_back(std::move(vec));
+  if (vec_pool_.size() < 256) vec_pool_.push_back(std::move(vec));
 }
 
-void LocalEngine::EnqueueMailbox(int mailbox, OperatorId op, int group_index,
-                                 std::vector<Tuple>&& tuples,
-                                 int64_t enqueue_ns) {
-  if (mailbox < 0) mailbox = 0;  // unassigned groups park on mailbox 0
+void LocalEngine::AppendRouted(NodeId node, OperatorId op, int group_index,
+                               KeyGroupId dst_global, const Tuple* data,
+                               size_t count) {
+  const int mailbox = node < 0 ? 0 : node;  // unassigned groups park on 0
   if (static_cast<size_t>(mailbox) >= mailboxes_.size()) {
     mailboxes_.resize(static_cast<size_t>(mailbox) + 1);
   }
-  mailboxes_[mailbox].push_back(
-      PendingBatch{op, group_index, TupleBatch(std::move(tuples)), enqueue_ns});
-}
-
-void LocalEngine::AppendRouted(WorkerContext* ctx, NodeId node, OperatorId op,
-                               int group_index, KeyGroupId dst_global,
-                               const Tuple* data, size_t count) {
-  const int mailbox = node < 0 ? 0 : node;
   // Look up the batch currently open for this destination group. Entries
-  // are validated (bounds + op/group/mailbox match), so a stale slot from a
+  // are validated (bounds + op/group match), so a stale slot from a
   // previous wave simply misses and a fresh batch is opened.
-  int32_t& slot = ctx->open_slot[dst_global];
-  if (ctx->direct) {
-    if (static_cast<size_t>(mailbox) >= mailboxes_.size()) {
-      mailboxes_.resize(static_cast<size_t>(mailbox) + 1);
-    }
-    std::vector<PendingBatch>& box = mailboxes_[mailbox];
-    if (slot >= 0 && static_cast<size_t>(slot) < box.size() &&
-        box[slot].op == op && box[slot].group_index == group_index &&
-        static_cast<int>(box[slot].batch.size()) < options_.max_batch_tuples) {
-      std::vector<Tuple>& dst = box[slot].batch.mutable_tuples();
-      dst.insert(dst.end(), data, data + count);
-      return;
-    }
+  std::vector<PendingBatch>& box = mailboxes_[mailbox];
+  int32_t& slot = open_slot_[dst_global];
+  if (slot < 0 || static_cast<size_t>(slot) >= box.size() ||
+      box[slot].op != op || box[slot].group_index != group_index ||
+      static_cast<int>(box[slot].batch.size()) >= options_.max_batch_tuples) {
     slot = static_cast<int32_t>(box.size());
     box.push_back(PendingBatch{op, group_index,
-                               TupleBatch(AcquireVecFor(ctx, count)),
-                               ctx->wall_cache_ns});
-    std::vector<Tuple>& dst = box.back().batch.mutable_tuples();
-    dst.insert(dst.end(), data, data + count);
-    return;
+                               TupleBatch(AcquireVecFor(count)),
+                               wall_cache_ns_});
   }
-  std::vector<std::pair<int, PendingBatch>>& out = ctx->outbox;
-  if (slot >= 0 && static_cast<size_t>(slot) < out.size() &&
-      out[slot].first == mailbox && out[slot].second.op == op &&
-      out[slot].second.group_index == group_index &&
-      static_cast<int>(out[slot].second.batch.size()) <
-          options_.max_batch_tuples) {
-    std::vector<Tuple>& dst = out[slot].second.batch.mutable_tuples();
-    dst.insert(dst.end(), data, data + count);
-    return;
-  }
-  slot = static_cast<int32_t>(out.size());
-  out.emplace_back(mailbox,
-                   PendingBatch{op, group_index,
-                                TupleBatch(AcquireVecFor(ctx, count)),
-                                ctx->wall_cache_ns});
-  std::vector<Tuple>& dst = out.back().second.batch.mutable_tuples();
+  std::vector<Tuple>& dst = box[slot].batch.mutable_tuples();
   dst.insert(dst.end(), data, data + count);
 }
 
-void LocalEngine::SendRouted(WorkerContext* ctx, OperatorId to_op,
-                             int target_group, KeyGroupId src_global,
-                             NodeId src_node, const Tuple* data,
-                             size_t count) {
+void LocalEngine::SendRouted(OperatorId to_op, int target_group,
+                             KeyGroupId src_global, NodeId src_node,
+                             const Tuple* data, size_t count) {
   const KeyGroupId dst_global = topology_->first_group(to_op) + target_group;
   const double n = static_cast<double>(count);
-  ctx->stats->comm.Add(src_global, dst_global, n);
+  period_.comm.Add(src_global, dst_global, n);
   const NodeId dst_node = arena_.owner_of(dst_global);
   if (src_node != dst_node && src_node != kInvalidNode &&
       dst_node != kInvalidNode) {
-    EnsureNodeSlot(&ctx->stats->node_work, src_node);
-    EnsureNodeSlot(&ctx->stats->node_work, dst_node);
-    ctx->stats->node_work[src_node] += options_.serde_cost * n;
-    ctx->stats->node_work[dst_node] += options_.serde_cost * n;
+    EnsureNodeSlot(&period_.node_work, src_node);
+    EnsureNodeSlot(&period_.node_work, dst_node);
+    period_.node_work[src_node] += options_.serde_cost * n;
+    period_.node_work[dst_node] += options_.serde_cost * n;
   }
-  AppendRouted(ctx, dst_node, to_op, target_group, dst_global, data, count);
+  AppendRouted(dst_node, to_op, target_group, dst_global, data, count);
 }
 
-void LocalEngine::FlushBuckets(WorkerContext* ctx, OperatorId to_op,
-                               KeyGroupId src_global, NodeId src_node) {
-  for (const int target : ctx->touched) {
-    std::vector<Tuple>& bucket = ctx->buckets[target];
-    SendRouted(ctx, to_op, target, src_global, src_node, bucket.data(),
+void LocalEngine::FlushBuckets(OperatorId to_op, KeyGroupId src_global,
+                               NodeId src_node) {
+  for (const int target : route_touched_) {
+    std::vector<Tuple>& bucket = route_buckets_[target];
+    SendRouted(to_op, target, src_global, src_node, bucket.data(),
                bucket.size());
     bucket.clear();
   }
-  ctx->touched.clear();
+  route_touched_.clear();
 }
 
-void LocalEngine::RouteBatch(WorkerContext* ctx, OperatorId from_op,
-                             int from_group, const TupleBatch& batch) {
+void LocalEngine::RouteBatch(OperatorId from_op, int from_group,
+                             const TupleBatch& batch) {
   if (batch.empty()) return;
   const KeyGroupId src_global = topology_->first_group(from_op) + from_group;
   const NodeId src_node = arena_.owner_of(src_global);
@@ -688,8 +610,8 @@ void LocalEngine::RouteBatch(WorkerContext* ctx, OperatorId from_op,
       case PartitioningPattern::kOneToOne:
       case PartitioningPattern::kPartialMerge: {
         const int target = from_group % down_groups;
-        SendRouted(ctx, e.to, target, src_global, src_node,
-                   batch.tuples().data(), batch.size());
+        SendRouted(e.to, target, src_global, src_node, batch.tuples().data(),
+                   batch.size());
         break;
       }
       case PartitioningPattern::kPartialPartitioning:
@@ -699,24 +621,23 @@ void LocalEngine::RouteBatch(WorkerContext* ctx, OperatorId from_op,
         // one go: comm/serde accounting and mailbox pushes amortize over
         // the bucket instead of costing per tuple. Buckets keep their
         // capacity across batches.
-        if (static_cast<int>(ctx->buckets.size()) < down_groups) {
-          ctx->buckets.resize(static_cast<size_t>(down_groups));
+        if (static_cast<int>(route_buckets_.size()) < down_groups) {
+          route_buckets_.resize(static_cast<size_t>(down_groups));
         }
         for (const Tuple& t : batch) {
           const int target = RouteKey(t.key, down_groups);
-          if (ctx->buckets[target].empty()) ctx->touched.push_back(target);
-          ctx->buckets[target].push_back(t);
+          if (route_buckets_[target].empty()) route_touched_.push_back(target);
+          route_buckets_[target].push_back(t);
         }
-        FlushBuckets(ctx, e.to, src_global, src_node);
+        FlushBuckets(e.to, src_global, src_node);
         break;
       }
     }
   }
 }
 
-void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
-                               int group_index, TupleBatch* batch_ptr,
-                               int64_t enqueue_ns) {
+void LocalEngine::DeliverBatch(OperatorId op, int group_index,
+                               TupleBatch* batch_ptr, int64_t enqueue_ns) {
   const TupleBatch& batch = *batch_ptr;
   if (batch.empty()) return;
   const KeyGroupId g = topology_->first_group(op) + group_index;
@@ -727,9 +648,8 @@ void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
     // and lease migrations skip the buffer entirely: the group processes
     // live at the owner the routing currently names, and the stamp/flip at
     // the next wave barrier is what changes that name.
-    std::lock_guard<std::mutex> lock(migration_buffer_mu_);
     for (const Tuple& t : batch) mig.buffer.push_back(t);
-    ctx->stats->tuples_buffered += static_cast<int64_t>(batch.size());
+    period_.tuples_buffered += static_cast<int64_t>(batch.size());
     return;
   }
   ALBIC_TRACE_SPAN2("engine", "op.batch", "op", op, "tuples",
@@ -738,12 +658,12 @@ void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
   // here instead of the enclosing phase (wave barrier, ingest, ...), and
   // the per-group attribution gets the same window. Manual switch rather
   // than PhaseScope so the elapsed value feeds group_service_ns.
-  const bool prof = ctx->prof != nullptr;
+  const bool prof = prof_ != nullptr;
   int64_t p0_ns = 0;
   WavePhase prof_prev = WavePhase::kIdle;
   if (prof) {
     p0_ns = ProfilerNowNs();
-    prof_prev = ctx->prof->SwitchTo(WavePhase::kService, p0_ns);
+    prof_prev = prof_->SwitchTo(WavePhase::kService, p0_ns);
   }
   // Telemetry: one clock read covers both the mailbox queueing delay
   // (enqueue stamp -> here) and the start of the service-time window.
@@ -752,12 +672,12 @@ void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
   int64_t batch_last_ts = 0;
   if (telemetry_) {
     t0_ns = NowNs();
-    ctx->wall_cache_ns = t0_ns;  // fresh stamp for batches routed from here
+    wall_cache_ns_ = t0_ns;  // fresh stamp for batches routed from here
     if (enqueue_ns > 0) {
-      ctx->stats->latency.queue_us.Record((t0_ns - enqueue_ns) / 1000);
+      period_.latency.queue_us.Record((t0_ns - enqueue_ns) / 1000);
       // Per-group accumulation feeds the measured-cost model's queue-delay
       // trend (engine/cost_model.h); fractional us, like the service sums.
-      GroupLatency& gl = ctx->stats->latency.group_service[g];
+      GroupLatency& gl = period_.latency.group_service[g];
       gl.queue_sum_us += static_cast<double>(t0_ns - enqueue_ns) / 1000.0;
       ++gl.queue_batches;
     }
@@ -767,10 +687,10 @@ void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
   const NodeId node = arena_.owner_of(g);
   const double cost = topology_->op(op).cost_per_tuple;
   const double n = static_cast<double>(batch.size());
-  ctx->stats->group_work[g] += cost * n;
-  EnsureNodeSlot(&ctx->stats->node_work, node);
-  if (node != kInvalidNode) ctx->stats->node_work[node] += cost * n;
-  ctx->stats->tuples_processed += static_cast<int64_t>(batch.size());
+  period_.group_work[g] += cost * n;
+  EnsureNodeSlot(&period_.node_work, node);
+  if (node != kInvalidNode) period_.node_work[node] += cost * n;
+  period_.tuples_processed += static_cast<int64_t>(batch.size());
   if (operators_[op] != nullptr) {
     const std::vector<StreamEdge>& down = downstream_[op];
     if (down.size() == 1 &&
@@ -779,14 +699,14 @@ void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
       // Single partitioning edge: emitted tuples scatter straight into the
       // route buckets, skipping the intermediate staging pass.
       const int down_groups = topology_->op(down[0].to).num_key_groups;
-      if (static_cast<int>(ctx->buckets.size()) < down_groups) {
-        ctx->buckets.resize(static_cast<size_t>(down_groups));
+      if (static_cast<int>(route_buckets_.size()) < down_groups) {
+        route_buckets_.resize(static_cast<size_t>(down_groups));
       }
-      ScatterEmitter emitter(ctx, down_groups);
+      ScatterEmitter emitter(this, down_groups);
       operators_[op]->ProcessBatch(batch, group_index, &emitter);
       if (telemetry_) {
         const int64_t t1_ns =
-            RecordBatchLatency(ctx, op, g, batch_tuples, batch_last_ts, t0_ns);
+            RecordBatchLatency(op, g, batch_tuples, batch_last_ts, t0_ns);
         if (journeys_.enabled()) {
           // Window-fire aggregates carry ts = 0; claim against the
           // event-time frontier instead (same fallback RecordBatchLatency
@@ -800,20 +720,20 @@ void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
       // Steal the consumed batch into the replay log (zero-copy logging);
       // after this the batch is empty and must not be read again.
       if (checkpointer_ != nullptr) LogDeliveredBatch(g, batch_ptr);
-      FlushBuckets(ctx, down[0].to, g, node);
+      FlushBuckets(down[0].to, g, node);
       if (prof) {
         const int64_t p1_ns = ProfilerNowNs();
-        ctx->prof->SwitchTo(prof_prev, p1_ns);
-        ctx->stats->phases.group_service_ns[g] += p1_ns - p0_ns;
+        prof_->SwitchTo(prof_prev, p1_ns);
+        period_.phases.group_service_ns[g] += p1_ns - p0_ns;
       }
       return;
     }
-    ctx->emitted.clear();
-    BatchEmitter emitter(&ctx->emitted);
+    emitted_.clear();
+    BatchEmitter emitter(&emitted_);
     operators_[op]->ProcessBatch(batch, group_index, &emitter);
     if (telemetry_) {
       const int64_t t1_ns =
-          RecordBatchLatency(ctx, op, g, batch_tuples, batch_last_ts, t0_ns);
+          RecordBatchLatency(op, g, batch_tuples, batch_last_ts, t0_ns);
       if (journeys_.enabled()) {
         // ts = 0 window aggregates: see the scatter path above.
         journeys_.OnBatchDelivered(
@@ -822,57 +742,32 @@ void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
       }
     }
     if (checkpointer_ != nullptr) LogDeliveredBatch(g, batch_ptr);
-    RouteBatch(ctx, op, group_index, ctx->emitted);
+    RouteBatch(op, group_index, emitted_);
   } else {
-    RouteBatch(ctx, op, group_index, batch);
+    RouteBatch(op, group_index, batch);
   }
   if (prof) {
     const int64_t p1_ns = ProfilerNowNs();
-    ctx->prof->SwitchTo(prof_prev, p1_ns);
-    ctx->stats->phases.group_service_ns[g] += p1_ns - p0_ns;
+    prof_->SwitchTo(prof_prev, p1_ns);
+    period_.phases.group_service_ns[g] += p1_ns - p0_ns;
   }
 }
 
 void LocalEngine::RunWave(std::vector<std::vector<PendingBatch>>* wave) {
-  ALBIC_TRACE_SPAN1("engine", "wave", "workers", options_.num_workers);
-  if (options_.num_workers == 1) {
-    for (std::vector<PendingBatch>& box : *wave) {
-      for (PendingBatch& pb : box) {
-        DeliverBatch(&coordinator_, pb.op, pb.group_index, &pb.batch,
-                     pb.enqueue_ns);
-        ReleaseVec(&coordinator_, std::move(pb.batch.mutable_tuples()));
-      }
+  ALBIC_TRACE_SPAN("engine", "wave");
+  for (std::vector<PendingBatch>& box : *wave) {
+    for (PendingBatch& pb : box) {
+      DeliverBatch(pb.op, pb.group_index, &pb.batch, pb.enqueue_ns);
+      ReleaseVec(std::move(pb.batch.mutable_tuples()));
     }
-    return;
-  }
-  const int workers = options_.num_workers;
-  pool_->Run([&](int w) {
-    WorkerContext& ctx = worker_ctx_[static_cast<size_t>(w)];
-    for (size_t node = 0; node < wave->size(); ++node) {
-      if (static_cast<int>(node % static_cast<size_t>(workers)) != w) continue;
-      for (PendingBatch& pb : (*wave)[node]) {
-        DeliverBatch(&ctx, pb.op, pb.group_index, &pb.batch, pb.enqueue_ns);
-        ReleaseVec(&ctx, std::move(pb.batch.mutable_tuples()));
-      }
-    }
-  });
-  // Merge outboxes on the coordinator, in worker order: deterministic for a
-  // fixed worker count, and no locking on the shared mailboxes.
-  for (WorkerContext& ctx : worker_ctx_) {
-    for (std::pair<int, PendingBatch>& item : ctx.outbox) {
-      EnqueueMailbox(item.first, item.second.op, item.second.group_index,
-                     std::move(item.second.batch.mutable_tuples()),
-                     item.second.enqueue_ns);
-    }
-    ctx.outbox.clear();
   }
 }
 
 void LocalEngine::DrainAll() {
-  // Drain time that is not operator service (mailbox collection, the pool
-  // barrier, outbox merges) charges to the wave-barrier phase; DeliverBatch
+  // Drain time that is not operator service (mailbox collection, the
+  // null-source fan-out) charges to the wave-barrier phase; DeliverBatch
   // carves its service time out of it.
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kWaveBarrier);
+  PhaseScope prof_scope(prof_, WavePhase::kWaveBarrier);
   std::vector<std::vector<PendingBatch>> wave;
   for (;;) {
     staged_tuples_ = 0;
@@ -884,8 +779,8 @@ void LocalEngine::DrainAll() {
       for (const KeyGroupId g : ingress_used_) ingress_slot_[g] = -1;
       ingress_used_.clear();
       for (PendingBatch& pb : ingress) {
-        RouteBatch(&coordinator_, pb.op, pb.group_index, pb.batch);
-        ReleaseVec(&coordinator_, std::move(pb.batch.mutable_tuples()));
+        RouteBatch(pb.op, pb.group_index, pb.batch);
+        ReleaseVec(std::move(pb.batch.mutable_tuples()));
       }
     }
     bool any = false;
@@ -908,8 +803,8 @@ void LocalEngine::DrainAll() {
       wave[n].swap(mailboxes_[n]);
     }
     RunWave(&wave);
-    // Between worker waves every operator is quiescent and each group's
-    // log matches its state — the safe point for asynchronous incremental
+    // Between waves every operator is quiescent and each group's log
+    // matches its state — the safe point for asynchronous incremental
     // checkpoints (no global drain or alignment required). The same
     // quiescence is the epoch boundary: pending kEpoch migrations stamp
     // here, transfer in the background, and flip routing before the next
@@ -917,79 +812,8 @@ void LocalEngine::DrainAll() {
     if (!flip_pending_.empty()) StampEpochBoundaries();
     if (checkpointer_ != nullptr) checkpointer_->OnSafePoint(this);
   }
-  // Fold the workers' period contributions into the engine's stats.
-  for (WorkerContext& ctx : worker_ctx_) MergeStats(&period_, &ctx.local);
-  if (prof_enabled_ && !worker_prof_.empty()) {
-    // Fold the pool workers' phase charges (their idle is pool wait, not
-    // engine time — dropped). Worker 0 shares the driving accumulator and
-    // needs no flush. Safe here: the pool joined, so no accumulator is
-    // concurrently written.
-    const int64_t now = ProfilerNowNs();
-    for (size_t w = 1; w < worker_prof_.size(); ++w) {
-      worker_prof_[w].FlushNonIdleInto(&period_.phases, now);
-    }
-  }
-  // Between waves the driving thread is the only mutator: sweep completed
-  // journeys into the period's worst-N.
+  // Sweep the journeys completed by this drain into the period's worst-N.
   if (journeys_.enabled()) journeys_.Sweep(&period_.journeys);
-}
-
-void LocalEngine::MergeStats(EnginePeriodStats* into,
-                             EnginePeriodStats* from) {
-  for (size_t g = 0; g < from->group_work.size(); ++g) {
-    into->group_work[g] += from->group_work[g];
-    from->group_work[g] = 0.0;
-  }
-  if (into->node_work.size() < from->node_work.size()) {
-    into->node_work.resize(from->node_work.size(), 0.0);
-  }
-  for (size_t n = 0; n < from->node_work.size(); ++n) {
-    into->node_work[n] += from->node_work[n];
-    from->node_work[n] = 0.0;
-  }
-  for (KeyGroupId g = 0; g < from->comm.num_groups(); ++g) {
-    for (const CommMatrix::Entry& e : from->comm.row(g)) {
-      into->comm.Add(g, e.to, e.rate);
-    }
-  }
-  from->comm.Clear();
-  if (into->shard_ingested.size() < from->shard_ingested.size()) {
-    into->shard_ingested.resize(from->shard_ingested.size(), 0);
-  }
-  for (size_t s = 0; s < from->shard_ingested.size(); ++s) {
-    into->shard_ingested[s] += from->shard_ingested[s];
-    from->shard_ingested[s] = 0;
-  }
-  into->latency.MergeFrom(&from->latency);
-  into->phases.MergeFrom(&from->phases);
-  if (!from->journeys.empty()) {
-    for (CompletedJourney& j : from->journeys) {
-      into->journeys.push_back(std::move(j));
-    }
-    from->journeys.clear();
-  }
-  into->tuples_processed += from->tuples_processed;
-  into->tuples_buffered += from->tuples_buffered;
-  into->migration_pause_us += from->migration_pause_us;
-  into->checkpoints_taken += from->checkpoints_taken;
-  into->checkpoint_bytes += from->checkpoint_bytes;
-  into->tuples_replayed += from->tuples_replayed;
-  into->groups_recovered += from->groups_recovered;
-  into->epoch_transfer_bytes += from->epoch_transfer_bytes;
-  into->waves += from->waves;
-  if (from->mailbox_highwater > into->mailbox_highwater) {
-    into->mailbox_highwater = from->mailbox_highwater;
-  }
-  from->epoch_transfer_bytes = 0;
-  from->waves = 0;
-  from->mailbox_highwater = 0;
-  from->tuples_processed = 0;
-  from->tuples_buffered = 0;
-  from->migration_pause_us = 0.0;
-  from->checkpoints_taken = 0;
-  from->checkpoint_bytes = 0;
-  from->tuples_replayed = 0;
-  from->groups_recovered = 0;
 }
 
 void LocalEngine::MaybeFireWindows(int64_t new_time) {
@@ -1002,7 +826,7 @@ void LocalEngine::MaybeFireWindows(int64_t new_time) {
     return;
   }
   if (new_time - last_window_us_ < options_.window_every_us) return;
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kWindow);
+  PhaseScope prof_scope(prof_, WavePhase::kWindow);
   // Complete all in-flight work before closing the window, so it closes
   // over every tuple that arrived before the boundary.
   DrainAll();
@@ -1015,10 +839,10 @@ void LocalEngine::MaybeFireWindows(int64_t new_time) {
         const KeyGroupId g = topology_->first_group(op) + gi;
         if (migrating_[g].lost) continue;  // nothing to fire; see FailNode
         if (checkpointer_ != nullptr) LogWindowFire(g);
-        coordinator_.emitted.clear();
-        BatchEmitter emitter(&coordinator_.emitted);
+        emitted_.clear();
+        BatchEmitter emitter(&emitted_);
         operators_[op]->OnWindow(gi, &emitter);
-        RouteBatch(&coordinator_, op, gi, coordinator_.emitted);
+        RouteBatch(op, gi, emitted_);
       }
       // Cascade fully before the next operator's same-boundary window
       // closes (the topological-order guarantee the jobs rely on).
@@ -1212,14 +1036,14 @@ void LocalEngine::DrainMigrationBuffer(KeyGroupId group) {
     TupleBatch batch;
     batch.reserve(buffered.size());
     for (const Tuple& t : buffered) batch.push_back(t);
-    DeliverBatch(&coordinator_, op, local, &batch);
+    DeliverBatch(op, local, &batch);
   }
   DrainAll();
 }
 
 void LocalEngine::StampEpochBoundaries() {
   if (flip_pending_.empty()) return;
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kMigration);
+  PhaseScope prof_scope(prof_, WavePhase::kMigration);
   std::vector<KeyGroupId> pending;
   pending.swap(flip_pending_);
   for (const KeyGroupId g : pending) {
@@ -1257,7 +1081,7 @@ void LocalEngine::StampEpochBoundaries() {
 }
 
 Result<double> LocalEngine::FinishMigration(KeyGroupId group) {
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kMigration);
+  PhaseScope prof_scope(prof_, WavePhase::kMigration);
   MigrationState& mig = migrating_[group];
   if (!mig.active) {
     return Status::InvalidArgument("group is not migrating");
@@ -1333,7 +1157,7 @@ Status LocalEngine::FailNode(NodeId node) {
         "unrecoverable");
   }
   ALBIC_TRACE_INSTANT("recovery", "node.failed");
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kRecovery);
+  PhaseScope prof_scope(prof_, WavePhase::kRecovery);
   for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
     const MigrationState& mig = migrating_[g];
     if (arena_.owner_of(g) == node) {
@@ -1370,7 +1194,7 @@ Result<GroupRecovery> LocalEngine::RecoverGroup(KeyGroupId group, NodeId to) {
     return Status::InvalidArgument("recovery target node not active");
   }
   ALBIC_TRACE_SPAN2("recovery", "recovery.group", "group", group, "to", to);
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kRecovery);
+  PhaseScope prof_scope(prof_, WavePhase::kRecovery);
   // The state was cleared when the group was lost, so the chain is the
   // only source, and the whole rebuild is paused on: restore + replay.
   Rebuild rebuilt;
@@ -1533,7 +1357,7 @@ Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups() {
   CheckpointStore* store = checkpointer_->store();
   CheckpointRoundResult result;
   ALBIC_TRACE_SPAN("checkpoint", "checkpoint.round");
-  PhaseScope prof_scope(coordinator_.prof, WavePhase::kCheckpoint);
+  PhaseScope prof_scope(prof_, WavePhase::kCheckpoint);
   for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
     if (group_dirty_[g] == 0) continue;
     const OperatorId op = topology_->group_operator(g);
@@ -1584,18 +1408,16 @@ Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups() {
       result.delta_bytes += static_cast<int64_t>(state.size());
     }
     // Truncate the covered prefix; fully consumed chunk vectors go back to
-    // the coordinator's pool, closing the zero-copy loop (mailbox batch ->
-    // log chunk -> pool -> mailbox batch).
+    // the vector pool, closing the zero-copy loop (mailbox batch -> log
+    // chunk -> pool -> mailbox batch).
     freed_chunks_.clear();
     group_logs_[g].TruncateBefore(seq, &freed_chunks_);
-    for (std::vector<Tuple>& vec : freed_chunks_) {
-      ReleaseVec(&coordinator_, std::move(vec));
-    }
+    for (std::vector<Tuple>& vec : freed_chunks_) ReleaseVec(std::move(vec));
     group_dirty_[g] = 0;
     ++result.groups;
     result.bytes += static_cast<int64_t>(state.size());
   }
-  log_overflow_.store(false, std::memory_order_relaxed);
+  log_overflow_ = false;
   ++checkpoint_epoch_;
   CheckpointManifest manifest;
   manifest.epoch = checkpoint_epoch_;
@@ -1633,11 +1455,10 @@ int64_t LocalEngine::ReplayLogSuffix(KeyGroupId g, uint64_t from_seq) {
 
 EnginePeriodStats LocalEngine::HarvestPeriod() {
   DrainAll();
-  if (prof_enabled_) {
+  if (prof_ != nullptr) {
     // Close the period's phase accounting: charge the driving thread's
     // open phase up to now and stamp the measured wall time the breakdown
-    // is checked against. Worker accumulators were already folded at the
-    // drain barrier above.
+    // is checked against.
     const int64_t now = ProfilerNowNs();
     prof_acc_.FlushInto(&period_.phases, now);
     period_.phases.wall_ns = now - period_start_wall_ns_;
@@ -1659,7 +1480,7 @@ EnginePeriodStats LocalEngine::HarvestPeriod() {
     period_.latency.EnableFor(topology_->num_operators(),
                               topology_->num_key_groups());
   }
-  if (prof_enabled_) {
+  if (prof_ != nullptr) {
     period_.phases.EnableFor(
         static_cast<size_t>(topology_->num_key_groups()));
   }

@@ -9,11 +9,8 @@
 /// migration plus checkpoint-based failure recovery — all five as one
 /// rebuild step plus one cutover step.
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -33,7 +30,6 @@
 #include "engine/state_arena.h"
 #include "engine/topology.h"
 #include "engine/tuple.h"
-#include "engine/worker_pool.h"
 
 namespace albic::engine {
 
@@ -44,8 +40,7 @@ struct CheckpointInfo;
 /// the only one; the enum remains for callers that still name it.
 enum class ExecutionMode {
   /// Routed tuples are staged into per-(simulated-)node mailboxes and
-  /// drained in TupleBatch units by a worker pool. num_workers = 1 runs the
-  /// same wave schedule inline on the calling thread.
+  /// drained in TupleBatch units, wave by wave, on the calling thread.
   kBatched,
 };
 
@@ -59,9 +54,7 @@ struct LocalEngineOptions {
   int64_t window_every_us = 60LL * 1000 * 1000;
   /// Unread: kBatched is the only execution mode.
   ExecutionMode mode = ExecutionMode::kBatched;
-  /// Worker threads draining node mailboxes. Worker w owns the mailboxes of
-  /// nodes with id % num_workers == w; 1 means no threads are spawned and
-  /// execution is deterministic.
+  /// Unread: the driving thread drains every wave.
   int num_workers = 1;
   /// Injected tuples buffered before the pipeline is drained; also caps the
   /// size of one TupleBatch. Larger batches amortize routing and statistics
@@ -78,11 +71,10 @@ struct LocalEngineOptions {
   /// Wave-phase profiling: decompose the driving thread's wall time into
   /// phases — ingest routing, per-(operator, key-group) service,
   /// wave-barrier coordination, window fires, checkpoint rounds, migration
-  /// stalls, recovery, idle — folded across workers at wave barriers and
-  /// harvested as EnginePeriodStats::phases. Like latency telemetry,
-  /// profiling observes and never steers: outputs are bit-identical on or
-  /// off, and off costs one predictable branch per instrumented site (no
-  /// clock reads).
+  /// stalls, recovery, idle — harvested as EnginePeriodStats::phases. Like
+  /// latency telemetry, profiling observes and never steers: outputs are
+  /// bit-identical on or off, and off costs one predictable branch per
+  /// instrumented site (no clock reads).
   bool profile_wave_phases = false;
   /// Sampled per-tuple journeys (requires latency_sample_every > 0, whose
   /// ingest stamps the journeys extend): start one causal journey record
@@ -134,12 +126,12 @@ struct EnginePeriodStats {
   int64_t mailbox_highwater = 0;
   /// Latency telemetry of the period (empty unless the engine runs with
   /// latency_sample_every > 0): end-to-end, queueing-delay and per-operator
-  /// service-time histograms, merged across workers at wave boundaries.
+  /// service-time histograms.
   LatencyPeriodStats latency;
   /// Wave-phase wall-time decomposition of the period (empty unless the
   /// engine runs with profile_wave_phases): per-phase nanoseconds, the
   /// measured wall time they are checked against, and per-group service
-  /// attribution. Merged across workers at wave boundaries.
+  /// attribution.
   PhaseBreakdown phases;
   /// Worst-N sampled journeys completed this period (empty unless the
   /// engine runs with journey_sample_every > 0): per-hop queue/service
@@ -209,14 +201,12 @@ struct MigrationPauseEstimate {
 /// Injected tuples stage into per-(operator, key-group) TupleBatches; a
 /// drain processes them in waves — each wave takes the current node
 /// mailboxes, delivers their batches (ProcessBatch), and routes the emitted
-/// tuples into next-wave mailboxes. With num_workers > 1 the nodes of a
-/// wave are split across a worker pool; per-worker stats and outboxes are
-/// merged at the wave barrier in worker order, so results are
-/// deterministic for a fixed worker count. Tuple order is preserved per
-/// (source group -> destination group) stream, the guarantee key-group
-/// parallelism gives (§3). Statistics and operator state match a
-/// synchronous depth-first cascade of the same input bit for bit
-/// (tests/engine/reference_cascade.h is that oracle).
+/// tuples into next-wave mailboxes. The driving thread runs every wave, so
+/// execution is deterministic. Tuple order is preserved per (source group
+/// -> destination group) stream, the guarantee key-group parallelism gives
+/// (§3). Statistics and operator state match a synchronous depth-first
+/// cascade of the same input bit for bit (tests/engine/reference_cascade.h
+/// is that oracle).
 ///
 /// Migrations and cluster changes must be performed from the driving thread
 /// between injections; a migration started while batches are in flight
@@ -343,7 +333,7 @@ class LocalEngine {
 
   /// \brief Attaches the checkpoint subsystem: every delivery (and window
   /// firing) is recorded in per-group replay logs, dirty groups are
-  /// tracked, and \p coordinator is invoked at safe points (between worker
+  /// tracked, and \p coordinator is invoked at safe points (between
   /// waves) to take periodic incremental checkpoints. An initial full
   /// checkpoint of all operator groups is taken immediately so "latest
   /// checkpoint + logged suffix = live state" holds from the start.
@@ -360,9 +350,7 @@ class LocalEngine {
 
   /// \brief True when some group's replay log outgrew the coordinator's
   /// soft bound since the last checkpoint round (forces the next round).
-  bool replay_log_overflowed() const {
-    return log_overflow_.load(std::memory_order_relaxed);
-  }
+  bool replay_log_overflowed() const { return log_overflow_; }
 
   /// \brief Drops a node abruptly: the cluster keeps the node id but the
   /// state of every key group on it is lost (cleared), and the groups
@@ -404,7 +392,7 @@ class LocalEngine {
   bool latency_telemetry_enabled() const { return telemetry_; }
 
   /// \brief Wave-phase profiling active (profile_wave_phases)?
-  bool phase_profiling_enabled() const { return prof_enabled_; }
+  bool phase_profiling_enabled() const { return prof_ != nullptr; }
 
   /// \brief Journey sampling active (journey_sample_every > 0, telemetry
   /// on)?
@@ -476,53 +464,17 @@ class LocalEngine {
     OperatorId op = 0;
     int group_index = 0;
     TupleBatch batch;
-    /// Wall-clock enqueue instant (telemetry only; 0 = unstamped). Carried
-    /// through the outbox merge so queueing delay spans enqueue to dequeue.
+    /// Wall-clock enqueue instant (telemetry only; 0 = unstamped), so
+    /// queueing delay spans enqueue to dequeue.
     int64_t enqueue_ns = 0;
-  };
-
-  /// Per-worker execution state. The coordinator context writes directly
-  /// into period_ / mailboxes_; pool workers accumulate locally and are
-  /// merged at the wave barrier.
-  struct WorkerContext {
-    EnginePeriodStats* stats = nullptr;
-    EnginePeriodStats local;
-    bool direct = false;  ///< Enqueue straight into the engine's mailboxes.
-    std::vector<std::pair<int, PendingBatch>> outbox;  ///< (mailbox, batch)
-    std::vector<std::vector<Tuple>> buckets;  ///< Route scratch per dst group.
-    std::vector<int> touched;                 ///< Buckets in use.
-    TupleBatch emitted;                       ///< ProcessBatch staging.
-    /// Free-list of tuple vectors: batches consumed by this worker return
-    /// here and their capacity is reused, keeping the hot path allocation
-    /// free once warmed up.
-    std::vector<std::vector<Tuple>> vec_pool;
-    /// Global group -> index of the batch currently open for appends in
-    /// this context's staging area (mailboxes_ when direct, outbox
-    /// otherwise). Validated before use, so stale entries self-heal; lets
-    /// routed tuples coalesce across all source batches of a wave.
-    std::vector<int32_t> open_slot;
-    /// Telemetry: cached wall clock used to stamp batches at enqueue.
-    /// Refreshed at every batch delivery and ingest entry point, so stamps
-    /// are at most one delivery stale — far below the queueing delays they
-    /// measure — at a third of the clock reads.
-    int64_t wall_cache_ns = 0;
-    /// Wave-phase profiling: the accumulator this context charges service
-    /// time to. Worker 0 (the calling thread) shares the engine's driving
-    /// accumulator so its service carves out of the wave-barrier phase;
-    /// workers > 0 own one each, flushed at the drain's merge point. Null
-    /// when profiling is off (PhaseScope is inert on null).
-    PhaseAccumulator* prof = nullptr;
   };
 
   // --- checkpointing helpers ---
   /// Marks a group dirty after a log append and raises the overflow flag
-  /// when its log outgrew the coordinator's soft bound. Called from
-  /// whichever thread owns the group's node (per-group exclusive).
+  /// when its log outgrew the coordinator's soft bound.
   void MarkLogged(KeyGroupId g) {
     group_dirty_[g] = 1;
-    if (group_logs_[g].size() > max_log_entries_) {
-      log_overflow_.store(true, std::memory_order_relaxed);
-    }
+    if (group_logs_[g].size() > max_log_entries_) log_overflow_ = true;
   }
   /// Zero-copy append of a delivered batch: the log takes the batch's
   /// vector (the unit of delivery), so logging adds no second copy of the
@@ -594,13 +546,12 @@ class LocalEngine {
   /// event time (late tuples never roll the frontier back).
   void MaybeSampleIngest(int64_t ts, size_t count, int64_t wall_ns);
   /// Newest ingestion sample with event_ts <= \p ts; false when none.
-  /// Read-only during waves, so workers may call it concurrently.
   bool LookupIngestSample(int64_t ts, IngestSample* out) const;
   /// Records service time (and, for sink operators, end-to-end latency)
   /// of a batch that started processing at \p t0_ns. Returns the service
   /// end wall stamp, so journey hops reuse the clock read.
-  int64_t RecordBatchLatency(WorkerContext* ctx, OperatorId op, KeyGroupId g,
-                             size_t tuples, int64_t last_ts, int64_t t0_ns);
+  int64_t RecordBatchLatency(OperatorId op, KeyGroupId g, size_t tuples,
+                             int64_t last_ts, int64_t t0_ns);
   /// Tuples held in a migration/recovery buffer sat out the modeled pause;
   /// account it as their end-to-end latency (the single-process runtime
   /// cannot make the inter-node transfer take real wall time).
@@ -616,25 +567,19 @@ class LocalEngine {
   /// the batch's vector may be moved into the group's replay log, leaving
   /// \p batch empty on return. \p enqueue_ns is the mailbox enqueue stamp
   /// (telemetry; 0 when the batch never sat in a mailbox).
-  void DeliverBatch(WorkerContext* ctx, OperatorId op, int group_index,
-                    TupleBatch* batch, int64_t enqueue_ns = 0);
-  void RouteBatch(WorkerContext* ctx, OperatorId from_op, int from_group,
-                  const TupleBatch& batch);
-  void SendRouted(WorkerContext* ctx, OperatorId to_op, int target_group,
-                  KeyGroupId src_global, NodeId src_node, const Tuple* data,
-                  size_t count);
-  void FlushBuckets(WorkerContext* ctx, OperatorId to_op, KeyGroupId src_global,
-                    NodeId src_node);
-  void AppendRouted(WorkerContext* ctx, NodeId node, OperatorId op,
-                    int group_index, KeyGroupId dst_global, const Tuple* data,
-                    size_t count);
-  void EnqueueMailbox(int mailbox, OperatorId op, int group_index,
-                      std::vector<Tuple>&& tuples, int64_t enqueue_ns = 0);
-  std::vector<Tuple> AcquireVec(WorkerContext* ctx);
+  void DeliverBatch(OperatorId op, int group_index, TupleBatch* batch,
+                    int64_t enqueue_ns = 0);
+  void RouteBatch(OperatorId from_op, int from_group, const TupleBatch& batch);
+  void SendRouted(OperatorId to_op, int target_group, KeyGroupId src_global,
+                  NodeId src_node, const Tuple* data, size_t count);
+  void FlushBuckets(OperatorId to_op, KeyGroupId src_global, NodeId src_node);
+  void AppendRouted(NodeId node, OperatorId op, int group_index,
+                    KeyGroupId dst_global, const Tuple* data, size_t count);
+  std::vector<Tuple> AcquireVec();
   /// AcquireVec for a batch opening with a run of \p first_run tuples:
   /// pre-reserves capacity when checkpointing has drained the pool.
-  std::vector<Tuple> AcquireVecFor(WorkerContext* ctx, size_t first_run);
-  static void ReleaseVec(WorkerContext* ctx, std::vector<Tuple>&& vec);
+  std::vector<Tuple> AcquireVecFor(size_t first_run);
+  void ReleaseVec(std::vector<Tuple>&& vec);
   /// Closes every window boundary up to \p new_time: drains, then fires
   /// each operator's groups in topological order, draining the emissions
   /// before the next operator fires.
@@ -646,7 +591,6 @@ class LocalEngine {
            (!time_initialized_ ||
             ts - last_window_us_ >= options_.window_every_us);
   }
-  static void MergeStats(EnginePeriodStats* into, EnginePeriodStats* from);
 
   // --- metrics publishing (inert when options_.metrics is null) ---
   /// Registry series the engine publishes, resolved once at construction so
@@ -674,7 +618,6 @@ class LocalEngine {
     CounterMetric* migration_bytes[kNumMigrationModes] = {};
     GaugeMetric* mailbox_highwater = nullptr;
     GaugeMetric* chain_len_highwater = nullptr;
-    GaugeMetric* worker_pool_runs = nullptr;
     HistogramMetric* e2e_latency_us = nullptr;
     HistogramMetric* queue_delay_us = nullptr;
     HistogramMetric* stall_e2e_us = nullptr;
@@ -726,8 +669,8 @@ class LocalEngine {
   /// the modeled kEnginePauseUsPerByte stands in. Feeds the compaction
   /// budget's "bytes × observed restore rate" cost estimate.
   double observed_restore_us_per_byte_ = 0.0;
-  /// Set by whichever worker overflows a log; cleared by the next round.
-  std::atomic<bool> log_overflow_{false};
+  /// Set when a log overflows; cleared by the next round.
+  bool log_overflow_ = false;
   std::vector<int64_t> shard_offsets_;  ///< Lifetime ingested per shard.
   std::vector<KeyGroupId> lost_groups_;
   uint64_t checkpoint_epoch_ = 0;
@@ -741,22 +684,17 @@ class LocalEngine {
   bool telemetry_ = false;
   std::vector<uint8_t> is_sink_;     ///< Per operator: no downstream edges.
   /// Ingestion samples, ascending in event time; compacted in place once it
-  /// outgrows 2 * kMaxIngestSamples. Written only between drains (driving
-  /// thread), read concurrently by workers during waves.
+  /// outgrows 2 * kMaxIngestSamples.
   std::vector<IngestSample> ingest_samples_;
   static constexpr size_t kMaxIngestSamples = 256;
   int64_t sample_countdown_ = 1;     ///< Tuples until the next sample.
   int64_t last_sample_ts_us_ = INT64_MIN;
 
-  // Wave-phase profiling state (inert when prof_enabled_ is false).
-  bool prof_enabled_ = false;
-  /// The driving thread's exclusive phase clock (also worker 0's during
-  /// waves — worker 0 IS the calling thread).
+  // Wave-phase profiling state (inert when prof_ is null).
+  /// The driving thread's exclusive phase clock.
   PhaseAccumulator prof_acc_;
-  /// One accumulator per pool worker > 0 (index 0 unused); touched only
-  /// inside pool runs (workers) and between waves (driving thread flush),
-  /// so access never overlaps.
-  std::vector<PhaseAccumulator> worker_prof_;
+  /// &prof_acc_ when profiling, else null (PhaseScope is inert on null).
+  PhaseAccumulator* prof_ = nullptr;
   int64_t period_start_wall_ns_ = 0;  ///< Wall stamp of the period start.
   /// Sampled journey tracking (inert unless journey_sample_every > 0).
   JourneyTracker journeys_;
@@ -766,16 +704,27 @@ class LocalEngine {
   std::vector<PendingBatch> ingress_;        ///< Staged injected tuples.
   std::vector<int32_t> ingress_slot_;        ///< Global group -> ingress_ idx.
   std::vector<KeyGroupId> ingress_used_;     ///< Groups with a live slot.
-  /// InjectBatch scatter scratch — separate from the contexts' route
-  /// buckets because flushing delivers inline, which scatters again.
+  /// InjectBatch scatter scratch — separate from the route buckets
+  /// because flushing delivers inline, which scatters again.
   std::vector<std::vector<Tuple>> inject_buckets_;
   std::vector<int> inject_touched_;
   std::vector<std::vector<PendingBatch>> mailboxes_;  ///< Per node.
   int64_t staged_tuples_ = 0;  ///< Injected since the last drain.
-  WorkerContext coordinator_;
-  std::vector<WorkerContext> worker_ctx_;  ///< Pool workers (multi-worker).
-  std::unique_ptr<WorkerPool> pool_;
-  std::mutex migration_buffer_mu_;  ///< Guards MigrationState::buffer pushes.
+  std::vector<std::vector<Tuple>> route_buckets_;  ///< Per dst group.
+  std::vector<int> route_touched_;                 ///< Buckets in use.
+  TupleBatch emitted_;                             ///< ProcessBatch staging.
+  /// Free-list of tuple vectors: consumed batches return here and their
+  /// capacity is reused, keeping the hot path allocation free once warm.
+  std::vector<std::vector<Tuple>> vec_pool_;
+  /// Global group -> index of the batch open for appends in its owner's
+  /// mailbox. Validated before use, so stale entries self-heal; lets routed
+  /// tuples coalesce across all source batches of a wave.
+  std::vector<int32_t> open_slot_;
+  /// Telemetry: cached wall clock used to stamp batches at enqueue.
+  /// Refreshed at every batch delivery and ingest entry point, so stamps
+  /// are at most one delivery stale — far below the queueing delays they
+  /// measure — at a third of the clock reads.
+  int64_t wall_cache_ns_ = 0;
   EngineMetricSet metrics_;  ///< All null unless options_.metrics is set.
 };
 

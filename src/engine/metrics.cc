@@ -1,36 +1,6 @@
 #include "engine/metrics.h"
 
-#include <algorithm>
-#include <cstring>
-
 namespace albic::engine {
-
-void LatencyPeriodStats::MergeFrom(LatencyPeriodStats* from) {
-  if (!from->enabled) return;
-  e2e_us.Merge(from->e2e_us);
-  stall_e2e_us.Merge(from->stall_e2e_us);
-  queue_us.Merge(from->queue_us);
-  if (op_service_us.size() < from->op_service_us.size()) {
-    op_service_us.resize(from->op_service_us.size());
-  }
-  for (size_t op = 0; op < from->op_service_us.size(); ++op) {
-    op_service_us[op].Merge(from->op_service_us[op]);
-    from->op_service_us[op].Clear();
-  }
-  if (group_service.size() < from->group_service.size()) {
-    group_service.resize(from->group_service.size());
-  }
-  for (size_t g = 0; g < from->group_service.size(); ++g) {
-    group_service[g].service_sum_us += from->group_service[g].service_sum_us;
-    group_service[g].tuples += from->group_service[g].tuples;
-    group_service[g].queue_sum_us += from->group_service[g].queue_sum_us;
-    group_service[g].queue_batches += from->group_service[g].queue_batches;
-    from->group_service[g] = GroupLatency();
-  }
-  from->e2e_us.Clear();
-  from->stall_e2e_us.Clear();
-  from->queue_us.Clear();
-}
 
 LatencySummary LatencySummary::FromPeriod(const LatencyPeriodStats& period,
                                           bool include_stalls) {

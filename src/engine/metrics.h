@@ -84,10 +84,6 @@ struct LatencyPeriodStats {
     op_service_us.assign(static_cast<size_t>(num_operators), LogHistogram());
     group_service.assign(static_cast<size_t>(num_key_groups), GroupLatency());
   }
-
-  /// \brief Folds \p from into this and clears \p from (worker-order merge
-  /// at wave boundaries keeps num_workers = 1 deterministic).
-  void MergeFrom(LatencyPeriodStats* from);
 };
 
 /// \brief Compact percentile summary derived from a period's histograms —

@@ -91,10 +91,7 @@ class StreamOperator {
   /// \p group_index, in order. The engine calls this instead of Process;
   /// hot operators override it to hoist per-tuple work (group-state
   /// lookups, mode branches) out of the loop. The default is semantically
-  /// identical to calling Process per tuple. Under a multi-worker engine,
-  /// batches for different groups may be processed concurrently, so
-  /// implementations must keep all mutable state per group (already the
-  /// migration contract above).
+  /// identical to calling Process per tuple.
   virtual void ProcessBatch(const TupleBatch& batch, int group_index,
                             Emitter* out) {
     for (const Tuple& tuple : batch) Process(tuple, group_index, out);

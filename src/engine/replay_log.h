@@ -37,9 +37,8 @@ namespace albic::engine {
 /// adds no second copy of the tuple stream; truncation hands the freed
 /// vectors back for reuse.
 ///
-/// Single-writer: a group's log is only appended by the thread processing
-/// that group (the engine's per-node worker ownership guarantees
-/// exclusivity), and read/truncated from the driving thread at safe points.
+/// Single-writer: the engine's driving thread appends a group's log as it
+/// delivers the group's batches, and reads/truncates it at safe points.
 class ReplayLog {
  public:
   /// \brief Appends a delivered batch by taking ownership of its vector —

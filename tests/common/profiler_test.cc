@@ -1,7 +1,7 @@
 // PhaseAccumulator / PhaseBreakdown: exactness of the exclusive phase
 // clock under synthetic timestamps. Every nanosecond must land in exactly
 // one phase, nesting must carve inner time out of the enclosing phase,
-// and the barrier-merge fold must be lossless — these are the invariants
+// and a flush at a period boundary must lose nothing — these are the invariants
 // the engine's >=95% wall-coverage acceptance rests on.
 
 #include "common/profiler.h"
@@ -93,49 +93,6 @@ TEST(ProfilerTest, FlushKeepsTheOpenPhaseRunningAcrossPeriods) {
   EXPECT_EQ(b.ns[P(WavePhase::kService)], 30);
   EXPECT_EQ(b.ns[P(WavePhase::kIdle)], 20);
   EXPECT_EQ(a.TotalNs() + b.TotalNs(), 100);
-}
-
-TEST(ProfilerTest, FlushNonIdleDropsOnlyThePoolParkTime) {
-  // A pool worker parks in kIdle between waves: that wait must not inflate
-  // the merged breakdown, but its service time must all arrive.
-  PhaseAccumulator acc;
-  acc.Reset(0);
-  acc.SwitchTo(WavePhase::kService, 100);
-  acc.SwitchTo(WavePhase::kIdle, 160);
-  PhaseBreakdown out;
-  out.EnableFor(1);
-  acc.FlushNonIdleInto(&out, 500);
-  EXPECT_EQ(out.ns[P(WavePhase::kService)], 60);
-  EXPECT_EQ(out.ns[P(WavePhase::kIdle)], 0);
-  EXPECT_EQ(out.TotalNs(), 60);
-}
-
-TEST(ProfilerTest, MergeFoldsAndResetsLikeTheWaveBarrier) {
-  PhaseBreakdown into;
-  into.EnableFor(2);
-  into.ns[P(WavePhase::kService)] = 100;
-  into.group_service_ns[0] = 60;
-  into.group_service_ns[1] = 40;
-
-  PhaseBreakdown from;
-  from.EnableFor(2);
-  from.ns[P(WavePhase::kService)] = 50;
-  from.ns[P(WavePhase::kCheckpoint)] = 25;
-  from.group_service_ns[1] = 50;
-
-  into.MergeFrom(&from);
-  EXPECT_EQ(into.ns[P(WavePhase::kService)], 150);
-  EXPECT_EQ(into.ns[P(WavePhase::kCheckpoint)], 25);
-  EXPECT_EQ(into.group_service_ns[0], 60);
-  EXPECT_EQ(into.group_service_ns[1], 90);
-  // MergeFrom resets the source (fold-and-reset, like MergeStats).
-  EXPECT_EQ(from.TotalNs(), 0);
-  EXPECT_EQ(from.group_service_ns[1], 0);
-
-  // Merging a disabled breakdown is a no-op, not a crash.
-  PhaseBreakdown disabled;
-  into.MergeFrom(&disabled);
-  EXPECT_EQ(into.ns[P(WavePhase::kService)], 150);
 }
 
 TEST(ProfilerTest, CoverageAndDominantPhase) {

@@ -1,10 +1,9 @@
 // The batched runtime must reproduce the synchronous depth-first reference
-// cascade (tests/engine/reference_cascade.h): with num_workers = 1 it
-// produces identical EnginePeriodStats and operator outputs on the Real
-// Job 1 pipeline (including across migrations) and on a branched DAG that
-// takes every routing pattern, migrations started while batches are staged
-// buffer and drain in arrival order, and multi-worker execution reaches the
-// same final state.
+// cascade (tests/engine/reference_cascade.h): it produces identical
+// EnginePeriodStats and operator outputs on the Real Job 1 pipeline
+// (including across migrations) and on a branched DAG that takes every
+// routing pattern, and migrations started while batches are staged buffer
+// and drain in arrival order.
 
 #include <gtest/gtest.h>
 
@@ -145,7 +144,6 @@ void ExpectStatsEqual(const engine::EnginePeriodStats& a,
 
 TEST(BatchedRuntimeTest, SingleWorkerMatchesReferenceCascadeOnWikiPipeline) {
   engine::LocalEngineOptions opts;
-  opts.num_workers = 1;
   Pipeline reference(opts, /*on_reference=*/true);
   Pipeline batched(opts);
 
@@ -167,28 +165,8 @@ TEST(BatchedRuntimeTest, SingleWorkerMatchesReferenceCascadeOnWikiPipeline) {
   EXPECT_TRUE(reference.assignment() == batched.assignment());
 }
 
-TEST(BatchedRuntimeTest, MultiWorkerMatchesSingleWorker) {
-  engine::LocalEngineOptions one;
-  one.num_workers = 1;
-  Pipeline single(one);
-
-  engine::LocalEngineOptions four;
-  four.num_workers = 4;
-  Pipeline multi(four);
-
-  constexpr int kTuples = 30000;
-  engine::EnginePeriodStats s1 = single.RunWiki(kTuples);
-  engine::EnginePeriodStats s4 = multi.RunWiki(kTuples);
-
-  // All work/serde constants in this job are exactly representable, so the
-  // sums must agree exactly regardless of the merge order.
-  ExpectStatsEqual(s1, s4);
-  EXPECT_EQ(single.GlobalCounts(), multi.GlobalCounts());
-}
-
 TEST(BatchedRuntimeTest, InjectBatchMatchesReferenceCascade) {
   engine::LocalEngineOptions opts;
-  opts.num_workers = 1;
   Pipeline reference(opts, /*on_reference=*/true);
   Pipeline batched(opts);
 
@@ -268,7 +246,6 @@ struct BranchedDag {
 
 TEST(BatchedRuntimeTest, BranchedDagMatchesReferenceCascade) {
   engine::LocalEngineOptions opts;
-  opts.num_workers = 1;
   opts.max_batch_tuples = 512;
   opts.window_every_us = 1000LL * 1000;  // a window every ~2000 tuples
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -372,6 +373,63 @@ TEST(FileCheckpointStoreTest, DeltaChainSurvivesReopenBitIdentical) {
     ASSERT_TRUE(recovered.ApplyGroupDelta(0, d).ok());
   }
   EXPECT_EQ(recovered.SerializeGroupState(0), live.SerializeGroupState(0));
+  std::filesystem::remove_all(dir);
+}
+
+/// Overwrites the u64 at \p offset of \p path. Record and manifest headers
+/// are three u64s (magic, seq or epoch, length), so the length is at 16.
+void PatchU64(const std::string& path, std::streamoff offset, uint64_t value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  ASSERT_TRUE(f.good()) << path;
+}
+
+TEST(FileCheckpointStoreTest, OversizedRecordLengthIsRejected) {
+  // A record header whose length field claims far more than the file
+  // holds must read as a missing record, not size a 4 TiB buffer.
+  const std::string dir =
+      ::testing::TempDir() + "/albic_file_ckpt_oversized_record_test";
+  std::filesystem::remove_all(dir);
+  {
+    auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Put(1, 5, "alpha").ok());
+  }
+  PatchU64(dir + "/g1_v1.ckpt", 16, uint64_t{1} << 42);
+  auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  CheckpointInfo info;
+  std::string state;
+  std::vector<std::string> deltas;
+  EXPECT_FALSE((*store)->Latest(1, &info, &state));
+  EXPECT_FALSE((*store)->LatestChain(1, &info, &state, &deltas));
+  // One byte short of the payload is a mismatch too.
+  PatchU64(dir + "/g1_v1.ckpt", 16, 4);
+  EXPECT_FALSE((*store)->Get(1, 1, &info, &state));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileCheckpointStoreTest, OversizedManifestCountIsRejected) {
+  const std::string dir =
+      ::testing::TempDir() + "/albic_file_ckpt_oversized_manifest_test";
+  std::filesystem::remove_all(dir);
+  auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  CheckpointManifest manifest;
+  manifest.epoch = 3;
+  manifest.shard_offsets = {42, 7};
+  ASSERT_TRUE((*store)->PutManifest(manifest).ok());
+  CheckpointManifest read;
+  ASSERT_TRUE((*store)->LatestManifest(&read));
+  // A shard count of 2^42 asks for 32 TiB of offsets; 2^61 makes n * 8
+  // wrap to zero. Neither may allocate, and neither is a manifest.
+  PatchU64(dir + "/MANIFEST", 16, uint64_t{1} << 42);
+  EXPECT_FALSE((*store)->LatestManifest(&read));
+  PatchU64(dir + "/MANIFEST", 16, uint64_t{1} << 61);
+  EXPECT_FALSE((*store)->LatestManifest(&read));
+  EXPECT_EQ(read.shard_offsets, (std::vector<int64_t>{42, 7}));
   std::filesystem::remove_all(dir);
 }
 

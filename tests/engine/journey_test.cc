@@ -147,7 +147,7 @@ struct Pipeline {
   ops::WindowedTopKOperator global{kGroups, 16, ops::TopKCountMode::kSumNum};
   std::unique_ptr<engine::LocalEngine> engine;
 
-  explicit Pipeline(int journey_sample_every, int num_workers = 1) {
+  explicit Pipeline(int journey_sample_every) {
     topo.AddOperator("geohash", kGroups, 1 << 14);
     topo.AddOperator("topk", kGroups, 1 << 14);
     topo.AddOperator("global", kGroups, 1 << 14);
@@ -163,7 +163,6 @@ struct Pipeline {
     }
     engine::LocalEngineOptions opts;
     opts.window_every_us = kWindowUs;
-    opts.num_workers = num_workers;
     opts.latency_sample_every = 32;
     opts.journey_sample_every = journey_sample_every;
     engine = std::make_unique<engine::LocalEngine>(
@@ -254,16 +253,6 @@ TEST(JourneyEngineTest, JourneysSurviveMidRunHarvests) {
   ASSERT_FALSE(late.journeys.empty())
       << "journeys started before the harvest never completed";
   CheckJourneyShape(late.journeys, 3);
-}
-
-TEST(JourneyEngineTest, MultiWorkerClaimsStayExactlyOnce) {
-  Pipeline p(/*journey_sample_every=*/64, /*num_workers=*/3);
-  const std::vector<Tuple> stream = MakeStream(60000);
-  ASSERT_TRUE(p.engine->InjectBatch(0, stream.data(), stream.size()).ok());
-  p.engine->Flush();
-  engine::EnginePeriodStats stats = p.engine->HarvestPeriod();
-  ASSERT_FALSE(stats.journeys.empty());
-  CheckJourneyShape(stats.journeys, 3);
 }
 
 TEST(JourneyEngineTest, MigrationRedeliveriesDoNotDuplicateHops) {

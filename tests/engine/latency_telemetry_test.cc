@@ -1,6 +1,6 @@
 // Engine latency telemetry: enabling it must not change any output
 // (bit-identity), it must populate the end-to-end / queueing / service
-// histograms with one worker or several, buffered tuples must account the
+// histograms, buffered tuples must account the
 // modeled migration pause as latency, and HarvestPeriod must reset the
 // running histograms.
 
@@ -39,7 +39,7 @@ struct Pipeline {
   ops::WindowedTopKOperator global{kGroups, 16, ops::TopKCountMode::kSumNum};
   std::unique_ptr<engine::LocalEngine> engine;
 
-  explicit Pipeline(int sample_every, int num_workers = 1) {
+  explicit Pipeline(int sample_every) {
     topo.AddOperator("geohash", kGroups, 1 << 14);
     topo.AddOperator("topk", kGroups, 1 << 14);
     topo.AddOperator("global", kGroups, 1 << 14);
@@ -55,7 +55,6 @@ struct Pipeline {
     }
     engine::LocalEngineOptions opts;
     opts.window_every_us = kWindowUs;
-    opts.num_workers = num_workers;
     opts.latency_sample_every = sample_every;
     engine = std::make_unique<engine::LocalEngine>(
         &topo, &cluster, assign,
@@ -135,30 +134,6 @@ TEST(LatencyTelemetryTest, OutputsBitIdenticalWithTelemetryEnabled) {
     geohash_tuples += stats.latency.group_service[gi].tuples;
   }
   EXPECT_EQ(geohash_tuples, static_cast<int64_t>(stream.size()));
-}
-
-TEST(LatencyTelemetryTest, MultiWorkerMergesWorkerHistograms) {
-  const std::vector<Tuple> stream = MakeStream(60000);
-  Pipeline p1(/*sample_every=*/32, /*num_workers=*/1);
-  Pipeline p2(/*sample_every=*/32, /*num_workers=*/2);
-  ASSERT_TRUE(p1.engine->InjectBatch(0, stream.data(), stream.size()).ok());
-  ASSERT_TRUE(p2.engine->InjectBatch(0, stream.data(), stream.size()).ok());
-  p1.engine->Flush();
-  p2.engine->Flush();
-  engine::EnginePeriodStats s1 = p1.engine->HarvestPeriod();
-  engine::EnginePeriodStats s2 = p2.engine->HarvestPeriod();
-  // The wave schedule (and therefore which tuples reach which operator)
-  // is identical; the workers' measurements all fold into the period at
-  // the wave barriers, so no delivered tuple goes unaccounted.
-  int64_t t1 = 0;
-  int64_t t2 = 0;
-  for (int gi = 0; gi < kGroups; ++gi) {
-    t1 += s1.latency.group_service[gi].tuples;
-    t2 += s2.latency.group_service[gi].tuples;
-  }
-  EXPECT_EQ(t1, t2);
-  EXPECT_GT(s2.latency.e2e_us.count(), 0);
-  EXPECT_EQ(s1.latency.e2e_us.count(), s2.latency.e2e_us.count());
 }
 
 TEST(LatencyTelemetryTest, MigrationPauseAccountedForBufferedTuples) {

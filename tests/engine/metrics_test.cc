@@ -1,7 +1,7 @@
 // LogHistogram: bucket-edge behaviour (underflow, overflow, exact small
 // values), randomized differential percentiles against a sorted-sample
 // ground truth, and cross-histogram merge equivalence (the property the
-// per-worker wave merge relies on).
+// registry's per-period histogram merge relies on).
 
 #include "engine/metrics.h"
 
@@ -139,7 +139,7 @@ TEST(LogHistogramTest, RandomizedDifferentialPercentiles) {
 }
 
 TEST(LogHistogramTest, MergeMatchesPooledRecording) {
-  // Split one sample stream across 4 histograms (as the worker contexts
+  // Split one sample stream across 4 histograms (as 4 published periods
   // do), merge them, and require bit-identical buckets and percentiles to
   // recording everything into one histogram.
   Rng rng(99);

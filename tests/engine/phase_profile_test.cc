@@ -43,7 +43,7 @@ struct Pipeline {
   std::unique_ptr<engine::LocalEngine> engine;
 
   explicit Pipeline(bool profile, int latency_sample_every = 0,
-                    int journey_sample_every = 0, int num_workers = 1,
+                    int journey_sample_every = 0,
                     MetricsRegistry* metrics = nullptr) {
     topo.AddOperator("geohash", kGroups, 1 << 14);
     topo.AddOperator("topk", kGroups, 1 << 14);
@@ -60,7 +60,6 @@ struct Pipeline {
     }
     engine::LocalEngineOptions opts;
     opts.window_every_us = kWindowUs;
-    opts.num_workers = num_workers;
     opts.profile_wave_phases = profile;
     opts.latency_sample_every = latency_sample_every;
     opts.journey_sample_every = journey_sample_every;
@@ -143,23 +142,6 @@ TEST(PhaseProfileTest, BreakdownCoversWallTimeSingleWorker) {
   EXPECT_EQ(next.phases.ns[P(WavePhase::kService)], 0);
 }
 
-TEST(PhaseProfileTest, BreakdownCoversWallTimeMultiWorker) {
-  Pipeline p(/*profile=*/true, /*latency_sample_every=*/0,
-             /*journey_sample_every=*/0, /*num_workers=*/3);
-  const std::vector<Tuple> stream = MakeStream(60000);
-  ASSERT_TRUE(p.engine->InjectBatch(0, stream.data(), stream.size()).ok());
-  p.engine->Flush();
-  engine::EnginePeriodStats stats = p.engine->HarvestPeriod();
-  ASSERT_TRUE(stats.phases.enabled);
-  ASSERT_GT(stats.phases.wall_ns, 0);
-  // Pool workers fold their (non-idle) thread time on top of the driving
-  // thread's exclusive decomposition, so coverage can only grow past the
-  // single-worker ~100%.
-  EXPECT_GE(stats.phases.Coverage(), 0.95);
-  EXPECT_GT(stats.phases.ns[P(WavePhase::kService)], 0);
-  EXPECT_EQ(ServiceAttributionSum(stats), stats.phases.ns[P(WavePhase::kService)]);
-}
-
 TEST(PhaseProfileTest, ReconfigurationWorkLandsInItsOwnPhases) {
   Pipeline p(/*profile=*/true);
   const std::vector<Tuple> stream = MakeStream(30000);
@@ -201,7 +183,7 @@ TEST(PhaseProfileTest, OutputsBitIdenticalWithFullAttributionEnabled) {
 TEST(PhaseProfileTest, PublishesPerPhaseCountersToTheRegistry) {
   MetricsRegistry reg;
   Pipeline p(/*profile=*/true, /*latency_sample_every=*/0,
-             /*journey_sample_every=*/0, /*num_workers=*/1, &reg);
+             /*journey_sample_every=*/0, &reg);
   const std::vector<Tuple> stream = MakeStream(30000);
   ASSERT_TRUE(p.engine->InjectBatch(0, stream.data(), stream.size()).ok());
   p.engine->Flush();

@@ -25,12 +25,11 @@
 namespace albic::testing {
 
 /// Shape of a harness pipeline. The defaults mirror the checkpoint tests;
-/// the soak test widens the cluster and runs multi-worker.
+/// the soak test widens the cluster.
 struct ReconfigOptions {
   int nodes = 4;
   int groups = 8;  ///< Key groups PER OPERATOR (three operators).
   int64_t window_every_us = 500LL * 1000;
-  int num_workers = 1;
   /// Optional registry the engine publishes into (soak test: counters must
   /// be live when traffic flowed).
   MetricsRegistry* metrics = nullptr;
@@ -71,7 +70,6 @@ struct ReconfigPipeline {
     }
     engine::LocalEngineOptions eopts;
     eopts.window_every_us = opts.window_every_us;
-    eopts.num_workers = opts.num_workers;
     eopts.metrics = opts.metrics;
     engine = std::make_unique<engine::LocalEngine>(
         &topo, &cluster, assign,

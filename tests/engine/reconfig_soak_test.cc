@@ -1,6 +1,6 @@
 // Randomized reconfiguration soak: a seeded fuzz schedule of direct,
 // indirect, epoch and lease migrations plus node failures, interleaved
-// with sharded ingestion on a multi-worker pipeline, differentially
+// with sharded ingestion on a wide cluster, differentially
 // checked against a single-node no-reconfiguration oracle. Node kills can
 // land while a migration is still open (including a pending or
 // just-stamped lease flip), so the schedule exercises the
@@ -124,7 +124,7 @@ void RunSoak(uint64_t seed) {
   ASSERT_TRUE(oracle.engine->InjectBatch(0, stream.data(), stream.size()).ok());
   oracle.engine->Flush();
 
-  // Fuzzed run: wide cluster, two workers, checkpointing with delta chains.
+  // Fuzzed run: wide cluster, checkpointing with delta chains.
   // The registry rides along so the run double-checks the observability
   // blind-spot contract: every counter a run with traffic must move is
   // asserted nonzero below (a zero means publishing silently broke).
@@ -133,7 +133,6 @@ void RunSoak(uint64_t seed) {
   fuzz_opts.nodes = kNodes;
   fuzz_opts.groups = kGroupsPerOp;
   fuzz_opts.window_every_us = kWindowUs;
-  fuzz_opts.num_workers = 2;
   fuzz_opts.metrics = &registry;
   ReconfigPipeline fuzz(fuzz_opts);
   engine::CheckpointCoordinatorOptions copts;

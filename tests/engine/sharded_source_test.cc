@@ -116,7 +116,6 @@ TEST(ShardedSourceTest, OneShardMatchesInjectBatchOnWikiPipeline) {
   const std::vector<Tuple> stream = WikiStream(kTuples);
 
   engine::LocalEngineOptions opts;
-  opts.num_workers = 1;
 
   // Reference: the unsharded bulk-ingestion path, one InjectBatch call.
   Pipeline unsharded(opts);

@@ -1,5 +1,5 @@
-// Event tracer: span nesting and the Chrome trace-event document, worker
-// threads publishing into per-thread buffers during engine waves, and the
+// Event tracer: span nesting and the Chrome trace-event document, threads
+// publishing into their own buffers while the collector reads, and the
 // core cost contract — engine outputs are bit-identical with tracing (and
 // metrics publishing) on or off.
 //
@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <thread>
 
 #include "common/metrics_registry.h"
 #include "engine/local_engine.h"
@@ -105,26 +107,44 @@ TEST_F(TraceTest, FullBufferDropsAndCountsInsteadOfBlocking) {
   EXPECT_EQ(Tracer::Global().Dropped(), 0);
 }
 
-TEST_F(TraceTest, WorkerThreadsPublishSpansDuringWaves) {
-  // A multi-worker batched pipeline under tracing: worker threads register
-  // their own buffers and publish op.batch spans from inside wave drains;
-  // the collector must see the wave spans (engine thread) and the batch
-  // spans (worker threads) committed at the wave barrier.
-  ReconfigOptions opts;
-  opts.num_workers = 2;
-  ReconfigPipeline p(opts);
+TEST_F(TraceTest, ThreadsPublishIntoTheirOwnBuffers) {
+  // Two plain threads publish while the engine publishes its wave and
+  // batch spans on this one and the collector reads: every span must
+  // arrive, each thread's under its own tid.
+  constexpr int kSpansEach = 2000;
+  ReconfigPipeline p;
   const std::vector<Tuple> stream = MakeWikiStream(4000);
-
   Tracer::Global().Enable();
-  ASSERT_TRUE(p.engine->InjectBatch(0, stream.data(), stream.size()).ok());
+  auto publish = [] {
+    for (int i = 0; i < kSpansEach; ++i) {
+      ALBIC_TRACE_SPAN1("test", "threaded", "i", i);
+    }
+  };
+  std::thread a(publish);
+  std::thread b(publish);
+  EXPECT_TRUE(p.engine->InjectBatch(0, stream.data(), stream.size()).ok());
   p.engine->Flush();
+  // Collecting mid-publish reads only committed slots.
+  EXPECT_NE(Tracer::Global().ChromeTraceJson().find("traceEvents"),
+            std::string::npos);
+  a.join();
+  b.join();
   Tracer::Global().Disable();
 
-  ASSERT_GT(Tracer::Global().CollectedSpans(), 0u);
   EXPECT_EQ(Tracer::Global().Dropped(), 0);
   const std::string json = Tracer::Global().ChromeTraceJson();
   EXPECT_NE(json.find("\"name\":\"wave\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"op.batch\""), std::string::npos);
+  int threaded = 0;
+  std::set<double> tids;
+  const std::string name = "\"name\":\"threaded\"";
+  for (size_t at = json.find(name); at != std::string::npos;
+       at = json.find(name, at + 1)) {
+    ++threaded;
+    tids.insert(std::atof(json.c_str() + json.find("\"tid\":", at) + 6));
+  }
+  EXPECT_EQ(threaded, 2 * kSpansEach);
+  EXPECT_EQ(tids.size(), 2u);
 }
 
 TEST_F(TraceTest, MigrationModesLeaveDistinctSpans) {
