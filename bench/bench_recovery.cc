@@ -17,11 +17,10 @@
 // table, then a steady phase touches only a small hot subset between
 // checkpoint rounds. Compares full-snapshot rounds (max_delta_chain = 0)
 // against delta rounds (chained dirty-key records): bytes per round, round
-// stall, and the build phase's per-chunk pause p99 with one-shot vs
-// incremental rehashing. Asserts that delta rounds cut steady-state bytes
-// >= 5x, that incremental rehashing absorbed no full-table rehash into any
-// wave, and that kill + recovery through a base+delta chain restores
-// bit-identical state.
+// stall, and the build phase's per-chunk pause p99. Asserts that chain 0
+// writes no delta, that delta rounds cut steady-state bytes >= 5x, and
+// that kill + recovery through a base+delta chain restores bit-identical
+// state.
 //
 // Emits BENCH_JSON lines for trajectory tracking.
 
@@ -290,7 +289,6 @@ struct LargeStats {
   double round_stall_ms_avg = 0.0; ///< Steady checkpoint-round wall time.
   double wave_pause_p99_ms = 0.0;  ///< Build-phase per-chunk pause p99.
   int64_t delta_records = 0;       ///< Delta records the store accepted.
-  bool rehash_clean = true;        ///< No one-shot rehash moved live entries.
   bool recovered_identical = false;
   bool ok = false;
 };
@@ -306,10 +304,8 @@ double Percentile(std::vector<double> samples, double p) {
 /// One large-state run: build a table of \p large_keys rows, then \p rounds
 /// steady rounds each touching \p hot_keys rows before a checkpoint round.
 /// \p chain = 0 means full snapshots every round; > 0 means delta records
-/// chained up to that length. \p incremental_rehash switches the store's
-/// tables to the two-table bounded-drain scheme.
-LargeStats RunLargeState(int large_keys, int hot_keys, int rounds, int chain,
-                         bool incremental_rehash) {
+/// chained up to that length.
+LargeStats RunLargeState(int large_keys, int hot_keys, int rounds, int chain) {
   LargeStats out;
   engine::Topology topo;
   topo.AddOperator("store", kGroups, 1 << 20);
@@ -319,7 +315,6 @@ LargeStats RunLargeState(int large_keys, int hot_keys, int rounds, int chain,
     assign.set_node(g, g % kNodes);
   }
   ops::StoreSinkOperator store_op(kGroups);
-  store_op.SetIncrementalRehash(incremental_rehash);
   engine::LocalEngineOptions eopts;
   eopts.window_every_us = 0;  // no windows: steady state is pure upserts
   eopts.metrics = &bench::BenchRegistry();
@@ -401,19 +396,6 @@ LargeStats RunLargeState(int large_keys, int hot_keys, int rounds, int chain,
   out.round_stall_ms_avg = stall_ms / rounds;
   out.delta_records = ckpt_store.delta_puts();
 
-  // The incremental-rehash contract: with the drain scheme on, no one-shot
-  // rehash ever moved live entries, and no single drain step exceeded the
-  // per-operation budget — i.e. no wave absorbed a full-table rehash.
-  if (incremental_rehash) {
-    for (int g = 0; g < kGroups; ++g) {
-      const auto& table = store_op.table(g);
-      if (table.full_rehashes() != 0 ||
-          table.max_drain_step() > FlatMap64<double>::kDrainBudget) {
-        out.rehash_clean = false;
-      }
-    }
-  }
-
   // Kill + recover through the chain: an uncheckpointed hot tail makes the
   // replay suffix non-empty, then every group on the failed node restores
   // from base + deltas + suffix. Bit-identical or bust.
@@ -461,17 +443,9 @@ int RunLargeScenario() {
               large_keys, hot_keys, rounds, chain);
 
   const LargeStats full = RunLargeState(large_keys, hot_keys, rounds,
-                                        /*chain=*/0,
-                                        /*incremental_rehash=*/false);
-  const LargeStats delta = RunLargeState(large_keys, hot_keys, rounds, chain,
-                                         /*incremental_rehash=*/true);
-  // The wave-pause comparison isolates the rehash scheme: same chain = 0
-  // config as `full` (no dirty-key trackers in the hot path), only the
-  // table's growth scheme differs.
-  const LargeStats rehash_only = RunLargeState(large_keys, hot_keys, rounds,
-                                               /*chain=*/0,
-                                               /*incremental_rehash=*/true);
-  if (!full.ok || !delta.ok || !rehash_only.ok) {
+                                        /*chain=*/0);
+  const LargeStats delta = RunLargeState(large_keys, hot_keys, rounds, chain);
+  if (!full.ok || !delta.ok) {
     std::fprintf(stderr, "FAIL: a large-state run errored\n");
     return 1;
   }
@@ -484,12 +458,6 @@ int RunLargeScenario() {
   if (delta.delta_records == 0) {
     std::fprintf(stderr, "FAIL: no delta record was written with chain %d\n",
                  chain);
-    return 1;
-  }
-  if (!delta.rehash_clean || !rehash_only.rehash_clean) {
-    std::fprintf(stderr,
-                 "FAIL: a wave absorbed a full-table rehash despite "
-                 "incremental rehashing\n");
     return 1;
   }
   if (!full.recovered_identical || !delta.recovered_identical) {
@@ -514,11 +482,7 @@ int RunLargeScenario() {
   table.AddRow({"full snapshots", FormatDouble(full.round_bytes_avg, 0),
                 FormatDouble(full.round_stall_ms_avg, 3),
                 FormatDouble(full.wave_pause_p99_ms, 3)});
-  table.AddRow({"incr. rehash only", FormatDouble(rehash_only.round_bytes_avg, 0),
-                FormatDouble(rehash_only.round_stall_ms_avg, 3),
-                FormatDouble(rehash_only.wave_pause_p99_ms, 3)});
-  table.AddRow({"delta chain + incr. rehash",
-                FormatDouble(delta.round_bytes_avg, 0),
+  table.AddRow({"delta chain", FormatDouble(delta.round_bytes_avg, 0),
                 FormatDouble(delta.round_stall_ms_avg, 3),
                 FormatDouble(delta.wave_pause_p99_ms, 3)});
   table.Print();
@@ -537,8 +501,6 @@ int RunLargeScenario() {
             "ms");
   BenchJson("recovery", "large_wave_pause_p99_rehash_off_ms",
             full.wave_pause_p99_ms, "ms");
-  BenchJson("recovery", "large_wave_pause_p99_rehash_on_ms",
-            rehash_only.wave_pause_p99_ms, "ms");
   return 0;
 }
 

@@ -13,10 +13,8 @@
 /// record and chains onto it. A chain is the newest base plus the deltas
 /// after it; restoration deserializes the base and applies the deltas in
 /// order, and retention treats a chain as one unit (evicting part of a
-/// chain would orphan the rest). Chains are compacted by writing a fresh
-/// base, bounded two ways: the fixed max_delta_chain length, and the
-/// optional max_chain_restore_us budget on the chain's measured restore
-/// cost (delta bytes × observed restore rate).
+/// chain would orphan the rest). A chain is compacted by writing a fresh
+/// base once it holds max_delta_chain deltas.
 
 #include <cstdint>
 #include <memory>
@@ -228,17 +226,6 @@ struct CheckpointCoordinatorOptions {
   /// O(change); groups whose state was wholesale reset (window fires,
   /// restores) and operators without delta support still write bases.
   int max_delta_chain = 0;
-  /// Delta-aware compaction budget, in microseconds of restore work (0 =
-  /// disabled). On top of the fixed max_delta_chain length bound, the
-  /// engine forces a fresh base for a group whose chain would cost more
-  /// than this to restore — its chained delta bytes priced at the
-  /// *observed* restore rate (an EWMA over the wall time of actual chain
-  /// restores; the modeled engine pause rate stands in until the first
-  /// observation). A long chain of tiny deltas keeps chaining cheaply
-  /// while a short chain of fat deltas compacts early, so worst-case
-  /// recovery and indirect-migration pause stays bounded by the budget
-  /// rather than by chain length alone.
-  double max_chain_restore_us = 0.0;
 };
 
 /// \brief Counters of the coordinator's activity.

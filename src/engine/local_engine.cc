@@ -219,14 +219,6 @@ void LocalEngine::PublishPeriodMetrics(const EnginePeriodStats& stats) {
   }
   reg->Gauge("flatmap64_full_rehashes")
       ->Set(FlatMap64Telemetry::full_rehashes.load(std::memory_order_relaxed));
-  reg->Gauge("flatmap64_drain_steps")
-      ->Set(FlatMap64Telemetry::drain_steps.load(std::memory_order_relaxed));
-  reg->Gauge("flatmap64_drained_entries")
-      ->Set(
-          FlatMap64Telemetry::drained_entries.load(std::memory_order_relaxed));
-  reg->Gauge("flatmap64_max_drain_step")
-      ->SetMax(
-          FlatMap64Telemetry::max_drain_step.load(std::memory_order_relaxed));
 }
 
 // ---------------------------------------------------------------------------
@@ -955,7 +947,6 @@ Status LocalEngine::RebuildGroup(KeyGroupId g, StateSource source,
     if (!chain && group_logs_[g].base_seq() > 0) {
       s = Status::Internal("replay log truncated past the latest checkpoint");
     } else {
-      const int64_t restore_t0_ns = NowNs();
       op->ClearGroupState(local);
       if (chain) {
         s = op->DeserializeGroupState(local, base);
@@ -966,11 +957,6 @@ Status LocalEngine::RebuildGroup(KeyGroupId g, StateSource source,
         out->bytes = static_cast<int64_t>(base.size()) + out->delta_bytes;
       }
       if (s.ok()) {
-        // The restore's wall time per chain byte is the observed restore
-        // rate the delta-aware compaction budget prices chains at.
-        ObserveRestoreRate(
-            static_cast<double>(NowNs() - restore_t0_ns) / 1000.0,
-            static_cast<double>(out->bytes));
         out->replayed = ReplayLogSuffix(g, chain ? info.seq : 0);
         period_.tuples_replayed += out->replayed;
       }
@@ -1311,7 +1297,6 @@ Status LocalEngine::EnableCheckpointing(CheckpointCoordinator* coordinator) {
   checkpointer_ = coordinator;
   max_log_entries_ = coordinator->options().max_log_entries;
   max_delta_chain_ = coordinator->options().max_delta_chain;
-  chain_restore_budget_us_ = coordinator->options().max_chain_restore_us;
   const size_t n = static_cast<size_t>(topology_->num_key_groups());
   group_logs_.assign(n, ReplayLog());
   chain_len_.assign(n, -1);  // no base snapshot exists yet
@@ -1377,22 +1362,10 @@ Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups() {
     // a full chain rolls over into a fresh base).
     StateChangeTracker* track =
         max_delta_chain_ > 0 ? &group_trackers_[g] : nullptr;
-    bool as_delta = track != nullptr &&
-                    operators_[op]->SupportsDeltaState() &&
-                    !track->reset() && chain_len_[g] >= 0 &&
-                    chain_len_[g] < max_delta_chain_;
-    if (as_delta && chain_restore_budget_us_ > 0.0) {
-      // Delta-aware compaction: chaining another delta is only worth it
-      // while the chain's measured restore cost — its delta bytes priced
-      // at the observed restore rate — stays under the coordinator's
-      // budget. A long chain of tiny deltas keeps chaining; a short chain
-      // of fat ones compacts into a fresh base even with room left in
-      // max_delta_chain.
-      const double restore_us =
-          RestoreRateUsPerByte() *
-          static_cast<double>(store->ChainDeltaBytes(g));
-      if (restore_us > chain_restore_budget_us_) as_delta = false;
-    }
+    const bool as_delta = track != nullptr &&
+                          operators_[op]->SupportsDeltaState() &&
+                          !track->reset() && chain_len_[g] >= 0 &&
+                          chain_len_[g] < max_delta_chain_;
     const std::string state =
         as_delta ? operators_[op]->SerializeGroupDelta(local)
                  : operators_[op]->SerializeGroupState(local);

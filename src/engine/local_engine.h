@@ -487,22 +487,6 @@ class LocalEngine {
   /// Reapplies logged entries with seq >= \p from_seq to the group's
   /// operator state, discarding emissions; returns the entry count.
   int64_t ReplayLogSuffix(KeyGroupId g, uint64_t from_seq);
-  /// The restore rate the compaction budget prices chains at: the observed
-  /// EWMA when one exists, the modeled engine rate until then.
-  double RestoreRateUsPerByte() const {
-    return observed_restore_us_per_byte_ > 0.0 ? observed_restore_us_per_byte_
-                                               : kEnginePauseUsPerByte;
-  }
-  /// Folds one measured restore (wall \p wall_us over \p bytes of chain
-  /// data) into the observed restore-rate EWMA.
-  void ObserveRestoreRate(double wall_us, double bytes) {
-    if (bytes <= 0.0 || wall_us < 0.0) return;
-    const double rate = wall_us / bytes;
-    observed_restore_us_per_byte_ =
-        observed_restore_us_per_byte_ > 0.0
-            ? 0.5 * observed_restore_us_per_byte_ + 0.5 * rate
-            : rate;
-  }
   // --- the reconfiguration pipeline (table in local_engine.cc) ---
   /// True when \p g has a checkpoint chain the replay log still reaches,
   /// so chain + logged suffix rebuilds its live state exactly. Fills
@@ -660,15 +644,6 @@ class LocalEngine {
   std::deque<StateChangeTracker> group_trackers_;
   std::vector<int> chain_len_;
   int max_delta_chain_ = 0;             ///< Cached coordinator option.
-  /// Cached CheckpointCoordinatorOptions::max_chain_restore_us (0 = off):
-  /// delta-aware compaction forces a fresh base once the chain's measured
-  /// restore cost exceeds this budget, independent of chain length.
-  double chain_restore_budget_us_ = 0.0;
-  /// Observed restore rate (us per chain byte), EWMA over actual restores
-  /// (indirect migrations, recovery); 0 until the first observation, when
-  /// the modeled kEnginePauseUsPerByte stands in. Feeds the compaction
-  /// budget's "bytes × observed restore rate" cost estimate.
-  double observed_restore_us_per_byte_ = 0.0;
   /// Set when a log overflows; cleared by the next round.
   bool log_overflow_ = false;
   std::vector<int64_t> shard_offsets_;  ///< Lifetime ingested per shard.

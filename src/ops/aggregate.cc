@@ -53,10 +53,6 @@ void SumByKeyOperator::ProcessBatch(const engine::TupleBatch& batch,
   }
 }
 
-void SumByKeyOperator::SetIncrementalRehash(bool on) {
-  for (auto& m : sums_) m.SetIncrementalRehash(on);
-}
-
 double SumByKeyOperator::SumFor(int group_index, uint64_t id) const {
   const double* sum = sums_[group_index].find(id);
   return sum != nullptr ? *sum : 0.0;

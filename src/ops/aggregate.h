@@ -41,9 +41,6 @@ class SumByKeyOperator : public engine::StreamOperator {
   std::string SerializeGroupDelta(int group_index) const override;
   Status ApplyGroupDelta(int group_index, const std::string& data) override;
 
-  /// \brief Switches every group's sum map to incremental rehashing.
-  void SetIncrementalRehash(bool on);
-
   /// \brief Current sum for a grouping key (0 when unseen), for tests.
   double SumFor(int group_index, uint64_t id) const;
 

@@ -21,37 +21,19 @@ void RainScoreOperator::Process(const engine::Tuple& tuple, int group_index,
 }
 
 double RainScoreOperator::MaxFor(int group_index, uint64_t station) const {
-  const auto& m = max_precip_[group_index];
-  auto it = m.find(station);
-  return it == m.end() ? 0.0 : it->second;
+  return max_precip_[group_index].at(station);
 }
 
 std::string RainScoreOperator::SerializeGroupState(int group_index) const {
   StateWriter w;
-  const auto& m = max_precip_[group_index];
-  w.PutU64(m.size());
-  for (const auto& [station, max] : m) {
-    w.PutU64(station);
-    w.PutDouble(max);
-  }
+  WriteMapRows(w, max_precip_[group_index]);
   return w.Take();
 }
 
 Status RainScoreOperator::DeserializeGroupState(int group_index,
                                                 const std::string& data) {
   StateReader r(data);
-  uint64_t n = 0;
-  ALBIC_RETURN_NOT_OK(r.GetU64(&n));
-  auto& m = max_precip_[group_index];
-  m.clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t station = 0;
-    double max = 0.0;
-    ALBIC_RETURN_NOT_OK(r.GetU64(&station));
-    ALBIC_RETURN_NOT_OK(r.GetDouble(&max));
-    m[station] = max;
-  }
-  return Status::OK();
+  return ReadMapRows(r, max_precip_[group_index]);
 }
 
 void RainScoreOperator::ClearGroupState(int group_index) {

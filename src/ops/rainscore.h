@@ -5,9 +5,9 @@
 /// 0-100 precipitation scores.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map64.h"
 #include "engine/operator.h"
 
 namespace albic::ops {
@@ -18,7 +18,8 @@ namespace albic::ops {
 ///
 /// The historical maximum per station is learned online as state (exactly
 /// what a streaming deployment without a preloaded history would do), so
-/// the operator is stateful and migratable.
+/// the operator is stateful and migratable. The state image is the
+/// per-station maxima as canonical WriteMapRows rows (serde_util.h).
 class RainScoreOperator : public engine::StreamOperator {
  public:
   explicit RainScoreOperator(int num_groups);
@@ -35,7 +36,7 @@ class RainScoreOperator : public engine::StreamOperator {
   double MaxFor(int group_index, uint64_t station) const;
 
  private:
-  std::vector<std::unordered_map<uint64_t, double>> max_precip_;
+  std::vector<FlatMap64<double>> max_precip_;
 };
 
 }  // namespace albic::ops

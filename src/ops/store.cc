@@ -17,10 +17,6 @@ void StoreSinkOperator::Process(const engine::Tuple& tuple, int group_index,
   }
 }
 
-void StoreSinkOperator::SetIncrementalRehash(bool on) {
-  for (auto& m : table_) m.SetIncrementalRehash(on);
-}
-
 void StoreSinkOperator::OnWindow(int group_index, engine::Emitter* out) {
   (void)out;
   // Periodic flush to the "database": modeled as a counter.

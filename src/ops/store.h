@@ -2,7 +2,7 @@
 
 /// \file
 /// \brief StoreSink: upsert-per-tuple sink table over FlatMap64, with
-/// dirty-key delta checkpoints and incremental rehashing.
+/// dirty-key delta checkpoints.
 
 #include <cstdint>
 #include <vector>
@@ -44,20 +44,11 @@ class StoreSinkOperator : public engine::StreamOperator {
   std::string SerializeGroupDelta(int group_index) const override;
   Status ApplyGroupDelta(int group_index, const std::string& data) override;
 
-  /// \brief Switches every group's table to incremental (two-table)
-  /// rehashing — no wave absorbs a full-table Grow once state gets large.
-  void SetIncrementalRehash(bool on);
-
   int64_t rows(int group_index) const {
     return static_cast<int64_t>(table_[group_index].size());
   }
   int64_t flushes(int group_index) const { return flushes_[group_index]; }
   double ValueFor(int group_index, uint64_t key) const;
-
-  /// \brief A group's backing table (benches assert on its rehash stats).
-  const FlatMap64<double>& table(int group_index) const {
-    return table_[group_index];
-  }
 
  private:
   std::vector<FlatMap64<double>> table_;

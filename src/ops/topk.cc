@@ -27,10 +27,6 @@ void WindowedTopKOperator::Process(const engine::Tuple& tuple,
   if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkDirty(id);
 }
 
-void WindowedTopKOperator::SetIncrementalRehash(bool on) {
-  for (auto& m : window_counts_) m.SetIncrementalRehash(on);
-}
-
 void WindowedTopKOperator::ProcessBatch(const engine::TupleBatch& batch,
                                         int group_index,
                                         engine::Emitter* out) {

@@ -49,9 +49,6 @@ class WindowedTopKOperator : public engine::StreamOperator {
   std::string SerializeGroupDelta(int group_index) const override;
   Status ApplyGroupDelta(int group_index, const std::string& data) override;
 
-  /// \brief Switches every group's count map to incremental rehashing.
-  void SetIncrementalRehash(bool on);
-
   /// \brief Current (mid-window) counts of a group, for tests.
   const FlatMap64<int64_t>& counts(int group_index) const {
     return window_counts_[group_index];

@@ -594,11 +594,11 @@ TEST(CheckpointRecoveryTest, ChainZeroNeverWritesDeltas) {
   EXPECT_EQ(p.coordinator->stats().delta_snapshot_bytes, 0);
 }
 
-/// Single StoreSink group driven round by round: inject \p keys_per_round
-/// distinct keys, flush, take a manual checkpoint round — six times.
-/// Returns the store to inspect the base/delta pattern the budget chose.
-void RunBudgetedRounds(double max_chain_restore_us, int keys_per_round,
-                       MemoryCheckpointStore* store) {
+TEST(CheckpointRecoveryTest, ChainLengthBoundRollsIntoFreshBase) {
+  // max_delta_chain is the one compaction rule: a group chains deltas onto
+  // its base until the chain holds max_delta_chain of them, and the next
+  // dirty round writes a fresh base. One StoreSink group, one new key per
+  // manual round, chain bound 2.
   engine::Topology topo;
   topo.AddOperator("store", 1, 1 << 14);
   engine::Cluster cluster(1);
@@ -610,73 +610,47 @@ void RunBudgetedRounds(double max_chain_restore_us, int keys_per_round,
   engine::LocalEngine engine(&topo, &cluster, assign,
                              std::vector<engine::StreamOperator*>{&sink},
                              eopts);
+  MemoryCheckpointStore store;
   CheckpointCoordinatorOptions copts;
   copts.interval_us = 1LL << 60;  // manual rounds only
-  copts.max_delta_chain = 16;     // the length bound never binds here
-  copts.max_chain_restore_us = max_chain_restore_us;
-  CheckpointCoordinator coordinator(store, copts);
+  copts.max_delta_chain = 2;
+  CheckpointCoordinator coordinator(&store, copts);
   ASSERT_TRUE(engine.EnableCheckpointing(&coordinator).ok());
 
+  // Deltas chained onto the newest base after each round: two deltas, a
+  // rollover into a base, two deltas, a rollover.
+  const size_t expect_chain[] = {1, 2, 0, 1, 2, 0};
   for (int round = 0; round < 6; ++round) {
-    for (int k = 0; k < keys_per_round; ++k) {
-      Tuple t;
-      t.key = static_cast<uint64_t>(round * keys_per_round + k);
-      t.ts = round * 1000 + k;
-      t.num = 1.0 + k;
-      ASSERT_TRUE(engine.Inject(0, t).ok());
-    }
+    Tuple t;
+    t.key = static_cast<uint64_t>(round + 1);
+    t.ts = round * 1000;
+    t.num = 1.0 + round;
+    ASSERT_TRUE(engine.Inject(0, t).ok());
     engine.Flush();
-    ASSERT_TRUE(engine.CheckpointDirtyGroups().ok());
+    const auto result = engine.CheckpointDirtyGroups();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->groups, 1) << "round " << round;
+    EXPECT_EQ(result->delta_groups, expect_chain[round] > 0 ? 1 : 0)
+        << "round " << round;
+
+    // The newest chain materializes back to exactly the live table.
+    CheckpointInfo info;
+    std::string base;
+    std::vector<std::string> deltas;
+    ASSERT_TRUE(store.LatestChain(0, &info, &base, &deltas));
+    EXPECT_EQ(deltas.size(), expect_chain[round]) << "round " << round;
+    ops::StoreSinkOperator restored(1);
+    ASSERT_TRUE(restored.DeserializeGroupState(0, base).ok());
+    for (const std::string& d : deltas) {
+      ASSERT_TRUE(restored.ApplyGroupDelta(0, d).ok());
+    }
+    EXPECT_EQ(restored.SerializeGroupState(0), sink.SerializeGroupState(0))
+        << "round " << round;
   }
-
-  // Whatever the base/delta pattern, the chain must materialize back to
-  // exactly the live table.
-  CheckpointInfo info;
-  std::string base;
-  std::vector<std::string> deltas;
-  ASSERT_TRUE(store->LatestChain(0, &info, &base, &deltas));
-  ops::StoreSinkOperator restored(1);
-  ASSERT_TRUE(restored.DeserializeGroupState(0, base).ok());
-  for (const std::string& d : deltas) {
-    ASSERT_TRUE(restored.ApplyGroupDelta(0, d).ok());
-  }
-  EXPECT_EQ(restored.SerializeGroupState(0), sink.SerializeGroupState(0));
-}
-
-TEST(CheckpointRecoveryTest, RestoreBudgetKeepsCheapChainsCompactsExpensive) {
-  // Delta-aware compaction prices a chain at delta bytes x restore rate
-  // (the modeled engine rate here — no restore has run, so no EWMA) and
-  // forces a fresh base only when that cost exceeds max_chain_restore_us.
-  // Same schedule three times:
-  //
-  // (1) Long cheap chain, generous budget: six one-key deltas are far
-  // under a 10 KiB-equivalent budget, so the whole chain is KEPT even
-  // though it is six links long.
-  MemoryCheckpointStore cheap_store;
-  RunBudgetedRounds(engine::kEnginePauseUsPerByte * 10240.0,
-                    /*keys_per_round=*/1, &cheap_store);
-  EXPECT_EQ(cheap_store.delta_puts(), 6);
-  // Bases (puts counts every record): only the initial full round's.
-  EXPECT_EQ(cheap_store.puts() - cheap_store.delta_puts(), 1);
-
-  // (2) Fat deltas, tight budget (64 bytes' worth of restore): the first
-  // delta chains (the chain is empty when it is priced), but the chain is
-  // then over budget, so the next dirty round compacts into a base —
-  // alternating for the rest of the schedule. max_delta_chain (16) never
-  // came into play: the BUDGET cut the chain at length one.
-  MemoryCheckpointStore exp_store;
-  RunBudgetedRounds(engine::kEnginePauseUsPerByte * 64.0,
-                    /*keys_per_round=*/40, &exp_store);
-  EXPECT_EQ(exp_store.delta_puts(), 3);
-  EXPECT_EQ(exp_store.puts() - exp_store.delta_puts(), 1 + 3);
-
-  // (3) Budget off (the 0.0 default): the same fat deltas all chain —
-  // bit-identical legacy behavior, bounded only by max_delta_chain.
-  MemoryCheckpointStore off_store;
-  RunBudgetedRounds(/*max_chain_restore_us=*/0.0,
-                    /*keys_per_round=*/40, &off_store);
-  EXPECT_EQ(off_store.delta_puts(), 6);
-  EXPECT_EQ(off_store.puts() - off_store.delta_puts(), 1);
+  EXPECT_EQ(store.delta_puts(), 4);
+  // Bases (puts counts every record): the initial round's and the two
+  // rollovers.
+  EXPECT_EQ(store.puts() - store.delta_puts(), 3);
 }
 
 TEST(CheckpointRecoveryTest, IndirectMigrationWithDeltaChainsMatchesDirect) {

@@ -2,9 +2,10 @@
 // that direct, indirect, epoch and lease migrations produce identical
 // final outputs (canonical state, windowed results, tuple counts — and all
 // of them identical to a no-migration baseline) across state sizes (empty
-// group, single key, large FlatMap64 mid-incremental-rehash) and edge
-// timings (migration started mid-window with in-flight traffic,
-// back-to-back migrations of the same group, target equal to source).
+// group, single key, a 3000-key FlatMap64 grown through several
+// doublings) and edge timings (migration started mid-window with
+// in-flight traffic, back-to-back migrations of the same group, target
+// equal to source).
 // The same loop pins each mode's accounting: returned pause, buffered and
 // replayed tuples, background transfer bytes, the per-mode migration
 // counters and exactly one lease flip per move. Plus the mode-request
@@ -51,8 +52,7 @@ constexpr int kStoreNodes = 3;
 
 struct StoreScenario {
   const char* name;
-  int distinct_keys;        ///< Keys routed into the migrated group.
-  bool incremental_rehash;  ///< Large-state case: migrate mid-rehash.
+  int distinct_keys;  ///< Keys routed into the migrated group.
 };
 
 struct StorePipeline {
@@ -140,7 +140,6 @@ struct StoreRunResult {
 StoreRunResult RunStoreScenario(const StoreScenario& scenario,
                                 bool migrate, MigrationMode mode) {
   StorePipeline p;
-  if (scenario.incremental_rehash) p.sink.SetIncrementalRehash(true);
   const KeyGroupId group = p.topo.first_group(1);  // store group 0
   const std::vector<Tuple> keys = KeysFor(0, scenario.distinct_keys);
   const size_t half = keys.size() / 2;
@@ -276,9 +275,9 @@ TEST_P(MigrationMatrixTest, AllModesMatchTheUnmigratedBaseline) {
 
 INSTANTIATE_TEST_SUITE_P(
     StateSizes, MigrationMatrixTest,
-    ::testing::Values(StoreScenario{"empty_group", 0, false},
-                      StoreScenario{"single_key", 1, false},
-                      StoreScenario{"large_mid_rehash", 3000, true}),
+    ::testing::Values(StoreScenario{"empty_group", 0},
+                      StoreScenario{"single_key", 1},
+                      StoreScenario{"large", 3000}),
     [](const ::testing::TestParamInfo<StoreScenario>& info) {
       return info.param.name;
     });
@@ -514,7 +513,7 @@ TEST(MigrationModeContractTest, LeaseTowardDyingNodeIsCancelledLossFree) {
   // A lease flip racing a kill of its TARGET: the stamp never happened, so
   // the lease table still names the source — FailNode cancels the pending
   // move and the group keeps processing where it is, losing nothing.
-  const StoreScenario scenario{"single_owner", 48, false};
+  const StoreScenario scenario{"single_owner", 48};
   const StoreRunResult baseline =
       RunStoreScenario(scenario, /*migrate=*/false, MigrationMode::kDirect);
 
@@ -552,7 +551,7 @@ TEST(MigrationModeContractTest, LeasedGroupDyingWithNodeRecoversLossFree) {
   // new owner: the lease dies with the node, and recovery goes through
   // checkpoint + replay like any other lost group — zero tuple loss, and
   // never another flip of a dead lease.
-  const StoreScenario scenario{"single_owner", 48, false};
+  const StoreScenario scenario{"single_owner", 48};
   const StoreRunResult baseline =
       RunStoreScenario(scenario, /*migrate=*/false, MigrationMode::kDirect);
 
