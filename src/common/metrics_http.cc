@@ -16,6 +16,9 @@ namespace albic {
 
 namespace {
 
+/// How long a connection may stay silent before it is dropped unanswered.
+constexpr int kRequestWaitMs = 1000;
+
 void WriteAll(int fd, const std::string& data) {
   size_t off = 0;
   while (off < data.size()) {
@@ -114,9 +117,18 @@ void MetricsHttpServer::Serve() {
     const int conn = ::accept(listen_fd_, nullptr, nullptr);
     if (conn < 0) continue;
     // One request, one response, close — HTTP/1.0 semantics keep the
-    // server a single blocking loop with no connection state.
+    // server a single loop with no connection state. The request is
+    // awaited together with the wake pipe and for a bounded time, so a
+    // client that connects and sends nothing can neither wedge the loop
+    // nor keep Stop() from returning.
+    fds[0].fd = conn;
+    const int ready = ::poll(fds, 2, kRequestWaitMs);
+    if (fds[1].revents != 0) {
+      ::close(conn);
+      return;
+    }
     char buf[1024];
-    const ssize_t n = ::read(conn, buf, sizeof(buf) - 1);
+    const ssize_t n = ready > 0 ? ::read(conn, buf, sizeof(buf) - 1) : 0;
     if (n > 0) {
       buf[n] = '\0';
       const std::string req(buf);

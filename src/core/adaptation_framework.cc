@@ -41,41 +41,17 @@ engine::SystemSnapshot AdaptationFramework::BuildSnapshot(
     snap.dominant_phase = measured->dominant_phase;
     snap.dominant_phase_share = measured->dominant_phase_share;
     snap.top_service_costs = measured->top_service_costs;
-    if (!measured->replay_suffix_bytes.empty()) {
-      // Indirect mck: O(replay suffix + chained delta records) at the same
-      // per-byte rate; groups without a usable checkpoint fall back to the
-      // direct cost (an indirect migration of them would fall back to the
-      // direct path).
-      snap.migration_costs_indirect = snap.migration_costs;
-      const size_t n = std::min(snap.migration_costs_indirect.size(),
-                                measured->replay_suffix_bytes.size());
-      for (size_t g = 0; g < n; ++g) {
-        const double suffix = measured->replay_suffix_bytes[g];
-        if (suffix >= 0.0) {
-          const double chain =
-              g < measured->delta_chain_bytes.size()
-                  ? measured->delta_chain_bytes[g]
-                  : 0.0;
-          snap.migration_costs_indirect[g] =
-              options_.migration_model.alpha_per_byte * (suffix + chain);
-        }
-      }
-    }
     if (!measured->lease_available.empty()) {
       // Lease-available groups migrate by flipping an arena lease — zero
-      // bytes move, so their mck is genuinely zero. Zeroing both cost
-      // vectors keeps the rebalancer's max_migration_cost budget from
-      // throttling moves that cost nothing: a load spike whose epoch-mode
-      // absorption would be spread over several rounds by the budget is
-      // absorbed in one round with leases.
+      // bytes move, so their mck is genuinely zero. Zeroing it keeps the
+      // rebalancer's max_migration_cost budget from throttling moves that
+      // cost nothing: a load spike whose epoch-mode absorption would be
+      // spread over several rounds by the budget is absorbed in one round
+      // with leases.
       const size_t n = std::min(snap.migration_costs.size(),
                                 measured->lease_available.size());
       for (size_t g = 0; g < n; ++g) {
-        if (measured->lease_available[g] == 0) continue;
-        snap.migration_costs[g] = 0.0;
-        if (g < snap.migration_costs_indirect.size()) {
-          snap.migration_costs_indirect[g] = 0.0;
-        }
+        if (measured->lease_available[g] != 0) snap.migration_costs[g] = 0.0;
       }
     }
   }

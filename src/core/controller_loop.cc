@@ -170,10 +170,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   // Measured-cost planning: redistribute the period's load by measured
   // service-time shares (EWMA across periods) and surface the queue-delay
   // trend. With telemetry off UpdateAndBlend returns the modeled loads
-  // bit-identically and the latency-derived signals stay empty. The
-  // replay-suffix bytes (driving the snapshot's indirect migration-cost
-  // estimates) come from the checkpoint subsystem, not from latency
-  // telemetry, so they are attached whenever checkpointing is on.
+  // bit-identically and the latency-derived signals stay empty.
   std::vector<double> group_loads;
   engine::MeasuredSignals signals;  // this round's snapshot inputs
   if (options_.use_measured_costs) {
@@ -183,12 +180,6 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   } else {
     group_loads = modeled_loads;
   }
-  // The replay-suffix bytes are checkpoint-derived, not telemetry-derived:
-  // the controller owns them and merges them into the round's signals here
-  // (cost_model.h: "replay_suffix_bytes is the caller's to fill").
-  signals.replay_suffix_bytes = engine_->ReplaySuffixBytes();
-  signals.delta_chain_bytes = engine_->DeltaChainBytes();
-  signals.epoch_transfer_bytes = engine_->EpochTransferBytes();
   // Lease availability is arena-derived, not telemetry-derived, and only
   // meaningful when the controller may actually choose leases: with the
   // opt-in off the vector stays empty and the snapshot's migration-cost
@@ -240,7 +231,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   }
 
   const engine::MeasuredSignals* measured =
-      cost_model_.measured() || !signals.replay_suffix_bytes.empty() ||
+      cost_model_.measured() || engine_->checkpointing_enabled() ||
               !signals.lease_available.empty() || stats.phases.enabled
           ? &signals
           : nullptr;

@@ -128,17 +128,6 @@ uint64_t MemoryCheckpointStore::ChainDeltaBytes(KeyGroupId group) const {
   return bytes;
 }
 
-uint64_t MemoryCheckpointStore::ChainBytes(KeyGroupId group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) return 0;
-  uint64_t bytes = 0;
-  for (size_t i = it->second.size(); i-- > 0;) {
-    bytes += it->second[i].info.bytes;
-    if (!it->second[i].info.is_delta) break;  // chain starts at this base
-  }
-  return bytes;
-}
-
 bool MemoryCheckpointStore::Get(KeyGroupId group, uint64_t version,
                                 CheckpointInfo* info,
                                 std::string* state) const {
@@ -323,17 +312,6 @@ uint64_t FileCheckpointStore::ChainDeltaBytes(KeyGroupId group) const {
   for (size_t i = it->second.size(); i-- > 0;) {
     if (!it->second[i].is_delta) break;
     bytes += it->second[i].bytes;
-  }
-  return bytes;
-}
-
-uint64_t FileCheckpointStore::ChainBytes(KeyGroupId group) const {
-  const auto it = index_.find(group);
-  if (it == index_.end()) return 0;
-  uint64_t bytes = 0;
-  for (size_t i = it->second.size(); i-- > 0;) {
-    bytes += it->second[i].bytes;
-    if (!it->second[i].is_delta) break;  // chain starts at this base
   }
   return bytes;
 }

@@ -9,12 +9,12 @@
 /// "restore latest checkpoint + replay the logged suffix".
 ///
 /// Snapshots come in two kinds: a *base* carries a group's full serialized
-/// state, a *delta* carries only the keys dirtied since the previous
-/// record and chains onto it. A chain is the newest base plus the deltas
-/// after it; restoration deserializes the base and applies the deltas in
-/// order, and retention treats a chain as one unit (evicting part of a
-/// chain would orphan the rest). A chain is compacted by writing a fresh
-/// base once it holds max_delta_chain deltas.
+/// state, a *delta* carries only the keys the group's replay log touched
+/// since the previous record and chains onto it. A chain is the newest
+/// base plus the deltas after it; restoration deserializes the base and
+/// applies the deltas in order, and retention treats a chain as one unit
+/// (evicting part of a chain would orphan the rest). A chain is compacted
+/// by writing a fresh base once it holds max_delta_chain deltas.
 
 #include <cstdint>
 #include <memory>
@@ -88,12 +88,6 @@ class CheckpointStore {
   /// cost model prices indirect migration with it).
   virtual uint64_t ChainDeltaBytes(KeyGroupId group) const = 0;
 
-  /// \brief Total bytes of \p group's newest chain, base included — the
-  /// state unit an epoch migration ships in the background when it cuts
-  /// the chain at the stamped boundary (the log suffix up to the boundary
-  /// travels on top of this). 0 when the group has no snapshot.
-  virtual uint64_t ChainBytes(KeyGroupId group) const = 0;
-
   /// \brief Fetches a specific retained version; false when evicted/absent.
   virtual bool Get(KeyGroupId group, uint64_t version, CheckpointInfo* info,
                    std::string* state) const = 0;
@@ -129,7 +123,6 @@ class MemoryCheckpointStore final : public CheckpointStore {
   bool LatestChain(KeyGroupId group, CheckpointInfo* info, std::string* base,
                    std::vector<std::string>* deltas) const override;
   uint64_t ChainDeltaBytes(KeyGroupId group) const override;
-  uint64_t ChainBytes(KeyGroupId group) const override;
   bool Get(KeyGroupId group, uint64_t version, CheckpointInfo* info,
            std::string* state) const override;
   Status PutManifest(const CheckpointManifest& manifest) override;
@@ -174,7 +167,6 @@ class FileCheckpointStore final : public CheckpointStore {
   bool LatestChain(KeyGroupId group, CheckpointInfo* info, std::string* base,
                    std::vector<std::string>* deltas) const override;
   uint64_t ChainDeltaBytes(KeyGroupId group) const override;
-  uint64_t ChainBytes(KeyGroupId group) const override;
   bool Get(KeyGroupId group, uint64_t version, CheckpointInfo* info,
            std::string* state) const override;
   Status PutManifest(const CheckpointManifest& manifest) override;
@@ -220,11 +212,12 @@ struct CheckpointCoordinatorOptions {
   /// chained onto a base before the next round compacts the group into a
   /// fresh base. 0 (the default) disables deltas entirely — every round
   /// serializes full snapshots, bit-identical to the pre-delta behaviour.
-  /// With deltas on, a dirty group whose operator supports delta state is
-  /// serialized as only its dirtied keys (the engine's per-group
-  /// StateChangeTracker), cutting steady-state checkpoint bytes to
-  /// O(change); groups whose state was wholesale reset (window fires,
-  /// restores) and operators without delta support still write bases.
+  /// With deltas on, a dirty group is serialized as only the keys its
+  /// replay log touched since its newest record
+  /// (StreamOperator::SerializeGroupDelta), cutting steady-state checkpoint
+  /// bytes to O(change); a group whose operator cannot describe the logged
+  /// change as a delta (a TopK window fire, an operator without delta
+  /// support) still writes a base.
   int max_delta_chain = 0;
 };
 

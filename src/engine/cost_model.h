@@ -59,21 +59,6 @@ struct MeasuredSignals {
   /// delivered to the group. Empty = not measured.
   std::vector<double> group_queue_delay_us;
   QueueDelayTrend queue_trend;
-  /// Per-group replay-log suffix bytes a migration would replay (the
-  /// indirect-migration cost driver); -1 when the group has no usable
-  /// checkpoint. Empty when checkpointing is off.
-  std::vector<double> replay_suffix_bytes;
-  /// Per-group delta bytes chained onto the latest base checkpoint — the
-  /// other part of an indirect restore's pause (the base transfers in the
-  /// background, the chained deltas are applied during the pause). All
-  /// zeros with delta checkpoints off; empty when checkpointing is off.
-  std::vector<double> delta_chain_bytes;
-  /// Per-group bytes an epoch migration would ship in the background (the
-  /// newest chain cut at the boundary plus the logged suffix) — transfer
-  /// volume, not pause: epoch pauses are one wave barrier regardless. -1
-  /// for groups without a usable checkpoint (their stamp would round-trip
-  /// the live state instead). Empty when checkpointing is off.
-  std::vector<double> epoch_transfer_bytes;
   /// Per-group flag (1/0): a lease flip over the shared state arena can
   /// migrate the group at zero transfer cost (state_arena.h). Filled by
   /// the controller from the engine when lease migration is opted in —
@@ -119,8 +104,8 @@ class MeasuredCostModel {
                                      const LatencyPeriodStats& latency);
 
   /// \brief Signals of the last UpdateAndBlend (service shares, queue
-  /// delays, trend). replay_suffix_bytes is the caller's to fill — the
-  /// model has no engine access.
+  /// delays, trend). lease_available and the phase attribution are the
+  /// caller's to fill — the model has no engine access.
   MeasuredSignals& signals() { return signals_; }
   const MeasuredSignals& signals() const { return signals_; }
 

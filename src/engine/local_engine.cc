@@ -1226,40 +1226,9 @@ MigrationPauseEstimate LocalEngine::EstimateMigrationPause(
            static_cast<double>(
                checkpointer_->store()->ChainDeltaBytes(group)));
       est.indirect_available = true;
-      est.epoch_transfer_bytes =
-          static_cast<double>(checkpointer_->store()->ChainBytes(group)) +
-          static_cast<double>(suffix_events) * sizeof(Tuple);
-    } else {
-      // No usable chain: the stamp would round-trip the live state in the
-      // background instead — still zero pause, just more bytes shipped.
-      est.epoch_transfer_bytes = topology_->group_state_bytes(group);
     }
   }
   return est;
-}
-
-std::vector<double> LocalEngine::ReplaySuffixBytes() const {
-  std::vector<double> out;
-  if (checkpointer_ == nullptr) return out;
-  out.assign(static_cast<size_t>(topology_->num_key_groups()), -1.0);
-  for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
-    CheckpointInfo info;
-    if (UsableChain(g, &info)) {
-      out[g] = static_cast<double>(group_logs_[g].next_seq() - info.seq) *
-               sizeof(Tuple);
-    }
-  }
-  return out;
-}
-
-std::vector<double> LocalEngine::DeltaChainBytes() const {
-  std::vector<double> out;
-  if (checkpointer_ == nullptr) return out;
-  out.assign(static_cast<size_t>(topology_->num_key_groups()), 0.0);
-  for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
-    out[g] = static_cast<double>(checkpointer_->store()->ChainDeltaBytes(g));
-  }
-  return out;
 }
 
 std::vector<uint8_t> LocalEngine::LeaseAvailability() const {
@@ -1267,18 +1236,6 @@ std::vector<uint8_t> LocalEngine::LeaseAvailability() const {
                            1);
   for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
     if (migrating_[g].lost) out[static_cast<size_t>(g)] = 0;
-  }
-  return out;
-}
-
-std::vector<double> LocalEngine::EpochTransferBytes() const {
-  // What the stamp would ship: the newest chain cut at the boundary plus
-  // the logged suffix replayed on top of it.
-  std::vector<double> out = ReplaySuffixBytes();
-  for (KeyGroupId g = 0; g < static_cast<KeyGroupId>(out.size()); ++g) {
-    if (out[g] >= 0.0) {
-      out[g] += static_cast<double>(checkpointer_->store()->ChainBytes(g));
-    }
   }
   return out;
 }
@@ -1300,21 +1257,6 @@ Status LocalEngine::EnableCheckpointing(CheckpointCoordinator* coordinator) {
   const size_t n = static_cast<size_t>(topology_->num_key_groups());
   group_logs_.assign(n, ReplayLog());
   chain_len_.assign(n, -1);  // no base snapshot exists yet
-  if (max_delta_chain_ > 0) {
-    // Delta checkpoints: give every group of a delta-capable operator an
-    // engine-owned dirty-key tracker. Groups of other operators (and all
-    // groups when the option is off) keep no tracker and pay nothing.
-    group_trackers_.clear();
-    for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
-      group_trackers_.emplace_back();
-      const OperatorId op = topology_->group_operator(g);
-      if (operators_[op] != nullptr &&
-          operators_[op]->SupportsDeltaState()) {
-        operators_[op]->AttachChangeTracker(
-            topology_->group_index_in_operator(g), &group_trackers_.back());
-      }
-    }
-  }
   // Everything is dirty at attach: the initial round takes a full snapshot
   // of every operator group, establishing "latest checkpoint + logged
   // suffix = live state" before any log entry exists.
@@ -1322,14 +1264,6 @@ Status LocalEngine::EnableCheckpointing(CheckpointCoordinator* coordinator) {
   const Result<int> initial = coordinator->CheckpointNow(this);
   if (!initial.ok()) {
     checkpointer_ = nullptr;
-    for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
-      const OperatorId op = topology_->group_operator(g);
-      if (operators_[op] != nullptr) {
-        operators_[op]->AttachChangeTracker(
-            topology_->group_index_in_operator(g), nullptr);
-      }
-    }
-    group_trackers_.clear();
     return initial.status();
   }
   return Status::OK();
@@ -1355,27 +1289,23 @@ Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups() {
     // is snapshotted on the first round after recovery.
     if (migrating_[g].lost) continue;
     const int local = topology_->group_index_in_operator(g);
-    // Delta or base? A delta needs: deltas enabled, a delta-capable
-    // operator, an un-reset tracker (a wholesale state replacement —
-    // window fire, restore, clear — can only be described by a base), an
-    // existing base to chain onto, and room left in the chain (compaction:
-    // a full chain rolls over into a fresh base).
-    StateChangeTracker* track =
-        max_delta_chain_ > 0 ? &group_trackers_[g] : nullptr;
-    const bool as_delta = track != nullptr &&
-                          operators_[op]->SupportsDeltaState() &&
-                          !track->reset() && chain_len_[g] >= 0 &&
-                          chain_len_[g] < max_delta_chain_;
-    const std::string state =
-        as_delta ? operators_[op]->SerializeGroupDelta(local)
-                 : operators_[op]->SerializeGroupState(local);
+    // Delta or base? A delta needs a base to chain onto and room left in
+    // the chain (compaction: a full chain rolls over into a fresh base).
+    // Those cheap checks go first; then the operator derives the delta
+    // from the group's log, which holds exactly the events since the
+    // newest record (a move or a recovery rebuilds that record plus the
+    // log, or leaves the state as it was), or declines.
+    std::string state;
+    const bool as_delta =
+        chain_len_[g] >= 0 && chain_len_[g] < max_delta_chain_ &&
+        operators_[op]->SerializeGroupDelta(local, group_logs_[g], &state);
+    if (!as_delta) state = operators_[op]->SerializeGroupState(local);
     const uint64_t seq = group_logs_[g].next_seq();
     ALBIC_ASSIGN_OR_RETURN(const CheckpointInfo info,
                            as_delta ? store->PutDelta(g, seq, state)
                                     : store->Put(g, seq, state));
     (void)info;
     chain_len_[g] = as_delta ? chain_len_[g] + 1 : 0;
-    if (track != nullptr) track->Clear();  // this record covered the marks
     if (as_delta) {
       ++result.delta_groups;
       result.delta_bytes += static_cast<int64_t>(state.size());

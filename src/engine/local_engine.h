@@ -176,10 +176,6 @@ struct MigrationPauseEstimate {
   /// Epoch migration is available (checkpointing enabled: the background
   /// transfer rides the chain + replay-log machinery).
   bool epoch_available = false;
-  /// Bytes an epoch migration would ship in the background: the newest
-  /// chain cut at the boundary plus the logged suffix (or the live state
-  /// for the round-trip fallback). Informational — none of it pauses.
-  double epoch_transfer_bytes = 0.0;
   /// Lease flip: reassign the group's slot in the shared state arena —
   /// zero bytes serialized, zero background transfer, pause bounded by one
   /// wave barrier. Modeled as zero. Meaningless unless lease_available.
@@ -289,27 +285,6 @@ class LocalEngine {
   /// past the latest checkpoint). The controller uses this to choose the
   /// cheaper mode per migrated group.
   MigrationPauseEstimate EstimateMigrationPause(KeyGroupId group) const;
-
-  /// \brief Per-group replay-log suffix bytes an indirect migration would
-  /// replay; -1 for groups without a usable checkpoint. Empty when
-  /// checkpointing is disabled. Feeds the snapshot's indirect
-  /// migration-cost estimates (MeasuredSignals::replay_suffix_bytes).
-  std::vector<double> ReplaySuffixBytes() const;
-
-  /// \brief Per-group delta bytes in the latest checkpoint chain — the
-  /// restore work an indirect migration pays on top of the replayed suffix
-  /// (the base transfers in the background, the chained deltas are applied
-  /// during the pause). All zeros when delta checkpoints are off; empty
-  /// when checkpointing is disabled. Feeds
-  /// MeasuredSignals::delta_chain_bytes.
-  std::vector<double> DeltaChainBytes() const;
-
-  /// \brief Per-group bytes an epoch migration would ship in the
-  /// background (newest chain + logged suffix); -1 for groups without a
-  /// usable checkpoint, whose epoch stamp would instead round-trip the
-  /// live state off the pause path. Empty when checkpointing is disabled.
-  /// Feeds MeasuredSignals::epoch_transfer_bytes.
-  std::vector<double> EpochTransferBytes() const;
 
   /// \brief Per-group lease availability: 1 when the group's slot holds
   /// live state in the arena (ownership can flip by lease, zero bytes),
@@ -637,11 +612,8 @@ class LocalEngine {
   std::vector<ReplayLog> group_logs_;   ///< Per key group.
   std::vector<uint8_t> group_dirty_;    ///< Changed since last snapshot.
   size_t max_log_entries_ = 0;          ///< Cached coordinator soft bound.
-  /// Delta checkpoints (empty/0 unless the coordinator enables them).
-  /// Trackers are engine-owned and attached to the operators per group;
-  /// chain_len_[g] is the number of deltas chained onto g's newest base
-  /// in the store, -1 before the group has any base.
-  std::deque<StateChangeTracker> group_trackers_;
+  /// Delta checkpoints: chain_len_[g] is the number of deltas chained onto
+  /// g's newest base in the store, -1 before the group has any base.
   std::vector<int> chain_len_;
   int max_delta_chain_ = 0;             ///< Cached coordinator option.
   /// Set when a log overflows; cleared by the next round.

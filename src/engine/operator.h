@@ -3,67 +3,17 @@
 /// \file
 /// \brief StreamOperator, the user-code interface: per-key-group
 /// processing (tuple and batch), windows, state (de)serialization for
-/// direct state migration, and the dirty-key tracking behind
-/// delta-encoded checkpoints.
+/// direct state migration, and the delta records of delta-encoded
+/// checkpoints, derived from the group's replay log.
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/flat_map64.h"
 #include "common/status.h"
 #include "engine/batch.h"
+#include "engine/replay_log.h"
 #include "engine/tuple.h"
 
 namespace albic::engine {
-
-/// \brief Records which keys of one (operator, key-group) state changed
-/// since the last checkpoint of that group — the dirty-*key* refinement of
-/// the engine's dirty-group tracking, which is what lets a checkpoint
-/// round serialize a delta proportional to the change instead of a
-/// snapshot proportional to the state.
-///
-/// Operators call MarkDirty on every upsert, MarkErased on every removal
-/// and MarkReset on wholesale state replacement (window fires, clears,
-/// restores). A reset makes every earlier mark irrelevant, so the set is
-/// cleared; the engine writes a full base snapshot for a reset group. The
-/// engine clears the tracker after every checkpoint that covers it.
-class StateChangeTracker {
- public:
-  /// Per-key mark: the key was upserted (present in the live state).
-  void MarkDirty(uint64_t key) { keys_[key] = 1; }
-  /// Per-key mark: the key was removed from the live state.
-  void MarkErased(uint64_t key) { keys_[key] = 0; }
-  /// The whole group state was replaced/cleared since the last checkpoint;
-  /// a delta can no longer describe the change, so the next checkpoint of
-  /// the group must be a base snapshot.
-  void MarkReset() {
-    reset_ = true;
-    keys_.clear();
-  }
-
-  bool reset() const { return reset_; }
-  bool empty() const { return !reset_ && keys_.empty(); }
-  size_t dirty_keys() const { return keys_.size(); }
-
-  /// Visits every marked key as fn(key, dirty) — dirty=false means erased.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    keys_.ForEach([&fn](uint64_t key, const uint8_t& flag) {
-      fn(key, flag != 0);
-    });
-  }
-
-  /// Forgets all marks (the last checkpoint covered them).
-  void Clear() {
-    reset_ = false;
-    keys_.clear();
-  }
-
- private:
-  FlatMap64<uint8_t> keys_;  ///< key -> 1 (dirty upsert) / 0 (erased)
-  bool reset_ = false;
-};
 
 /// \brief Sink for tuples an operator emits downstream.
 class Emitter {
@@ -121,16 +71,18 @@ class StreamOperator {
   /// \brief Drops a key group's state (after it has been serialized away).
   virtual void ClearGroupState(int group_index) { (void)group_index; }
 
-  /// \brief Whether the operator implements the delta-state methods below.
-  /// Operators without delta support simply keep getting full snapshots.
-  virtual bool SupportsDeltaState() const { return false; }
-
-  /// \brief Serializes only the keys the group's tracker marked since the
-  /// last checkpoint (a delta record to chain onto the last base snapshot).
-  /// Only called when SupportsDeltaState() and a tracker is attached.
-  virtual std::string SerializeGroupDelta(int group_index) const {
+  /// \brief Writes to \p out a delta record that brings the group's newest
+  /// checkpoint record up to its live state. \p changes is the group's
+  /// replay log, which holds exactly the events applied since that record,
+  /// so the keys its tuples touched are the only keys that can differ.
+  /// Returns false when no delta can describe the logged change; the engine
+  /// then writes a base. The default has no delta support.
+  virtual bool SerializeGroupDelta(int group_index, const ReplayLog& changes,
+                                   std::string* out) const {
     (void)group_index;
-    return {};
+    (void)changes;
+    (void)out;
+    return false;
   }
 
   /// \brief Applies a delta record produced by SerializeGroupDelta on top
@@ -140,30 +92,6 @@ class StreamOperator {
     (void)data;
     return Status::Unimplemented("operator has no delta-state support");
   }
-
-  /// \brief Attaches the engine-owned dirty-key tracker for one group
-  /// (nullptr detaches). With no tracker attached — the default, and the
-  /// case whenever delta checkpoints are disabled — the mutation paths pay
-  /// a single predictable branch and nothing else.
-  void AttachChangeTracker(int group_index, StateChangeTracker* tracker) {
-    if (group_index < 0) return;
-    if (static_cast<size_t>(group_index) >= trackers_.size()) {
-      trackers_.resize(static_cast<size_t>(group_index) + 1, nullptr);
-    }
-    trackers_[static_cast<size_t>(group_index)] = tracker;
-  }
-
- protected:
-  /// \brief The group's attached tracker, or nullptr.
-  StateChangeTracker* tracker(int group_index) const {
-    return group_index >= 0 &&
-                   static_cast<size_t>(group_index) < trackers_.size()
-               ? trackers_[static_cast<size_t>(group_index)]
-               : nullptr;
-  }
-
- private:
-  std::vector<StateChangeTracker*> trackers_;
 };
 
 }  // namespace albic::engine

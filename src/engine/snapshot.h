@@ -34,16 +34,6 @@ struct SystemSnapshot {
   std::vector<double> node_loads;      ///< loadi by NodeId, %.
   /// mck per key group under DIRECT migration: O(state) serialize + move.
   std::vector<double> migration_costs;
-  /// mck per key group under INDIRECT migration: O(replay-log suffix), the
-  /// checkpoint transfers in the background. Falls back to the direct cost
-  /// for groups without a usable checkpoint; empty when checkpointing is
-  /// off. Informational for planners today — migration budgets still use
-  /// migration_costs (direct). The controller's per-group mode choice
-  /// consumes the SAME suffix signal via
-  /// LocalEngine::EstimateMigrationPause, so this vector mirrors the
-  /// decision planners will see applied (pinned by
-  /// tests/core/measured_cost_test.cc).
-  std::vector<double> migration_costs_indirect;
   /// Optional per-group load of a non-bottleneck resource (e.g. memory),
   /// for the multi-dimensional extension of §4.3.1: when non-empty, the
   /// rebalancers additionally cap each node's secondary usage

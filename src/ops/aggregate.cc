@@ -12,10 +12,8 @@ SumByKeyOperator::SumByKeyOperator(int num_groups, GroupField field,
 
 void SumByKeyOperator::Process(const engine::Tuple& tuple, int group_index,
                                engine::Emitter* out) {
-  const uint64_t id = field_ == GroupField::kKey ? tuple.key : tuple.aux;
-  double& sum = sums_[group_index][id];
+  double& sum = sums_[group_index][IdOf(tuple)];
   sum += tuple.num;
-  if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkDirty(id);
   if (emit_updates_) {
     engine::Tuple t = tuple;
     t.num = sum;  // running aggregate
@@ -25,26 +23,17 @@ void SumByKeyOperator::Process(const engine::Tuple& tuple, int group_index,
 
 void SumByKeyOperator::ProcessBatch(const engine::TupleBatch& batch,
                                     int group_index, engine::Emitter* out) {
-  // Hoist the group-state lookup and the field/emit/tracker branches out of
-  // the loop.
+  // Hoist the group-state lookup and the field/emit branches out of the
+  // loop.
   auto& sums = sums_[group_index];
-  engine::StateChangeTracker* track = tracker(group_index);
   const bool by_key = field_ == GroupField::kKey;
   if (emit_updates_) {
     for (const engine::Tuple& tuple : batch) {
-      const uint64_t id = by_key ? tuple.key : tuple.aux;
-      double& sum = sums[id];
+      double& sum = sums[by_key ? tuple.key : tuple.aux];
       sum += tuple.num;
-      if (track != nullptr) track->MarkDirty(id);
       engine::Tuple t = tuple;
       t.num = sum;  // running aggregate
       out->Emit(t);
-    }
-  } else if (track != nullptr) {
-    for (const engine::Tuple& tuple : batch) {
-      const uint64_t id = by_key ? tuple.key : tuple.aux;
-      sums[id] += tuple.num;
-      track->MarkDirty(id);
     }
   } else {
     for (const engine::Tuple& tuple : batch) {
@@ -76,21 +65,24 @@ std::string SumByKeyOperator::SerializeGroupState(int group_index) const {
 Status SumByKeyOperator::DeserializeGroupState(int group_index,
                                                const std::string& data) {
   StateReader r(data);
-  ALBIC_RETURN_NOT_OK(ReadMapRows(r, sums_[group_index]));
-  if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkReset();
-  return Status::OK();
+  return ReadMapRows(r, sums_[group_index]);
 }
 
 void SumByKeyOperator::ClearGroupState(int group_index) {
   sums_[group_index].clear();
-  if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkReset();
 }
 
-std::string SumByKeyOperator::SerializeGroupDelta(int group_index) const {
+bool SumByKeyOperator::SerializeGroupDelta(int group_index,
+                                           const engine::ReplayLog& changes,
+                                           std::string* out) const {
   StateWriter w;
-  WriteMapDelta(w, *tracker(group_index), sums_[group_index],
-                [](StateWriter& out, double v) { out.PutDouble(v); });
-  return w.Take();
+  WriteMapDelta(w,
+                ChangedKeys(changes,
+                            [this](const engine::Tuple& t) { return IdOf(t); }),
+                sums_[group_index],
+                [](StateWriter& o, double v) { o.PutDouble(v); });
+  *out = w.Take();
+  return true;
 }
 
 Status SumByKeyOperator::ApplyGroupDelta(int group_index,

@@ -2,7 +2,7 @@
 
 /// \file
 /// \brief Keyed running-sum aggregation (SumByKey) for Real Jobs 2 and 3,
-/// with delta-state support proportional to the keys touched.
+/// with delta records of the keys the replay log touched.
 
 #include <cstdint>
 #include <vector>
@@ -37,8 +37,8 @@ class SumByKeyOperator : public engine::StreamOperator {
                                const std::string& data) override;
   void ClearGroupState(int group_index) override;
 
-  bool SupportsDeltaState() const override { return true; }
-  std::string SerializeGroupDelta(int group_index) const override;
+  bool SerializeGroupDelta(int group_index, const engine::ReplayLog& changes,
+                           std::string* out) const override;
   Status ApplyGroupDelta(int group_index, const std::string& data) override;
 
   /// \brief Current sum for a grouping key (0 when unseen), for tests.
@@ -48,6 +48,12 @@ class SumByKeyOperator : public engine::StreamOperator {
   double GroupTotal(int group_index) const;
 
  private:
+  /// The grouping key of \p tuple: what Process sums under, and so what a
+  /// logged tuple changed.
+  uint64_t IdOf(const engine::Tuple& tuple) const {
+    return field_ == GroupField::kKey ? tuple.key : tuple.aux;
+  }
+
   GroupField field_;
   bool emit_updates_;
   std::vector<FlatMap64<double>> sums_;

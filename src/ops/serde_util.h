@@ -3,7 +3,8 @@
 /// \file
 /// \brief Binary (de)serialization helpers for operator state images: the
 /// canonical map-row section the map-backed operators share, and the
-/// map-delta record layout behind delta-encoded checkpoints.
+/// map-delta record layout behind delta-encoded checkpoints, whose keys
+/// come from the group's replay log.
 
 #include <algorithm>
 #include <cstdint>
@@ -14,7 +15,8 @@
 
 #include "common/flat_map64.h"
 #include "common/status.h"
-#include "engine/operator.h"
+#include "engine/replay_log.h"
+#include "engine/tuple.h"
 
 namespace albic::ops {
 
@@ -89,29 +91,30 @@ class StateReader {
   size_t pos_ = 0;
 };
 
-/// \brief Sorts (key, value) rows by ascending key: an LSD radix sort over
+/// \brief Sorts \p rows by ascending key_of(row): an LSD radix sort over
 /// only the 8-bit digits in which the keys differ (the bits set in the OR
 /// of all keys but not in their AND), so keys below 2^16 take at most two
 /// counting passes. Each pass is stable; rows gathered from one map have
 /// unique keys, so the result is the canonical order.
-template <typename T>
-void SortRowsByKey(std::vector<std::pair<uint64_t, T>>* rows) {
+template <typename Row, typename KeyOf>
+void SortRowsByKey(std::vector<Row>* rows, KeyOf key_of) {
   const size_t n = rows->size();
   if (n < 2) return;
   uint64_t any = 0;
   uint64_t all = ~uint64_t{0};
-  for (const auto& row : *rows) {
-    any |= row.first;
-    all &= row.first;
+  for (const Row& row : *rows) {
+    const uint64_t key = key_of(row);
+    any |= key;
+    all &= key;
   }
   const uint64_t varying = any ^ all;
-  std::vector<std::pair<uint64_t, T>> spare(n);
-  std::pair<uint64_t, T>* src = rows->data();
-  std::pair<uint64_t, T>* dst = spare.data();
+  std::vector<Row> spare(n);
+  Row* src = rows->data();
+  Row* dst = spare.data();
   for (unsigned shift = 0; shift < 64; shift += 8) {
     if (((varying >> shift) & 0xff) == 0) continue;
     size_t next[256] = {};
-    for (size_t i = 0; i < n; ++i) ++next[(src[i].first >> shift) & 0xff];
+    for (size_t i = 0; i < n; ++i) ++next[(key_of(src[i]) >> shift) & 0xff];
     size_t offset = 0;
     for (size_t& slot : next) {
       const size_t count = slot;
@@ -119,11 +122,18 @@ void SortRowsByKey(std::vector<std::pair<uint64_t, T>>* rows) {
       offset += count;
     }
     for (size_t i = 0; i < n; ++i) {
-      dst[next[(src[i].first >> shift) & 0xff]++] = src[i];
+      dst[next[(key_of(src[i]) >> shift) & 0xff]++] = src[i];
     }
     std::swap(src, dst);
   }
   if (src != rows->data()) rows->swap(spare);
+}
+
+/// \brief Sorts (key, value) rows by ascending key.
+template <typename T>
+void SortRowsByKey(std::vector<std::pair<uint64_t, T>>* rows) {
+  SortRowsByKey(rows,
+                [](const std::pair<uint64_t, T>& row) { return row.first; });
 }
 
 /// Bytes per map row in a state image: a u64 key and an 8-byte value.
@@ -170,36 +180,50 @@ Status ReadMapRows(StateReader& r, FlatMap64<V>& map) {
   return Status::OK();
 }
 
-/// Delta records start with a flags word; bit 0 says the tracked state was
-/// wholesale reset since the base (apply clears before upserting).
+/// \brief The distinct keys the tuples of \p changes touched, ascending.
+/// \p key_of(tuple) must be the operator's own key expression, the one its
+/// Process upserts under. Window markers touch no key and are skipped.
+/// A group's replay log holds exactly the events since its newest
+/// checkpoint record, so these are the only keys that can differ from it.
+template <typename KeyOf>
+std::vector<uint64_t> ChangedKeys(const engine::ReplayLog& changes,
+                                  KeyOf key_of) {
+  std::vector<uint64_t> keys;
+  keys.reserve(changes.tuple_count());
+  changes.ReplayFrom(
+      changes.base_seq(),
+      [&](const engine::Tuple& t) { keys.push_back(key_of(t)); }, [] {});
+  SortRowsByKey(&keys, [](uint64_t key) { return key; });
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+/// Delta records start with a flags word; bit 0 says the state was
+/// wholesale reset since the base (apply clears before upserting). No
+/// writer here sets it, since a reset is written as a base, but readers
+/// honour it in records they did not write.
 inline constexpr uint64_t kDeltaResetFlag = 1;
 
 /// \brief Writes the map-backed portion of a delta record: flags, then the
-/// tracker's marked keys that are still present (sorted by key, with their
-/// live values — one PutVal(writer, value) call each), then the marked
-/// keys now absent (sorted). Canonical ordering keeps chain restoration
-/// byte-stable, exactly like the sorted full snapshots.
+/// \p keys (ascending and distinct, see ChangedKeys) still present in
+/// \p live, with their live values (one PutVal(writer, value) call each),
+/// then the \p keys now absent, as erases. Canonical ordering keeps chain
+/// restoration byte-stable, exactly like the sorted full snapshots.
 template <typename V, typename PutVal>
-void WriteMapDelta(StateWriter& w, const engine::StateChangeTracker& tracker,
+void WriteMapDelta(StateWriter& w, const std::vector<uint64_t>& keys,
                    const FlatMap64<V>& live, PutVal&& put_val) {
   std::vector<std::pair<uint64_t, const V*>> upserts;
   std::vector<uint64_t> erases;
-  upserts.reserve(tracker.dirty_keys());
-  // The live table decides: a marked key that is present gets upserted
-  // with its current value; a marked key that is absent gets erased
-  // (whatever order the mutations since the base happened in).
-  tracker.ForEach([&](uint64_t key, bool dirty) {
-    (void)dirty;
+  upserts.reserve(keys.size());
+  for (const uint64_t key : keys) {
     const V* v = live.find(key);
     if (v != nullptr) {
       upserts.emplace_back(key, v);
     } else {
       erases.push_back(key);
     }
-  });
-  SortRowsByKey(&upserts);
-  std::sort(erases.begin(), erases.end());
-  w.PutU64(tracker.reset() ? kDeltaResetFlag : 0);
+  }
+  w.PutU64(0);  // flags
   w.PutU64(upserts.size());
   for (const auto& [key, value] : upserts) {
     w.PutU64(key);

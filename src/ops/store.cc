@@ -12,9 +12,6 @@ void StoreSinkOperator::Process(const engine::Tuple& tuple, int group_index,
                                 engine::Emitter* out) {
   (void)out;  // sink: no downstream
   table_[group_index][tuple.key] = tuple.num;
-  if (engine::StateChangeTracker* t = tracker(group_index)) {
-    t->MarkDirty(tuple.key);
-  }
 }
 
 void StoreSinkOperator::OnWindow(int group_index, engine::Emitter* out) {
@@ -41,24 +38,29 @@ Status StoreSinkOperator::DeserializeGroupState(int group_index,
                                                 const std::string& data) {
   StateReader r(data);
   ALBIC_RETURN_NOT_OK(ReadMapRows(r, table_[group_index]));
-  if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkReset();
   return r.GetI64(&flushes_[group_index]);
 }
 
 void StoreSinkOperator::ClearGroupState(int group_index) {
   table_[group_index].clear();
   flushes_[group_index] = 0;
-  if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkReset();
 }
 
-std::string StoreSinkOperator::SerializeGroupDelta(int group_index) const {
+// Process upserts under tuple.key, so the logged keys are the changed
+// rows. A window fire only bumps the flush counter, which every delta
+// carries whole, so any logged change is describable.
+bool StoreSinkOperator::SerializeGroupDelta(int group_index,
+                                            const engine::ReplayLog& changes,
+                                            std::string* out) const {
   StateWriter w;
-  const engine::StateChangeTracker* t = tracker(group_index);
-  WriteMapDelta(w, *t, table_[group_index],
-                [](StateWriter& out, double v) { out.PutDouble(v); });
-  // The flush counter is a few bytes; deltas always carry it whole.
+  WriteMapDelta(w,
+                ChangedKeys(changes,
+                            [](const engine::Tuple& t) { return t.key; }),
+                table_[group_index],
+                [](StateWriter& o, double v) { o.PutDouble(v); });
   w.PutI64(flushes_[group_index]);
-  return w.Take();
+  *out = w.Take();
+  return true;
 }
 
 Status StoreSinkOperator::ApplyGroupDelta(int group_index,

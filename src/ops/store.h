@@ -2,7 +2,7 @@
 
 /// \file
 /// \brief StoreSink: upsert-per-tuple sink table over FlatMap64, with
-/// dirty-key delta checkpoints.
+/// delta checkpoints of the keys the replay log touched.
 
 #include <cstdint>
 #include <vector>
@@ -24,9 +24,9 @@ namespace albic::ops {
 /// the flush counter: any two tables with equal contents serialize
 /// identically regardless of insertion history — what keeps checkpoint +
 /// replay reconstruction byte-stable.
-/// Supports delta state: with a tracker attached, each upsert marks its
-/// key, and a delta record carries only the marked keys (plus the small
-/// flush counter), so checkpoint bytes track the change, not the table.
+/// Supports delta state: a delta record carries only the keys the group's
+/// replay log touched (plus the small flush counter), so checkpoint bytes
+/// track the change, not the table.
 class StoreSinkOperator : public engine::StreamOperator {
  public:
   explicit StoreSinkOperator(int num_groups);
@@ -40,8 +40,8 @@ class StoreSinkOperator : public engine::StreamOperator {
                                const std::string& data) override;
   void ClearGroupState(int group_index) override;
 
-  bool SupportsDeltaState() const override { return true; }
-  std::string SerializeGroupDelta(int group_index) const override;
+  bool SerializeGroupDelta(int group_index, const engine::ReplayLog& changes,
+                           std::string* out) const override;
   Status ApplyGroupDelta(int group_index, const std::string& data) override;
 
   int64_t rows(int group_index) const {

@@ -16,15 +16,11 @@ WindowedTopKOperator::WindowedTopKOperator(int num_groups, int k,
 void WindowedTopKOperator::Process(const engine::Tuple& tuple,
                                    int group_index, engine::Emitter* out) {
   (void)out;  // TopK only emits on window boundaries.
-  // Track by the auxiliary id when present (article id preserved by the
-  // GeoHash operator); otherwise by the partition key itself.
-  const uint64_t id = tuple.aux != 0 ? tuple.aux : tuple.key;
   const int64_t weight =
       mode_ == TopKCountMode::kSumNum
           ? std::max<int64_t>(1, static_cast<int64_t>(tuple.num))
           : 1;
-  window_counts_[group_index][id] += weight;
-  if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkDirty(id);
+  window_counts_[group_index][IdOf(tuple)] += weight;
 }
 
 void WindowedTopKOperator::ProcessBatch(const engine::TupleBatch& batch,
@@ -35,29 +31,18 @@ void WindowedTopKOperator::ProcessBatch(const engine::TupleBatch& batch,
   // prefetch a few tuples ahead so count-slot probes overlap memory latency.
   constexpr size_t kLookahead = 24;
   auto& counts = window_counts_[group_index];
-  engine::StateChangeTracker* track = tracker(group_index);
   const size_t n = batch.size();
   if (mode_ == TopKCountMode::kOccurrences) {
     for (size_t i = 0; i < n; ++i) {
-      if (i + kLookahead < n) {
-        const engine::Tuple& ahead = batch[i + kLookahead];
-        counts.prefetch(ahead.aux != 0 ? ahead.aux : ahead.key);
-      }
-      const engine::Tuple& tuple = batch[i];
-      const uint64_t id = tuple.aux != 0 ? tuple.aux : tuple.key;
-      counts[id] += 1;
-      if (track != nullptr) track->MarkDirty(id);
+      if (i + kLookahead < n) counts.prefetch(IdOf(batch[i + kLookahead]));
+      counts[IdOf(batch[i])] += 1;
     }
   } else {
     for (size_t i = 0; i < n; ++i) {
-      if (i + kLookahead < n) {
-        const engine::Tuple& ahead = batch[i + kLookahead];
-        counts.prefetch(ahead.aux != 0 ? ahead.aux : ahead.key);
-      }
+      if (i + kLookahead < n) counts.prefetch(IdOf(batch[i + kLookahead]));
       const engine::Tuple& tuple = batch[i];
-      const uint64_t id = tuple.aux != 0 ? tuple.aux : tuple.key;
-      counts[id] += std::max<int64_t>(1, static_cast<int64_t>(tuple.num));
-      if (track != nullptr) track->MarkDirty(id);
+      counts[IdOf(tuple)] +=
+          std::max<int64_t>(1, static_cast<int64_t>(tuple.num));
     }
   }
 }
@@ -84,10 +69,6 @@ void WindowedTopKOperator::OnWindow(int group_index, engine::Emitter* out) {
   }
   last_top_[group_index] = std::move(entries);
   counts.clear();
-  // The window fire replaced the whole tracked state (counts emptied,
-  // last_top_ rewritten): only a base snapshot can describe it — and right
-  // after a fire the state is at its smallest, so the base is cheap.
-  if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkReset();
 }
 
 std::string WindowedTopKOperator::SerializeGroupState(int group_index) const {
@@ -122,20 +103,25 @@ Status WindowedTopKOperator::DeserializeGroupState(int group_index,
     ALBIC_RETURN_NOT_OK(r.GetI64(&count));
     top.emplace_back(id, count);
   }
-  if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkReset();
   return Status::OK();
 }
 
 void WindowedTopKOperator::ClearGroupState(int group_index) {
   window_counts_[group_index].clear();
   last_top_[group_index].clear();
-  if (engine::StateChangeTracker* t = tracker(group_index)) t->MarkReset();
 }
 
-std::string WindowedTopKOperator::SerializeGroupDelta(int group_index) const {
+bool WindowedTopKOperator::SerializeGroupDelta(
+    int group_index, const engine::ReplayLog& changes,
+    std::string* out) const {
+  // A window fire replaced the whole state (counts emptied, last_top_
+  // rewritten), and the counts it emptied are keys the log never touched:
+  // only a base describes it. Right after a fire the state is at its
+  // smallest, so the base is cheap.
+  if (changes.window_fire_count() > 0) return false;
   StateWriter w;
-  WriteMapDelta(w, *tracker(group_index), window_counts_[group_index],
-                [](StateWriter& out, int64_t v) { out.PutI64(v); });
+  WriteMapDelta(w, ChangedKeys(changes, IdOf), window_counts_[group_index],
+                [](StateWriter& o, int64_t v) { o.PutI64(v); });
   // last_top_ is at most k entries — deltas always carry it whole.
   const auto& top = last_top_[group_index];
   w.PutU64(top.size());
@@ -143,7 +129,8 @@ std::string WindowedTopKOperator::SerializeGroupDelta(int group_index) const {
     w.PutU64(id);
     w.PutI64(count);
   }
-  return w.Take();
+  *out = w.Take();
+  return true;
 }
 
 Status WindowedTopKOperator::ApplyGroupDelta(int group_index,

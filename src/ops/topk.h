@@ -2,7 +2,8 @@
 
 /// \file
 /// \brief WindowedTopK: per-window heaviest-ids operator for both TopK
-/// roles of Real Job 1, with delta-state support.
+/// roles of Real Job 1, with delta records of the ids the replay log
+/// touched.
 
 #include <cstdint>
 #include <vector>
@@ -45,8 +46,9 @@ class WindowedTopKOperator : public engine::StreamOperator {
                                const std::string& data) override;
   void ClearGroupState(int group_index) override;
 
-  bool SupportsDeltaState() const override { return true; }
-  std::string SerializeGroupDelta(int group_index) const override;
+  /// False once a window fired in \p changes: only a base describes a fire.
+  bool SerializeGroupDelta(int group_index, const engine::ReplayLog& changes,
+                           std::string* out) const override;
   Status ApplyGroupDelta(int group_index, const std::string& data) override;
 
   /// \brief Current (mid-window) counts of a group, for tests.
@@ -61,6 +63,12 @@ class WindowedTopKOperator : public engine::StreamOperator {
   }
 
  private:
+  /// The id \p tuple counts toward: its auxiliary id when present (the
+  /// article id the GeoHash operator preserves), else its partition key.
+  static uint64_t IdOf(const engine::Tuple& tuple) {
+    return tuple.aux != 0 ? tuple.aux : tuple.key;
+  }
+
   int k_;
   TopKCountMode mode_;
   std::vector<FlatMap64<int64_t>> window_counts_;

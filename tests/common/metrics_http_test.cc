@@ -1,7 +1,8 @@
 // MetricsHttpServer: loopback GET smoke tests. A real client socket hits
 // the served endpoint — text exposition at /metrics, JSON snapshot at
 // /metrics.json, 404 elsewhere — and Stop/restart lifecycle is exercised
-// so examples can hold one server across a run.
+// so examples can hold one server across a run, also while a client that
+// connected sends nothing.
 
 #include "common/metrics_http.h"
 
@@ -12,19 +13,21 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
+#include <thread>
 
 #include "common/metrics_registry.h"
 
 namespace albic {
 namespace {
 
-// Blocking one-shot HTTP GET against 127.0.0.1:port; returns the full
-// response (status line + headers + body), or "" on connect failure.
-std::string Get(int port, const std::string& path) {
+// A socket connected to 127.0.0.1:port, or -1.
+int Connect(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -33,8 +36,16 @@ std::string Get(int port, const std::string& path) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+// Blocking one-shot HTTP GET against 127.0.0.1:port; returns the full
+// response (status line + headers + body), or "" on connect failure.
+std::string Get(int port, const std::string& path) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
   const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
   size_t off = 0;
   while (off < req.size()) {
@@ -108,6 +119,48 @@ TEST(MetricsHttpTest, LifecycleStopIsIdempotentAndRestartRebinds) {
   EXPECT_GT(server.port(), 0);
   EXPECT_FALSE(Get(server.port(), "/metrics").empty());
   (void)first_port;
+  server.Stop();
+}
+
+TEST(MetricsHttpTest, IdleClientWedgesNeitherStopNorLaterRequests) {
+  MetricsRegistry reg;
+  reg.Counter("tuples_total")->Add(1);
+  MetricsHttpServer server;
+  ASSERT_TRUE(server.Start(&reg, 0).ok());
+
+  // A client that connects and sends nothing; give the serve loop time to
+  // accept it and start waiting for its request.
+  int idle = Connect(server.port());
+  ASSERT_GE(idle, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Stop() must return while the idle client holds its connection. The
+  // watchdog closes the idle socket after 2 s either way, which unblocks a
+  // serve loop stuck on it, so a regression fails here instead of hanging.
+  std::future<void> stopped =
+      std::async(std::launch::async, [&server] { server.Stop(); });
+  const bool stopped_in_time =
+      stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  ::close(idle);
+  stopped.get();
+  EXPECT_TRUE(stopped_in_time)
+      << "Stop() did not return within 2 s with an idle client connected";
+  EXPECT_FALSE(server.running());
+
+  // A normal scrape behind an idle client is still answered, once the
+  // server has given up on the silent connection.
+  ASSERT_TRUE(server.Start(&reg, 0).ok());
+  idle = Connect(server.port());
+  ASSERT_GE(idle, 0);
+  std::future<std::string> scrape = std::async(
+      std::launch::async, [&server] { return Get(server.port(), "/metrics"); });
+  const bool answered_in_time =
+      scrape.wait_for(std::chrono::seconds(4)) == std::future_status::ready;
+  ::close(idle);  // watchdog, as above
+  const std::string text = scrape.get();
+  EXPECT_TRUE(answered_in_time)
+      << "GET /metrics behind an idle client was not answered within 4 s";
+  EXPECT_NE(text.find("200 OK"), std::string::npos);
+  EXPECT_NE(text.find("tuples_total"), std::string::npos);
   server.Stop();
 }
 

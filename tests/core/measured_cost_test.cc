@@ -205,9 +205,7 @@ TEST(MeasuredCostPlanningTest, SkewedTupleCostMeasuredPlanningClearsOverload) {
 // 3. Per-group migration-mode choice.
 // ---------------------------------------------------------------------------
 
-/// Returns a fixed plan (move the requested groups to the other node) and
-/// records the snapshot's two migration-cost vectors, so the test can pin
-/// that planners are offered BOTH estimates.
+/// Returns a fixed plan: move the requested groups to the other node.
 class FixedPlanRebalancer : public balance::Rebalancer {
  public:
   explicit FixedPlanRebalancer(std::vector<KeyGroupId> groups)
@@ -216,8 +214,6 @@ class FixedPlanRebalancer : public balance::Rebalancer {
   Result<balance::RebalancePlan> ComputePlan(
       const engine::SystemSnapshot& snapshot,
       const balance::RebalanceConstraints&) override {
-    seen_costs_direct = snapshot.migration_costs;
-    seen_costs_indirect = snapshot.migration_costs_indirect;
     balance::RebalancePlan plan;
     plan.assignment = snapshot.assignment;
     for (const KeyGroupId g : groups_) {
@@ -228,9 +224,6 @@ class FixedPlanRebalancer : public balance::Rebalancer {
     return plan;
   }
   std::string name() const override { return "fixed-plan"; }
-
-  std::vector<double> seen_costs_direct;
-  std::vector<double> seen_costs_indirect;
 
  private:
   std::vector<KeyGroupId> groups_;
@@ -287,16 +280,6 @@ TEST(MeasuredCostPlanningTest, MigrationModeChosenPerGroupFromCostModel) {
 
   const Result<core::ControllerRound> round = controller.RunRoundNow();
   ASSERT_TRUE(round.ok());
-
-  // The snapshot offered the planner BOTH cost estimates, pointing in
-  // opposite directions for the two groups: the big group's suffix
-  // undercuts its state, the small group's suffix dwarfs it.
-  ASSERT_EQ(rebalancer.seen_costs_indirect.size(),
-            rebalancer.seen_costs_direct.size());
-  EXPECT_LT(rebalancer.seen_costs_indirect[big_group],
-            rebalancer.seen_costs_direct[big_group]);
-  EXPECT_GT(rebalancer.seen_costs_indirect[small_group],
-            rebalancer.seen_costs_direct[small_group]);
 
   ASSERT_EQ(round->migrations_applied, 2);
   EXPECT_EQ(round->migrations_indirect, 1);

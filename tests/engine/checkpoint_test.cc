@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -321,14 +322,16 @@ TEST(FileCheckpointStoreTest, DeltaChainSurvivesReopenBitIdentical) {
   std::filesystem::remove_all(dir);
 
   ops::StoreSinkOperator live(1);
-  engine::StateChangeTracker tracker;
-  live.AttachChangeTracker(0, &tracker);
+  ReplayLog log;  // what the engine logs for the group
   auto feed = [&](uint64_t key, double num) {
     Tuple t;
     t.key = key;
     t.num = num;
     live.Process(t, 0, nullptr);
+    log.AppendChunk({t});
   };
+  // A record covers the log up to here: truncate, as a checkpoint round does.
+  auto covered = [&] { log.TruncateBefore(log.next_seq()); };
 
   std::string base, d1, d2;
   {
@@ -337,19 +340,19 @@ TEST(FileCheckpointStoreTest, DeltaChainSurvivesReopenBitIdentical) {
     for (uint64_t k = 1; k <= 50; ++k) feed(k, 0.5 * static_cast<double>(k));
     base = live.SerializeGroupState(0);
     ASSERT_TRUE((*store)->Put(7, /*seq=*/50, base).ok());
-    tracker.Clear();
+    covered();
 
     feed(3, 99.0);    // overwrite
     feed(60, 1.25);   // new key
-    d1 = live.SerializeGroupDelta(0);
+    ASSERT_TRUE(live.SerializeGroupDelta(0, log, &d1));
     ASSERT_TRUE((*store)->PutDelta(7, /*seq=*/52, d1).ok());
-    tracker.Clear();
+    covered();
 
     feed(60, 2.5);
     feed(61, -4.0);
-    d2 = live.SerializeGroupDelta(0);
+    ASSERT_TRUE(live.SerializeGroupDelta(0, log, &d2));
     ASSERT_TRUE((*store)->PutDelta(7, /*seq=*/54, d2).ok());
-    tracker.Clear();
+    covered();
     // Deltas are far smaller than the table they describe.
     EXPECT_LT(d1.size(), base.size() / 4);
   }
@@ -651,6 +654,89 @@ TEST(CheckpointRecoveryTest, ChainLengthBoundRollsIntoFreshBase) {
   // Bases (puts counts every record): the initial round's and the two
   // rollovers.
   EXPECT_EQ(store.puts() - store.delta_puts(), 3);
+}
+
+TEST(CheckpointRecoveryTest, RebuiltGroupsKeepChainingDeltas) {
+  // A move or a recovery leaves a group's state at its newest record plus
+  // the logged suffix (or as it was), so its next record may still be a
+  // delta derived from the log. One StoreSink group with deltas on goes
+  // through every kind of move and a node failure, with keys logged before
+  // and after each; after each, the next round writes a delta and the
+  // newest chain rebuilds the live bytes.
+  engine::Topology topo;
+  topo.AddOperator("store", 1, 1 << 14);
+  engine::Cluster cluster(2);
+  engine::Assignment assign(1);
+  assign.set_node(0, 0);
+  ops::StoreSinkOperator sink(1);
+  engine::LocalEngineOptions eopts;
+  eopts.window_every_us = 0;
+  engine::LocalEngine engine(&topo, &cluster, assign,
+                             std::vector<engine::StreamOperator*>{&sink},
+                             eopts);
+  MemoryCheckpointStore store;
+  CheckpointCoordinatorOptions copts;
+  copts.interval_us = 1LL << 60;  // manual rounds only
+  copts.max_delta_chain = 16;
+  CheckpointCoordinator coordinator(&store, copts);
+  ASSERT_TRUE(engine.EnableCheckpointing(&coordinator).ok());
+
+  uint64_t n = 0;
+  // Three upserts: a new key, a key seen a few tuples ago and key 1.
+  const auto upsert = [&] {
+    for (const uint64_t key : {n + 10, n / 2 + 10, uint64_t{1}}) {
+      Tuple t;
+      t.key = key;
+      t.ts = static_cast<int64_t>(++n) * 1000;
+      t.num = 0.5 * static_cast<double>(n);
+      ASSERT_TRUE(engine.Inject(0, t).ok());
+    }
+    engine.Flush();
+  };
+  const auto migrate = [&engine](engine::MigrationMode mode) {
+    return [&engine, mode](NodeId to) {
+      const Status s = engine.StartMigration(0, to, mode);
+      return s.ok() ? engine.FinishMigration(0).status() : s;
+    };
+  };
+  const std::vector<std::pair<const char*, std::function<Status(NodeId)>>>
+      moves = {
+          {"direct", migrate(engine::MigrationMode::kDirect)},
+          {"indirect", migrate(engine::MigrationMode::kIndirect)},
+          {"epoch", migrate(engine::MigrationMode::kEpoch)},
+          {"lease", migrate(engine::MigrationMode::kLease)},
+          {"recovery",
+           [&engine](NodeId to) {
+             const Status s = engine.FailNode(engine.assignment().node_of(0));
+             return s.ok() ? engine.RecoverGroup(0, to).status() : s;
+           }},
+      };
+  for (const auto& [name, move] : moves) {
+    upsert();  // logged past the newest record: the rebuild replays it
+    const NodeId to = 1 - engine.assignment().node_of(0);
+    ASSERT_TRUE(move(to).ok()) << name;
+    ASSERT_EQ(engine.assignment().node_of(0), to) << name;
+    upsert();
+    const auto result = engine.CheckpointDirtyGroups();
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    EXPECT_EQ(result->groups, 1) << name;
+    EXPECT_EQ(result->delta_groups, 1) << name;
+
+    CheckpointInfo info;
+    std::string base;
+    std::vector<std::string> deltas;
+    ASSERT_TRUE(store.LatestChain(0, &info, &base, &deltas)) << name;
+    ops::StoreSinkOperator restored(1);
+    ASSERT_TRUE(restored.DeserializeGroupState(0, base).ok()) << name;
+    for (const std::string& d : deltas) {
+      ASSERT_TRUE(restored.ApplyGroupDelta(0, d).ok()) << name;
+    }
+    EXPECT_EQ(restored.SerializeGroupState(0), sink.SerializeGroupState(0))
+        << name;
+  }
+  // The initial round's base carries every later record.
+  EXPECT_EQ(store.delta_puts(), static_cast<int64_t>(moves.size()));
+  EXPECT_EQ(store.puts() - store.delta_puts(), 1);
 }
 
 TEST(CheckpointRecoveryTest, IndirectMigrationWithDeltaChainsMatchesDirect) {

@@ -155,7 +155,14 @@ StoreRunResult RunStoreScenario(const StoreScenario& scenario,
     out.in_flight = static_cast<int64_t>(keys.size() - half);
     out.state_bytes =
         static_cast<int64_t>(p.sink.SerializeGroupState(0).size());
-    out.chain_bytes = static_cast<int64_t>(p.cstore.ChainBytes(group));
+    engine::CheckpointInfo info;
+    std::string base;
+    std::vector<std::string> deltas;
+    EXPECT_TRUE(p.cstore.LatestChain(group, &info, &base, &deltas));
+    out.chain_bytes = static_cast<int64_t>(base.size());
+    for (const std::string& d : deltas) {
+      out.chain_bytes += static_cast<int64_t>(d.size());
+    }
     out.chain_delta_bytes =
         static_cast<int64_t>(p.cstore.ChainDeltaBytes(group));
     EXPECT_TRUE(p.engine->StartMigration(group, to, mode).ok());

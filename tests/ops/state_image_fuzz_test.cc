@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "engine/operator.h"
+#include "engine/replay_log.h"
 #include "ops/aggregate.h"
 #include "ops/extract.h"
 #include "ops/geohash.h"
@@ -68,11 +69,16 @@ std::unique_ptr<engine::StreamOperator> MakeOp(const std::string& name) {
 /// keys, a third of the tuples on the join's rain side, timestamps a
 /// little out of order (so the reorder buffer holds some back). Tuple 200
 /// is preceded by a window fire, so TopK's last window and the store's
-/// flush counter are in the image too.
-void Populate(engine::StreamOperator* op, int first, int last) {
+/// flush counter are in the image too. When \p log is set, every tuple and
+/// fire is also logged there, as the engine logs what it delivers.
+void Populate(engine::StreamOperator* op, int first, int last,
+              engine::ReplayLog* log = nullptr) {
   Capture out;
   for (int i = first; i < last; ++i) {
-    if (i == 200) op->OnWindow(0, &out);
+    if (i == 200) {
+      op->OnWindow(0, &out);
+      if (log != nullptr) log->AppendWindowFire();
+    }
     engine::Tuple t;
     t.key = static_cast<uint64_t>(i % 97 + 1);
     t.aux = i % 3 == 0 ? RouteRainJoinOperator::kRainMark
@@ -80,6 +86,7 @@ void Populate(engine::StreamOperator* op, int first, int last) {
     t.num = static_cast<double>(i * 7 % 100) + 0.5;
     t.ts = 1000 * i - (i % 5) * 300;
     op->Process(t, 0, &out);
+    if (log != nullptr) log->AppendChunk({t});
   }
 }
 
@@ -155,14 +162,12 @@ class DeltaImageFuzzTest : public StateImageFuzzTest {};
 
 TEST_P(DeltaImageFuzzTest, HostileDeltasReturnStatus) {
   const std::unique_ptr<engine::StreamOperator> live = MakeOp(GetParam().name);
-  ASSERT_TRUE(live->SupportsDeltaState());
-  engine::StateChangeTracker tracker;
-  live->AttachChangeTracker(0, &tracker);
   Populate(live.get(), 0, 400);
   const std::string base = live->SerializeGroupState(0);
-  tracker.Clear();
-  Populate(live.get(), 400, 460);
-  const std::string delta = live->SerializeGroupDelta(0);
+  engine::ReplayLog changes;  // the events since the base
+  Populate(live.get(), 400, 460, &changes);
+  std::string delta;
+  ASSERT_TRUE(live->SerializeGroupDelta(0, changes, &delta));
 
   const std::unique_ptr<engine::StreamOperator> victim =
       MakeOp(GetParam().name);
