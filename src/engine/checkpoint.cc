@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <utility>
 
 #include "engine/local_engine.h"
@@ -33,114 +34,136 @@ uint64_t BytesLeft(std::ifstream& in) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// MemoryCheckpointStore
+// CheckpointStore: the record index both backends share
 // ---------------------------------------------------------------------------
 
-MemoryCheckpointStore::MemoryCheckpointStore(int retain_versions)
-    : retain_versions_(retain_versions < 1 ? 1 : retain_versions) {}
+CheckpointStore::CheckpointStore(int retain_versions)
+    : retain_versions_(std::max(1, retain_versions)) {}
 
-Result<CheckpointInfo> MemoryCheckpointStore::PutRecord(
-    KeyGroupId group, uint64_t seq, const std::string& payload,
-    bool is_delta) {
-  std::vector<Snapshot>& versions = groups_[group];
+Result<CheckpointInfo> CheckpointStore::PutRecord(KeyGroupId group,
+                                                  uint64_t seq,
+                                                  const std::string& payload,
+                                                  bool is_delta) {
+  std::vector<CheckpointInfo>& versions = index_[group];
   if (is_delta && versions.empty()) {
     return Status::Internal("delta checkpoint without a base to chain onto");
   }
   CheckpointInfo info;
-  info.version = versions.empty() ? 1 : versions.back().info.version + 1;
+  info.version = versions.empty() ? 1 : versions.back().version + 1;
   info.seq = seq;
   info.bytes = payload.size();
   info.is_delta = is_delta;
-  versions.push_back(Snapshot{info, payload});
-  stored_bytes_ += static_cast<int64_t>(payload.size());
+  ALBIC_RETURN_NOT_OK(WritePayload(group, info, payload));
+  versions.push_back(info);
+  stored_bytes_ += static_cast<int64_t>(info.bytes);
   ++puts_;
   if (is_delta) ++delta_puts_;
   // Retention counts chains: drop the oldest base together with the deltas
   // chained onto it (evicting only part of a chain would orphan the rest).
   auto bases = [&versions] {
-    int n = 0;
-    for (const Snapshot& s : versions) n += s.info.is_delta ? 0 : 1;
-    return n;
+    return std::count_if(versions.begin(), versions.end(),
+                         [](const CheckpointInfo& v) { return !v.is_delta; });
   };
   while (bases() > retain_versions_) {
     do {
-      stored_bytes_ -= static_cast<int64_t>(versions.front().state.size());
+      DropPayload(group, versions.front());
+      stored_bytes_ -= static_cast<int64_t>(versions.front().bytes);
       versions.erase(versions.begin());
-    } while (!versions.empty() && versions.front().info.is_delta);
+    } while (!versions.empty() && versions.front().is_delta);
   }
   return info;
 }
 
-Result<CheckpointInfo> MemoryCheckpointStore::Put(KeyGroupId group,
-                                                  uint64_t seq,
-                                                  const std::string& state) {
-  return PutRecord(group, seq, state, /*is_delta=*/false);
-}
-
-Result<CheckpointInfo> MemoryCheckpointStore::PutDelta(
-    KeyGroupId group, uint64_t seq, const std::string& delta) {
-  return PutRecord(group, seq, delta, /*is_delta=*/true);
-}
-
-bool MemoryCheckpointStore::Latest(KeyGroupId group, CheckpointInfo* info,
-                                   std::string* state) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end() || it->second.empty()) return false;
-  const Snapshot& snap = it->second.back();
-  if (info != nullptr) *info = snap.info;
-  if (state != nullptr) *state = snap.state;
-  return true;
-}
-
-bool MemoryCheckpointStore::LatestChain(KeyGroupId group, CheckpointInfo* info,
-                                        std::string* base,
-                                        std::vector<std::string>* deltas) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end() || it->second.empty()) return false;
-  const std::vector<Snapshot>& versions = it->second;
-  size_t base_at = versions.size();
-  for (size_t i = versions.size(); i-- > 0;) {
-    if (!versions[i].info.is_delta) {
-      base_at = i;
-      break;
-    }
+void CheckpointStore::Reindex(KeyGroupId group, const CheckpointInfo& info) {
+  std::vector<CheckpointInfo>& versions = index_[group];
+  if (info.is_delta &&
+      (versions.empty() || versions.back().version + 1 != info.version)) {
+    DropPayload(group, info);
+    return;
   }
-  if (base_at == versions.size()) return false;  // cannot happen: kept whole
-  if (info != nullptr) *info = versions.back().info;
-  if (base != nullptr) *base = versions[base_at].state;
+  versions.push_back(info);
+  stored_bytes_ += static_cast<int64_t>(info.bytes);
+}
+
+bool CheckpointStore::Latest(KeyGroupId group, CheckpointInfo* info,
+                             std::string* state) const {
+  const auto it = index_.find(group);
+  if (it == index_.end() || it->second.empty()) return false;
+  return Get(group, it->second.back().version, info, state);
+}
+
+bool CheckpointStore::LatestChain(KeyGroupId group, CheckpointInfo* info,
+                                  std::string* base,
+                                  std::vector<std::string>* deltas) const {
+  const auto it = index_.find(group);
+  if (it == index_.end()) return false;
+  const std::vector<CheckpointInfo>& versions = it->second;
+  // The newest chain starts at the last base.
+  const auto base_it =
+      std::find_if(versions.rbegin(), versions.rend(),
+                   [](const CheckpointInfo& v) { return !v.is_delta; });
+  if (base_it == versions.rend()) return false;
+  const auto first = base_it.base() - 1;
+  if (base != nullptr && !ReadPayload(group, *first, base)) return false;
   if (deltas != nullptr) {
     deltas->clear();
-    for (size_t i = base_at + 1; i < versions.size(); ++i) {
-      deltas->push_back(versions[i].state);
+    for (auto d = first + 1; d != versions.end(); ++d) {
+      std::string payload;
+      if (!ReadPayload(group, *d, &payload)) return false;
+      deltas->push_back(std::move(payload));
     }
   }
+  if (info != nullptr) *info = versions.back();
   return true;
 }
 
-uint64_t MemoryCheckpointStore::ChainDeltaBytes(KeyGroupId group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) return 0;
+uint64_t CheckpointStore::ChainDeltaBytes(KeyGroupId group) const {
+  const auto it = index_.find(group);
+  if (it == index_.end()) return 0;
   uint64_t bytes = 0;
-  for (size_t i = it->second.size(); i-- > 0;) {
-    if (!it->second[i].info.is_delta) break;
-    bytes += it->second[i].info.bytes;
+  for (auto v = it->second.rbegin(); v != it->second.rend() && v->is_delta;
+       ++v) {
+    bytes += v->bytes;
   }
   return bytes;
 }
 
-bool MemoryCheckpointStore::Get(KeyGroupId group, uint64_t version,
-                                CheckpointInfo* info,
-                                std::string* state) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) return false;
-  for (const Snapshot& snap : it->second) {
-    if (snap.info.version == version) {
-      if (info != nullptr) *info = snap.info;
-      if (state != nullptr) *state = snap.state;
-      return true;
-    }
+bool CheckpointStore::Get(KeyGroupId group, uint64_t version,
+                          CheckpointInfo* info, std::string* state) const {
+  const auto it = index_.find(group);
+  if (it == index_.end()) return false;
+  for (const CheckpointInfo& v : it->second) {
+    if (v.version != version) continue;
+    if (state != nullptr && !ReadPayload(group, v, state)) return false;
+    if (info != nullptr) *info = v;
+    return true;
   }
   return false;
+}
+
+// ---------------------------------------------------------------------------
+// MemoryCheckpointStore
+// ---------------------------------------------------------------------------
+
+Status MemoryCheckpointStore::WritePayload(KeyGroupId group,
+                                           const CheckpointInfo& info,
+                                           const std::string& payload) {
+  payloads_[{group, info.version}] = payload;
+  return Status::OK();
+}
+
+bool MemoryCheckpointStore::ReadPayload(KeyGroupId group,
+                                        const CheckpointInfo& info,
+                                        std::string* payload) const {
+  const auto it = payloads_.find({group, info.version});
+  if (it == payloads_.end()) return false;
+  *payload = it->second;
+  return true;
+}
+
+void MemoryCheckpointStore::DropPayload(KeyGroupId group,
+                                        const CheckpointInfo& info) {
+  payloads_.erase({group, info.version});
 }
 
 Status MemoryCheckpointStore::PutManifest(const CheckpointManifest& manifest) {
@@ -168,15 +191,22 @@ Result<std::unique_ptr<FileCheckpointStore>> FileCheckpointStore::Open(
                             ec.message());
   }
   std::unique_ptr<FileCheckpointStore> store(
-      new FileCheckpointStore(dir, retain_versions < 1 ? 1 : retain_versions));
+      new FileCheckpointStore(dir, retain_versions));
   // Re-index snapshots already on disk (restart-recovery path): file names
-  // carry (group, version); seq and size come from each file's header.
+  // carry (group, version); seq and size come from each file's header. Only
+  // exact record names count (a copy named g1_v2.ckpt.bak is not a v2).
+  std::map<std::pair<KeyGroupId, uint64_t>, CheckpointInfo> found;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
+    const std::filesystem::path name = entry.path().filename();
     long long g = 0;
     unsigned long long v = 0;
-    if (std::sscanf(name.c_str(), "g%lld_v%llu.ckpt", &g, &v) != 2) continue;
+    if (std::sscanf(name.c_str(), "g%lld_v%llu.ckpt", &g, &v) != 2 ||
+        name != std::filesystem::path(
+                    store->PathFor(static_cast<KeyGroupId>(g), v))
+                    .filename()) {
+      continue;
+    }
     std::ifstream in(entry.path(), std::ios::binary);
     uint64_t magic = 0, seq = 0, size = 0;
     in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
@@ -188,19 +218,13 @@ Result<std::unique_ptr<FileCheckpointStore>> FileCheckpointStore::Open(
     info.seq = seq;
     info.bytes = size;
     info.is_delta = magic == kDeltaMagic;
-    store->index_[static_cast<KeyGroupId>(g)].push_back(info);
-    store->stored_bytes_ += static_cast<int64_t>(size);
+    found[{static_cast<KeyGroupId>(g), info.version}] = info;
   }
   if (ec) {
     return Status::Internal("cannot scan checkpoint dir " + dir + ": " +
                             ec.message());
   }
-  for (auto& [group, versions] : store->index_) {
-    std::sort(versions.begin(), versions.end(),
-              [](const CheckpointInfo& a, const CheckpointInfo& b) {
-                return a.version < b.version;
-              });
-  }
+  for (const auto& [key, info] : found) store->Reindex(key.first, info);
   return store;
 }
 
@@ -212,138 +236,41 @@ std::string FileCheckpointStore::PathFor(KeyGroupId group,
   return dir_ + "/" + name;
 }
 
-Result<CheckpointInfo> FileCheckpointStore::PutRecord(
-    KeyGroupId group, uint64_t seq, const std::string& payload,
-    bool is_delta) {
-  std::vector<CheckpointInfo>& versions = index_[group];
-  if (is_delta && versions.empty()) {
-    return Status::Internal("delta checkpoint without a base to chain onto");
-  }
-  CheckpointInfo info;
-  info.version = versions.empty() ? 1 : versions.back().version + 1;
-  info.seq = seq;
-  info.bytes = payload.size();
-  info.is_delta = is_delta;
+Status FileCheckpointStore::WritePayload(KeyGroupId group,
+                                         const CheckpointInfo& info,
+                                         const std::string& payload) {
   const std::string path = PathFor(group, info.version);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    const uint64_t magic = is_delta ? kDeltaMagic : kSnapshotMagic;
-    const uint64_t size = payload.size();
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&seq), sizeof(seq));
-    out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    if (!out) return Status::Internal("cannot write checkpoint " + path);
-  }
-  versions.push_back(info);
-  stored_bytes_ += static_cast<int64_t>(payload.size());
-  ++puts_;
-  if (is_delta) ++delta_puts_;
-  // Retention counts chains: the oldest base leaves together with the
-  // deltas chained onto it.
-  auto bases = [&versions] {
-    int n = 0;
-    for (const CheckpointInfo& v : versions) n += v.is_delta ? 0 : 1;
-    return n;
-  };
-  while (bases() > retain_versions_) {
-    do {
-      std::error_code ec;
-      std::filesystem::remove(PathFor(group, versions.front().version), ec);
-      stored_bytes_ -= static_cast<int64_t>(versions.front().bytes);
-      versions.erase(versions.begin());
-    } while (!versions.empty() && versions.front().is_delta);
-  }
-  return info;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const uint64_t magic = info.is_delta ? kDeltaMagic : kSnapshotMagic;
+  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  out.write(reinterpret_cast<const char*>(&info.seq), sizeof(info.seq));
+  out.write(reinterpret_cast<const char*>(&info.bytes), sizeof(info.bytes));
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  if (!out) return Status::Internal("cannot write checkpoint " + path);
+  return Status::OK();
 }
 
-Result<CheckpointInfo> FileCheckpointStore::Put(KeyGroupId group, uint64_t seq,
-                                                const std::string& state) {
-  return PutRecord(group, seq, state, /*is_delta=*/false);
+bool FileCheckpointStore::ReadPayload(KeyGroupId group,
+                                      const CheckpointInfo& info,
+                                      std::string* payload) const {
+  std::ifstream in(PathFor(group, info.version), std::ios::binary);
+  uint64_t magic = 0, seq = 0, size = 0;
+  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  in.read(reinterpret_cast<char*>(&seq), sizeof(seq));
+  in.read(reinterpret_cast<char*>(&size), sizeof(size));
+  const uint64_t want = info.is_delta ? kDeltaMagic : kSnapshotMagic;
+  // A length that disagrees with the payload on disk is corruption; check
+  // it before it sizes the buffer.
+  if (!in || magic != want || size != BytesLeft(in)) return false;
+  payload->resize(size);
+  in.read(payload->data(), static_cast<std::streamsize>(size));
+  return static_cast<bool>(in);
 }
 
-Result<CheckpointInfo> FileCheckpointStore::PutDelta(KeyGroupId group,
-                                                     uint64_t seq,
-                                                     const std::string& delta) {
-  return PutRecord(group, seq, delta, /*is_delta=*/true);
-}
-
-bool FileCheckpointStore::Latest(KeyGroupId group, CheckpointInfo* info,
-                                 std::string* state) const {
-  const auto it = index_.find(group);
-  if (it == index_.end() || it->second.empty()) return false;
-  return Get(group, it->second.back().version, info, state);
-}
-
-bool FileCheckpointStore::LatestChain(KeyGroupId group, CheckpointInfo* info,
-                                      std::string* base,
-                                      std::vector<std::string>* deltas) const {
-  const auto it = index_.find(group);
-  if (it == index_.end() || it->second.empty()) return false;
-  const std::vector<CheckpointInfo>& versions = it->second;
-  size_t base_at = versions.size();
-  for (size_t i = versions.size(); i-- > 0;) {
-    if (!versions[i].is_delta) {
-      base_at = i;
-      break;
-    }
-  }
-  if (base_at == versions.size()) return false;  // cannot happen: kept whole
-  if (info != nullptr) *info = versions.back();
-  if (base != nullptr &&
-      !Get(group, versions[base_at].version, nullptr, base)) {
-    return false;
-  }
-  if (deltas != nullptr) {
-    deltas->clear();
-    for (size_t i = base_at + 1; i < versions.size(); ++i) {
-      std::string payload;
-      if (!Get(group, versions[i].version, nullptr, &payload)) return false;
-      deltas->push_back(std::move(payload));
-    }
-  }
-  return true;
-}
-
-uint64_t FileCheckpointStore::ChainDeltaBytes(KeyGroupId group) const {
-  const auto it = index_.find(group);
-  if (it == index_.end()) return 0;
-  uint64_t bytes = 0;
-  for (size_t i = it->second.size(); i-- > 0;) {
-    if (!it->second[i].is_delta) break;
-    bytes += it->second[i].bytes;
-  }
-  return bytes;
-}
-
-bool FileCheckpointStore::Get(KeyGroupId group, uint64_t version,
-                              CheckpointInfo* info, std::string* state) const {
-  const auto it = index_.find(group);
-  if (it == index_.end()) return false;
-  const CheckpointInfo* found = nullptr;
-  for (const CheckpointInfo& v : it->second) {
-    if (v.version == version) {
-      found = &v;
-      break;
-    }
-  }
-  if (found == nullptr) return false;
-  if (info != nullptr) *info = *found;
-  if (state != nullptr) {
-    std::ifstream in(PathFor(group, version), std::ios::binary);
-    uint64_t magic = 0, seq = 0, size = 0;
-    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    in.read(reinterpret_cast<char*>(&seq), sizeof(seq));
-    in.read(reinterpret_cast<char*>(&size), sizeof(size));
-    const uint64_t want = found->is_delta ? kDeltaMagic : kSnapshotMagic;
-    // A length that disagrees with the payload on disk is corruption; check
-    // it before it sizes the buffer.
-    if (!in || magic != want || size != BytesLeft(in)) return false;
-    state->resize(size);
-    in.read(state->data(), static_cast<std::streamsize>(size));
-    if (!in) return false;
-  }
-  return true;
+void FileCheckpointStore::DropPayload(KeyGroupId group,
+                                      const CheckpointInfo& info) {
+  std::error_code ec;
+  std::filesystem::remove(PathFor(group, info.version), ec);
 }
 
 Status FileCheckpointStore::PutManifest(const CheckpointManifest& manifest) {

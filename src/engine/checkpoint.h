@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file
-/// \brief Checkpoint subsystem: versioned per-key-group snapshot
-/// stores (in-memory and file-backed) and the CheckpointCoordinator that
-/// takes periodic incremental checkpoints at engine safe points. Together
-/// with the per-group replay logs this gives the paper's integrative
-/// mechanism: indirect migration and failure recovery are both
-/// "restore latest checkpoint + replay the logged suffix".
+/// \brief Checkpoint subsystem: versioned per-key-group snapshot stores
+/// and the CheckpointCoordinator that takes periodic incremental
+/// checkpoints at engine safe points. Together with the per-group replay
+/// logs this gives the paper's integrative mechanism: indirect migration
+/// and failure recovery are both "restore latest checkpoint + replay the
+/// logged suffix".
 ///
 /// Snapshots come in two kinds: a *base* carries a group's full serialized
 /// state, a *delta* carries only the keys the group's replay log touched
@@ -15,11 +15,15 @@
 /// applies the deltas in order, and retention treats a chain as one unit
 /// (evicting part of a chain would orphan the rest). A chain is compacted
 /// by writing a fresh base once it holds max_delta_chain deltas.
+/// CheckpointStore holds the one record index; the in-memory and
+/// file-backed stores hold only the payloads and the manifest.
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -51,46 +55,56 @@ struct CheckpointManifest {
 /// \brief Storage backend for group snapshots.
 ///
 /// Keyed by global KeyGroupId (which encodes the operator), versioned per
-/// group; a backend retains the most recent `retain_versions` *chains* (a
+/// group; a store retains the most recent `retain_versions` *chains* (a
 /// base and the deltas chained onto it count as one retained unit) of each
-/// group. All calls are made from the engine's driving thread.
+/// group. The record index lives here, once: version numbering, the
+/// delta-needs-a-base rule, chain-unit retention, the lookups and the
+/// counters. A backend only decides where a record's payload and the
+/// manifest live. All calls are made from the engine's driving thread.
 class CheckpointStore {
  public:
   virtual ~CheckpointStore() = default;
+  CheckpointStore(const CheckpointStore&) = delete;
+  CheckpointStore& operator=(const CheckpointStore&) = delete;
 
   /// \brief Stores a new base snapshot of \p group covering log sequence
   /// \p seq; returns the assigned version.
-  virtual Result<CheckpointInfo> Put(KeyGroupId group, uint64_t seq,
-                                     const std::string& state) = 0;
+  Result<CheckpointInfo> Put(KeyGroupId group, uint64_t seq,
+                             const std::string& state) {
+    return PutRecord(group, seq, state, /*is_delta=*/false);
+  }
 
   /// \brief Stores a delta record chained onto \p group's newest snapshot
   /// record (base or delta). Errors when the group has no base to chain on.
-  virtual Result<CheckpointInfo> PutDelta(KeyGroupId group, uint64_t seq,
-                                          const std::string& delta) = 0;
+  Result<CheckpointInfo> PutDelta(KeyGroupId group, uint64_t seq,
+                                  const std::string& delta) {
+    return PutRecord(group, seq, delta, /*is_delta=*/true);
+  }
 
   /// \brief Fetches the newest snapshot record of \p group (base or
   /// delta — the raw payload, not materialized state); false when none.
   /// Either output may be null when only the other is wanted. Restoration
   /// wants LatestChain; this is the cheap metadata peek (seq, bytes).
-  virtual bool Latest(KeyGroupId group, CheckpointInfo* info,
-                      std::string* state) const = 0;
+  bool Latest(KeyGroupId group, CheckpointInfo* info,
+              std::string* state) const;
 
   /// \brief Fetches the newest chain of \p group: the base payload plus
   /// the delta payloads after it in application order. \p info describes
   /// the newest record (its seq is where log replay resumes). Outputs may
-  /// be null. False when the group has no snapshot.
-  virtual bool LatestChain(KeyGroupId group, CheckpointInfo* info,
-                           std::string* base,
-                           std::vector<std::string>* deltas) const = 0;
+  /// be null. False when the group has no base, or a payload cannot be
+  /// read.
+  bool LatestChain(KeyGroupId group, CheckpointInfo* info, std::string* base,
+                   std::vector<std::string>* deltas) const;
 
   /// \brief Sum of the delta bytes in \p group's newest chain — the
   /// restore work a consumer pays on top of deserializing the base (the
   /// cost model prices indirect migration with it).
-  virtual uint64_t ChainDeltaBytes(KeyGroupId group) const = 0;
+  uint64_t ChainDeltaBytes(KeyGroupId group) const;
 
-  /// \brief Fetches a specific retained version; false when evicted/absent.
-  virtual bool Get(KeyGroupId group, uint64_t version, CheckpointInfo* info,
-                   std::string* state) const = 0;
+  /// \brief Fetches a specific retained version; false when evicted/absent
+  /// or its payload cannot be read.
+  bool Get(KeyGroupId group, uint64_t version, CheckpointInfo* info,
+           std::string* state) const;
 
   /// \brief Records the ingestion positions of a checkpoint round.
   virtual Status PutManifest(const CheckpointManifest& manifest) = 0;
@@ -100,100 +114,97 @@ class CheckpointStore {
 
   /// \brief Snapshot records written over the store's lifetime (bases and
   /// deltas).
-  virtual int64_t puts() const = 0;
+  int64_t puts() const { return puts_; }
 
   /// \brief Of those, delta records (0 whenever delta checkpoints are off).
-  virtual int64_t delta_puts() const = 0;
+  int64_t delta_puts() const { return delta_puts_; }
 
   /// \brief Serialized bytes currently retained.
-  virtual int64_t stored_bytes() const = 0;
-};
+  int64_t stored_bytes() const { return stored_bytes_; }
 
-/// \brief In-memory CheckpointStore (tests, benches, single-process jobs).
-class MemoryCheckpointStore final : public CheckpointStore {
- public:
-  explicit MemoryCheckpointStore(int retain_versions = 2);
+ protected:
+  explicit CheckpointStore(int retain_versions);
 
-  Result<CheckpointInfo> Put(KeyGroupId group, uint64_t seq,
-                             const std::string& state) override;
-  Result<CheckpointInfo> PutDelta(KeyGroupId group, uint64_t seq,
-                                  const std::string& delta) override;
-  bool Latest(KeyGroupId group, CheckpointInfo* info,
-              std::string* state) const override;
-  bool LatestChain(KeyGroupId group, CheckpointInfo* info, std::string* base,
-                   std::vector<std::string>* deltas) const override;
-  uint64_t ChainDeltaBytes(KeyGroupId group) const override;
-  bool Get(KeyGroupId group, uint64_t version, CheckpointInfo* info,
-           std::string* state) const override;
-  Status PutManifest(const CheckpointManifest& manifest) override;
-  bool LatestManifest(CheckpointManifest* out) const override;
-  int64_t puts() const override { return puts_; }
-  int64_t delta_puts() const override { return delta_puts_; }
-  int64_t stored_bytes() const override { return stored_bytes_; }
+  /// \brief Adds a record found in the backend's storage to the index (the
+  /// restart path); call in ascending version order per group. A delta
+  /// joins only when the record one version before it did, the one it was
+  /// written against. Otherwise it belongs to no chain and its payload is
+  /// dropped: the group's next record reuses a version at or below it, and
+  /// a later re-index must not chain the stale delta onto that record.
+  void Reindex(KeyGroupId group, const CheckpointInfo& info);
 
  private:
-  struct Snapshot {
-    CheckpointInfo info;
-    std::string state;
-  };
+  /// Payload I/O of one record, the backend's part besides the manifest.
+  virtual Status WritePayload(KeyGroupId group, const CheckpointInfo& info,
+                              const std::string& payload) = 0;
+  /// False when the payload is missing or does not match \p info.
+  virtual bool ReadPayload(KeyGroupId group, const CheckpointInfo& info,
+                           std::string* payload) const = 0;
+  virtual void DropPayload(KeyGroupId group, const CheckpointInfo& info) = 0;
 
   Result<CheckpointInfo> PutRecord(KeyGroupId group, uint64_t seq,
                                    const std::string& payload, bool is_delta);
 
   int retain_versions_;
-  std::unordered_map<KeyGroupId, std::vector<Snapshot>> groups_;
-  CheckpointManifest manifest_;
-  bool has_manifest_ = false;
+  /// Retained records per group, oldest first. The first record of a group
+  /// is always a base; deltas chain onto the record before them.
+  std::unordered_map<KeyGroupId, std::vector<CheckpointInfo>> index_;
   int64_t puts_ = 0;
   int64_t delta_puts_ = 0;
   int64_t stored_bytes_ = 0;
 };
 
+/// \brief In-memory CheckpointStore (tests, benches, single-process jobs).
+class MemoryCheckpointStore final : public CheckpointStore {
+ public:
+  explicit MemoryCheckpointStore(int retain_versions = 2)
+      : CheckpointStore(retain_versions) {}
+
+  Status PutManifest(const CheckpointManifest& manifest) override;
+  bool LatestManifest(CheckpointManifest* out) const override;
+
+ private:
+  Status WritePayload(KeyGroupId group, const CheckpointInfo& info,
+                      const std::string& payload) override;
+  bool ReadPayload(KeyGroupId group, const CheckpointInfo& info,
+                   std::string* payload) const override;
+  void DropPayload(KeyGroupId group, const CheckpointInfo& info) override;
+
+  std::map<std::pair<KeyGroupId, uint64_t>, std::string> payloads_;
+  CheckpointManifest manifest_;
+  bool has_manifest_ = false;
+};
+
 /// \brief File-backed CheckpointStore: one file per (group, version) under
 /// a directory, plus a MANIFEST file. Open() re-indexes an existing
-/// directory, so a restarted process recovers from what is on disk.
+/// directory, so a restarted process recovers from what is on disk. It
+/// takes exact record names only, and a delta whose predecessor is
+/// unreadable leaves the index with the rest of its chain: the group falls
+/// back to its previous intact chain.
 class FileCheckpointStore final : public CheckpointStore {
  public:
   /// \brief Opens (creating if needed) \p dir and indexes its snapshots.
   static Result<std::unique_ptr<FileCheckpointStore>> Open(
       const std::string& dir, int retain_versions = 2);
 
-  Result<CheckpointInfo> Put(KeyGroupId group, uint64_t seq,
-                             const std::string& state) override;
-  Result<CheckpointInfo> PutDelta(KeyGroupId group, uint64_t seq,
-                                  const std::string& delta) override;
-  bool Latest(KeyGroupId group, CheckpointInfo* info,
-              std::string* state) const override;
-  bool LatestChain(KeyGroupId group, CheckpointInfo* info, std::string* base,
-                   std::vector<std::string>* deltas) const override;
-  uint64_t ChainDeltaBytes(KeyGroupId group) const override;
-  bool Get(KeyGroupId group, uint64_t version, CheckpointInfo* info,
-           std::string* state) const override;
   Status PutManifest(const CheckpointManifest& manifest) override;
   bool LatestManifest(CheckpointManifest* out) const override;
-  int64_t puts() const override { return puts_; }
-  int64_t delta_puts() const override { return delta_puts_; }
-  int64_t stored_bytes() const override { return stored_bytes_; }
 
   const std::string& dir() const { return dir_; }
 
  private:
   FileCheckpointStore(std::string dir, int retain_versions)
-      : dir_(std::move(dir)), retain_versions_(retain_versions) {}
+      : CheckpointStore(retain_versions), dir_(std::move(dir)) {}
+
+  Status WritePayload(KeyGroupId group, const CheckpointInfo& info,
+                      const std::string& payload) override;
+  bool ReadPayload(KeyGroupId group, const CheckpointInfo& info,
+                   std::string* payload) const override;
+  void DropPayload(KeyGroupId group, const CheckpointInfo& info) override;
 
   std::string PathFor(KeyGroupId group, uint64_t version) const;
-  Result<CheckpointInfo> PutRecord(KeyGroupId group, uint64_t seq,
-                                   const std::string& payload, bool is_delta);
 
   std::string dir_;
-  int retain_versions_;
-  /// Retained versions per group, oldest first (state stays on disk).
-  /// The first record of a group is always a base; deltas chain onto the
-  /// record before them, and eviction drops whole chains.
-  std::unordered_map<KeyGroupId, std::vector<CheckpointInfo>> index_;
-  int64_t puts_ = 0;
-  int64_t delta_puts_ = 0;
-  int64_t stored_bytes_ = 0;
 };
 
 /// \brief Knobs of the checkpoint coordinator.

@@ -21,12 +21,6 @@ double MigrationCost(const Topology& topology, KeyGroupId g,
   return model.alpha_per_byte * topology.group_state_bytes(g);
 }
 
-double IndirectMigrationPauseSeconds(size_t suffix_bytes,
-                                     const MigrationCostModel& model) {
-  return model.indirect_pause_seconds_per_log_byte *
-         static_cast<double>(suffix_bytes);
-}
-
 std::vector<double> AllMigrationCosts(const Topology& topology,
                                       const MigrationCostModel& model) {
   std::vector<double> out(static_cast<size_t>(topology.num_key_groups()));

@@ -79,10 +79,6 @@ struct MigrationCostModel {
   double alpha_per_byte = 1.0 / (1 << 20);
   /// Pause seconds per byte of directly migrated state.
   double pause_seconds_per_byte = kDefaultPauseSecondsPerByte;
-  /// Indirect-migration pause seconds per byte of replayed log suffix (the
-  /// paper's indirect cost term: replay is a state update per logged tuple,
-  /// modeled at the same byte rate as deserialization).
-  double indirect_pause_seconds_per_log_byte = kDefaultPauseSecondsPerByte;
 };
 
 /// \brief Pause rate used by the single-process engine to model the
@@ -98,11 +94,6 @@ double MigrationCost(const Topology& topology, KeyGroupId g,
 /// \brief Migration costs for all key groups.
 std::vector<double> AllMigrationCosts(const Topology& topology,
                                       const MigrationCostModel& model);
-
-/// \brief Pause latency (seconds) of an indirect migration that replays
-/// \p suffix_bytes of logged tuples at the target.
-double IndirectMigrationPauseSeconds(size_t suffix_bytes,
-                                     const MigrationCostModel& model);
 
 /// \brief Summary of applying one adaptation round's migrations.
 struct MigrationReport {

@@ -436,6 +436,82 @@ TEST(FileCheckpointStoreTest, OversizedManifestCountIsRejected) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FileCheckpointStoreTest, ReopenFallsBackPastDeltasThatLostTheirBase) {
+  // Delta v4 was written against base v3. With v3 unreadable, v4 belongs
+  // to no chain: chaining it onto v1 + [v2] would restore a state that
+  // never existed. The group falls back to its previous intact chain.
+  const std::string dir =
+      ::testing::TempDir() + "/albic_file_ckpt_orphan_delta_test";
+  std::filesystem::remove_all(dir);
+  {
+    auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Put(1, /*seq=*/10, "base1").ok());
+    ASSERT_TRUE((*store)->PutDelta(1, /*seq=*/20, "d2").ok());
+    ASSERT_TRUE((*store)->Put(1, /*seq=*/30, "base3").ok());
+    ASSERT_TRUE((*store)->PutDelta(1, /*seq=*/40, "d4").ok());
+  }
+  PatchU64(dir + "/g1_v3.ckpt", 0, 0);  // v3's magic no longer matches
+  CheckpointInfo info;
+  std::string base;
+  std::vector<std::string> deltas;
+  {
+    auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->LatestChain(1, &info, &base, &deltas));
+    EXPECT_EQ(info.version, 2u);
+    EXPECT_EQ(info.seq, 20u);
+    EXPECT_EQ(base, "base1");
+    EXPECT_EQ(deltas, (std::vector<std::string>{"d2"}));
+    EXPECT_EQ((*store)->ChainDeltaBytes(1), 2u);
+    EXPECT_EQ((*store)->stored_bytes(), 7);  // "base1" + "d2"
+    // The next base reuses version 3.
+    auto v3 = (*store)->Put(1, /*seq=*/50, "base5");
+    ASSERT_TRUE(v3.ok());
+    EXPECT_EQ(v3->version, 3u);
+  }
+  // Reopened once more, the stale v4 must not chain onto the new v3.
+  auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->LatestChain(1, &info, &base, &deltas));
+  EXPECT_EQ(info.version, 3u);
+  EXPECT_EQ(info.seq, 50u);
+  EXPECT_EQ(base, "base5");
+  EXPECT_TRUE(deltas.empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileCheckpointStoreTest, ReopenIndexesExactRecordNamesOnly) {
+  // sscanf ignores trailing text and leading zeros, so a backup copy or a
+  // leftover temp file (g1_v2.ckpt.bak) or an alias (g01_v2.ckpt) parsed
+  // as a record: a second v2, whose eviction deleted the real one.
+  const std::string dir =
+      ::testing::TempDir() + "/albic_file_ckpt_stray_name_test";
+  std::filesystem::remove_all(dir);
+  {
+    auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Put(1, /*seq=*/10, "aaaaa").ok());
+    ASSERT_TRUE((*store)->Put(1, /*seq=*/20, "bbbbb").ok());
+  }
+  for (const char* stray : {"g1_v2.ckpt.bak", "g1_v02.ckpt", "g01_v2.ckpt"}) {
+    std::filesystem::copy_file(dir + "/g1_v2.ckpt", dir + "/" + stray);
+  }
+  auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->stored_bytes(), 10);
+  // v3 evicts v1 alone; v2 stays retained, on disk and readable.
+  ASSERT_TRUE((*store)->Put(1, /*seq=*/30, "ccccc").ok());
+  EXPECT_EQ((*store)->stored_bytes(), 10);
+  EXPECT_FALSE((*store)->Get(1, 1, nullptr, nullptr));
+  std::string state;
+  ASSERT_TRUE((*store)->Get(1, 2, nullptr, &state));
+  EXPECT_EQ(state, "bbbbb");
+  ASSERT_TRUE((*store)->Latest(1, nullptr, &state));
+  EXPECT_EQ(state, "ccccc");
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator + engine integration
 // ---------------------------------------------------------------------------
@@ -846,12 +922,11 @@ TEST(CheckpointRecoveryTest, IndirectMigrationMatchesDirect) {
   EXPECT_EQ(dstats.tuples_replayed, 0);
   EXPECT_GT(direct_pause, 0.0);
   EXPECT_GT(indirect_pause, 0.0);
-  // The engine's accounted indirect pause agrees with the planner-side
-  // cost term over the replayed suffix (same shared rate constant).
+  // With deltas off, the engine's accounted indirect pause is the replayed
+  // suffix at the shared pause rate.
   const double predicted_us =
-      1e6 * engine::IndirectMigrationPauseSeconds(
-                static_cast<size_t>(istats.tuples_replayed) * sizeof(Tuple),
-                engine::MigrationCostModel{});
+      engine::kEnginePauseUsPerByte *
+      static_cast<double>(istats.tuples_replayed) * sizeof(Tuple);
   EXPECT_NEAR(indirect_pause, predicted_us, 1e-6 * predicted_us + 1e-9);
 }
 

@@ -136,7 +136,12 @@ void RunSoak(uint64_t seed) {
   fuzz_opts.metrics = &registry;
   ReconfigPipeline fuzz(fuzz_opts);
   engine::CheckpointCoordinatorOptions copts;
-  copts.interval_us = 700LL * 1000;
+  // Far below the window. A TopK group declines a delta once a fire is in
+  // its log, and GeoHash has no delta support, so only a round between two
+  // fires writes deltas. Rounds run at safe points, which come mostly at
+  // window boundaries; a short interval takes every mid-window one that a
+  // migration adds.
+  copts.interval_us = 50LL * 1000;
   copts.max_delta_chain = 4;
   fuzz.EnableCheckpointing(copts);
 
@@ -262,6 +267,9 @@ void RunSoak(uint64_t seed) {
   EXPECT_GT(registry.Counter("engine_waves_total")->value(), 0) << label;
   EXPECT_GT(registry.Gauge("engine_mailbox_highwater")->value(), 0) << label;
   EXPECT_GT(registry.Counter("engine_checkpoints_total")->value(), 0)
+      << label;
+  EXPECT_GT(registry.Counter("engine_checkpoint_delta_groups_total")->value(),
+            0)
       << label;
   const int64_t migrations_published =
       registry.Counter("engine_migrations_total", {{"mode", "direct"}})
