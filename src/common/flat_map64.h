@@ -2,7 +2,8 @@
 
 /// \file
 /// \brief FlatMap64: open-addressing uint64 hash map, plus the
-/// process-wide rehash count the metrics registry publishes.
+/// process-wide rehash count the metrics registry publishes and
+/// SortRowsByKey, the radix sort behind its ascending key order.
 
 #include <atomic>
 #include <cstddef>
@@ -14,6 +15,44 @@
 #include "common/hash.h"
 
 namespace albic {
+
+/// \brief Sorts \p rows by ascending key_of(row): an LSD radix sort over
+/// only the 8-bit digits in which the keys differ (the bits set in the OR
+/// of all keys but not in their AND), so keys below 2^16 take at most two
+/// counting passes. Each pass is stable; rows gathered from one map have
+/// unique keys, so the result is the canonical order.
+template <typename Row, typename KeyOf>
+void SortRowsByKey(std::vector<Row>* rows, KeyOf key_of) {
+  const size_t n = rows->size();
+  if (n < 2) return;
+  uint64_t any = 0;
+  uint64_t all = ~uint64_t{0};
+  for (const Row& row : *rows) {
+    const uint64_t key = key_of(row);
+    any |= key;
+    all &= key;
+  }
+  const uint64_t varying = any ^ all;
+  std::vector<Row> spare(n);
+  Row* src = rows->data();
+  Row* dst = spare.data();
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    size_t next[256] = {};
+    for (size_t i = 0; i < n; ++i) ++next[(key_of(src[i]) >> shift) & 0xff];
+    size_t offset = 0;
+    for (size_t& slot : next) {
+      const size_t count = slot;
+      slot = offset;
+      offset += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[next[(key_of(src[i]) >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != rows->data()) rows->swap(spare);
+}
 
 /// \brief Process-wide FlatMap64 rehash telemetry. Operators own their
 /// maps privately, so the engine cannot reach per-instance counters; this
@@ -44,6 +83,14 @@ struct FlatMap64Telemetry {
 /// full_rehashes() counts the doublings that moved live entries.
 ///
 /// Key 0 is stored in a dedicated side slot, so the full key range is valid.
+///
+/// ForEachAscending (state images) walks a cached order: the nonzero keys'
+/// slot positions, sorted by key. Inserts never move an entry, so it stays
+/// exact until a rehash, erase or clear() drops it or a new key outgrows
+/// it; the next ordered visit re-sorts it, and LoadRows records it from
+/// ascending rows. That visit writes the cache even of a const map, so
+/// concurrent use of one map needs the caller's synchronization, as any
+/// access already does.
 template <typename V>
 class FlatMap64 {
  public:
@@ -139,6 +186,7 @@ class FlatMap64 {
       if (slots_[i].first == 0) return 0;
       i = (i + 1) & mask_;
     }
+    order_.clear();  // the shift moves entries
     ShiftErase(i);
     --size_;
     return 1;
@@ -163,6 +211,45 @@ class FlatMap64 {
     for (const value_type& s : slots_) {
       if (s.first != 0) fn(s.first, s.second);
     }
+  }
+
+  /// \brief Visits every entry as fn(key, const V&) in ascending key
+  /// order, key 0 first: one indexed pass over the cached order, rebuilt
+  /// first if stale. The map must not be mutated from within \p fn.
+  template <typename Fn>
+  void ForEachAscending(Fn&& fn) const {
+    if (order_.size() != size_ - size_t{zero_used_}) RebuildOrder();
+    if (zero_used_) fn(uint64_t{0}, zero_val_);
+    for (const uint32_t i : order_) fn(slots_[i].first, slots_[i].second);
+  }
+
+  /// \brief Replaces the contents with the \p n (key, value) rows row_at(r)
+  /// returns. Strictly ascending keys also record the key order; other rows
+  /// load as successive assignments would (a repeated key's last value
+  /// wins) and leave the order stale.
+  template <typename RowAt>
+  void LoadRows(size_t n, RowAt row_at) {
+    clear();
+    Reserve(n);
+    bool ascending = true;
+    uint64_t prev = 0;
+    for (size_t r = 0; r < n; ++r) {
+      const auto [key, value] = row_at(r);
+      ascending = ascending && (r == 0 || key > prev);
+      prev = key;
+      if (key == 0) {
+        (*this)[0] = value;
+        continue;
+      }
+      size_t i = MixU64(key) & mask_;
+      while (slots_[i].first != 0 && slots_[i].first != key) {
+        i = (i + 1) & mask_;
+      }
+      size_ += slots_[i].first == 0;
+      slots_[i] = value_type{key, value};
+      order_.push_back(static_cast<uint32_t>(i));
+    }
+    if (!ascending) order_.clear();
   }
 
   /// \brief Appends a copy of every entry to \p out, in the iterator's
@@ -195,6 +282,7 @@ class FlatMap64 {
     zero_used_ = false;
     zero_val_ = V();
     size_ = 0;
+    order_.clear();
   }
 
   /// Forward iterator yielding (key, value) pairs; the zero-key entry, when
@@ -266,6 +354,8 @@ class FlatMap64 {
 
   /// Bulk rehash of slots_ into a fresh array of \p cap slots.
   void Rehash(size_t cap) {
+    if (cap > (size_t{1} << 32)) __builtin_trap();  // order_ holds uint32s
+    order_.clear();
     std::vector<value_type> old;
     old.swap(slots_);
     slots_.assign(cap, value_type{0, V()});
@@ -276,6 +366,19 @@ class FlatMap64 {
       while (slots_[i].first != 0) i = (i + 1) & mask_;
       slots_[i] = std::move(s);
     }
+  }
+
+  /// Sorts the occupied slots' positions by key into order_ (a branch-free
+  /// gather, as in AppendEntries, then the radix sort).
+  void RebuildOrder() const {
+    order_.resize(size_ + 1);
+    size_t n = 0;
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      order_[n] = static_cast<uint32_t>(i);
+      n += slots_[i].first != 0;
+    }
+    order_.resize(n);
+    SortRowsByKey(&order_, [this](uint32_t i) { return slots_[i].first; });
   }
 
   void Grow() {
@@ -293,6 +396,8 @@ class FlatMap64 {
   bool zero_used_ = false;
   V zero_val_{};
   size_t full_rehashes_ = 0;
+  /// Nonzero keys' slots, ascending by key; exact iff as long as their count.
+  mutable std::vector<uint32_t> order_;
 };
 
 }  // namespace albic

@@ -42,7 +42,7 @@ CheckpointStore::CheckpointStore(int retain_versions)
 
 Result<CheckpointInfo> CheckpointStore::PutRecord(KeyGroupId group,
                                                   uint64_t seq,
-                                                  const std::string& payload,
+                                                  std::string payload,
                                                   bool is_delta) {
   std::vector<CheckpointInfo>& versions = index_[group];
   if (is_delta && versions.empty()) {
@@ -53,7 +53,7 @@ Result<CheckpointInfo> CheckpointStore::PutRecord(KeyGroupId group,
   info.seq = seq;
   info.bytes = payload.size();
   info.is_delta = is_delta;
-  ALBIC_RETURN_NOT_OK(WritePayload(group, info, payload));
+  ALBIC_RETURN_NOT_OK(WritePayload(group, info, std::move(payload)));
   versions.push_back(info);
   stored_bytes_ += static_cast<int64_t>(info.bytes);
   ++puts_;
@@ -147,8 +147,8 @@ bool CheckpointStore::Get(KeyGroupId group, uint64_t version,
 
 Status MemoryCheckpointStore::WritePayload(KeyGroupId group,
                                            const CheckpointInfo& info,
-                                           const std::string& payload) {
-  payloads_[{group, info.version}] = payload;
+                                           std::string payload) {
+  payloads_[{group, info.version}] = std::move(payload);
   return Status::OK();
 }
 
@@ -212,7 +212,9 @@ Result<std::unique_ptr<FileCheckpointStore>> FileCheckpointStore::Open(
     in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
     in.read(reinterpret_cast<char*>(&seq), sizeof(seq));
     in.read(reinterpret_cast<char*>(&size), sizeof(size));
-    if (!in || (magic != kSnapshotMagic && magic != kDeltaMagic)) continue;
+    // A torn record, shorter than its length says, is not indexed.
+    const bool known = magic == kSnapshotMagic || magic == kDeltaMagic;
+    if (!in || !known || size != BytesLeft(in)) continue;
     CheckpointInfo info;
     info.version = v;
     info.seq = seq;
@@ -238,7 +240,7 @@ std::string FileCheckpointStore::PathFor(KeyGroupId group,
 
 Status FileCheckpointStore::WritePayload(KeyGroupId group,
                                          const CheckpointInfo& info,
-                                         const std::string& payload) {
+                                         std::string payload) {
   const std::string path = PathFor(group, info.version);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   const uint64_t magic = info.is_delta ? kDeltaMagic : kSnapshotMagic;

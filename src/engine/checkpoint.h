@@ -70,15 +70,15 @@ class CheckpointStore {
   /// \brief Stores a new base snapshot of \p group covering log sequence
   /// \p seq; returns the assigned version.
   Result<CheckpointInfo> Put(KeyGroupId group, uint64_t seq,
-                             const std::string& state) {
-    return PutRecord(group, seq, state, /*is_delta=*/false);
+                             std::string state) {
+    return PutRecord(group, seq, std::move(state), /*is_delta=*/false);
   }
 
   /// \brief Stores a delta record chained onto \p group's newest snapshot
   /// record (base or delta). Errors when the group has no base to chain on.
   Result<CheckpointInfo> PutDelta(KeyGroupId group, uint64_t seq,
-                                  const std::string& delta) {
-    return PutRecord(group, seq, delta, /*is_delta=*/true);
+                                  std::string delta) {
+    return PutRecord(group, seq, std::move(delta), /*is_delta=*/true);
   }
 
   /// \brief Fetches the newest snapshot record of \p group (base or
@@ -135,15 +135,16 @@ class CheckpointStore {
 
  private:
   /// Payload I/O of one record, the backend's part besides the manifest.
+  /// Takes the payload by value, so the memory store keeps it uncopied.
   virtual Status WritePayload(KeyGroupId group, const CheckpointInfo& info,
-                              const std::string& payload) = 0;
+                              std::string payload) = 0;
   /// False when the payload is missing or does not match \p info.
   virtual bool ReadPayload(KeyGroupId group, const CheckpointInfo& info,
                            std::string* payload) const = 0;
   virtual void DropPayload(KeyGroupId group, const CheckpointInfo& info) = 0;
 
   Result<CheckpointInfo> PutRecord(KeyGroupId group, uint64_t seq,
-                                   const std::string& payload, bool is_delta);
+                                   std::string payload, bool is_delta);
 
   int retain_versions_;
   /// Retained records per group, oldest first. The first record of a group
@@ -165,7 +166,7 @@ class MemoryCheckpointStore final : public CheckpointStore {
 
  private:
   Status WritePayload(KeyGroupId group, const CheckpointInfo& info,
-                      const std::string& payload) override;
+                      std::string payload) override;
   bool ReadPayload(KeyGroupId group, const CheckpointInfo& info,
                    std::string* payload) const override;
   void DropPayload(KeyGroupId group, const CheckpointInfo& info) override;
@@ -197,7 +198,7 @@ class FileCheckpointStore final : public CheckpointStore {
       : CheckpointStore(retain_versions), dir_(std::move(dir)) {}
 
   Status WritePayload(KeyGroupId group, const CheckpointInfo& info,
-                      const std::string& payload) override;
+                      std::string payload) override;
   bool ReadPayload(KeyGroupId group, const CheckpointInfo& info,
                    std::string* payload) const override;
   void DropPayload(KeyGroupId group, const CheckpointInfo& info) override;

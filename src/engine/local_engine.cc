@@ -1302,13 +1302,13 @@ Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups() {
     if (!as_delta) state = operators_[op]->SerializeGroupState(local);
     const uint64_t seq = group_logs_[g].next_seq();
     ALBIC_ASSIGN_OR_RETURN(const CheckpointInfo info,
-                           as_delta ? store->PutDelta(g, seq, state)
-                                    : store->Put(g, seq, state));
-    (void)info;
+                           as_delta ? store->PutDelta(g, seq, std::move(state))
+                                    : store->Put(g, seq, std::move(state)));
+    const int64_t bytes = static_cast<int64_t>(info.bytes);
     chain_len_[g] = as_delta ? chain_len_[g] + 1 : 0;
     if (as_delta) {
       ++result.delta_groups;
-      result.delta_bytes += static_cast<int64_t>(state.size());
+      result.delta_bytes += bytes;
     }
     // Truncate the covered prefix; fully consumed chunk vectors go back to
     // the vector pool, closing the zero-copy loop (mailbox batch -> log
@@ -1318,7 +1318,7 @@ Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups() {
     for (std::vector<Tuple>& vec : freed_chunks_) ReleaseVec(std::move(vec));
     group_dirty_[g] = 0;
     ++result.groups;
-    result.bytes += static_cast<int64_t>(state.size());
+    result.bytes += bytes;
   }
   log_overflow_ = false;
   ++checkpoint_epoch_;

@@ -91,76 +91,29 @@ class StateReader {
   size_t pos_ = 0;
 };
 
-/// \brief Sorts \p rows by ascending key_of(row): an LSD radix sort over
-/// only the 8-bit digits in which the keys differ (the bits set in the OR
-/// of all keys but not in their AND), so keys below 2^16 take at most two
-/// counting passes. Each pass is stable; rows gathered from one map have
-/// unique keys, so the result is the canonical order.
-template <typename Row, typename KeyOf>
-void SortRowsByKey(std::vector<Row>* rows, KeyOf key_of) {
-  const size_t n = rows->size();
-  if (n < 2) return;
-  uint64_t any = 0;
-  uint64_t all = ~uint64_t{0};
-  for (const Row& row : *rows) {
-    const uint64_t key = key_of(row);
-    any |= key;
-    all &= key;
-  }
-  const uint64_t varying = any ^ all;
-  std::vector<Row> spare(n);
-  Row* src = rows->data();
-  Row* dst = spare.data();
-  for (unsigned shift = 0; shift < 64; shift += 8) {
-    if (((varying >> shift) & 0xff) == 0) continue;
-    size_t next[256] = {};
-    for (size_t i = 0; i < n; ++i) ++next[(key_of(src[i]) >> shift) & 0xff];
-    size_t offset = 0;
-    for (size_t& slot : next) {
-      const size_t count = slot;
-      slot = offset;
-      offset += count;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      dst[next[(key_of(src[i]) >> shift) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  if (src != rows->data()) rows->swap(spare);
-}
-
-/// \brief Sorts (key, value) rows by ascending key.
-template <typename T>
-void SortRowsByKey(std::vector<std::pair<uint64_t, T>>* rows) {
-  SortRowsByKey(rows,
-                [](const std::pair<uint64_t, T>& row) { return row.first; });
-}
-
 /// Bytes per map row in a state image: a u64 key and an 8-byte value.
 inline constexpr size_t kMapRowBytes = 16;
 
 /// \brief Writes a map as a state-image section: a u64 row count, then one
 /// (u64 key, 8-byte value) row per entry in ascending key order, so equal
-/// maps give equal bytes whatever their insertion or rehash history.
+/// maps give equal bytes whatever their insertion or rehash history. The
+/// map's cached key order sorts only after its key set changed.
 template <typename V>
 void WriteMapRows(StateWriter& w, const FlatMap64<V>& map) {
   static_assert(sizeof(V) == 8, "map rows carry 8-byte values");
-  std::vector<std::pair<uint64_t, V>> rows;
-  map.AppendEntries(&rows);
-  SortRowsByKey(&rows);
-  w.PutU64(rows.size());
-  char* out = w.Extend(rows.size() * kMapRowBytes);
-  for (const auto& [key, value] : rows) {
+  w.PutU64(map.size());
+  char* out = w.Extend(map.size() * kMapRowBytes);
+  map.ForEachAscending([&out](uint64_t key, const V& value) {
     std::memcpy(out, &key, 8);
     std::memcpy(out + 8, &value, 8);
     out += kMapRowBytes;
-  }
+  });
 }
 
-/// \brief Reads a WriteMapRows section into \p map, replacing its contents.
-/// The row count is checked against the bytes left before anything is
-/// reserved, so a hostile count is OutOfRange, never a huge allocation;
-/// on any error \p map is left untouched.
+/// \brief Reads a WriteMapRows section into \p map, replacing its contents
+/// and keeping the rows' order as its key order. The row count is checked against the bytes left
+/// before anything is reserved, so a hostile count is OutOfRange, never a
+/// huge allocation; on any error \p map is left untouched.
 template <typename V>
 Status ReadMapRows(StateReader& r, FlatMap64<V>& map) {
   static_assert(sizeof(V) == 8, "map rows carry 8-byte values");
@@ -168,15 +121,12 @@ Status ReadMapRows(StateReader& r, FlatMap64<V>& map) {
   ALBIC_RETURN_NOT_OK(r.GetRowCount(kMapRowBytes, &n));
   const char* in = nullptr;
   ALBIC_RETURN_NOT_OK(r.GetSpan(n * kMapRowBytes, &in));
-  map.clear();
-  map.Reserve(n);  // land on the final capacity instead of growing through it
-  for (uint64_t i = 0; i < n; ++i, in += kMapRowBytes) {
-    uint64_t key = 0;
-    V value{};
-    std::memcpy(&key, in, 8);
-    std::memcpy(&value, in + 8, 8);
-    map[key] = value;
-  }
+  map.LoadRows(n, [in](size_t i) {
+    std::pair<uint64_t, V> row;
+    std::memcpy(&row.first, in + i * kMapRowBytes, 8);
+    std::memcpy(&row.second, in + i * kMapRowBytes + 8, 8);
+    return row;
+  });
   return Status::OK();
 }
 

@@ -1,12 +1,14 @@
 // FlatMap64: growth/rehash behaviour, erase (backward-shift deletion) and
 // erase-reinsert cycles, iteration (and the AppendEntries gather) under
-// load, and a randomized differential test against std::unordered_map.
+// load, a randomized differential test against std::unordered_map, and
+// one of the cached ascending key order (and LoadRows) against std::map.
 
 #include "common/flat_map64.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <random>
 #include <unordered_map>
 #include <utility>
@@ -212,6 +214,116 @@ TEST(FlatMap64Test, ReserveEndsAtGrownCapacityWithoutRehashes) {
   map.Reserve(1);
   EXPECT_EQ(map.size(), 100u);
   for (uint64_t k = 1; k <= 100; ++k) EXPECT_EQ(map.at(k), static_cast<int64_t>(k));
+}
+
+using Rows = std::vector<std::pair<uint64_t, int64_t>>;
+
+/// The ordered visit must yield exactly \p oracle's entries, ascending.
+void ExpectAscendingVisit(const FlatMap64<int64_t>& map,
+                          const std::map<uint64_t, int64_t>& oracle) {
+  Rows visited;
+  map.ForEachAscending([&](uint64_t key, const int64_t& value) {
+    visited.emplace_back(key, value);
+  });
+  ASSERT_EQ(visited, Rows(oracle.begin(), oracle.end()));
+}
+
+/// Loads \p rows through LoadRows, and into \p oracle as successive
+/// assignments after a clear.
+void Load(const Rows& rows, FlatMap64<int64_t>* map,
+          std::map<uint64_t, int64_t>* oracle) {
+  map->LoadRows(rows.size(), [&rows](size_t i) { return rows[i]; });
+  oracle->clear();
+  for (const auto& [key, value] : rows) (*oracle)[key] = value;
+}
+
+TEST(FlatMap64Test, AscendingVisitMatchesOrderedOracle) {
+  // Every step is a short burst of mutations, so an order that should have
+  // been dropped can be left with exactly the map's size (an erase and a
+  // new key in one burst), then the visit is checked. Keys 0..300 keep key
+  // 0, hits and re-inserts frequent; 0..5000 grows the table further.
+  for (const uint64_t max_key : {uint64_t{300}, uint64_t{5000}}) {
+    SCOPED_TRACE(testing::Message() << "keys 0.." << max_key);
+    std::mt19937_64 rng(0x0DE2ull + max_key);
+    std::uniform_int_distribution<uint64_t> key_dist(0, max_key);
+    std::uniform_int_distribution<int> op_dist(0, 99);
+    FlatMap64<int64_t> map;
+    std::map<uint64_t, int64_t> oracle;
+    const auto random_rows = [&](size_t n) {
+      Rows rows;
+      for (size_t i = 0; i < n; ++i) {
+        rows.emplace_back(key_dist(rng), static_cast<int64_t>(rng()));
+      }
+      return rows;
+    };
+    for (int step = 0; step < 20000; ++step) {
+      const int bursts = 1 + static_cast<int>(rng() % 3);
+      for (int b = 0; b < bursts; ++b) {
+        const uint64_t key = key_dist(rng);
+        const int op = op_dist(rng);
+        if (op < 55) {  // a new key, or an update of an existing one
+          const int64_t value = static_cast<int64_t>(rng());
+          map[key] = value;
+          oracle[key] = value;
+        } else if (op < 80) {
+          ASSERT_EQ(map.erase(key), oracle.erase(key)) << "step " << step;
+        } else if (op < 82) {
+          map.Reserve(static_cast<size_t>(rng() % (2 * max_key)));
+        } else if (op < 84) {
+          // Clear, then refill with as many fresh keys as the map held.
+          const size_t n = oracle.size();
+          map.clear();
+          oracle.clear();
+          while (oracle.size() < n) {
+            const uint64_t k = key_dist(rng);
+            map[k] = static_cast<int64_t>(k);
+            oracle[k] = static_cast<int64_t>(k);
+          }
+        } else if (op < 87) {
+          // A copy carries the order; both then diverge independently.
+          FlatMap64<int64_t> copy(map);
+          std::map<uint64_t, int64_t> copy_oracle = oracle;
+          copy[key] = -1;
+          copy_oracle[key] = -1;
+          ASSERT_NO_FATAL_FAILURE(ExpectAscendingVisit(copy, copy_oracle));
+          ASSERT_NO_FATAL_FAILURE(ExpectAscendingVisit(map, oracle));
+          if (op == 86) {
+            map = std::move(copy);
+            oracle = copy_oracle;
+          }
+        } else if (op < 88) {
+          FlatMap64<int64_t> moved(std::move(map));
+          map = std::move(moved);
+        } else if (op < 91) {
+          // Ascending rows, the image layout, key 0 among them at times.
+          std::map<uint64_t, int64_t> sorted;
+          for (const auto& [k, v] : random_rows(rng() % 400)) sorted[k] = v;
+          Load(Rows(sorted.begin(), sorted.end()), &map, &oracle);
+        } else if (op < 93) {
+          // Unsorted rows, repeated keys among them: the last value wins.
+          Rows rows = random_rows(rng() % 400);
+          if (!rows.empty()) rows.push_back({rows.front().first, -2});
+          Load(rows, &map, &oracle);
+        } else if (op < 94) {
+          // Ascending but for one repeated key, or key 0 listed last.
+          std::map<uint64_t, int64_t> sorted;
+          for (const auto& [k, v] : random_rows(rng() % 50)) sorted[k] = v;
+          Rows rows(sorted.begin(), sorted.end());
+          if (rows.empty()) continue;
+          if (rng() % 2 == 0) {
+            rows.insert(rows.begin() + 1, {rows.front().first, -3});
+          } else {
+            rows.push_back({0, -4});
+          }
+          Load(rows, &map, &oracle);
+        }
+        // Other ops are plain visits.
+      }
+      ASSERT_EQ(map.size(), oracle.size()) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(ExpectAscendingVisit(map, oracle))
+          << "step " << step;
+    }
+  }
 }
 
 }  // namespace

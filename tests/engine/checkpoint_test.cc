@@ -481,6 +481,35 @@ TEST(FileCheckpointStoreTest, ReopenFallsBackPastDeltasThatLostTheirBase) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FileCheckpointStoreTest, ReopenSkipsTornRecords) {
+  // A crash mid-write leaves a record shorter than its header's length.
+  // Indexed, it would be the group's newest base, and every read of the
+  // group would fail; skipped, the previous intact chain restores.
+  const std::string dir =
+      ::testing::TempDir() + "/albic_file_ckpt_torn_record_test";
+  std::filesystem::remove_all(dir);
+  {
+    auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Put(1, /*seq=*/10, "base1").ok());
+    ASSERT_TRUE((*store)->Put(1, /*seq=*/20, "base2-long").ok());
+  }
+  constexpr uint64_t kHeaderBytes = 24;  // magic, seq, length
+  std::filesystem::resize_file(dir + "/g1_v2.ckpt", kHeaderBytes + 4);
+  auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->stored_bytes(), 5);  // "base1"
+  CheckpointInfo info;
+  std::string base;
+  std::vector<std::string> deltas;
+  ASSERT_TRUE((*store)->LatestChain(1, &info, &base, &deltas));
+  EXPECT_EQ(info.version, 1u);
+  EXPECT_EQ(info.seq, 10u);
+  EXPECT_EQ(base, "base1");
+  EXPECT_TRUE(deltas.empty());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FileCheckpointStoreTest, ReopenIndexesExactRecordNamesOnly) {
   // sscanf ignores trailing text and leading zeros, so a backup copy or a
   // leftover temp file (g1_v2.ckpt.bak) or an alias (g01_v2.ckpt) parsed

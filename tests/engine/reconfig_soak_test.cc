@@ -150,6 +150,7 @@ void RunSoak(uint64_t seed) {
   NodeId open_to = -1;         // its target node
   int migrations = 0;
   int kills = 0;
+  int64_t groups_lost = 0;  // groups the kills took down, each recovered
   for (size_t c = 0; c < chunks.size(); ++c) {
     const uint64_t action = rng.NextU64() % 100;
     const bool kill_action = action >= 35 && action < 45 &&
@@ -235,6 +236,7 @@ void RunSoak(uint64_t seed) {
       while (!fuzz.cluster.is_active(target)) ++target;
       // Copy: RecoverGroup prunes the engine's lost list as it succeeds.
       const std::vector<KeyGroupId> lost = fuzz.engine->lost_groups();
+      groups_lost += static_cast<int64_t>(lost.size());
       for (const KeyGroupId g : lost) {
         const auto rec = fuzz.engine->RecoverGroup(g, target);
         ASSERT_TRUE(rec.ok()) << label << ": " << rec.status().ToString();
@@ -281,10 +283,11 @@ void RunSoak(uint64_t seed) {
       registry.Counter("engine_migrations_total", {{"mode", "lease"}})
           ->value();
   EXPECT_EQ(migrations_published, migrations) << label;
-  if (kills > 0) {
-    EXPECT_GT(registry.Counter("engine_groups_recovered_total")->value(), 0)
-        << label;
-  }
+  // Exactly the groups the kills took down were recovered, each once. A
+  // victim that owned no group loses none, so a kill alone proves nothing.
+  EXPECT_EQ(registry.Counter("engine_groups_recovered_total")->value(),
+            groups_lost)
+      << label;
 }
 
 TEST(ReconfigSoakTest, RandomScheduleMatchesOracleBitForBit) {

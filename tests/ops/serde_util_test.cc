@@ -37,7 +37,7 @@ void ExpectSortsLikeComparisonSort(Rows rows) {
   std::stable_sort(
       expected.begin(), expected.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
-  SortRowsByKey(&rows);
+  SortRowsByKey(&rows, [](const auto& row) { return row.first; });
   EXPECT_EQ(rows, expected);
 }
 
