@@ -3,16 +3,13 @@
 // paper's headline trade-off, directly: a DIRECT migration pauses the
 // group for O(state) while the serialized image travels, an INDIRECT
 // migration (checkpoint restored in the background + replay of the logged
-// suffix) pauses only for O(suffix), and an EPOCH migration (boundary
-// stamped at a wave barrier, state shipped in the background, routing
-// flipped atomically) pauses for one wave — independent of both, and a
-// LEASE migration (the group's slot stays in the shared state arena and
-// only the LeaseTable entry flips at the wave barrier) moves zero bytes
-// outright. Tuples that arrive during a pause buffer and account the
-// modeled pause as latency, so the p99 timeline shows the spike each mode
-// causes and how quickly it subsides; the epoch and lease timelines'
-// self-check is that they show NO spike at all, and the lease run
-// additionally proves engine_migration_bytes_total{mode="lease"} == 0.
+// suffix) pauses only for O(suffix), and a LEASE migration (the group's
+// slot stays in the shared state arena and only the LeaseTable entry flips
+// at the wave barrier) moves zero bytes outright. Tuples that arrive
+// during a pause buffer and account the modeled pause as latency, so the
+// p99 timeline shows the spike each mode causes and how quickly it
+// subsides; the lease timeline's self-check is that it shows NO spike at
+// all, and that engine_migration_bytes_total{mode="lease"} == 0.
 //
 // The run is sliced into fixed-size windows; each slice's histograms are
 // harvested and reported as a BENCH_JSON series (one line per slice and
@@ -25,6 +22,9 @@
 // controller leaves every hot group on one node, whose modeled backlog
 // compounds into a p99 breach, while the measured-cost controller spreads
 // the groups by their measured service shares and stays clear of it.
+//
+// A third scenario measures scale-out reaction time under a migration-cost
+// budget: the default direct/indirect controller against the lease one.
 
 #include <algorithm>
 #include <cstdio>
@@ -221,43 +221,29 @@ int main() {
   const albic::TimelineResult indirect = albic::RunTimeline(
       stream, slices, albic::engine::MigrationMode::kIndirect,
       /*checkpointed=*/true, sample_every);
-  // Epoch: boundary stamped at a wave barrier, chain + suffix shipped in
-  // the background, routing flipped — the migration window should be
-  // indistinguishable from steady state.
-  const albic::TimelineResult epoch = albic::RunTimeline(
-      stream, slices, albic::engine::MigrationMode::kEpoch,
-      /*checkpointed=*/true, sample_every);
   // Lease: the state slot never moves — the arena lease flips at the wave
   // barrier and that is the whole migration. Checkpointing stays on so the
-  // four pipelines do identical logging work.
+  // three pipelines do identical logging work.
   const albic::TimelineResult lease = albic::RunTimeline(
       stream, slices, albic::engine::MigrationMode::kLease,
       /*checkpointed=*/true, sample_every);
-  if (!direct.ok || !indirect.ok || !epoch.ok || !lease.ok) {
+  if (!direct.ok || !indirect.ok || !lease.ok) {
     std::fprintf(stderr, "FAIL: a timeline run errored\n");
     return 1;
   }
   if (direct.tuples_processed != indirect.tuples_processed ||
-      direct.tuples_processed != epoch.tuples_processed ||
       direct.tuples_processed != lease.tuples_processed) {
     std::fprintf(stderr,
                  "FAIL: modes processed different tuple counts "
-                 "(%lld vs %lld vs %lld vs %lld)\n",
+                 "(%lld vs %lld vs %lld)\n",
                  static_cast<long long>(direct.tuples_processed),
                  static_cast<long long>(indirect.tuples_processed),
-                 static_cast<long long>(epoch.tuples_processed),
                  static_cast<long long>(lease.tuples_processed));
     return 1;
   }
   if (indirect.tuples_replayed == 0) {
     std::fprintf(stderr,
                  "FAIL: the indirect run never replayed a log suffix\n");
-    return 1;
-  }
-  if (epoch.tuples_replayed == 0) {
-    std::fprintf(stderr,
-                 "FAIL: the epoch run's background transfer never replayed "
-                 "a log suffix\n");
     return 1;
   }
 
@@ -267,35 +253,27 @@ int main() {
   const int points = static_cast<int>(direct.slices.size());
   albic::TablePrinter table({"slice", "direct p50(us)", "direct p99(us)",
                              "indirect p50(us)", "indirect p99(us)",
-                             "epoch p50(us)", "epoch p99(us)",
                              "lease p50(us)", "lease p99(us)"});
   int64_t direct_peak = 0;
   int64_t indirect_peak = 0;
-  int64_t epoch_peak = 0;
   int64_t lease_peak = 0;
-  // Steady-state baselines for the zero-pause self-checks: the worst p99
-  // the epoch/lease runs show OUTSIDE their migration window.
-  int64_t epoch_steady_max = 0;
+  // Steady-state baseline for the zero-pause self-checks: the worst p99
+  // the lease run shows OUTSIDE its migration window.
   int64_t lease_steady_max = 0;
   for (int s = 0; s < points; ++s) {
     const albic::SlicePoint& d = direct.slices[static_cast<size_t>(s)];
     const albic::SlicePoint& i = indirect.slices[static_cast<size_t>(s)];
-    const albic::SlicePoint& e = epoch.slices[static_cast<size_t>(s)];
     const albic::SlicePoint& l = lease.slices[static_cast<size_t>(s)];
     direct_peak = std::max(direct_peak, d.p99_us);
     indirect_peak = std::max(indirect_peak, i.p99_us);
-    epoch_peak = std::max(epoch_peak, e.p99_us);
     lease_peak = std::max(lease_peak, l.p99_us);
     if (s != mig_index) {
-      epoch_steady_max = std::max(epoch_steady_max, e.p99_us);
       lease_steady_max = std::max(lease_steady_max, l.p99_us);
     }
     table.AddDoubleRow({static_cast<double>(s), static_cast<double>(d.p50_us),
                         static_cast<double>(d.p99_us),
                         static_cast<double>(i.p50_us),
                         static_cast<double>(i.p99_us),
-                        static_cast<double>(e.p50_us),
-                        static_cast<double>(e.p99_us),
                         static_cast<double>(l.p50_us),
                         static_cast<double>(l.p99_us)},
                        0);
@@ -312,10 +290,6 @@ int main() {
     std::snprintf(metric, sizeof(metric), "p99_us_indirect_%s%02d", tag,
                   label);
     BenchJson("latency", metric, static_cast<double>(i.p99_us), "us");
-    std::snprintf(metric, sizeof(metric), "p50_us_epoch_%s%02d", tag, label);
-    BenchJson("latency", metric, static_cast<double>(e.p50_us), "us");
-    std::snprintf(metric, sizeof(metric), "p99_us_epoch_%s%02d", tag, label);
-    BenchJson("latency", metric, static_cast<double>(e.p99_us), "us");
     std::snprintf(metric, sizeof(metric), "p50_us_lease_%s%02d", tag, label);
     BenchJson("latency", metric, static_cast<double>(l.p50_us), "us");
     std::snprintf(metric, sizeof(metric), "p99_us_lease_%s%02d", tag, label);
@@ -325,34 +299,24 @@ int main() {
   const albic::SlicePoint& dmig = direct.slices[static_cast<size_t>(mig_index)];
   const albic::SlicePoint& imig =
       indirect.slices[static_cast<size_t>(mig_index)];
-  const albic::SlicePoint& emig =
-      epoch.slices[static_cast<size_t>(mig_index)];
   const albic::SlicePoint& lmig =
       lease.slices[static_cast<size_t>(mig_index)];
   std::printf("(slice %d is the migration window: %lld latency samples, "
-              "max %lld us direct / %lld us indirect / %lld us epoch / "
-              "%lld us lease)\n",
+              "max %lld us direct / %lld us indirect / %lld us lease)\n",
               mig_index, static_cast<long long>(dmig.samples),
               static_cast<long long>(dmig.max_us),
               static_cast<long long>(imig.max_us),
-              static_cast<long long>(emig.max_us),
               static_cast<long long>(lmig.max_us));
 
   std::printf(
       "\nmigration pause: direct %.2f ms (O(state)), indirect %.2f ms "
-      "(O(suffix), %lld tuples replayed) -> %.1fx shorter, epoch %.2f ms "
-      "(one wave; %lld tuples replayed in the background)\n"
-      "peak p99: direct %.2f ms, indirect %.2f ms, epoch %.2f ms "
-      "(steady-state max %.2f ms)\n",
+      "(O(suffix), %lld tuples replayed) -> %.1fx shorter\n"
+      "peak p99: direct %.2f ms, indirect %.2f ms\n",
       direct.pause_us / 1000.0, indirect.pause_us / 1000.0,
       static_cast<long long>(indirect.tuples_replayed),
       indirect.pause_us > 0 ? direct.pause_us / indirect.pause_us : 0.0,
-      epoch.pause_us / 1000.0,
-      static_cast<long long>(epoch.tuples_replayed),
       static_cast<double>(direct_peak) / 1000.0,
-      static_cast<double>(indirect_peak) / 1000.0,
-      static_cast<double>(epoch_peak) / 1000.0,
-      static_cast<double>(epoch_steady_max) / 1000.0);
+      static_cast<double>(indirect_peak) / 1000.0);
 
   // The lease run's zero-copy claim, read back from the engine's metrics:
   // a lease migration happened, and the lease byte counter never moved.
@@ -374,7 +338,6 @@ int main() {
 
   BenchJson("latency", "direct_pause_ms", direct.pause_us / 1000.0, "ms");
   BenchJson("latency", "indirect_pause_ms", indirect.pause_us / 1000.0, "ms");
-  BenchJson("latency", "epoch_pause_ms", epoch.pause_us / 1000.0, "ms");
   BenchJson("latency", "pause_ratio_direct_over_indirect",
             indirect.pause_us > 0 ? direct.pause_us / indirect.pause_us : 0.0,
             "x");
@@ -382,10 +345,6 @@ int main() {
             static_cast<double>(direct_peak) / 1000.0, "ms");
   BenchJson("latency", "peak_p99_indirect_ms",
             static_cast<double>(indirect_peak) / 1000.0, "ms");
-  BenchJson("latency", "peak_p99_epoch_ms",
-            static_cast<double>(epoch_peak) / 1000.0, "ms");
-  BenchJson("latency", "epoch_steady_p99_ms",
-            static_cast<double>(epoch_steady_max) / 1000.0, "ms");
   BenchJson("latency", "lease_pause_ms", lease.pause_us / 1000.0, "ms");
   BenchJson("latency", "peak_p99_lease_ms",
             static_cast<double>(lease_peak) / 1000.0, "ms");
@@ -395,8 +354,6 @@ int main() {
             static_cast<double>(lease_bytes), "bytes");
   BenchJson("latency", "replayed_tuples",
             static_cast<double>(indirect.tuples_replayed), "tuples");
-  BenchJson("latency", "epoch_replayed_tuples",
-            static_cast<double>(epoch.tuples_replayed), "tuples");
 
   // The trade-off must point the right way: the indirect pause (and the
   // latency spike it causes) is bounded by the suffix, not the state.
@@ -412,37 +369,6 @@ int main() {
                  "FAIL: direct migration pause (%.0f us) did not surface in "
                  "the migration window's p99 (%lld us)\n",
                  direct.pause_us, static_cast<long long>(dmig.p99_us));
-    return 1;
-  }
-  // The epoch mode's whole point: zero modeled pause, and a migration
-  // window statistically indistinguishable from steady state — within
-  // noise of the worst non-migration slice (generous wall-clock headroom)
-  // and nowhere near the direct run's O(state) spike.
-  if (epoch.pause_us > 1e-6) {
-    std::fprintf(stderr,
-                 "FAIL: epoch migration reported a nonzero pause "
-                 "(%.3f us)\n",
-                 epoch.pause_us);
-    return 1;
-  }
-  const double epoch_noise_bound =
-      std::max(4.0 * static_cast<double>(epoch_steady_max),
-               static_cast<double>(epoch_steady_max) + 5000.0);
-  if (static_cast<double>(emig.p99_us) > epoch_noise_bound) {
-    std::fprintf(stderr,
-                 "FAIL: epoch migration window p99 (%lld us) is not within "
-                 "noise of steady state (max %lld us, bound %.0f us)\n",
-                 static_cast<long long>(emig.p99_us),
-                 static_cast<long long>(epoch_steady_max), epoch_noise_bound);
-    return 1;
-  }
-  if (static_cast<double>(emig.p99_us) >=
-      0.5 * static_cast<double>(dmig.p99_us)) {
-    std::fprintf(stderr,
-                 "FAIL: epoch migration window p99 (%lld us) should sit far "
-                 "below the direct spike (%lld us)\n",
-                 static_cast<long long>(emig.p99_us),
-                 static_cast<long long>(dmig.p99_us));
     return 1;
   }
   // The lease mode's contract, all three legs: the accounted pause is
@@ -581,42 +507,41 @@ int main() {
     return 1;
   }
 
-  // --- Scenario 3: scale-out reaction time, epoch vs. lease -------------
+  // --- Scenario 3: scale-out reaction time, budgeted vs. lease -----------
   // A load spike lands on one node, and the rebalancer runs under a
   // finite migration-cost budget sized to one group's mck per round. The
-  // epoch controller's moves carry their full O(state) cost in the
-  // snapshot, so absorbing the spike is rationed over several statistics
-  // periods; the lease controller's moves are zero-cost (the snapshot
-  // builder zeroes lease-available groups' mck), so the same planner
-  // absorbs the whole spike in one period.
+  // default controller's direct/indirect moves carry their full O(state)
+  // mck in the snapshot, so absorbing the spike is rationed over several
+  // statistics periods; the lease controller's moves are zero-cost (the
+  // snapshot builder zeroes lease-available groups' mck), so the same
+  // planner absorbs the whole spike in one period.
   albic::bench::ScaleOutScenarioOptions xopts;
-  xopts.use_epoch_migration = true;
-  const albic::bench::ScaleOutScenarioResult epoch_scale =
+  const albic::bench::ScaleOutScenarioResult budgeted =
       albic::bench::RunScaleOutScenario(xopts);
-  xopts.use_epoch_migration = false;
   xopts.use_lease_migration = true;
   const albic::bench::ScaleOutScenarioResult lease_scale =
       albic::bench::RunScaleOutScenario(xopts);
-  if (!epoch_scale.ok || !lease_scale.ok) {
+  if (!budgeted.ok || !lease_scale.ok) {
     std::fprintf(stderr, "FAIL: a scale-out reaction run errored\n");
     return 1;
   }
   std::printf(
       "\nScale-out reaction (budgeted rebalance, spike on one node):\n"
-      "  epoch: %d reaction periods, %d migrations (%d epoch), "
-      "final distance %.2f\n"
-      "  lease: %d reaction periods, %d migrations (%d lease), "
+      "  budgeted: %d reaction periods, %d migrations (%d direct / "
+      "%d indirect), final distance %.2f\n"
+      "  lease:    %d reaction periods, %d migrations (%d lease), "
       "final distance %.2f\n",
-      epoch_scale.reaction_periods, epoch_scale.migrations,
-      epoch_scale.migrations_epoch, epoch_scale.final_load_distance,
-      lease_scale.reaction_periods, lease_scale.migrations,
-      lease_scale.migrations_lease, lease_scale.final_load_distance);
+      budgeted.reaction_periods, budgeted.migrations,
+      budgeted.migrations_direct, budgeted.migrations_indirect,
+      budgeted.final_load_distance, lease_scale.reaction_periods,
+      lease_scale.migrations, lease_scale.migrations_lease,
+      lease_scale.final_load_distance);
 
-  BenchJson("latency", "scaleout_epoch_reaction_periods",
-            epoch_scale.reaction_periods, "periods");
+  BenchJson("latency", "scaleout_budgeted_reaction_periods",
+            budgeted.reaction_periods, "periods");
   BenchJson("latency", "scaleout_lease_reaction_periods",
             lease_scale.reaction_periods, "periods");
-  BenchJson("latency", "scaleout_epoch_migrations", epoch_scale.migrations,
+  BenchJson("latency", "scaleout_budgeted_migrations", budgeted.migrations,
             "migrations");
   BenchJson("latency", "scaleout_lease_migrations", lease_scale.migrations,
             "migrations");
@@ -624,14 +549,14 @@ int main() {
             lease_scale.total_pause_us / 1000.0, "ms");
 
   // The reaction claim, both directions: the lease controller absorbs the
-  // spike in ONE statistics period, the budgeted epoch controller needs
+  // spike in ONE statistics period, the budgeted default controller needs
   // several — and both settle (no residual migrations in the last round).
   if (lease_scale.pre_spike_migrations != 0 ||
-      epoch_scale.pre_spike_migrations != 0) {
+      budgeted.pre_spike_migrations != 0) {
     std::fprintf(stderr,
                  "FAIL: a balanced warmup period triggered migrations "
-                 "(epoch %d, lease %d)\n",
-                 epoch_scale.pre_spike_migrations,
+                 "(budgeted %d, lease %d)\n",
+                 budgeted.pre_spike_migrations,
                  lease_scale.pre_spike_migrations);
     return 1;
   }
@@ -642,15 +567,15 @@ int main() {
                  lease_scale.reaction_periods);
     return 1;
   }
-  if (epoch_scale.reaction_periods < 2) {
+  if (budgeted.reaction_periods < 2) {
     std::fprintf(stderr,
-                 "FAIL: budgeted epoch controller should need several "
+                 "FAIL: budgeted default controller should need several "
                  "periods, took %d\n",
-                 epoch_scale.reaction_periods);
+                 budgeted.reaction_periods);
     return 1;
   }
   if (lease_scale.last_round_migrations != 0 ||
-      epoch_scale.last_round_migrations != 0) {
+      budgeted.last_round_migrations != 0) {
     std::fprintf(stderr, "FAIL: a scale-out run never settled\n");
     return 1;
   }

@@ -8,13 +8,12 @@
 // The workload: tuple counts are uniform until the spike period, then a
 // few groups that all live on one node turn hot. The rebalancer runs under
 // a finite RebalanceConstraints::max_migration_cost budget sized to one
-// group's mck, so a mode whose moves carry their full O(state) cost
-// (epoch: zero PAUSE, but the planner still budgets the background
-// transfer) can spread the spike's moves over several rounds — while
-// lease-available groups have their mck zeroed in the snapshot
-// (adaptation_framework.cc), so the same planner absorbs the whole spike
-// in a single round. The reaction metric is the number of post-spike
-// rounds that still apply migrations.
+// group's mck, so the default direct/indirect choice, whose moves carry
+// their full O(state) mck (§3), spreads the spike's moves over several
+// rounds — while lease-available groups have their mck zeroed in the
+// snapshot (adaptation_framework.cc), so the same planner absorbs the
+// whole spike in a single round. The reaction metric is the number of
+// post-spike rounds that still apply migrations.
 
 #include <algorithm>
 #include <memory>
@@ -30,10 +29,8 @@
 namespace albic::bench {
 
 struct ScaleOutScenarioOptions {
-  /// Migration mode opt-in for the controller's four-way choice. Exactly
-  /// one of these should be set; with both false every move is direct
-  /// (which budgets exactly like epoch — the mck is the same).
-  bool use_epoch_migration = false;
+  /// Lease opt-in; without it the controller makes its default
+  /// direct/indirect choice per group, every move budgeted at its mck.
   bool use_lease_migration = false;
   int warmup_periods = 2;   ///< Uniform-load periods before the spike.
   int total_periods = 12;   ///< Spike persists from warmup to the end.
@@ -44,7 +41,6 @@ struct ScaleOutScenarioOptions {
 struct ScaleOutScenarioResult {
   int reaction_periods = 0;   ///< Post-spike rounds that applied moves.
   int migrations = 0;         ///< Applied moves, whole run.
-  int migrations_epoch = 0;
   int migrations_lease = 0;
   int migrations_direct = 0;
   int migrations_indirect = 0;
@@ -103,10 +99,8 @@ inline ScaleOutScenarioResult RunScaleOutScenario(
   engine::MemoryCheckpointStore store;
   engine::CheckpointCoordinatorOptions ccopts;
   // Only the initial checkpoint: the replay suffix then grows every
-  // period, so an indirect move is never free and the epoch opt-in's
-  // zero-pause prediction genuinely wins the mode choice (with per-period
-  // checkpoints the suffix is ~empty and indirect undercuts everything,
-  // which would mislabel the comparison).
+  // period, so an indirect move is never free (with per-period checkpoints
+  // the suffix would be ~empty).
   ccopts.interval_us = int64_t{1} << 60;
   engine::CheckpointCoordinator coordinator(&store, ccopts);
   if (!engine.EnableCheckpointing(&coordinator).ok()) return out;
@@ -130,7 +124,6 @@ inline ScaleOutScenarioResult RunScaleOutScenario(
                           kHot * (opts.hot_tuples - opts.cold_tuples));
   copts.use_comm = false;
   copts.use_measured_costs = false;  // modeled loads: deterministic spike
-  copts.use_epoch_migration = opts.use_epoch_migration;
   copts.use_lease_migration = opts.use_lease_migration;
   core::ControllerLoop controller(&engine, &framework, &load_model, &topo,
                                   &cluster, copts);
@@ -160,7 +153,6 @@ inline ScaleOutScenarioResult RunScaleOutScenario(
   for (size_t r = 0; r < history.size(); ++r) {
     const core::ControllerRound& round = history[r];
     out.migrations += round.migrations_applied;
-    out.migrations_epoch += round.migrations_epoch;
     out.migrations_lease += round.migrations_lease;
     out.migrations_direct += round.migrations_direct;
     out.migrations_indirect += round.migrations_indirect;

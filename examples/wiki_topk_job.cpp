@@ -13,8 +13,8 @@
 //
 // The observability flags (examples/observability_flags.h) dump the final
 // metrics-registry snapshot, a Chrome trace (the run ends with a
-// four-mode migration showcase, so the trace shows the direct, indirect,
-// epoch and lease signatures side by side) and the controller's decision
+// three-mode migration showcase, so the trace shows the direct, indirect
+// and lease signatures side by side) and the controller's decision
 // journal. The controller itself runs with the lease opt-in, so every
 // round-applied migration is a zero-cost arena lease flip (journal reason
 // "lease-zero-cost"). Printed output is identical with or without the
@@ -184,9 +184,9 @@ int main(int argc, char** argv) {
   // bit-identical) — but each mode leaves its distinct pause signature in
   // the trace and bumps its engine_migrations_total{mode} counter. Direct
   // first (no checkpoint needed), then checkpointing is attached for the
-  // indirect and epoch moves, and a lease flip closes the set (its trace
-  // shows only the wave-barrier flip span — nothing travels). Prints
-  // nothing: stdout stays identical with observability off.
+  // indirect move, and a lease flip closes the set (its trace shows only
+  // the flip span — nothing travels). Prints nothing: stdout stays
+  // identical with observability off.
   {
     engine::MemoryCheckpointStore showcase_store;
     engine::CheckpointCoordinator showcase_coordinator(&showcase_store);
@@ -202,8 +202,7 @@ int main(int argc, char** argv) {
         !engine.EnableCheckpointing(&showcase_coordinator).ok() ||
         !showcase_coordinator.CheckpointNow(&engine).ok() ||
         !move(1, engine::MigrationMode::kIndirect).ok() ||
-        !move(2, engine::MigrationMode::kEpoch).ok() ||
-        !move(3, engine::MigrationMode::kLease).ok()) {
+        !move(2, engine::MigrationMode::kLease).ok()) {
       std::fprintf(stderr, "migration showcase failed\n");
       return 1;
     }

@@ -35,7 +35,7 @@ VALID_PHASES = frozenset([
 # A reason outside this set means the journal and the controller drifted.
 VALID_REASONS = frozenset([
     "no-checkpointing", "forced-indirect", "indirect-cheaper",
-    "epoch-zero-pause", "lease-zero-cost", "direct-cheapest",
+    "lease-zero-cost", "direct-cheapest",
 ])
 
 
@@ -210,8 +210,7 @@ def self_test():
         "group": 3, "from": 0, "to": 1, "mode": "lease",
         "reason": "lease-zero-cost",
         "predicted_pause_us": 0.0, "actual_pause_us": 0.0,
-        "est": {"direct_us": 512.0, "indirect_us": -1.0, "epoch_us": -1.0,
-                "lease_us": 0.0},
+        "est": {"direct_us": 512.0, "indirect_us": -1.0, "lease_us": 0.0},
     }
     lease = dict(valid, migrations={"planned": 1, "applied": 1},
                  decisions=[lease_decision])

@@ -55,7 +55,7 @@ RULES = [
     # workload knobs; 15% + 8 KiB headroom covers container layout noise.
     Rule("bytes", lambda m, u: "bytes" in m or u == "bytes",
          "lower", 0.15, 8192.0),
-    # Pauses (migration / recovery / epoch): wall-clock, noisy, but a
+    # Pauses (migration / recovery): wall-clock, noisy, but a
     # doubling is a real regression. The 2.0 absolute floor is in the
     # metric's native unit: for *_us metrics it is effectively zero (the
     # relative tolerance governs), for millisecond-scale p99s it absorbs
@@ -268,7 +268,7 @@ def self_test():
     # millisecond-scale p99 doubling stays under the absolute floor.
     expect("pause-noise-ok", one("p99_pause_us", "us", 400, 600) is False)
     expect("pause-3x-fails", one("p99_pause_us", "us", 400, 1200) is True)
-    expect("pause-ms-fails", one("epoch_pause_ms", "ms", 2.0, 6.0) is True)
+    expect("pause-ms-fails", one("direct_pause_ms", "ms", 2.0, 6.0) is True)
     expect("pause-ms-jitter-ok",
            one("large_wave_pause_p99_rehash_off_ms", "ms", 1.1, 2.4) is False)
     # Overheads: absolute points, baseline may be negative, and two-run

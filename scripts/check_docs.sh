@@ -6,7 +6,12 @@
 #      src/balance/, src/scaling/ and src/ops/ — plus the shared test
 #      harness headers under tests/engine/ — carries a file-level doxygen
 #      header (\file + \brief), so the API docs cannot rot silently;
-#   3. the journal analyzer parses the checked-in sample decision journal.
+#   3. the journal analyzer parses the checked-in sample decision journal;
+#   4. the tooling self-tests pass;
+#   5. the documented vocabularies exist in the code: every span in
+#      docs/OBSERVABILITY.md's span catalog is a string literal under src/,
+#      and every decision reason scripts/analyze_journal.py accepts is a
+#      literal in src/core/controller_loop.cc.
 #
 # Usage: scripts/check_docs.sh   (from anywhere; operates on the repo root)
 
@@ -64,8 +69,41 @@ if ! python3 scripts/bench_compare.py --self-test >/dev/null; then
   fail=1
 fi
 
+# --- 5. documented vocabularies exist in the code ---------------------------
+# Spans are emitted by literal name, so a catalog row with no literal under
+# src/ documents a span nothing emits. The first backticked token of the
+# catalog's Span column is the name.
+spans=0
+while IFS= read -r span; do
+  spans=$((spans + 1))
+  if ! grep -rqF "\"$span\"" src/; then
+    echo "SPAN CATALOG: docs/OBSERVABILITY.md lists '$span', which no code under src/ emits"
+    fail=1
+  fi
+done < <(sed -n '/^### Span catalog/,/^## /p' docs/OBSERVABILITY.md |
+         awk -F'|' '/^\| `/ { if (match($3, /`[^`]+`/))
+                               print substr($3, RSTART + 1, RLENGTH - 2) }')
+if [[ $spans -eq 0 ]]; then
+  echo "SPAN CATALOG: no spans found in docs/OBSERVABILITY.md"
+  fail=1
+fi
+reasons=0
+while IFS= read -r reason; do
+  reasons=$((reasons + 1))
+  if ! grep -qF "\"$reason\"" src/core/controller_loop.cc; then
+    echo "REASONS: scripts/analyze_journal.py accepts '$reason', which src/core/controller_loop.cc never emits"
+    fail=1
+  fi
+done < <(python3 -c 'import sys; sys.path.insert(0, "scripts")
+import analyze_journal
+print("\n".join(sorted(analyze_journal.VALID_REASONS)))')
+if [[ $reasons -eq 0 ]]; then
+  echo "REASONS: no decision reasons found in scripts/analyze_journal.py"
+  fail=1
+fi
+
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (links resolve, common/engine/core/balance/scaling/ops + test harness headers documented, sample journal parses, tooling self-tests pass)"
+echo "check_docs: OK (links resolve, common/engine/core/balance/scaling/ops + test harness headers documented, sample journal parses, tooling self-tests pass, $spans catalog spans and $reasons decision reasons found in the code)"

@@ -16,11 +16,11 @@ OUT_DIR="${2:-${BUILD_DIR}/bench_results}"
 # bench_recovery runs both its scenarios (wiki pipeline + large-state
 # delta) by default, so the snapshot includes the checkpoint
 # base-vs-delta bytes and the build-phase wave-pause p99; set
-# ALBIC_BENCH_SCENARIO to narrow it. bench_latency snapshots all four migration timelines —
-# direct, indirect, epoch (p*_us_epoch_*, epoch_pause_ms,
-# epoch_steady_p99_ms) and lease (p*_us_lease_*, lease_pause_ms,
-# lease_migration_bytes) — plus the skewed-cost planning comparison and
-# the epoch-vs-lease scale-out reaction scenario (scaleout_*).
+# ALBIC_BENCH_SCENARIO to narrow it. bench_latency snapshots all three
+# migration timelines — direct, indirect and lease (p*_us_lease_*,
+# lease_pause_ms, lease_migration_bytes) — plus the skewed-cost planning
+# comparison and the budgeted-vs-lease scale-out reaction scenario
+# (scaleout_*).
 BENCHES=(
   bench_engine_throughput
   bench_latency

@@ -48,7 +48,7 @@ enum class WavePhase : int {
   kWindow,
   /// Checkpoint rounds: serializing dirty groups, log truncation.
   kCheckpoint,
-  /// Migration work: epoch boundary stamps, state transfer, buffer drains.
+  /// Migration work: lease flips, state transfer, buffer drains.
   kMigration,
   /// Failure handling: FailNode bookkeeping and RecoverGroup restores.
   kRecovery,

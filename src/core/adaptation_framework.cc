@@ -45,7 +45,7 @@ engine::SystemSnapshot AdaptationFramework::BuildSnapshot(
       // Lease-available groups migrate by flipping an arena lease — zero
       // bytes move, so their mck is genuinely zero. Zeroing it keeps the
       // rebalancer's max_migration_cost budget from throttling moves that
-      // cost nothing: a load spike whose epoch-mode absorption would be
+      // cost nothing: a load spike whose byte-moving absorption would be
       // spread over several rounds by the budget is absorbed in one round
       // with leases.
       const size_t n = std::min(snap.migration_costs.size(),

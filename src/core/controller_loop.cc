@@ -342,15 +342,12 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
       framework_->RunRound(*topology_, *load_model_, group_loads, comm,
                            cluster_, &planned, &latency_summary, measured));
 
-  // Act: apply the plan's migrations to the live engine. Each one buffers
-  // tuples in flight for the group and drains them at the target. Lost
-  // groups are skipped here (StartMigration rejects them) and restored
-  // below at their planned placement. The mode is chosen PER GROUP from
-  // the predicted pauses — indirect when the replay-log suffix undercuts
-  // the state size, epoch (zero-pause background transfer) when opted in
-  // and its prediction undercuts both — unless use_indirect_migration
-  // forces indirect everywhere (the pre-measured-cost behaviour, kept as
-  // an override that also wins over the epoch opt-in).
+  // Act: apply the plan's migrations to the live engine. Lost groups are
+  // skipped here (StartMigration rejects them) and restored below at their
+  // planned placement. The mode is chosen PER GROUP from the predicted
+  // pauses — indirect when the replay-log suffix undercuts the state size,
+  // lease when opted in — unless use_indirect_migration forces indirect
+  // everywhere (the pre-measured-cost behaviour, kept as an override).
   const bool checkpointed = engine_->checkpointing_enabled();
   for (const engine::Migration& m : adaptation.plan.migrations) {
     ++round.migrations_planned;
@@ -367,18 +364,13 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
         reason = options_.use_indirect_migration ? "forced-indirect"
                                                  : "indirect-cheaper";
       }
-      if (!options_.use_indirect_migration && options_.use_epoch_migration &&
-          est.epoch_available && est.epoch_us < predicted) {
-        mode = engine::MigrationMode::kEpoch;
-        predicted = est.epoch_us;
-        reason = "epoch-zero-pause";
-      }
     }
     // Lease flips sit OUTSIDE the checkpointed gate: the arena flip needs
     // no checkpoint subsystem at all. `<=` (not `<`) so a lease's zero
-    // prediction beats epoch's zero — when both cost nothing, the mode
-    // that also moves zero bytes wins. The forced-indirect override still
-    // takes precedence via the use_indirect_migration guard.
+    // prediction beats an indirect move whose chain leaves no suffix to
+    // replay — when both cost nothing, the mode that also moves zero bytes
+    // wins. The forced-indirect override still takes precedence via the
+    // use_indirect_migration guard.
     if (!options_.use_indirect_migration && options_.use_lease_migration &&
         est.lease_available && est.lease_us <= predicted) {
       mode = engine::MigrationMode::kLease;
@@ -389,7 +381,8 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
     Result<double> pause = engine_->FinishMigration(m.group);
     if (pause.ok()) {
       ++round.migrations_applied;
-      round.migration_pause_us += *pause;  // measured, from the real state
+      // Modeled: kEnginePauseUsPerByte × the bytes the engine rebuilt.
+      round.migration_pause_us += *pause;
       MigrationDecision decision;
       decision.group = m.group;
       decision.from = m.from;
@@ -399,7 +392,6 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
       decision.actual_pause_us = *pause;
       decision.est_direct_us = est.direct_us;
       decision.est_indirect_us = est.indirect_available ? est.indirect_us : -1;
-      decision.est_epoch_us = est.epoch_available ? est.epoch_us : -1;
       // Without the opt-in the lease estimate never entered the choice, so
       // it is journaled as unavailable — an est of 0 beside a non-lease
       // winner would read as the controller ignoring the cheapest mode.
@@ -410,8 +402,6 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
       round.migration_decisions.push_back(decision);
       if (mode == engine::MigrationMode::kLease) {
         ++round.migrations_lease;
-      } else if (mode == engine::MigrationMode::kEpoch) {
-        ++round.migrations_epoch;
       } else if (mode == engine::MigrationMode::kIndirect) {
         ++round.migrations_indirect;
       } else {
@@ -421,8 +411,12 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   }
 
   // Recover: restore every lost group (checkpoint + replay) at its planned
-  // node and drain the tuples buffered during the outage.
-  for (const engine::KeyGroupId g : lost) {
+  // node and drain the tuples buffered during the outage. The list is read
+  // after the act loop, so a planned move whose rebuild failed (the group
+  // is lost then, exactly as after a node failure) is restored in this
+  // round rather than the next.
+  const std::vector<engine::KeyGroupId> to_recover = engine_->lost_groups();
+  for (const engine::KeyGroupId g : to_recover) {
     engine::NodeId to = planned.node_of(g);
     if (to < 0 || !cluster_->is_active(to)) {
       const std::vector<engine::NodeId> active = cluster_->active_nodes();
@@ -437,7 +431,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
     round.tuples_replayed += rec.replayed;
     round.recovery_pause_us += rec.pause_us;
   }
-  if (!lost.empty()) {
+  if (!to_recover.empty()) {
     round.recovery_wall_us =
         std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
             std::chrono::steady_clock::now() - recovery_start)

@@ -66,24 +66,15 @@ struct ControllerLoopOptions {
   /// cheaper predicted mode PER MIGRATED GROUP: indirect for groups whose
   /// replay-log suffix undercuts their state size, direct for the rest
   /// (reported per migration in ControllerRound::migration_decisions).
-  /// Takes precedence over use_epoch_migration when both are set.
   bool use_indirect_migration = false;
-  /// Opt into epoch-marker migration (engine::MigrationMode::kEpoch) for
-  /// planned moves: with checkpointing on and use_indirect_migration off,
-  /// the per-group mode choice becomes three-way and picks epoch whenever
-  /// its predicted pause (one wave barrier, modeled zero) undercuts both
-  /// the direct and indirect predictions — in practice every group with a
-  /// usable checkpoint. Off by default so existing two-way deployments and
-  /// their pause accounting stay byte-identical.
-  bool use_epoch_migration = false;
   /// Opt into lease migration (engine::MigrationMode::kLease) for planned
   /// moves: reassign groups by flipping lease ownership over the shared
   /// state arena — zero bytes serialized, zero background transfer, pause
-  /// bounded by one wave barrier. Unlike epoch mode this needs no
-  /// checkpointing, so with it on the mode choice is four-way and lease
-  /// wins for every group whose state is live in the arena (journal
-  /// reason "lease-zero-cost"); only groups lost across a FailNode
-  /// boundary fall back to the byte-moving modes and checkpoint recovery.
+  /// bounded by one wave barrier. It needs no checkpointing, and with it
+  /// on lease wins for every group whose state is live in the arena
+  /// (journal reason "lease-zero-cost"); only groups lost across a
+  /// FailNode boundary fall back to the byte-moving modes and checkpoint
+  /// recovery.
   /// Also zeroes the planner's per-group migration-cost budget terms for
   /// lease-eligible groups (MeasuredSignals::lease_available), so a
   /// constrained migration budget no longer throttles zero-cost moves.
@@ -110,7 +101,9 @@ struct ControllerLoopOptions {
 };
 
 /// \brief One applied migration with the mode the controller chose for it
-/// and the pause the cost model predicted vs. what the engine measured.
+/// and the pause the cost model predicted vs. the pause the engine
+/// modeled from the bytes it actually rebuilt (kEnginePauseUsPerByte ×
+/// those bytes; neither pause is timed).
 struct MigrationDecision {
   engine::KeyGroupId group = -1;
   engine::NodeId from = engine::kInvalidNode;
@@ -119,17 +112,19 @@ struct MigrationDecision {
   /// Pause the chosen mode was predicted to cost (direct: modeled state
   /// bytes; indirect: exact replay-log suffix).
   double predicted_pause_us = 0.0;
-  double actual_pause_us = 0.0;  ///< Pause the engine reported.
+  /// Pause the engine reported: kEnginePauseUsPerByte × the bytes it
+  /// rebuilt (the real serialized image or chain + suffix), a model, not
+  /// a timing.
+  double actual_pause_us = 0.0;
   /// The full prediction the choice was made from: every mode's estimated
   /// pause (-1 when the mode was unavailable for this group), journaled so
   /// the rejected alternatives are auditable alongside the winner.
   double est_direct_us = 0.0;
   double est_indirect_us = -1.0;
-  double est_epoch_us = -1.0;
   double est_lease_us = -1.0;
   /// Why this mode won: "no-checkpointing" (direct is all there is),
   /// "forced-indirect" (use_indirect_migration), "indirect-cheaper",
-  /// "epoch-zero-pause", "lease-zero-cost", or "direct-cheapest".
+  /// "lease-zero-cost", or "direct-cheapest".
   const char* reason = "direct-cheapest";
 };
 
@@ -142,15 +137,14 @@ struct ControllerRound {
   /// downstream hops.
   int64_t tuples_ingested = 0;
   int64_t tuples_buffered = 0;
-  double migration_pause_us = 0.0;  ///< Pause incurred by this round's moves.
+  /// Modeled pause of this round's moves (sum of actual_pause_us).
+  double migration_pause_us = 0.0;
   /// Measured planning time of the round (AdaptationRound::plan_ms).
   double plan_ms = 0.0;
   int migrations_planned = 0;
   int migrations_applied = 0;
   int migrations_direct = 0;    ///< Applied with direct O(state) moves.
   int migrations_indirect = 0;  ///< Applied via checkpoint + replay.
-  /// Applied via epoch-marker stamping (background transfer, zero pause).
-  int migrations_epoch = 0;
   /// Applied via lease flips over the state arena (zero bytes, zero pause).
   int migrations_lease = 0;
   /// Per-migration record: chosen mode, predicted vs. actual pause.
@@ -210,9 +204,12 @@ struct ControllerRound {
 /// into the controller's SystemSnapshot inputs (group loads in percent of a
 /// reference node, plus the measured communication matrix), runs one
 /// integrative adaptation round (scaling + rebalancing + collocation), and
-/// applies the planned migrations to the live engine via direct state
-/// migration — each move buffers in-flight tuples for the group and drains
-/// them at the target, so adaptation never loses or reorders data.
+/// applies the planned migrations to the live engine, choosing each move's
+/// mode per group (see ControllerLoopOptions): a direct or indirect move
+/// buffers the group's in-flight tuples and drains them at the target, a
+/// lease flips ownership at a quiescent instant, so adaptation never loses
+/// or reorders data. Groups lost to a failure, or to a move whose rebuild
+/// failed, are restored from checkpoint + replay in the same round.
 ///
 /// No caller-supplied load vectors anywhere: the loop closes the
 /// measure -> decide -> act cycle on real measurements.

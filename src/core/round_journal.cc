@@ -81,8 +81,6 @@ std::string RoundJournal::ToJson(const ControllerRound& round) {
   AppendInt(&out, round.migrations_direct);
   out += ",\"indirect\":";
   AppendInt(&out, round.migrations_indirect);
-  out += ",\"epoch\":";
-  AppendInt(&out, round.migrations_epoch);
   out += ",\"lease\":";
   AppendInt(&out, round.migrations_lease);
   out += ",\"pause_us\":";
@@ -109,8 +107,6 @@ std::string RoundJournal::ToJson(const ControllerRound& round) {
     AppendDouble(&out, d.est_direct_us);
     out += ",\"indirect_us\":";
     AppendDouble(&out, d.est_indirect_us);
-    out += ",\"epoch_us\":";
-    AppendDouble(&out, d.est_epoch_us);
     out += ",\"lease_us\":";
     AppendDouble(&out, d.est_lease_us);
     out += "}}";

@@ -4,8 +4,9 @@
 /// \brief Controller decision journal: appends one JSONL record per
 /// adaptation round — the snapshot inputs the controller saw, every
 /// migration's chosen mode with the per-mode predicted pauses and the
-/// reason for the choice, predicted vs. measured pause, the SLO trigger
-/// state and the per-node overload backlog. The journal is the replayable
+/// reason for the choice, the predicted pause beside the engine's modeled
+/// one (kEnginePauseUsPerByte × the bytes it rebuilt; neither is timed),
+/// the SLO trigger state and the per-node overload backlog. The journal is the replayable
 /// audit trail of the measure -> decide -> act cycle: scripts/
 /// analyze_journal.py turns it into prediction-error and mode-share
 /// reports. Attach via ControllerLoopOptions::journal; appends never fail

@@ -140,8 +140,6 @@ void LocalEngine::WireMetrics() {
       reg->Counter("engine_checkpoint_delta_bytes_total");
   metrics_.tuples_replayed = reg->Counter("engine_tuples_replayed_total");
   metrics_.groups_recovered = reg->Counter("engine_groups_recovered_total");
-  metrics_.epoch_transfer_bytes =
-      reg->Counter("engine_epoch_transfer_bytes_total");
   // Both per-mode series are wired eagerly so the lease byte series exists
   // (at zero, forever — leases ship no bytes) for dashboards and the bench
   // self-checks to read.
@@ -180,7 +178,6 @@ void LocalEngine::PublishPeriodMetrics(const EnginePeriodStats& stats) {
   metrics_.checkpoint_bytes->Add(stats.checkpoint_bytes);
   metrics_.tuples_replayed->Add(stats.tuples_replayed);
   metrics_.groups_recovered->Add(stats.groups_recovered);
-  metrics_.epoch_transfer_bytes->Add(stats.epoch_transfer_bytes);
   metrics_.mailbox_highwater->SetMax(stats.mailbox_highwater);
   int64_t max_chain = 0;
   for (const int len : chain_len_) {
@@ -636,10 +633,10 @@ void LocalEngine::DeliverBatch(OperatorId op, int group_index,
   MigrationState& mig = migrating_[g];
   if (mig.active && MigrationBuffers(mig.mode)) {
     // Tuples that arrive while the group migrates buffer in order at the
-    // target (§3, "State Migration"); FinishMigration drains them. Epoch
-    // and lease migrations skip the buffer entirely: the group processes
-    // live at the owner the routing currently names, and the stamp/flip at
-    // the next wave barrier is what changes that name.
+    // target (§3, "State Migration"); FinishMigration drains them. A lease
+    // skips the buffer entirely: the group processes live at the owner the
+    // lease table currently names, and the flip at the next wave barrier
+    // is what changes that name.
     for (const Tuple& t : batch) mig.buffer.push_back(t);
     period_.tuples_buffered += static_cast<int64_t>(batch.size());
     return;
@@ -797,11 +794,9 @@ void LocalEngine::DrainAll() {
     RunWave(&wave);
     // Between waves every operator is quiescent and each group's log
     // matches its state — the safe point for asynchronous incremental
-    // checkpoints (no global drain or alignment required). The same
-    // quiescence is the epoch boundary: pending kEpoch migrations stamp
-    // here, transfer in the background, and flip routing before the next
-    // wave resolves any owner.
-    if (!flip_pending_.empty()) StampEpochBoundaries();
+    // checkpoints (no global drain or alignment required). Pending leases
+    // flip here too, before the next wave resolves any owner.
+    if (!flip_pending_.empty()) FlipPendingLeases();
     if (checkpointer_ != nullptr) checkpointer_->OnSafePoint(this);
   }
   // Sweep the journeys completed by this drain into the period's worst-N.
@@ -851,7 +846,6 @@ void LocalEngine::MaybeFireWindows(int64_t new_time) {
 //   mode       state source           cutover
 //   kDirect    live round-trip        buffer; flip + drain at FinishMigration
 //   kIndirect  chain + logged suffix  buffer; flip + drain at FinishMigration
-//   kEpoch     chain + logged suffix  flip at the next quiescent instant
 //   kLease     none                   flip at the next quiescent instant
 //   recovery   chain + logged suffix  buffer; flip + drain at RecoverGroup
 //
@@ -872,12 +866,6 @@ Status LocalEngine::StartMigration(KeyGroupId group, NodeId to,
     return Status::InvalidArgument(
         "indirect migration requires checkpointing (EnableCheckpointing)");
   }
-  if (mode == MigrationMode::kEpoch && checkpointer_ == nullptr) {
-    // The caller asked for a move, not a mechanism: without the checkpoint
-    // subsystem there is no background chain to ship, so the move degrades
-    // to the always-available direct mode instead of failing.
-    mode = MigrationMode::kDirect;
-  }
   MigrationState& mig = migrating_[group];
   if (mig.active) {
     return Status::AlreadyExists("group is already migrating");
@@ -889,11 +877,10 @@ Status LocalEngine::StartMigration(KeyGroupId group, NodeId to,
   mig.target = to;
   mig.mode = mode;
   if (!MigrationBuffers(mode)) {
-    // Flip cutover at the next quiescent instant. Note kLease never
-    // degraded above: the lease flip needs no checkpoint chain to ship —
-    // the state stays put in the arena — so it works without
-    // checkpointing, and without weakening it (dirty tracking and replay
-    // logging are untouched by the flip).
+    // A lease flips at the next quiescent instant. It needs no checkpoint
+    // chain — the state stays put in the arena — so it works without
+    // checkpointing, and without weakening it (replay logging is
+    // untouched by the flip).
     flip_pending_.push_back(group);
   }
   return Status::OK();
@@ -908,23 +895,16 @@ bool LocalEngine::UsableChain(KeyGroupId g, CheckpointInfo* info,
 
 LocalEngine::StateSource LocalEngine::MoveSource(KeyGroupId g,
                                                  MigrationMode mode) const {
-  switch (mode) {
-    case MigrationMode::kLease:
-      return StateSource::kNone;
-    case MigrationMode::kDirect:
-      return StateSource::kLive;
-    case MigrationMode::kIndirect:
-    case MigrationMode::kEpoch:
-      break;
-  }
   CheckpointInfo info;
-  return UsableChain(g, &info) ? StateSource::kChain : StateSource::kLive;
+  return mode == MigrationMode::kIndirect && UsableChain(g, &info)
+             ? StateSource::kChain
+             : StateSource::kLive;
 }
 
 Status LocalEngine::RebuildGroup(KeyGroupId g, StateSource source,
                                  Rebuild* out) {
   StreamOperator* op = operators_[topology_->group_operator(g)];
-  if (op == nullptr || source == StateSource::kNone) return Status::OK();
+  if (op == nullptr) return Status::OK();
   const int local = topology_->group_index_in_operator(g);
   Status s = Status::OK();
   if (source == StateSource::kLive) {
@@ -991,7 +971,6 @@ void LocalEngine::Cutover(KeyGroupId g, NodeId to) {
   mig.flipped = false;
   mig.target = kInvalidNode;
   mig.mode = MigrationMode::kDirect;
-  mig.error = Status::OK();
   DrainMigrationBuffer(g);
 }
 
@@ -1003,9 +982,9 @@ void LocalEngine::LoseGroup(KeyGroupId g) {
   mig.active = true;
   mig.lost = true;
   mig.target = kInvalidNode;
-  // A lost group never flips: a pending epoch/lease entry self-cleans at
-  // the next stamp (the mode is no longer kEpoch/kLease), and recovery goes
-  // through checkpoint + replay (RecoverGroup).
+  // A lost group never flips: a pending lease entry self-cleans at the next
+  // flip (the mode is no longer kLease), and recovery goes through
+  // checkpoint + replay (RecoverGroup).
   mig.mode = MigrationMode::kDirect;
   mig.flipped = false;
 }
@@ -1027,7 +1006,7 @@ void LocalEngine::DrainMigrationBuffer(KeyGroupId group) {
   DrainAll();
 }
 
-void LocalEngine::StampEpochBoundaries() {
+void LocalEngine::FlipPendingLeases() {
   if (flip_pending_.empty()) return;
   PhaseScope prof_scope(prof_, WavePhase::kMigration);
   std::vector<KeyGroupId> pending;
@@ -1041,27 +1020,11 @@ void LocalEngine::StampEpochBoundaries() {
         mig.flipped) {
       continue;
     }
-    ALBIC_TRACE_SPAN2("migration",
-                      mig.mode == MigrationMode::kLease
-                          ? "migration.lease.flip"
-                          : "migration.epoch.stamp",
-                      "group", g, "to", mig.target);
-    // This instant is the boundary: every logged event so far was
-    // processed at the old owner. Epoch rebuilds the group "at the target"
-    // from the newest chain cut here plus that suffix — background bytes,
-    // none of them pause. A lease rebuilds nothing: the slot never moves,
-    // and the group's dirty flags, replay log and chain stay as they are.
-    Rebuild rebuilt;
-    const Status s = RebuildGroup(g, MoveSource(g, mig.mode), &rebuilt);
-    if (!s.ok()) {
-      mig.error = s;  // the group is lost now; its FinishMigration reports
-      continue;
-    }
-    period_.epoch_transfer_bytes += rebuilt.shipped();
-    CounterMetric* bytes = metrics_.migration_bytes[static_cast<int>(mig.mode)];
-    if (bytes != nullptr) bytes->Add(rebuilt.shipped());
-    // The atomic routing flip: from here every delivery — in-flight mailbox
-    // batches included — resolves the new owner. Redirected, not stalled.
+    ALBIC_TRACE_SPAN2("migration", "migration.lease.flip", "group", g, "to",
+                      mig.target);
+    // The slot never moves, and the group's replay log and chain stay as
+    // they are: from here every delivery — in-flight mailbox batches
+    // included — resolves the new owner. Redirected, not stalled.
     Cutover(g, mig.target);
   }
 }
@@ -1073,18 +1036,13 @@ Result<double> LocalEngine::FinishMigration(KeyGroupId group) {
     return Status::InvalidArgument("group is not migrating");
   }
   if (!mig.lost && !MigrationBuffers(mig.mode)) {
-    ALBIC_TRACE_SPAN1("migration",
-                      mig.mode == MigrationMode::kLease
-                          ? "migration.lease.finish"
-                          : "migration.epoch.finish",
-                      "group", group);
-    // Flip cutover: the driving thread being here is itself a quiescent
-    // instant — if no wave barrier happened since Start, rebuild and flip
-    // now. Nothing buffered and nothing drains, so the pause is the single
-    // wave barrier: zero in the engine's byte-proportional model.
-    if (!mig.flipped) StampEpochBoundaries();
+    ALBIC_TRACE_SPAN1("migration", "migration.lease.finish", "group", group);
+    // The driving thread being here is itself a quiescent instant — if no
+    // wave barrier happened since Start, flip now. Nothing buffered and
+    // nothing drains, so the pause is the single wave barrier: zero in the
+    // engine's byte-proportional model.
+    if (!mig.flipped) FlipPendingLeases();
   }
-  if (!mig.error.ok()) return std::exchange(mig.error, Status::OK());
   if (mig.lost) {
     return Status::InvalidArgument("group is lost; use RecoverGroup");
   }
@@ -1154,8 +1112,8 @@ Status LocalEngine::FailNode(NodeId node) {
     } else if (mig.active && mig.target == node) {
       // A move toward the dead node: the state never left the source —
       // cancel it without a flip and release the buffered tuples at the
-      // source. (An unflipped epoch or lease move buffered nothing; its
-      // pending entry self-cleans at the next stamp.)
+      // source. (An unflipped lease buffered nothing; its pending entry
+      // self-cleans at the next flip.)
       Cutover(g, kInvalidNode);
     }
   }
@@ -1208,11 +1166,6 @@ MigrationPauseEstimate LocalEngine::EstimateMigrationPause(
   est.lease_available = !migrating_[group].lost;
   est.lease_us = 0.0;
   if (checkpointer_ != nullptr) {
-    // Epoch migration is available whenever checkpointing is: its pause is
-    // one wave barrier regardless of how much the background transfer
-    // ships, so the model charges it zero.
-    est.epoch_available = true;
-    est.epoch_us = 0.0;
     CheckpointInfo info;
     if (UsableChain(group, &info)) {
       // FinishMigration replays exactly the events with seq >= info.seq

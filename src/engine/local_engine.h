@@ -3,11 +3,10 @@
 /// \file
 /// \brief LocalEngine, the single-process PSPE runtime: executes
 /// operator code over simulated nodes in batches drained in waves, and
-/// implements direct, indirect (checkpoint + replay), epoch-marker
-/// (stamp at a wave barrier, background transfer, atomic routing flip)
-/// and lease (zero-copy ownership flip over the shared state arena) state
-/// migration plus checkpoint-based failure recovery — all five as one
-/// rebuild step plus one cutover step.
+/// implements direct, indirect (checkpoint + replay) and lease (zero-copy
+/// ownership flip over the shared state arena) state migration plus
+/// checkpoint-based failure recovery — all four as one rebuild step plus
+/// one cutover step.
 
 #include <cstdint>
 #include <deque>
@@ -107,10 +106,6 @@ struct EnginePeriodStats {
   int64_t tuples_replayed = 0;      ///< Log entries reapplied (indirect
                                     ///< migration + recovery).
   int64_t groups_recovered = 0;     ///< Lost groups restored this period.
-  /// Bytes epoch migrations shipped in the background this period (chain
-  /// cut + replayed suffix, or the fallback round-trip's state bytes) —
-  /// transfer volume that, by design, contributed zero pause.
-  int64_t epoch_transfer_bytes = 0;
   /// Source tuples entering the engine per ingestion shard this period
   /// (index = shard id; Inject/InjectBatch count as shard 0, InjectRouted
   /// as its shard). Grown on demand; the sum is the true offered load, as
@@ -170,12 +165,6 @@ struct MigrationPauseEstimate {
   /// replay log still reaches); without one an indirect migration would
   /// fall back to the direct round-trip.
   bool indirect_available = false;
-  /// Epoch-marker pause: one wave barrier, independent of state and suffix
-  /// size — modeled as zero. Meaningless unless epoch_available.
-  double epoch_us = 0.0;
-  /// Epoch migration is available (checkpointing enabled: the background
-  /// transfer rides the chain + replay-log machinery).
-  bool epoch_available = false;
   /// Lease flip: reassign the group's slot in the shared state arena —
   /// zero bytes serialized, zero background transfer, pause bounded by one
   /// wave barrier. Modeled as zero. Meaningless unless lease_available.
@@ -252,13 +241,11 @@ class LocalEngine {
   /// the reconfiguration pipeline, a state source plus a cutover (see
   /// docs/ARCHITECTURE.md, "Reconfiguration pipeline"). kDirect/kIndirect
   /// cut over by buffering: subsequent tuples for the group buffer at the
-  /// target until FinishMigration. kEpoch/kLease cut over by a flip:
-  /// nothing buffers — the group keeps processing at the old owner until
-  /// the next quiescent instant rebuilds it (epoch) and flips ownership.
-  /// kIndirect requires checkpointing (EnableCheckpointing); kEpoch
-  /// silently falls back to kDirect without it (the caller asked for a
-  /// move, not for a mechanism). kLease needs no checkpointing at all —
-  /// the state never leaves the arena.
+  /// target until FinishMigration. kLease cuts over by a flip: nothing
+  /// buffers — the group keeps processing at the old owner until the next
+  /// quiescent instant flips ownership. kIndirect requires checkpointing
+  /// (EnableCheckpointing); kLease needs none — the state never leaves
+  /// the arena.
   Status StartMigration(KeyGroupId group, NodeId to,
                         MigrationMode mode = MigrationMode::kDirect);
 
@@ -267,13 +254,12 @@ class LocalEngine {
   /// indirect restores the newest checkpoint chain and replays the logged
   /// suffix (the base travels in the background, so the pause is
   /// O(deltas + suffix)), falling back to the direct round-trip without a
-  /// usable chain; then ownership flips and the buffer drains. Flip
-  /// cutover (epoch, lease): the rebuild and flip happened at a wave
-  /// barrier (here, if none occurred since Start); nothing buffered,
-  /// nothing drains, and the returned pause is zero. A failed rebuild is
-  /// returned here and by this group's call only; the group is then lost
-  /// exactly as after FailNode (listed in lost_groups(), input buffered
-  /// until RecoverGroup).
+  /// usable chain; then ownership flips and the buffer drains. Lease: the
+  /// flip happened at a wave barrier (here, if none occurred since Start);
+  /// nothing buffered, nothing drains, and the returned pause is zero. A
+  /// failed rebuild is returned here and by this group's call only; the
+  /// group is then lost exactly as after FailNode (listed in
+  /// lost_groups(), input buffered until RecoverGroup).
   Result<double> FinishMigration(KeyGroupId group);
 
   /// \brief Convenience: start + finish in one step.
@@ -407,20 +393,17 @@ class LocalEngine {
     bool lost = false;
     MigrationMode mode = MigrationMode::kDirect;
     NodeId target = kInvalidNode;
-    /// Flip cutover (kEpoch/kLease) only: ownership already flipped at a
-    /// quiescent instant; FinishMigration only reports the move.
+    /// kLease only: ownership already flipped at a quiescent instant;
+    /// FinishMigration only reports the move.
     bool flipped = false;
-    /// A failed epoch-stamp rebuild, parked for FinishMigration to report.
-    Status error = Status::OK();
     std::deque<Tuple> buffer;
   };
 
   /// Where a rebuild takes a group's state from (the cutover is
-  /// MigrationBuffers).
+  /// MigrationBuffers). A lease rebuilds nothing: the slot never moves.
   enum class StateSource {
-    kNone,   ///< Lease: the slot never moves; nothing to rebuild.
     kLive,   ///< Direct: round-trip the live state.
-    kChain,  ///< Indirect, epoch, recovery: newest chain + logged suffix.
+    kChain,  ///< Indirect, recovery: newest chain + logged suffix.
   };
 
   /// What one RebuildGroup call deserialized and replayed.
@@ -469,8 +452,9 @@ class LocalEngine {
   bool UsableChain(KeyGroupId g, CheckpointInfo* info,
                    std::string* base = nullptr,
                    std::vector<std::string>* deltas = nullptr) const;
-  /// The source a move of \p g in \p mode rebuilds from: the mode's row,
-  /// with a chain falling back to the live round-trip when none is usable.
+  /// The source a buffered move of \p g in \p mode rebuilds from: the
+  /// mode's row, with a chain falling back to the live round-trip when
+  /// none is usable.
   StateSource MoveSource(KeyGroupId g, MigrationMode mode) const;
   /// The rebuild step of every mode and of recovery. A lost group without
   /// a chain whose log still starts at seq 0 rebuilds from empty state plus
@@ -478,24 +462,21 @@ class LocalEngine {
   /// returned.
   Status RebuildGroup(KeyGroupId g, StateSource source, Rebuild* out);
   /// The cutover of every mode and of recovery: ownership flips to \p to,
-  /// once per move (kInvalidNode: a cancelled move, no flip). A flip
-  /// cutover flipping at its stamp stays open until FinishMigration; every
-  /// other call ends the move: the record resets, the buffer drains.
+  /// once per move (kInvalidNode: a cancelled move, no flip). A lease
+  /// flipping at a quiescent instant stays open until FinishMigration;
+  /// every other call ends the move: the record resets, the buffer drains.
   void Cutover(KeyGroupId g, NodeId to);
   /// Marks \p g lost (FailNode, failed rebuilds): its state is cleared and
   /// new input buffers until RecoverGroup.
   void LoseGroup(KeyGroupId g);
   /// Drains the tuples buffered for a group while it migrated/recovered.
   void DrainMigrationBuffer(KeyGroupId g);
-  /// Flip cutovers (epoch, lease): called on the driving thread at
-  /// quiescent instants (wave barriers, FinishMigration).
-  /// For every group with a pending kEpoch/kLease move this instant IS
-  /// the boundary: the group is rebuilt at the target (epoch: chain cut +
-  /// suffix, background bytes and no pause; lease: nothing) and its
-  /// ownership flips — batches already in flight resolve the new owner at
-  /// delivery, redirected rather than stalled. A failed rebuild parks its
-  /// error on the group (the callers here cannot return Status).
-  void StampEpochBoundaries();
+  /// Lease cutovers: called on the driving thread at quiescent instants
+  /// (wave barriers, FinishMigration). Every group with a pending kLease
+  /// move flips ownership here — nothing is rebuilt, and batches already
+  /// in flight resolve the new owner at delivery, redirected rather than
+  /// stalled.
+  void FlipPendingLeases();
 
   // --- latency telemetry helpers ---
   static int64_t NowNs();
@@ -565,15 +546,14 @@ class LocalEngine {
     CounterMetric* checkpoint_delta_bytes = nullptr;
     CounterMetric* tuples_replayed = nullptr;
     CounterMetric* groups_recovered = nullptr;
-    CounterMetric* epoch_transfer_bytes = nullptr;
     /// Completed moves per mode (`engine_migrations_total{mode=...}`),
     /// indexed by MigrationMode.
     CounterMetric* migrations[kNumMigrationModes] = {};
     /// Bytes each migration mode moved or replayed
     /// (`engine_migration_bytes_total{mode=...}`): direct = serialized
     /// state round-trips, indirect = chained deltas + replayed suffix,
-    /// epoch = background transfer volume, lease = always zero (the
-    /// series exists so dashboards and benches can assert the zero).
+    /// lease = always zero (the series exists so dashboards and benches
+    /// can assert the zero).
     CounterMetric* migration_bytes[kNumMigrationModes] = {};
     GaugeMetric* mailbox_highwater = nullptr;
     GaugeMetric* chain_len_highwater = nullptr;
@@ -601,9 +581,9 @@ class LocalEngine {
   LocalEngineOptions options_;
 
   std::vector<MigrationState> migrating_;  // per key group
-  /// Groups whose kEpoch/kLease move awaits its flip cutover; entries are
-  /// validated against migrating_ at the stamp, so cancelled or
-  /// failed-over moves self-clean.
+  /// Groups whose kLease move awaits its flip; entries are validated
+  /// against migrating_ at the flip, so cancelled or failed-over moves
+  /// self-clean.
   std::vector<KeyGroupId> flip_pending_;
   EnginePeriodStats period_;
 

@@ -6,8 +6,6 @@ const char* MigrationModeName(MigrationMode mode) {
   switch (mode) {
     case MigrationMode::kIndirect:
       return "indirect";
-    case MigrationMode::kEpoch:
-      return "epoch";
     case MigrationMode::kLease:
       return "lease";
     case MigrationMode::kDirect:

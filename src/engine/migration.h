@@ -21,40 +21,32 @@ enum class MigrationMode {
   /// the group's latest checkpoint (transferred in the background) and
   /// replays the logged suffix — the pause is O(suffix), not O(state).
   kIndirect,
-  /// Epoch-marker migration (Fries-style): an epoch boundary is stamped at
-  /// the next wave barrier, the whole state unit (checkpoint chain + log
-  /// suffix up to the boundary) transfers in the background while
-  /// pre-boundary tuples keep processing at the old owner, then routing
-  /// flips atomically so post-boundary tuples deliver to the new owner.
-  /// Nothing buffers and nothing drains — the observed pause is one wave,
-  /// independent of both state size and suffix length. Requires
-  /// checkpointing; falls back to kDirect without it.
-  kEpoch,
   /// Lease flip over the shared state arena (see engine/state_arena.h):
   /// the group's state slot never moves — at the next wave barrier the
-  /// LeaseTable entry flips to the new owner, exactly where an epoch
-  /// boundary would be stamped, and that is the entire migration. Zero
-  /// bytes serialized, zero background transfer, pause bounded by one
-  /// wave. Works with or without checkpointing (the flip does not touch
-  /// the dirty-tracking/replay-log machinery, so the failure path stays
+  /// LeaseTable entry flips to the new owner, and that is the entire
+  /// migration. Zero bytes serialized, zero background transfer, pause
+  /// bounded by one wave. Works with or without checkpointing (the flip
+  /// does not touch the replay-log machinery, so the failure path stays
   /// intact); unavailable only for groups lost across a FailNode
   /// boundary, where checkpoint + replay remains the recovery mechanism.
   kLease,
 };
 
 /// \brief Number of MigrationMode values (extent of per-mode tables).
-inline constexpr int kNumMigrationModes = 4;
+inline constexpr int kNumMigrationModes = 3;
+static_assert(static_cast<int>(MigrationMode::kLease) + 1 ==
+                  kNumMigrationModes,
+              "kNumMigrationModes must count every MigrationMode");
 
-/// \brief Stable lower-case name of \p mode ("direct", "indirect", "epoch",
+/// \brief Stable lower-case name of \p mode ("direct", "indirect",
 /// "lease"): the `mode` label of the engine's per-mode metric series and
 /// the decision journal's `mode` field.
 const char* MigrationModeName(MigrationMode mode);
 
 /// \brief True for the modes that buffer new input at the target while the
-/// state travels (direct/indirect). Epoch and lease migrations never
-/// buffer: the group keeps processing at whichever owner the routing
-/// currently names, and the wave-barrier stamp/flip is what changes that
-/// name.
+/// state travels (direct/indirect). A lease never buffers: the group keeps
+/// processing at whichever owner the lease table currently names, and the
+/// wave-barrier flip is what changes that name.
 inline bool MigrationBuffers(MigrationMode mode) {
   return mode == MigrationMode::kDirect || mode == MigrationMode::kIndirect;
 }

@@ -21,7 +21,7 @@ namespace albic::engine {
 /// lease, and counts ownership flips.
 ///
 /// The table is the single mutation point for group ownership: every
-/// reconfiguration — direct/indirect/epoch migration, lease flip, failure
+/// reconfiguration — direct/indirect migration, lease flip, failure
 /// recovery — lands in Flip(), which advances the group's lease epoch.
 /// Flips happen only on the driving thread at quiescent instants (between
 /// tuples, at wave barriers), which is what makes the routing change
@@ -71,7 +71,7 @@ class LeaseTable {
 /// maintained by the assignment. The arena makes that explicit — state
 /// never moves between nodes, only leases do — which is what lets
 /// MigrationMode::kLease reassign a group with zero bytes serialized.
-/// The byte-moving modes (direct/indirect/epoch) are preserved unchanged
+/// The byte-moving modes (direct/indirect) are preserved unchanged
 /// on top of the arena: they model the inter-node transfer a distributed
 /// deployment would pay, and remain the recovery path across a FailNode
 /// boundary where the slot's live state is gone.

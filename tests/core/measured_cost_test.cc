@@ -10,7 +10,8 @@
 //  3. The controller picks the migration mode PER GROUP from the cost
 //     model: indirect for a large-state/short-suffix group, direct for a
 //     small-state/long-suffix group, reported per migration in
-//     ControllerRound::migration_decisions.
+//     ControllerRound::migration_decisions. A planned move whose rebuild
+//     fails is recovered in the same round.
 
 #include <gtest/gtest.h>
 
@@ -303,71 +304,6 @@ TEST(MeasuredCostPlanningTest, MigrationModeChosenPerGroupFromCostModel) {
   }
 }
 
-TEST(MeasuredCostPlanningTest, EpochModeWinsWhenOptedIn) {
-  engine::Topology topo;
-  topo.AddOperator("big", 2, /*state_bytes_per_group=*/8 << 20);
-  topo.AddOperator("small", 2, /*state_bytes_per_group=*/64);
-  engine::Cluster cluster(2);
-  engine::Assignment assign(topo.num_key_groups());
-  for (KeyGroupId g = 0; g < topo.num_key_groups(); ++g) {
-    assign.set_node(g, g % 2);
-  }
-  ops::SumByKeyOperator big(2, ops::GroupField::kKey, false);
-  ops::SumByKeyOperator small(2, ops::GroupField::kKey, false);
-  engine::LocalEngineOptions eopts;
-  eopts.window_every_us = 0;
-  engine::LocalEngine engine(&topo, &cluster, assign,
-                             std::vector<engine::StreamOperator*>{&big,
-                                                                  &small},
-                             eopts);
-  engine::MemoryCheckpointStore store;
-  engine::CheckpointCoordinatorOptions ccopts;
-  ccopts.interval_us = int64_t{1} << 60;
-  engine::CheckpointCoordinator coordinator(&store, ccopts);
-  ASSERT_TRUE(engine.EnableCheckpointing(&coordinator).ok());
-
-  const KeyGroupId big_group = topo.first_group(0);
-  const KeyGroupId small_group = topo.first_group(1);
-  FixedPlanRebalancer rebalancer({big_group, small_group});
-  core::AdaptationFramework framework(&rebalancer, /*policy=*/nullptr, {});
-  engine::LoadModel load_model{engine::CostModel{}};
-  core::ControllerLoopOptions copts;
-  copts.period_every_us = 0;
-  // Opting into epoch migration makes it win whenever checkpointing offers
-  // it: its predicted pause is zero regardless of state or suffix size, so
-  // BOTH groups — the one direct would win and the one indirect would win —
-  // move at an epoch boundary instead.
-  copts.use_epoch_migration = true;
-  core::ControllerLoop controller(&engine, &framework, &load_model, &topo,
-                                  &cluster, copts);
-
-  for (int i = 0; i < 4000; ++i) {
-    Tuple t;
-    t.key = static_cast<uint64_t>(i);
-    t.ts = i;
-    t.num = 1.0;
-    ASSERT_TRUE(controller.Ingest(1, t).ok());
-    if (i < 8) {
-      ASSERT_TRUE(controller.Ingest(0, t).ok());
-    }
-  }
-
-  const Result<core::ControllerRound> round = controller.RunRoundNow();
-  ASSERT_TRUE(round.ok());
-  ASSERT_EQ(round->migrations_applied, 2);
-  EXPECT_EQ(round->migrations_epoch, 2);
-  EXPECT_EQ(round->migrations_indirect, 0);
-  EXPECT_EQ(round->migrations_direct, 0);
-  ASSERT_EQ(round->migration_decisions.size(), 2u);
-  for (const core::MigrationDecision& d : round->migration_decisions) {
-    EXPECT_EQ(d.mode, engine::MigrationMode::kEpoch);
-    EXPECT_EQ(d.predicted_pause_us, 0.0);
-    // The observed pause is zero too: the boundary stamp happens in the
-    // background between waves, never in the tuple path.
-    EXPECT_EQ(d.actual_pause_us, 0.0);
-  }
-}
-
 TEST(MeasuredCostPlanningTest, LeaseModeWinsWhenOptedIn) {
   engine::Topology topo;
   topo.AddOperator("big", 2, /*state_bytes_per_group=*/8 << 20);
@@ -386,7 +322,7 @@ TEST(MeasuredCostPlanningTest, LeaseModeWinsWhenOptedIn) {
                                                                   &small},
                              eopts);
   // Deliberately NO checkpointing: a lease flip needs only the arena, so
-  // the opt-in must beat direct even where epoch/indirect are unavailable.
+  // the opt-in must beat direct even where indirect is unavailable.
 
   const KeyGroupId big_group = topo.first_group(0);
   const KeyGroupId small_group = topo.first_group(1);
@@ -414,7 +350,6 @@ TEST(MeasuredCostPlanningTest, LeaseModeWinsWhenOptedIn) {
   ASSERT_TRUE(round.ok());
   ASSERT_EQ(round->migrations_applied, 2);
   EXPECT_EQ(round->migrations_lease, 2);
-  EXPECT_EQ(round->migrations_epoch, 0);
   EXPECT_EQ(round->migrations_indirect, 0);
   EXPECT_EQ(round->migrations_direct, 0);
   ASSERT_EQ(round->migration_decisions.size(), 2u);
@@ -422,11 +357,10 @@ TEST(MeasuredCostPlanningTest, LeaseModeWinsWhenOptedIn) {
     EXPECT_EQ(d.mode, engine::MigrationMode::kLease);
     EXPECT_STREQ(d.reason, "lease-zero-cost");
     // The full prediction is auditable: the lease's zero beat the direct
-    // estimate, and the checkpoint-dependent modes were unavailable.
+    // estimate, and the checkpoint-dependent mode was unavailable.
     EXPECT_EQ(d.est_lease_us, 0.0);
     EXPECT_GT(d.est_direct_us, 0.0);
     EXPECT_EQ(d.est_indirect_us, -1.0);
-    EXPECT_EQ(d.est_epoch_us, -1.0);
     EXPECT_EQ(d.predicted_pause_us, 0.0);
     // And the engine delivered on it: nothing travelled, nothing paused.
     EXPECT_EQ(d.actual_pause_us, 0.0);
@@ -436,8 +370,8 @@ TEST(MeasuredCostPlanningTest, LeaseModeWinsWhenOptedIn) {
 }
 
 TEST(MeasuredCostPlanningTest, LeaseOffLeavesDecisionsUnchanged) {
-  // Default-off pin: without the opt-in the four-way choice never
-  // considers leases — est_lease_us stays at its "unavailable" sentinel
+  // Default-off pin: without the opt-in the mode choice never considers
+  // leases — est_lease_us stays at its "unavailable" sentinel
   // and the chosen modes match the pre-lease controller exactly (the
   // per-group direct/indirect split of MigrationModeChosenPerGroup).
   engine::Topology topo;
@@ -496,6 +430,99 @@ TEST(MeasuredCostPlanningTest, LeaseOffLeavesDecisionsUnchanged) {
                           : engine::MigrationMode::kDirect);
   }
   (void)small_group;
+}
+
+TEST(MeasuredCostPlanningTest, FailedMoveIsRecoveredInTheSameRound) {
+  // A planned move whose rebuild fails leaves its group lost, exactly as a
+  // node failure does. The round's recovery pass reads the engine's lost
+  // list after the moves, so the group is restored from checkpoint +
+  // replay in the same round, at its planned node, instead of buffering
+  // its input until the next round.
+  class FlakyRestoreSum : public ops::SumByKeyOperator {
+   public:
+    using ops::SumByKeyOperator::SumByKeyOperator;
+    Status DeserializeGroupState(int group_index,
+                                 const std::string& data) override {
+      if (fail_next) {
+        fail_next = false;
+        return Status::Internal("injected unreadable state image");
+      }
+      return ops::SumByKeyOperator::DeserializeGroupState(group_index, data);
+    }
+    bool fail_next = false;
+  };
+  constexpr int kGroups = 2;
+  constexpr uint64_t kKeys = 16;
+  struct Run {
+    Result<core::ControllerRound> round = Status::Internal("not run");
+    std::vector<KeyGroupId> lost_after_round;
+    NodeId owner = engine::kInvalidNode;  ///< Group 0's node after it.
+    std::vector<double> sums;             ///< Per key, at the end.
+  };
+  // 200 tuples, one round whose fixed plan moves group 0 to node 1 (or
+  // nothing), then 20 more tuples.
+  const auto run = [&](bool move) {
+    engine::Topology topo;
+    topo.AddOperator("sum", kGroups, 1 << 10);
+    engine::Cluster cluster(2);
+    engine::Assignment assign(kGroups);
+    for (KeyGroupId g = 0; g < kGroups; ++g) assign.set_node(g, g);
+    FlakyRestoreSum sum(kGroups, ops::GroupField::kKey, false);
+    engine::LocalEngineOptions eopts;
+    eopts.window_every_us = 0;
+    engine::LocalEngine engine(&topo, &cluster, assign,
+                               std::vector<engine::StreamOperator*>{&sum},
+                               eopts);
+    engine::MemoryCheckpointStore store;
+    engine::CheckpointCoordinatorOptions ccopts;
+    ccopts.interval_us = int64_t{1} << 60;  // only the initial full round
+    engine::CheckpointCoordinator coordinator(&store, ccopts);
+    EXPECT_TRUE(engine.EnableCheckpointing(&coordinator).ok());
+    FixedPlanRebalancer rebalancer(move ? std::vector<KeyGroupId>{0}
+                                        : std::vector<KeyGroupId>{});
+    core::AdaptationFramework framework(&rebalancer, /*policy=*/nullptr, {});
+    engine::LoadModel load_model{engine::CostModel{}};
+    core::ControllerLoopOptions copts;
+    copts.period_every_us = 0;  // rounds only via RunRoundNow
+    core::ControllerLoop controller(&engine, &framework, &load_model, &topo,
+                                    &cluster, copts);
+    const auto feed = [&](int from, int count) {
+      for (int i = from; i < from + count; ++i) {
+        Tuple t;
+        t.key = static_cast<uint64_t>(i) % kKeys;
+        t.ts = i;
+        t.num = 1.0 + i;
+        EXPECT_TRUE(controller.Ingest(0, t).ok());
+      }
+    };
+    feed(0, 200);
+    sum.fail_next = move;
+    Run out;
+    out.round = controller.RunRoundNow();
+    out.lost_after_round = engine.lost_groups();
+    out.owner = engine.assignment().node_of(0);
+    feed(200, 20);
+    engine.Flush();
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      out.sums.push_back(
+          sum.SumFor(engine::LocalEngine::RouteKey(k, kGroups), k));
+    }
+    return out;
+  };
+
+  const Run unmigrated = run(/*move=*/false);
+  const Run failed = run(/*move=*/true);
+  ASSERT_TRUE(failed.round.ok()) << failed.round.status().ToString();
+  EXPECT_EQ(failed.round->migrations_planned, 1);
+  EXPECT_EQ(failed.round->migrations_applied, 0);
+  EXPECT_EQ(failed.round->nodes_failed, 0);
+  EXPECT_EQ(failed.round->groups_recovered, 1);
+  EXPECT_GT(failed.round->tuples_replayed, 0);
+  EXPECT_GT(failed.round->recovery_wall_us, 0.0);
+  EXPECT_TRUE(failed.lost_after_round.empty())
+      << "the group whose move failed must not stay lost past its round";
+  EXPECT_EQ(failed.owner, 1) << "restored at its planned node";
+  EXPECT_EQ(failed.sums, unmigrated.sums);
 }
 
 }  // namespace

@@ -808,7 +808,6 @@ TEST(CheckpointRecoveryTest, RebuiltGroupsKeepChainingDeltas) {
       moves = {
           {"direct", migrate(engine::MigrationMode::kDirect)},
           {"indirect", migrate(engine::MigrationMode::kIndirect)},
-          {"epoch", migrate(engine::MigrationMode::kEpoch)},
           {"lease", migrate(engine::MigrationMode::kLease)},
           {"recovery",
            [&engine](NodeId to) {

@@ -1,5 +1,5 @@
 // Migration-mode equivalence matrix: one parameterized suite asserting
-// that direct, indirect, epoch and lease migrations produce identical
+// that direct, indirect and lease migrations produce identical
 // final outputs (canonical state, windowed results, tuple counts — and all
 // of them identical to a no-migration baseline) across state sizes (empty
 // group, single key, a 3000-key FlatMap64 grown through several
@@ -7,10 +7,9 @@
 // in-flight traffic, back-to-back migrations of the same group, target
 // equal to source).
 // The same loop pins each mode's accounting: returned pause, buffered and
-// replayed tuples, background transfer bytes, the per-mode migration
-// counters and exactly one lease flip per move. Plus the mode-request
-// contracts: kEpoch without checkpointing falls back to direct, kLease
-// without checkpointing still flips (the arena lease needs no checkpoint
+// replayed tuples, the per-mode migration counters and exactly one lease
+// flip per move. Plus the mode-request contracts: kLease without
+// checkpointing still flips (the arena lease needs no checkpoint
 // subsystem), kIndirect without checkpointing is rejected, a group already
 // mid-migration rejects a second StartMigration, a lease flip racing a
 // node kill loses no tuples on either side of the stamp, and a failed
@@ -113,9 +112,19 @@ std::vector<Tuple> KeysFor(int group, int distinct) {
   return out;
 }
 
-/// The `mode` labels of the engine's per-mode migration series, indexed by
-/// MigrationMode.
-constexpr const char* kModeLabels[] = {"direct", "indirect", "epoch", "lease"};
+/// Every MigrationMode, in enum order (the index of the per-mode series).
+std::vector<MigrationMode> AllModes() {
+  std::vector<MigrationMode> out;
+  for (int m = 0; m < engine::kNumMigrationModes; ++m) {
+    out.push_back(static_cast<MigrationMode>(m));
+  }
+  return out;
+}
+
+/// The `mode` label of the engine's per-mode migration series.
+const char* ModeLabel(int m) {
+  return engine::MigrationModeName(static_cast<MigrationMode>(m));
+}
 
 struct StoreRunResult {
   std::vector<std::string> states;
@@ -124,15 +133,15 @@ struct StoreRunResult {
   // Migrated runs: the move's accounting...
   double pause_us = 0.0;
   int64_t replayed = 0;
-  int64_t epoch_transfer_bytes = 0;
   int64_t flips = 0;
-  int64_t migrations[4] = {};       ///< engine_migrations_total{mode}.
-  int64_t migration_bytes[4] = {};  ///< engine_migration_bytes_total{mode}.
+  /// engine_migrations_total{mode}.
+  int64_t migrations[engine::kNumMigrationModes] = {};
+  /// engine_migration_bytes_total{mode}.
+  int64_t migration_bytes[engine::kNumMigrationModes] = {};
   // ...and what it should be, measured when the move starts.
   int64_t in_flight = 0;          ///< Tuples offered between Start and Finish.
   int64_t state_bytes = 0;        ///< Serialized live state of the group.
-  int64_t chain_bytes = 0;        ///< Its newest checkpoint chain...
-  int64_t chain_delta_bytes = 0;  ///< ...of which chained delta records.
+  int64_t chain_delta_bytes = 0;  ///< Deltas chained onto its newest base.
 };
 
 /// One run: half the keys, checkpoint, migrate (or not), the other half
@@ -155,20 +164,12 @@ StoreRunResult RunStoreScenario(const StoreScenario& scenario,
     out.in_flight = static_cast<int64_t>(keys.size() - half);
     out.state_bytes =
         static_cast<int64_t>(p.sink.SerializeGroupState(0).size());
-    engine::CheckpointInfo info;
-    std::string base;
-    std::vector<std::string> deltas;
-    EXPECT_TRUE(p.cstore.LatestChain(group, &info, &base, &deltas));
-    out.chain_bytes = static_cast<int64_t>(base.size());
-    for (const std::string& d : deltas) {
-      out.chain_bytes += static_cast<int64_t>(d.size());
-    }
     out.chain_delta_bytes =
         static_cast<int64_t>(p.cstore.ChainDeltaBytes(group));
     EXPECT_TRUE(p.engine->StartMigration(group, to, mode).ok());
     if (keys.size() > half) {
       // In-flight traffic between Start and Finish: buffered for direct
-      // and indirect, processed live for epoch — same final state either
+      // and indirect, processed live for lease — same final state either
       // way.
       EXPECT_TRUE(
           p.engine->InjectBatch(0, keys.data() + half, keys.size() - half)
@@ -190,10 +191,9 @@ StoreRunResult RunStoreScenario(const StoreScenario& scenario,
   out.processed = stats.tuples_processed;
   out.buffered = stats.tuples_buffered;
   out.replayed = stats.tuples_replayed;
-  out.epoch_transfer_bytes = stats.epoch_transfer_bytes;
   out.flips = p.engine->arena().leases().flips();
-  for (int m = 0; m < 4; ++m) {
-    const MetricLabels mode = {{"mode", kModeLabels[m]}};
+  for (int m = 0; m < engine::kNumMigrationModes; ++m) {
+    const MetricLabels mode = {{"mode", ModeLabel(m)}};
     out.migrations[m] =
         p.registry.Counter("engine_migrations_total", mode)->value();
     out.migration_bytes[m] =
@@ -203,15 +203,11 @@ StoreRunResult RunStoreScenario(const StoreScenario& scenario,
 }
 
 /// What one move of \p mode must account in \p run: the returned pause,
-/// buffered and replayed tuples, background transfer and the bytes its
-/// per-mode series counts.
+/// buffered and replayed tuples and the bytes its per-mode series counts.
 void ExpectMoveAccounting(const StoreRunResult& run, MigrationMode mode,
                           const std::string& where) {
-  const int64_t tuple_bytes = static_cast<int64_t>(sizeof(Tuple));
   double pause_us = 0.0;
   int64_t buffered = 0;
-  int64_t replayed = 0;
-  int64_t transfer = 0;
   int64_t bytes = 0;
   switch (mode) {
     case MigrationMode::kDirect:
@@ -227,28 +223,19 @@ void ExpectMoveAccounting(const StoreRunResult& run, MigrationMode mode,
       pause_us = engine::kEnginePauseUsPerByte * static_cast<double>(bytes);
       buffered = run.in_flight;
       break;
-    case MigrationMode::kEpoch:
-      // In-flight input processed live at the old owner, then the stamp
-      // rebuilt chain + that suffix in the background: zero pause.
-      replayed = run.in_flight;
-      transfer = run.chain_bytes + run.in_flight * tuple_bytes;
-      bytes = transfer;
-      break;
     case MigrationMode::kLease:
       break;  // a flip and nothing else
   }
   EXPECT_DOUBLE_EQ(run.pause_us, pause_us) << where;
   EXPECT_EQ(run.buffered, buffered) << where;
-  EXPECT_EQ(run.replayed, replayed) << where;
-  EXPECT_EQ(run.epoch_transfer_bytes, transfer) << where;
+  EXPECT_EQ(run.replayed, 0) << where;
   EXPECT_EQ(run.flips, 1) << where << ": one lease flip per move";
-  for (int m = 0; m < 4; ++m) {
+  for (int m = 0; m < engine::kNumMigrationModes; ++m) {
     const bool own = m == static_cast<int>(mode);
     EXPECT_EQ(run.migrations[m], own ? 1 : 0)
-        << where << ": engine_migrations_total{mode=" << kModeLabels[m]
-        << "}";
+        << where << ": engine_migrations_total{mode=" << ModeLabel(m) << "}";
     EXPECT_EQ(run.migration_bytes[m], own ? bytes : 0)
-        << where << ": engine_migration_bytes_total{mode=" << kModeLabels[m]
+        << where << ": engine_migration_bytes_total{mode=" << ModeLabel(m)
         << "}";
   }
 }
@@ -259,24 +246,19 @@ TEST_P(MigrationMatrixTest, AllModesMatchTheUnmigratedBaseline) {
   const StoreScenario& scenario = GetParam();
   const StoreRunResult baseline =
       RunStoreScenario(scenario, /*migrate=*/false, MigrationMode::kDirect);
-  for (const MigrationMode mode :
-       {MigrationMode::kDirect, MigrationMode::kIndirect,
-        MigrationMode::kEpoch, MigrationMode::kLease}) {
+  for (const MigrationMode mode : AllModes()) {
+    const std::string where =
+        std::string(scenario.name) + ": mode " + MigrationModeName(mode);
     const StoreRunResult run = RunStoreScenario(scenario, /*migrate=*/true,
                                                 mode);
     EXPECT_EQ(run.states, baseline.states)
-        << scenario.name << ": mode " << static_cast<int>(mode)
-        << " diverged from the unmigrated baseline";
+        << where << " diverged from the unmigrated baseline";
     EXPECT_EQ(run.processed, baseline.processed)
-        << scenario.name << ": mode " << static_cast<int>(mode)
-        << " lost or duplicated tuples";
+        << where << " lost or duplicated tuples";
     if (!engine::MigrationBuffers(mode)) {
-      EXPECT_EQ(run.buffered, 0)
-          << scenario.name << ": an epoch/lease migration buffered tuples";
+      EXPECT_EQ(run.buffered, 0) << where << ": a lease buffered tuples";
     }
-    ExpectMoveAccounting(run, mode,
-                         std::string(scenario.name) + ": mode " +
-                             kModeLabels[static_cast<int>(mode)]);
+    ExpectMoveAccounting(run, mode, where);
   }
 }
 
@@ -386,16 +368,14 @@ TEST_P(MigrationTimingTest, AllModesMatchTheUnmigratedBaseline) {
   const Timing timing = GetParam();
   const WikiRunResult baseline =
       RunWikiScenario(Timing::kNone, MigrationMode::kDirect);
-  for (const MigrationMode mode :
-       {MigrationMode::kDirect, MigrationMode::kIndirect,
-        MigrationMode::kEpoch, MigrationMode::kLease}) {
+  for (const MigrationMode mode : AllModes()) {
     const WikiRunResult run = RunWikiScenario(timing, mode);
     EXPECT_EQ(run.states, baseline.states)
-        << "mode " << static_cast<int>(mode) << " diverged";
+        << "mode " << MigrationModeName(mode) << " diverged";
     EXPECT_EQ(run.counts, baseline.counts)
-        << "mode " << static_cast<int>(mode) << " windowed output diverged";
+        << "mode " << MigrationModeName(mode) << " windowed output diverged";
     EXPECT_EQ(run.processed, baseline.processed)
-        << "mode " << static_cast<int>(mode) << " lost or duplicated tuples";
+        << "mode " << MigrationModeName(mode) << " lost or duplicated tuples";
   }
 }
 
@@ -417,14 +397,15 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Mode-request contracts: fallback and rejection.
+// Mode-request contracts: rejection, cancellation and failed rebuilds.
 // ---------------------------------------------------------------------------
 
-TEST(MigrationModeContractTest, EpochWithoutCheckpointingFallsBackToDirect) {
-  // No EnableCheckpointing: a kEpoch request degrades to kDirect — the
-  // move still happens, with direct-mode semantics (tuples buffer, the
-  // pause is O(state)) rather than an error. kIndirect, by contrast, is
-  // an explicit mechanism request and is rejected outright.
+TEST(MigrationModeContractTest, LeaseWithoutCheckpointingStillFlips) {
+  // No EnableCheckpointing: kIndirect is an explicit mechanism request and
+  // is rejected outright. A kLease request needs no checkpoint subsystem at
+  // all: the state slot never moves, so there is nothing to transfer and
+  // nothing to replay. The in-flight tuple processes LIVE at whichever
+  // owner the routing names, and the accounted pause is exactly zero.
   engine::Topology topo;
   topo.AddOperator("src", 1);
   topo.AddOperator("store", kStoreGroups, 1 << 14);
@@ -454,53 +435,6 @@ TEST(MigrationModeContractTest, EpochWithoutCheckpointingFallsBackToDirect) {
                                                 MigrationMode::kIndirect);
   EXPECT_EQ(indirect.code(), StatusCode::kInvalidArgument)
       << indirect.ToString();
-
-  // kEpoch without checkpointing: accepted, with direct semantics — the
-  // in-flight tuple buffers (an epoch move would process it live) and the
-  // pause is the O(state) round-trip, not zero.
-  ASSERT_TRUE(
-      engine.StartMigration(group, to, MigrationMode::kEpoch).ok());
-  ASSERT_TRUE(engine.InjectBatch(0, &keys[32], 1).ok());
-  engine.Flush();
-  EXPECT_EQ(sink.ValueFor(0, keys[32].key), 0.0);  // buffered, not applied
-  const auto pause = engine.FinishMigration(group);
-  ASSERT_TRUE(pause.ok()) << pause.status().ToString();
-  EXPECT_GT(*pause, 0.0) << "fallback must pay the direct O(state) pause";
-  EXPECT_EQ(sink.ValueFor(0, keys[32].key), keys[32].num);  // drained
-  EXPECT_EQ(engine.assignment().node_of(group), to);
-  const engine::EnginePeriodStats stats = engine.HarvestPeriod();
-  EXPECT_EQ(stats.tuples_buffered, 1);
-}
-
-TEST(MigrationModeContractTest, LeaseWithoutCheckpointingStillFlips) {
-  // Unlike kEpoch (degrades to direct) and kIndirect (rejected), a kLease
-  // request needs no checkpoint subsystem at all: the state slot never
-  // moves, so there is nothing to transfer and nothing to replay. The
-  // in-flight tuple processes LIVE at whichever owner the routing names,
-  // and the accounted pause is exactly zero.
-  engine::Topology topo;
-  topo.AddOperator("src", 1);
-  topo.AddOperator("store", kStoreGroups, 1 << 14);
-  ASSERT_TRUE(
-      topo.AddStream(0, 1, engine::PartitioningPattern::kFullPartitioning)
-          .ok());
-  engine::Cluster cluster(kStoreNodes);
-  engine::Assignment assign(topo.num_key_groups());
-  for (KeyGroupId g = 0; g < topo.num_key_groups(); ++g) {
-    assign.set_node(g, g % kStoreNodes);
-  }
-  ops::StoreSinkOperator sink(kStoreGroups);
-  engine::LocalEngineOptions opts;
-  opts.window_every_us = 0;
-  engine::LocalEngine engine(
-      &topo, &cluster, assign,
-      std::vector<engine::StreamOperator*>{nullptr, &sink}, opts);
-
-  const std::vector<Tuple> keys = KeysFor(0, 33);
-  ASSERT_TRUE(engine.InjectBatch(0, keys.data(), 32).ok());
-  engine.Flush();
-  const KeyGroupId group = topo.first_group(1);
-  const NodeId to = (engine.assignment().node_of(group) + 1) % kStoreNodes;
 
   ASSERT_TRUE(engine.StartMigration(group, to, MigrationMode::kLease).ok());
   ASSERT_TRUE(engine.InjectBatch(0, &keys[32], 1).ok());
@@ -589,8 +523,9 @@ TEST(MigrationModeContractTest, LeasedGroupDyingWithNodeRecoversLossFree) {
 }
 
 TEST(MigrationModeContractTest, FailedRebuildLosesOnlyItsOwnGroup) {
-  // Group A's newest checkpoint record is a truncated image, so its chain
-  // rebuild fails while group B moves concurrently in the same mode. The
+  // Group A's newest checkpoint record is a truncated image, so the chain
+  // rebuild of its indirect move fails while group B moves indirectly at
+  // the same time. The
   // failure is reported on A alone — B finishes cleanly — and A never
   // processes input on its wiped state: it is lost exactly as if its node
   // had died, buffers its input, and RecoverGroup rebuilds it once a sound
@@ -604,54 +539,50 @@ TEST(MigrationModeContractTest, FailedRebuildLosesOnlyItsOwnGroup) {
   const int64_t baseline_processed =
       baseline.engine->HarvestPeriod().tuples_processed;
 
-  for (const MigrationMode mode :
-       {MigrationMode::kEpoch, MigrationMode::kIndirect}) {
-    SCOPED_TRACE(kModeLabels[static_cast<int>(mode)]);
-    StorePipeline p;
-    const KeyGroupId a = p.topo.first_group(1);  // store group 0
-    const KeyGroupId b = a + 1;                  // store group 1
-    ASSERT_TRUE(p.engine->InjectBatch(0, a_keys.data(), 10).ok());
-    ASSERT_TRUE(p.engine->InjectBatch(0, b_keys.data(), 10).ok());
-    p.engine->Flush();
-    ASSERT_TRUE(p.coordinator->CheckpointNow(p.engine.get()).ok());
-    const std::string sound = p.sink.SerializeGroupState(0);
-    const uint64_t seq = p.engine->replay_log(a).next_seq();
-    ASSERT_TRUE(p.cstore.Put(a, seq, sound.substr(0, 3)).ok());
+  const MigrationMode mode = MigrationMode::kIndirect;
+  StorePipeline p;
+  const KeyGroupId a = p.topo.first_group(1);  // store group 0
+  const KeyGroupId b = a + 1;                  // store group 1
+  ASSERT_TRUE(p.engine->InjectBatch(0, a_keys.data(), 10).ok());
+  ASSERT_TRUE(p.engine->InjectBatch(0, b_keys.data(), 10).ok());
+  p.engine->Flush();
+  ASSERT_TRUE(p.coordinator->CheckpointNow(p.engine.get()).ok());
+  const std::string sound = p.sink.SerializeGroupState(0);
+  const uint64_t seq = p.engine->replay_log(a).next_seq();
+  ASSERT_TRUE(p.cstore.Put(a, seq, sound.substr(0, 3)).ok());
 
-    const NodeId a_from = p.engine->assignment().node_of(a);
-    const NodeId b_to = (p.engine->assignment().node_of(b) + 1) % kStoreNodes;
-    ASSERT_TRUE(
-        p.engine->StartMigration(a, (a_from + 1) % kStoreNodes, mode).ok());
-    ASSERT_TRUE(p.engine->StartMigration(b, b_to, mode).ok());
-    // In-flight input for both groups: processed live before the epoch
-    // stamp, buffered by the indirect moves.
-    ASSERT_TRUE(p.engine->InjectBatch(0, a_keys.data() + 10, 10).ok());
-    ASSERT_TRUE(p.engine->InjectBatch(0, b_keys.data() + 10, 10).ok());
-    p.engine->Flush();
+  const NodeId a_from = p.engine->assignment().node_of(a);
+  const NodeId b_to = (p.engine->assignment().node_of(b) + 1) % kStoreNodes;
+  ASSERT_TRUE(
+      p.engine->StartMigration(a, (a_from + 1) % kStoreNodes, mode).ok());
+  ASSERT_TRUE(p.engine->StartMigration(b, b_to, mode).ok());
+  // In-flight input for both groups, buffered by the indirect moves.
+  ASSERT_TRUE(p.engine->InjectBatch(0, a_keys.data() + 10, 10).ok());
+  ASSERT_TRUE(p.engine->InjectBatch(0, b_keys.data() + 10, 10).ok());
+  p.engine->Flush();
 
-    const auto b_pause = p.engine->FinishMigration(b);
-    EXPECT_TRUE(b_pause.ok()) << b_pause.status().ToString();
-    EXPECT_EQ(p.engine->assignment().node_of(b), b_to);
-    const auto a_pause = p.engine->FinishMigration(a);
-    EXPECT_EQ(a_pause.status().code(), StatusCode::kOutOfRange)
-        << a_pause.status().ToString();
-    EXPECT_EQ(p.engine->lost_groups(), std::vector<KeyGroupId>{a});
-    EXPECT_EQ(p.engine->assignment().node_of(a), a_from)
-        << "a failed rebuild must not flip ownership";
+  const auto b_pause = p.engine->FinishMigration(b);
+  EXPECT_TRUE(b_pause.ok()) << b_pause.status().ToString();
+  EXPECT_EQ(p.engine->assignment().node_of(b), b_to);
+  const auto a_pause = p.engine->FinishMigration(a);
+  EXPECT_EQ(a_pause.status().code(), StatusCode::kOutOfRange)
+      << a_pause.status().ToString();
+  EXPECT_EQ(p.engine->lost_groups(), std::vector<KeyGroupId>{a});
+  EXPECT_EQ(p.engine->assignment().node_of(a), a_from)
+      << "a failed rebuild must not flip ownership";
 
-    // Lost, not live on a wiped state: new input for A buffers.
-    ASSERT_TRUE(p.engine->InjectBatch(0, a_keys.data() + 20, 10).ok());
-    p.engine->Flush();
-    EXPECT_EQ(p.sink.ValueFor(0, a_keys[20].key), 0.0);
+  // Lost, not live on a wiped state: new input for A buffers.
+  ASSERT_TRUE(p.engine->InjectBatch(0, a_keys.data() + 20, 10).ok());
+  p.engine->Flush();
+  EXPECT_EQ(p.sink.ValueFor(0, a_keys[20].key), 0.0);
 
-    ASSERT_TRUE(p.cstore.Put(a, seq, sound).ok());
-    const auto recovered = p.engine->RecoverGroup(a, a_from);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    p.engine->Flush();
-    EXPECT_TRUE(p.engine->lost_groups().empty());
-    EXPECT_EQ(p.SinkStates(), baseline.SinkStates());
-    EXPECT_EQ(p.engine->HarvestPeriod().tuples_processed, baseline_processed);
-  }
+  ASSERT_TRUE(p.cstore.Put(a, seq, sound).ok());
+  const auto recovered = p.engine->RecoverGroup(a, a_from);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  p.engine->Flush();
+  EXPECT_TRUE(p.engine->lost_groups().empty());
+  EXPECT_EQ(p.SinkStates(), baseline.SinkStates());
+  EXPECT_EQ(p.engine->HarvestPeriod().tuples_processed, baseline_processed);
 }
 
 TEST(MigrationModeContractTest, FailedRoundTripWithoutCheckpointingIsLost) {
@@ -705,16 +636,12 @@ TEST(MigrationModeContractTest, SecondStartOnMigratingGroupIsRejected) {
   StorePipeline p;
   const KeyGroupId group = p.topo.first_group(1);
   const NodeId from = p.engine->assignment().node_of(group);
-  for (const MigrationMode mode :
-       {MigrationMode::kDirect, MigrationMode::kIndirect,
-        MigrationMode::kEpoch, MigrationMode::kLease}) {
+  for (const MigrationMode mode : AllModes()) {
     ASSERT_TRUE(
         p.engine->StartMigration(group, (from + 1) % kStoreNodes, mode).ok());
     // Every re-Start on the open migration is rejected, whatever mode the
     // second request asks for.
-    for (const MigrationMode second :
-         {MigrationMode::kDirect, MigrationMode::kIndirect,
-          MigrationMode::kEpoch, MigrationMode::kLease}) {
+    for (const MigrationMode second : AllModes()) {
       const Status s =
           p.engine->StartMigration(group, (from + 2) % kStoreNodes, second);
       EXPECT_EQ(s.code(), StatusCode::kAlreadyExists) << s.ToString();

@@ -1,5 +1,5 @@
 // Randomized reconfiguration soak: a seeded fuzz schedule of direct,
-// indirect, epoch and lease migrations plus node failures, interleaved
+// indirect and lease migrations plus node failures, interleaved
 // with sharded ingestion on a wide cluster, differentially
 // checked against a single-node no-reconfiguration oracle. Node kills can
 // land while a migration is still open (including a pending or
@@ -176,17 +176,16 @@ void RunSoak(uint64_t seed) {
       while (!fuzz.cluster.is_active(to) || to == from) {
         to = (to + 1) % kNodes;
       }
-      const MigrationMode mode =
-          static_cast<MigrationMode>(rng.NextU64() % 4);
+      const MigrationMode mode = static_cast<MigrationMode>(
+          rng.NextU64() % static_cast<uint64_t>(engine::kNumMigrationModes));
       ASSERT_TRUE(fuzz.engine->StartMigration(g, to, mode).ok()) << label;
       ++migrations;
       // An open migration must not span a window boundary: a direct or
       // indirect move buffers the group's tuples, and a window firing over
-      // that hole would close without them. Epoch and lease moves do not
-      // buffer, but the schedule keeps one rule for all four modes. The
-      // migration may stay open across this chunk's ingestion only if the
-      // chunk cannot fire a window, i.e. it continues the window of the
-      // tuple before it.
+      // that hole would close without them. Lease moves do not buffer, but
+      // the schedule keeps one rule for every mode. The migration may stay
+      // open across this chunk's ingestion only if the chunk cannot fire a
+      // window, i.e. it continues the window of the tuple before it.
       const size_t begin = chunks[c].first;
       const bool fires_window =
           begin > 0 &&
@@ -273,15 +272,15 @@ void RunSoak(uint64_t seed) {
   EXPECT_GT(registry.Counter("engine_checkpoint_delta_groups_total")->value(),
             0)
       << label;
-  const int64_t migrations_published =
-      registry.Counter("engine_migrations_total", {{"mode", "direct"}})
-          ->value() +
-      registry.Counter("engine_migrations_total", {{"mode", "indirect"}})
-          ->value() +
-      registry.Counter("engine_migrations_total", {{"mode", "epoch"}})
-          ->value() +
-      registry.Counter("engine_migrations_total", {{"mode", "lease"}})
-          ->value();
+  int64_t migrations_published = 0;
+  for (int m = 0; m < engine::kNumMigrationModes; ++m) {
+    migrations_published +=
+        registry
+            .Counter("engine_migrations_total",
+                     {{"mode", engine::MigrationModeName(
+                                   static_cast<MigrationMode>(m))}})
+            ->value();
+  }
   EXPECT_EQ(migrations_published, migrations) << label;
   // Exactly the groups the kills took down were recovered, each once. A
   // victim that owned no group loses none, so a kill alone proves nothing.

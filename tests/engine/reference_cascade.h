@@ -9,8 +9,8 @@
 ///
 /// The oracle models routing, work and serde accounting, windows and
 /// direct migration only. Checkpointing, telemetry, migration buffering
-/// and epoch or lease moves are out of its scope; their tests compare the
-/// engine with itself (migration matrix, soak).
+/// and lease moves are out of its scope; their tests compare the engine
+/// with itself (migration matrix, soak).
 
 #include <gtest/gtest.h>
 

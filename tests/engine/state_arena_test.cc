@@ -107,7 +107,7 @@ TEST(StateArenaTest, EngineReconfigurationsAllLandInLeaseTable) {
   // One migration per mode; each is exactly one flip of its group.
   const MigrationMode modes[] = {MigrationMode::kDirect,
                                  MigrationMode::kIndirect,
-                                 MigrationMode::kEpoch, MigrationMode::kLease};
+                                 MigrationMode::kLease};
   int64_t expected_flips = 0;
   KeyGroupId g = 0;
   for (const MigrationMode mode : modes) {

@@ -165,18 +165,19 @@ TEST_F(TraceTest, MigrationModesLeaveDistinctSpans) {
       p.engine->MigrateGroup(0, /*to=*/1, MigrationMode::kDirect).ok());
   ASSERT_TRUE(
       p.engine->MigrateGroup(1, /*to=*/2, MigrationMode::kIndirect).ok());
+  // A lease flips at FinishMigration's quiescent instant (no wave barrier
+  // ran since Start), so its flip span nests inside its finish span.
   ASSERT_TRUE(
-      p.engine->MigrateGroup(2, /*to=*/3, MigrationMode::kEpoch).ok());
+      p.engine->MigrateGroup(2, /*to=*/3, MigrationMode::kLease).ok());
   Tracer::Global().Disable();
 
   const std::string json = Tracer::Global().ChromeTraceJson();
-  EXPECT_NE(json.find("\"name\":\"migration.direct\""), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"name\":\"migration.indirect\""), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"name\":\"migration.epoch.finish\""),
-            std::string::npos)
-      << json;
+  for (const char* span : {"migration.direct", "migration.indirect",
+                           "migration.lease.flip", "migration.lease.finish"}) {
+    EXPECT_NE(json.find("\"name\":\"" + std::string(span) + "\""),
+              std::string::npos)
+        << span << " missing from " << json;
+  }
 }
 
 TEST_F(TraceTest, EngineOutputsBitIdenticalWithObservabilityOnAndOff) {
