@@ -323,42 +323,63 @@ CheckpointCoordinator::CheckpointCoordinator(
 }
 
 void CheckpointCoordinator::OnSafePoint(LocalEngine* engine) {
-  if (!last_error_.ok()) return;  // store failed; checkpointing degraded
-  const int64_t now = engine->event_time();
+  if (!last_error_.ok()) return;  // store failed; ingest reports it
   if (!time_initialized_) {
-    // Anchor the interval origin at the first observed safe point, like the
-    // engine's windows, so replayed real timestamps do not trigger a storm
-    // of catch-up rounds.
-    last_round_us_ = now;
+    // Anchor the schedule at the first observed safe point, like the
+    // engine's windows, so replayed real timestamps do not make every group
+    // due at once.
+    anchor_us_ = engine->event_time();
     time_initialized_ = true;
     return;
   }
+  const bool closes = AdvanceTick(engine);
   const bool overflow = engine->replay_log_overflowed();
-  if (!overflow && now - last_round_us_ < options_.interval_us) return;
   if (overflow) ++stats_.forced_rounds;
-  while (now - last_round_us_ >= options_.interval_us) {
-    last_round_us_ += options_.interval_us;
-  }
-  (void)CheckpointNow(engine);
+  (void)Slice(engine, overflow ? INT64_MAX : tick_, closes || overflow);
 }
 
 Result<int> CheckpointCoordinator::CheckpointNow(LocalEngine* engine) {
+  AdvanceTick(engine);
+  return Slice(engine, INT64_MAX, /*close_interval=*/true);
+}
+
+bool CheckpointCoordinator::AdvanceTick(LocalEngine* engine) {
+  if (!time_initialized_) return false;  // tick 0 until the anchor
+  // The largest t with interval * t < (now - anchor + 1) * groups: one
+  // division however long the gap, saturated where NextDue still fits.
+  const int groups = engine->topology().num_key_groups();
+  const __int128 span =
+      (static_cast<__int128>(engine->event_time()) - anchor_us_ + 1) * groups;
+  tick_ = static_cast<int64_t>(
+      std::min<__int128>((span - 1) / options_.interval_us, INT64_MAX / 2));
+  const bool closes = tick_ / groups > intervals_closed_;
+  intervals_closed_ = tick_ / groups;
+  return closes;
+}
+
+Result<int> CheckpointCoordinator::Slice(LocalEngine* engine, int64_t due_by,
+                                         bool close_interval) {
   const auto start = std::chrono::steady_clock::now();
-  Result<CheckpointRoundResult> round = engine->CheckpointDirtyGroups();
-  if (!round.ok()) {
-    last_error_ = round.status();
-    return round.status();
+  const auto slice = engine->CheckpointDirtyGroups(due_by);
+  Status status = slice.status();
+  if (status.ok() && close_interval) {
+    status = store_->PutManifest({static_cast<uint64_t>(stats_.rounds) + 1,
+                                  engine->shard_offsets()});
   }
-  ++stats_.rounds;
-  stats_.snapshots += round->groups;
-  stats_.snapshot_bytes += round->bytes;
-  stats_.delta_snapshots += round->delta_groups;
-  stats_.delta_snapshot_bytes += round->delta_bytes;
+  if (!status.ok()) {
+    last_error_ = status;
+    return status;
+  }
+  if (close_interval) ++stats_.rounds;
+  stats_.snapshots += slice->groups;
+  stats_.snapshot_bytes += slice->bytes;
+  stats_.delta_snapshots += slice->delta_groups;
+  stats_.delta_snapshot_bytes += slice->delta_bytes;
   stats_.round_wall_us +=
       std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
           std::chrono::steady_clock::now() - start)
           .count();
-  return round->groups;
+  return slice->groups;
 }
 
 }  // namespace albic::engine

@@ -43,12 +43,12 @@ struct CheckpointInfo {
   bool is_delta = false;  ///< Delta record chained onto the previous one.
 };
 
-/// \brief Ingestion positions recorded with each checkpoint round:
-/// cumulative tuples ingested per source shard at snapshot time. A driver
-/// holding replayable Sources can rewind them to these offsets to
-/// regenerate everything past the snapshot.
+/// \brief Ingestion positions recorded when a checkpoint interval closes
+/// (and with each full round): cumulative tuples ingested per source shard
+/// at that safe point. Group records are staggered over the interval, so
+/// the offsets are no cut of them; nothing restarts from a manifest yet.
 struct CheckpointManifest {
-  uint64_t epoch = 0;  ///< Checkpoint round counter.
+  uint64_t epoch = 0;  ///< Manifest counter (closed intervals, full rounds).
   std::vector<int64_t> shard_offsets;
 };
 
@@ -106,7 +106,7 @@ class CheckpointStore {
   bool Get(KeyGroupId group, uint64_t version, CheckpointInfo* info,
            std::string* state) const;
 
-  /// \brief Records the ingestion positions of a checkpoint round.
+  /// \brief Records the ingestion positions of a closed interval.
   virtual Status PutManifest(const CheckpointManifest& manifest) = 0;
 
   /// \brief Fetches the most recent manifest; false when none written.
@@ -210,11 +210,12 @@ class FileCheckpointStore final : public CheckpointStore {
 
 /// \brief Knobs of the checkpoint coordinator.
 struct CheckpointCoordinatorOptions {
-  /// Event-time between checkpoint rounds (like the engine's windows, the
-  /// origin is anchored at the first safe point observed).
+  /// Event-time in which each dirty group is checkpointed once, at its own
+  /// phase point: group g of G at anchor + interval*(g+1)/G, the anchor
+  /// being the first safe point observed (like the engine's windows).
   int64_t interval_us = 60LL * 1000 * 1000;
   /// Soft per-group replay-log bound: a group whose log outgrows this
-  /// forces a round at the next safe point, so log memory stays bounded
+  /// forces a full round at the next safe point, so log memory stays bounded
   /// and every group keeps "checkpoint + short suffix = live state".
   /// The default bounds a group's log at ~2 MiB (65536 * 32-byte tuples);
   /// forced rounds interrupt the hot path, so the bound is sized to fire
@@ -235,40 +236,52 @@ struct CheckpointCoordinatorOptions {
 
 /// \brief Counters of the coordinator's activity.
 struct CheckpointCoordinatorStats {
-  int64_t rounds = 0;           ///< Checkpoint rounds taken.
-  int64_t forced_rounds = 0;    ///< Rounds triggered by log overflow.
+  int64_t rounds = 0;           ///< Manifests (closed intervals, full rounds).
+  int64_t forced_rounds = 0;    ///< Full rounds triggered by log overflow.
   int64_t snapshots = 0;        ///< Group snapshot records written.
   int64_t snapshot_bytes = 0;   ///< Serialized bytes written (all records).
   int64_t delta_snapshots = 0;  ///< Of the records, delta-encoded ones.
   int64_t delta_snapshot_bytes = 0;  ///< Bytes of the delta records.
-  double round_wall_us = 0.0;   ///< Wall-clock time spent in rounds.
+  double round_wall_us = 0.0;   ///< Wall-clock time spent in slices.
 };
 
 /// \brief Drives periodic asynchronous incremental checkpoints.
 ///
 /// The engine calls OnSafePoint at quiescent instants: between drain
 /// waves, where every operator is idle and each group's log matches its
-/// state. When a round is due (event-time interval elapsed, or some group's
-/// replay log overflowed its soft bound), the coordinator snapshots every
-/// dirty group: only groups whose state changed since their last snapshot
-/// are serialized (incremental), and processing never drains globally —
-/// per-group consistency (snapshot seq + log suffix) is all that indirect
-/// migration and recovery need, so no stop-the-world alignment exists.
+/// state. Checkpoints are staggered: each safe point takes a *slice*, the
+/// dirty groups whose phase point has passed (a group clean at its phase
+/// point stays due until it is dirtied). Only changed groups are serialized
+/// (incremental), and processing never drains globally: per-group
+/// consistency (record seq + logged suffix) is all that indirect migration
+/// and recovery need, so groups may be imaged at different instants. The
+/// safe point closing an interval writes one manifest. A full round
+/// (CheckpointNow, or a log outgrowing its soft bound) is the slice in
+/// which every group is due, plus a manifest.
 ///
-/// A store error disables further rounds and is kept in last_error()
-/// (checkpointing degrades, the pipeline keeps running).
+/// A store error disables further checkpoints and is kept in last_error(),
+/// which the engine's ingest calls then return; logging continues, so
+/// recovery from the last good chain still works.
 class CheckpointCoordinator {
  public:
   /// \brief \p store is not owned and must outlive the coordinator.
   explicit CheckpointCoordinator(CheckpointStore* store,
                                  CheckpointCoordinatorOptions options = {});
 
-  /// \brief Engine hook: takes a checkpoint round if one is due.
+  /// \brief Engine hook: takes the slice of groups that are due, and the
+  /// manifest when an interval closed.
   void OnSafePoint(LocalEngine* engine);
 
-  /// \brief Takes a round now regardless of due-ness; returns the number
-  /// of groups snapshotted.
+  /// \brief Takes a full round now regardless of due-ness; returns the
+  /// number of groups snapshotted.
   Result<int> CheckpointNow(LocalEngine* engine);
+
+  /// \brief The phase tick at which group \p g of \p groups is next due.
+  /// Tick t's point is anchor + interval*t/groups, and g owns the ticks
+  /// congruent to g + 1: its first one past the current tick.
+  int64_t NextDue(KeyGroupId g, int groups) const {
+    return g + 1 + groups * ((tick_ + groups - g - 1) / groups);
+  }
 
   CheckpointStore* store() const { return store_; }
   const CheckpointCoordinatorOptions& options() const { return options_; }
@@ -276,11 +289,18 @@ class CheckpointCoordinator {
   const Status& last_error() const { return last_error_; }
 
  private:
+  /// Moves tick_ to the event time; true when an interval closed since.
+  bool AdvanceTick(LocalEngine* engine);
+  /// Images the groups due by tick \p due_by; a manifest if \p close_interval.
+  Result<int> Slice(LocalEngine* engine, int64_t due_by, bool close_interval);
+
   CheckpointStore* store_;
   CheckpointCoordinatorOptions options_;
   CheckpointCoordinatorStats stats_;
   Status last_error_ = Status::OK();
-  int64_t last_round_us_ = 0;
+  int64_t anchor_us_ = 0;
+  int64_t tick_ = 0;  ///< Last phase tick whose point has passed.
+  int64_t intervals_closed_ = 0;
   bool time_initialized_ = false;
 };
 

@@ -311,6 +311,12 @@ void LocalEngine::CountIngested(int shard, size_t count) {
   shard_offsets_[shard] += static_cast<int64_t>(count);
 }
 
+Status LocalEngine::IngestStatus() const {
+  // The tuples were processed and logged all the same (recovery from the
+  // last good chain still works); the caller decides whether to stop.
+  return checkpointer_ ? checkpointer_->last_error() : Status::OK();
+}
+
 Status LocalEngine::Inject(OperatorId source_op, const Tuple& tuple) {
   if (source_op < 0 || source_op >= topology_->num_operators()) {
     return Status::InvalidArgument("unknown source operator");
@@ -337,7 +343,7 @@ Status LocalEngine::Inject(OperatorId source_op, const Tuple& tuple) {
     ++staged_tuples_;
   }
   if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
-  return Status::OK();
+  return IngestStatus();
 }
 
 void LocalEngine::FlushInjectScatter(OperatorId source_op) {
@@ -417,7 +423,7 @@ Status LocalEngine::InjectBatch(OperatorId source_op, const Tuple* tuples,
     }
   }
   FlushInjectScatter(source_op);
-  return Status::OK();
+  return IngestStatus();
 }
 
 Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
@@ -431,7 +437,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
     return Status::InvalidArgument("source group out of range");
   }
   if (shard < 0) return Status::InvalidArgument("negative shard id");
-  if (count == 0) return Status::OK();
+  if (count == 0) return IngestStatus();
   CountIngested(shard, count);
   if (telemetry_) {
     const int64_t now = NowNs();  // one read per routed run
@@ -467,7 +473,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
       }
       if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
     }
-    return Status::OK();
+    return IngestStatus();
   }
 
   // Fast path: no boundary inside the run — append it in one step.
@@ -483,7 +489,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
     staged_tuples_ += static_cast<int64_t>(count);
   }
   if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
-  return Status::OK();
+  return IngestStatus();
 }
 
 // ---------------------------------------------------------------------------
@@ -1214,6 +1220,7 @@ Status LocalEngine::EnableCheckpointing(CheckpointCoordinator* coordinator) {
   // of every operator group, establishing "latest checkpoint + logged
   // suffix = live state" before any log entry exists.
   group_dirty_.assign(n, 1);
+  checkpoint_due_.assign(n, 0);
   const Result<int> initial = coordinator->CheckpointNow(this);
   if (!initial.ok()) {
     checkpointer_ = nullptr;
@@ -1222,16 +1229,24 @@ Status LocalEngine::EnableCheckpointing(CheckpointCoordinator* coordinator) {
   return Status::OK();
 }
 
-Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups() {
+Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups(
+    int64_t due_by) {
   if (checkpointer_ == nullptr) {
     return Status::InvalidArgument("checkpointing not enabled");
   }
   CheckpointStore* store = checkpointer_->store();
   CheckpointRoundResult result;
+  const KeyGroupId groups = topology_->num_key_groups();
+  const auto due = [&](KeyGroupId g) {
+    return group_dirty_[g] != 0 && checkpoint_due_[g] <= due_by;
+  };
+  KeyGroupId g = 0;
+  while (g < groups && !due(g)) ++g;
+  if (g == groups) return result;  // an empty slice leaves no span
   ALBIC_TRACE_SPAN("checkpoint", "checkpoint.round");
   PhaseScope prof_scope(prof_, WavePhase::kCheckpoint);
-  for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
-    if (group_dirty_[g] == 0) continue;
+  for (; g < groups; ++g) {
+    if (!due(g)) continue;
     const OperatorId op = topology_->group_operator(g);
     if (operators_[op] == nullptr) {
       group_dirty_[g] = 0;  // stateless fan-out groups have nothing to save
@@ -1239,7 +1254,7 @@ Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups() {
     }
     // A lost group's live state is gone; overwriting its snapshot with the
     // cleared state would destroy the recovery source. It stays dirty and
-    // is snapshotted on the first round after recovery.
+    // is snapshotted on the first slice after recovery.
     if (migrating_[g].lost) continue;
     const int local = topology_->group_index_in_operator(g);
     // Delta or base? A delta needs a base to chain onto and room left in
@@ -1270,19 +1285,15 @@ Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups() {
     group_logs_[g].TruncateBefore(seq, &freed_chunks_);
     for (std::vector<Tuple>& vec : freed_chunks_) ReleaseVec(std::move(vec));
     group_dirty_[g] = 0;
+    checkpoint_due_[g] = checkpointer_->NextDue(g, groups);
     ++result.groups;
     result.bytes += bytes;
   }
-  log_overflow_ = false;
-  ++checkpoint_epoch_;
-  CheckpointManifest manifest;
-  manifest.epoch = checkpoint_epoch_;
-  manifest.shard_offsets = shard_offsets_;
-  ALBIC_RETURN_NOT_OK(store->PutManifest(manifest));
+  log_overflow_ = false;  // partial slices run only while it is false
   period_.checkpoints_taken += result.groups;
   period_.checkpoint_bytes += result.bytes;
   // Delta-vs-base split is not in the period stats; publish it here (cold
-  // path, one round per checkpoint interval).
+  // path, a few non-empty slices per checkpoint interval).
   if (metrics_.checkpoint_delta_groups != nullptr) {
     metrics_.checkpoint_delta_groups->Add(result.delta_groups);
     metrics_.checkpoint_delta_bytes->Add(result.delta_bytes);

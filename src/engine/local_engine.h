@@ -134,7 +134,7 @@ struct EnginePeriodStats {
   std::vector<CompletedJourney> journeys;
 };
 
-/// \brief What one checkpoint round wrote (see CheckpointDirtyGroups).
+/// \brief What one checkpoint slice wrote (see CheckpointDirtyGroups).
 struct CheckpointRoundResult {
   int groups = 0;          ///< Dirty groups snapshotted (bases and deltas).
   int64_t bytes = 0;       ///< Serialized bytes written to the store.
@@ -303,14 +303,16 @@ class LocalEngine {
 
   bool checkpointing_enabled() const { return checkpointer_ != nullptr; }
 
-  /// \brief Serializes every dirty operator group into the attached store,
-  /// truncates the covered log prefixes, and records a manifest with the
-  /// current per-shard ingestion offsets. Called by the coordinator; also
-  /// callable directly for a forced round.
-  Result<CheckpointRoundResult> CheckpointDirtyGroups();
+  /// \brief Serializes every dirty operator group due by the coordinator's
+  /// phase tick \p due_by (default: all, a full round) into the attached
+  /// store, truncates the covered log prefixes and moves each imaged group
+  /// to its next phase tick. Called by the coordinator, which writes the
+  /// manifest; also callable directly for a forced round.
+  Result<CheckpointRoundResult> CheckpointDirtyGroups(
+      int64_t due_by = INT64_MAX);
 
   /// \brief True when some group's replay log outgrew the coordinator's
-  /// soft bound since the last checkpoint round (forces the next round).
+  /// soft bound since the last full round (forces the next one).
   bool replay_log_overflowed() const { return log_overflow_; }
 
   /// \brief Drops a node abruptly: the cluster keeps the node id but the
@@ -337,7 +339,7 @@ class LocalEngine {
 
   /// \brief Cumulative tuples ingested per source shard over the engine's
   /// lifetime (the replayable sources' rewind offsets; recorded in each
-  /// checkpoint round's manifest).
+  /// checkpoint manifest).
   const std::vector<int64_t>& shard_offsets() const { return shard_offsets_; }
 
   /// \brief Read access to a group's replay log (tests, cost accounting).
@@ -372,6 +374,7 @@ class LocalEngine {
   }
 
   const Assignment& assignment() const { return arena_.assignment(); }
+  const Topology& topology() const { return *topology_; }
 
   /// \brief The arena owning every operator's state slots and the lease
   /// table mapping groups to their current owners (tests, observability).
@@ -499,6 +502,9 @@ class LocalEngine {
 
   // --- staging, waves and routing ---
   void CountIngested(int shard, size_t count);
+  /// What an ingest call returns once its tuples are in: OK, or the
+  /// coordinator's sticky error after a checkpoint write failed.
+  Status IngestStatus() const;
   void StageIngress(OperatorId op, int group_index, const Tuple& tuple);
   void FlushInjectScatter(OperatorId source_op);
   void DrainAll();
@@ -591,6 +597,7 @@ class LocalEngine {
   CheckpointCoordinator* checkpointer_ = nullptr;
   std::vector<ReplayLog> group_logs_;   ///< Per key group.
   std::vector<uint8_t> group_dirty_;    ///< Changed since last snapshot.
+  std::vector<int64_t> checkpoint_due_;  ///< Next due phase tick.
   size_t max_log_entries_ = 0;          ///< Cached coordinator soft bound.
   /// Delta checkpoints: chain_len_[g] is the number of deltas chained onto
   /// g's newest base in the store, -1 before the group has any base.
@@ -600,7 +607,6 @@ class LocalEngine {
   bool log_overflow_ = false;
   std::vector<int64_t> shard_offsets_;  ///< Lifetime ingested per shard.
   std::vector<KeyGroupId> lost_groups_;
-  uint64_t checkpoint_epoch_ = 0;
   /// Scratch for log truncation (chunk vectors en route back to the pool).
   std::vector<std::vector<Tuple>> freed_chunks_;
   int64_t event_time_us_ = 0;

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -597,13 +598,231 @@ TEST(CheckpointCoordinatorTest, ManifestRecordsShardOffsets) {
         p.engine->InjectRouted(0, shard, group, &stream[i], 1).ok());
   }
   p.engine->Flush();
-  ASSERT_TRUE(p.engine->CheckpointDirtyGroups().ok());
+  ASSERT_TRUE(p.coordinator->CheckpointNow(p.engine.get()).ok());
   CheckpointManifest manifest;
   ASSERT_TRUE(p.store.LatestManifest(&manifest));
   EXPECT_EQ(manifest.shard_offsets, p.engine->shard_offsets());
   ASSERT_EQ(manifest.shard_offsets.size(), 2u);
   EXPECT_EQ(manifest.shard_offsets[0] + manifest.shard_offsets[1],
             static_cast<int64_t>(stream.size()));
+}
+
+/// One StoreSink operator of 32 groups on two nodes, fed one upsert per
+/// group per chunk (cycling through three keys each): every group is dirty
+/// in every chunk it is fed, and its logged suffix is one tuple per chunk
+/// since its newest record.
+struct SinkJob {
+  static constexpr int kGroups = 32;
+  static constexpr int kKeysPerGroup = 3;
+  engine::Topology topo;
+  engine::Cluster cluster{2};
+  ops::StoreSinkOperator sink{kGroups};
+  std::unique_ptr<engine::CheckpointStore> store;
+  std::unique_ptr<CheckpointCoordinator> coordinator;
+  std::unique_ptr<engine::LocalEngine> engine;
+  std::vector<std::vector<uint64_t>> keys;  ///< keys[g] route to group g.
+  int64_t chunks = 0;
+
+  explicit SinkJob(int64_t interval_us,
+                   std::unique_ptr<engine::CheckpointStore> backend =
+                       std::make_unique<MemoryCheckpointStore>())
+      : store(std::move(backend)), keys(kGroups) {
+    topo.AddOperator("store", kGroups, 1 << 14);
+    engine::Assignment assign(kGroups);
+    for (KeyGroupId g = 0; g < kGroups; ++g) assign.set_node(g, g % 2);
+    engine::LocalEngineOptions eopts;
+    eopts.window_every_us = 0;
+    engine = std::make_unique<engine::LocalEngine>(
+        &topo, &cluster, assign,
+        std::vector<engine::StreamOperator*>{&sink}, eopts);
+    CheckpointCoordinatorOptions copts;
+    copts.interval_us = interval_us;
+    coordinator = std::make_unique<CheckpointCoordinator>(store.get(), copts);
+    EXPECT_TRUE(engine->EnableCheckpointing(coordinator.get()).ok());
+    for (uint64_t key = 1, found = 0; found < kGroups * kKeysPerGroup;
+         ++key) {
+      std::vector<uint64_t>& mine =
+          keys[engine::LocalEngine::RouteKey(key, kGroups)];
+      if (mine.size() < kKeysPerGroup) {
+        mine.push_back(key);
+        ++found;
+      }
+    }
+  }
+
+  /// Upserts one key of every group except \p skip at event time \p ts and
+  /// drains (one wave, one safe point); returns the first ingest error.
+  Status Chunk(int64_t ts, KeyGroupId skip = -1) {
+    Status status = Status::OK();
+    for (KeyGroupId g = 0; g < kGroups; ++g) {
+      if (g == skip) continue;
+      Tuple t;
+      t.key = keys[g][chunks % kKeysPerGroup];
+      t.ts = ts;
+      t.num = 0.25 * static_cast<double>(chunks * kGroups + g);
+      const Status s = engine->Inject(0, t);
+      if (status.ok()) status = s;
+    }
+    ++chunks;
+    engine->Flush();
+    return status;
+  }
+
+  uint64_t Version(KeyGroupId g) const {
+    CheckpointInfo info;
+    return store->Latest(g, &info, nullptr) ? info.version : 0;
+  }
+
+  uint64_t Epoch() const {
+    CheckpointManifest manifest;
+    return store->LatestManifest(&manifest) ? manifest.epoch : 0;
+  }
+
+  std::vector<std::string> Tables() const {
+    std::vector<std::string> out;
+    for (int g = 0; g < kGroups; ++g) {
+      out.push_back(sink.SerializeGroupState(g));
+    }
+    return out;
+  }
+};
+
+/// Event time of chunk \p j when 16 chunks span one interval: exactly the
+/// phase point of tick 2j, so chunk j's safe point is due for two groups.
+int64_t ChunkTime(int64_t interval_us, int64_t j) {
+  return static_cast<int64_t>(static_cast<__int128>(interval_us) * j / 16);
+}
+
+TEST(CheckpointCoordinatorTest, StaggeredSlicesImageEachGroupOncePerInterval) {
+  // Each group is imaged at its own phase point, once per interval, so no
+  // safe point images more than ceil(G/16) + 1 of the 32 groups when 16
+  // chunks span an interval. The two huge intervals run the phase
+  // arithmetic near the int64 range (2 * (INT64_MAX / 2) still fits).
+  constexpr int kGroups = SinkJob::kGroups;
+  constexpr int64_t kMaxPerSafePoint = (kGroups + 15) / 16 + 1;
+  constexpr KeyGroupId kLate = 5;  // clean at its phase point (chunk 3)
+  for (const int64_t interval :
+       {int64_t{16000}, int64_t{1} << 60,
+        std::numeric_limits<int64_t>::max() / 2}) {
+    SCOPED_TRACE(interval);
+    SinkJob job(interval);
+    ASSERT_EQ(job.coordinator->stats().snapshots, kGroups);
+    ASSERT_EQ(job.Epoch(), 1u);
+    const int chunks = interval == 16000 ? 64 : 31;
+    std::vector<uint64_t> version(kGroups);
+    for (KeyGroupId g = 0; g < kGroups; ++g) version[g] = job.Version(g);
+    std::vector<int> images_in_interval(kGroups, 0);
+    ASSERT_TRUE(job.Chunk(ChunkTime(interval, 0), kLate).ok());  // anchor
+    for (int j = 1; j <= chunks; ++j) {
+      const int64_t snapshots = job.coordinator->stats().snapshots;
+      const int64_t puts = job.store->puts();
+      ASSERT_TRUE(
+          job.Chunk(ChunkTime(interval, j), j <= 6 ? kLate : -1).ok());
+      const int64_t imaged = job.coordinator->stats().snapshots - snapshots;
+      EXPECT_EQ(job.store->puts() - puts, imaged) << "chunk " << j;
+      EXPECT_LE(imaged, kMaxPerSafePoint) << "chunk " << j;
+      std::vector<KeyGroupId> taken;
+      for (KeyGroupId g = 0; g < kGroups; ++g) {
+        if (job.Version(g) == version[g]) continue;
+        EXPECT_EQ(job.Version(g), version[g] + 1) << "group " << g;
+        version[g] = job.Version(g);
+        ++images_in_interval[g];
+        taken.push_back(g);
+      }
+      // Chunk j is due for the groups owning ticks 2j - 1 and 2j; the late
+      // group is taken at the first safe point after it is dirtied.
+      std::vector<KeyGroupId> expect = {(2 * j - 2) % kGroups,
+                                        (2 * j - 1) % kGroups};
+      if (j <= 6) std::erase(expect, kLate);
+      if (j == 7) expect.insert(expect.begin(), kLate);
+      EXPECT_EQ(taken, expect) << "chunk " << j;
+      // The manifest's epoch rises by one per interval, at the safe point
+      // that closes it (the tick of the interval's last group).
+      EXPECT_EQ(job.Epoch(), static_cast<uint64_t>(1 + j / 16))
+          << "chunk " << j;
+      if (j % 16 == 0) {
+        // Every group was dirty in the interval: imaged exactly once.
+        for (KeyGroupId g = 0; g < kGroups; ++g) {
+          EXPECT_EQ(images_in_interval[g], 1)
+              << "group " << g << ", interval ending at chunk " << j;
+        }
+        std::fill(images_in_interval.begin(), images_in_interval.end(), 0);
+      }
+    }
+    EXPECT_EQ(job.coordinator->stats().rounds, 1 + chunks / 16);
+    // CheckpointNow is still a full round: every dirty group, plus a
+    // manifest.
+    ASSERT_TRUE(job.Chunk(ChunkTime(interval, chunks)).ok());
+    const uint64_t epoch = job.Epoch();
+    const auto full = job.coordinator->CheckpointNow(job.engine.get());
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(*full, kGroups);
+    EXPECT_EQ(job.Epoch(), epoch + 1);
+  }
+}
+
+/// A store whose payload writes fail once `fail` is set, like a full disk
+/// after the initial round.
+class FailingStore final : public engine::CheckpointStore {
+ public:
+  FailingStore() : CheckpointStore(/*retain_versions=*/2) {}
+  Status PutManifest(const CheckpointManifest&) override {
+    return Status::OK();
+  }
+  bool LatestManifest(CheckpointManifest*) const override { return false; }
+  bool fail = false;
+
+ private:
+  Status WritePayload(KeyGroupId group, const CheckpointInfo& info,
+                      std::string payload) override {
+    if (fail) return Status::Internal("disk full");
+    payloads_[{group, info.version}] = std::move(payload);
+    return Status::OK();
+  }
+  bool ReadPayload(KeyGroupId group, const CheckpointInfo& info,
+                   std::string* payload) const override {
+    const auto it = payloads_.find({group, info.version});
+    if (it == payloads_.end()) return false;
+    *payload = it->second;
+    return true;
+  }
+  void DropPayload(KeyGroupId group, const CheckpointInfo& info) override {
+    payloads_.erase({group, info.version});
+  }
+  std::map<std::pair<KeyGroupId, uint64_t>, std::string> payloads_;
+};
+
+TEST(CheckpointCoordinatorTest, FailedStoreWriteSurfacesAtIngest) {
+  // A failed write stops checkpointing for good, so no log is truncated
+  // again. Ingest used to return OK while the logs grew with every
+  // delivery; it now returns the sticky error. The tuples are still
+  // processed and logged, so recovery from the last good chain works.
+  auto owned = std::make_unique<FailingStore>();
+  FailingStore* store = owned.get();
+  SinkJob job(/*interval_us=*/16000, std::move(owned));
+  store->fail = true;
+  ASSERT_TRUE(job.Chunk(0).ok());  // the anchor: nothing due yet
+  // Chunk 1's safe point is due for groups 0 and 1 and its write fails
+  // inside Flush; every ingest call after it reports the error.
+  ASSERT_TRUE(job.Chunk(1000).ok());
+  EXPECT_FALSE(job.coordinator->last_error().ok());
+  for (int64_t j = 2; j < 40; ++j) {
+    const Status s = job.Chunk(j * 1000);
+    ASSERT_FALSE(s.ok()) << "chunk " << j;
+    EXPECT_NE(s.ToString().find("disk full"), std::string::npos);
+  }
+  // Every delivery since the initial round is still in the logs.
+  for (KeyGroupId g = 0; g < SinkJob::kGroups; ++g) {
+    EXPECT_EQ(job.engine->replay_log(g).size(), 40u) << "group " << g;
+  }
+  const std::vector<std::string> live = job.Tables();
+  ASSERT_TRUE(job.engine->FailNode(0).ok());
+  for (KeyGroupId g = 0; g < SinkJob::kGroups; g += 2) {
+    const auto rec = job.engine->RecoverGroup(g, 1);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_EQ(rec->replayed, 40) << "group " << g;
+  }
+  EXPECT_EQ(job.Tables(), live);
 }
 
 // ---------------------------------------------------------------------------
@@ -883,6 +1102,71 @@ TEST(CheckpointRecoveryTest, IndirectMigrationWithDeltaChainsMatchesDirect) {
     EXPECT_EQ(direct.StateOf(g), indirect.StateOf(g)) << "group " << g;
   }
   EXPECT_EQ(direct.GlobalCounts(), indirect.GlobalCounts());
+}
+
+TEST(CheckpointRecoveryTest, MidIntervalRecoveryReplaysEachGroupsOwnSuffix) {
+  // A node dies half-way through an interval: its groups whose phase point
+  // passed already hold this interval's record and replay a short suffix,
+  // the others replay from last interval's record. Both rebuild the live
+  // tables, and the run ends bit-identical to a no-failure run.
+  SinkJob baseline(/*interval_us=*/16000);
+  SinkJob failed(/*interval_us=*/16000);
+  const auto feed = [&](int from, int to) {
+    for (int j = from; j < to; ++j) {
+      ASSERT_TRUE(baseline.Chunk(j * 1000).ok());
+      ASSERT_TRUE(failed.Chunk(j * 1000).ok());
+    }
+  };
+  feed(0, 25);  // chunk 24: groups 0-15 hold interval 2's record
+  const std::vector<std::string> live = failed.Tables();
+  std::map<bool, std::vector<int64_t>> replayed;  // by "holds it"
+  ASSERT_TRUE(failed.engine->FailNode(0).ok());
+  for (KeyGroupId g = 0; g < SinkJob::kGroups; g += 2) {
+    const bool current = failed.Version(g) == 3;  // initial, 1st, 2nd
+    const auto rec = failed.engine->RecoverGroup(g, 1);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    replayed[current].push_back(rec->replayed);
+  }
+  EXPECT_EQ(failed.Tables(), live);
+  ASSERT_EQ(replayed[true].size(), 8u);
+  ASSERT_EQ(replayed[false].size(), 8u);
+  EXPECT_LT(*std::max_element(replayed[true].begin(), replayed[true].end()),
+            *std::min_element(replayed[false].begin(),
+                              replayed[false].end()));
+  feed(25, 40);
+  EXPECT_EQ(failed.Tables(), baseline.Tables());
+}
+
+TEST(CheckpointRecoveryTest, MidIntervalIndirectMovesMatchUnmovedRun) {
+  // The same for indirect moves: group 4's phase point (chunk 19) passed,
+  // group 20's (chunk 27) did not, so their replayed suffixes differ, and
+  // the moved run still ends bit-identical to an unmoved one.
+  SinkJob baseline(/*interval_us=*/16000);
+  SinkJob moved(/*interval_us=*/16000);
+  const auto feed = [&](int from, int to) {
+    for (int j = from; j < to; ++j) {
+      ASSERT_TRUE(baseline.Chunk(j * 1000).ok());
+      ASSERT_TRUE(moved.Chunk(j * 1000).ok());
+    }
+  };
+  feed(0, 25);
+  (void)moved.engine->HarvestPeriod();
+  std::vector<int64_t> replayed;
+  for (const KeyGroupId g : {4, 20}) {
+    EXPECT_EQ(moved.Version(g), g == 4 ? 3u : 2u) << "group " << g;
+    ASSERT_TRUE(moved.engine->StartMigration(g, 1,
+                                             engine::MigrationMode::kIndirect)
+                    .ok());
+    const auto pause = moved.engine->FinishMigration(g);
+    ASSERT_TRUE(pause.ok()) << pause.status().ToString();
+    replayed.push_back(moved.engine->HarvestPeriod().tuples_replayed);
+  }
+  EXPECT_GT(replayed[0], 0);
+  EXPECT_LT(replayed[0], replayed[1]);
+  feed(25, 40);
+  EXPECT_EQ(moved.Tables(), baseline.Tables());
+  EXPECT_EQ(moved.engine->assignment().node_of(4), 1);
+  EXPECT_EQ(moved.engine->assignment().node_of(20), 1);
 }
 
 TEST(CheckpointRecoveryTest, FailNodeRequiresCheckpointing) {
