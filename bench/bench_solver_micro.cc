@@ -1,15 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the optimization substrates that
 // power Figs 2-4: the simplex LP solver, branch & bound, the multilevel
-// graph partitioner and the assignment local search.
+// graph partitioner and the assignment local search; plus the two kernels of
+// a steady controller round's boundary chunk, a converging local search and
+// the TopK window fire.
 
 #include <benchmark/benchmark.h>
+
+#include <numeric>
 
 #include "balance/local_search.h"
 #include "balance/milp_rebalancer.h"
 #include "common/rng.h"
+#include "engine/batch.h"
 #include "graph/partitioner.h"
 #include "lp/simplex.h"
 #include "milp/branch_and_bound.h"
+#include "ops/topk.h"
 #include "workload/synthetic.h"
 
 namespace albic {
@@ -84,6 +90,7 @@ void BM_GraphPartitioner(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphPartitioner)->Arg(200)->Arg(800)->Arg(2000);
 
+// Runs to its 5 ms cap at every size: it times the cap, not the solver.
 void BM_LocalSearchRebalance(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   workload::SyntheticOptions wopts;
@@ -109,6 +116,73 @@ void BM_LocalSearchRebalance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalSearchRebalance)->Arg(20)->Arg(40)->Arg(60);
+
+// A steady-shaped controller round that converges far inside its cap: 54
+// single-group items round-robin over 6 nodes, Zipf-shaped loads with a
+// seeded jitter, 4 moves.
+void BM_LocalSearchSteadyRound(benchmark::State& state) {
+  constexpr int kGroups = 54;
+  constexpr int kNodes = 6;
+  engine::Topology topo;
+  topo.AddOperator("op", kGroups, 1 << 20);
+  engine::Cluster cluster(kNodes);
+  engine::SystemSnapshot snap;
+  snap.topology = &topo;
+  snap.cluster = &cluster;
+  snap.assignment = engine::Assignment(kGroups);
+  Rng rng(101);
+  for (engine::KeyGroupId g = 0; g < kGroups; ++g) {
+    snap.assignment.set_node(g, g % kNodes);
+    snap.group_loads.push_back(rng.Uniform(0.5, 1.5) * 60.0 / (1.0 + g % 18));
+  }
+  snap.migration_costs.assign(kGroups, 1.0);
+  const std::vector<balance::BalanceItem> items =
+      balance::ItemsFromGroups(snap);
+  balance::RebalanceConstraints cons;
+  cons.max_migrations = 4;
+  balance::LocalSearchOptions opts;
+  opts.time_budget_ms = 1000.0;
+  for (auto _ : state) {
+    auto res = balance::LocalSearchSolver::Solve(snap, items, cons, opts);
+    benchmark::DoNotOptimize(res);
+  }
+}
+BENCHMARK(BM_LocalSearchSteadyRound);
+
+// The steady window fire: 18 per-cell TopK groups (k = 32) holding one
+// period of Zipf(0.8) edits over 20,000 articles, 65,536 tuples. Only the
+// 18 OnWindow calls are timed; refilling the counts is not.
+void BM_TopKWindowFire(benchmark::State& state) {
+  constexpr int kGroups = 18;
+  constexpr int kArticles = 20000;
+  Rng rng(7);
+  const ZipfSampler zipf(kArticles, 0.8);
+  std::vector<uint64_t> ids(kArticles);
+  std::iota(ids.begin(), ids.end(), uint64_t{1});
+  rng.Shuffle(&ids);
+  std::vector<std::vector<engine::Tuple>> per_group(kGroups);
+  for (int i = 0; i < 65536; ++i) {
+    engine::Tuple t;
+    t.aux = ids[zipf.Sample(&rng)];
+    t.key = t.aux;
+    per_group[t.aux % kGroups].push_back(t);
+  }
+  std::vector<engine::TupleBatch> batches;
+  for (auto& tuples : per_group) batches.emplace_back(std::move(tuples));
+  ops::WindowedTopKOperator op(kGroups, 32);
+  struct : engine::Emitter {
+    void Emit(const engine::Tuple&) override {}
+  } discard;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (int g = 0; g < kGroups; ++g) op.ProcessBatch(batches[g], g, &discard);
+    state.ResumeTiming();
+    for (int g = 0; g < kGroups; ++g) op.OnWindow(g, &discard);
+    benchmark::DoNotOptimize(op.last_window_top(0).data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TopKWindowFire);
 
 }  // namespace
 }  // namespace albic

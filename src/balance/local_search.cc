@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 namespace albic::balance {
@@ -29,11 +30,33 @@ class Search {
                           options.time_budget_ms))) {
     retained_ = snap.cluster->retained_nodes();
     marked_ = snap.cluster->marked_nodes();
-    const int num_nodes = snap.cluster->num_nodes_total();
-    node_load_.assign(num_nodes, 0.0);
-    node_secondary_.assign(num_nodes, 0.0);
-    node_items_.resize(static_cast<size_t>(num_nodes));
+    num_nodes_ = static_cast<size_t>(snap.cluster->num_nodes_total());
+    node_load_.assign(num_nodes_, 0.0);
+    node_secondary_.assign(num_nodes_, 0.0);
+    node_items_.resize(num_nodes_);
     item_node_.assign(items.size(), engine::kInvalidNode);
+
+    // Evaluate's dense loads: retained_ then marked_; every active node
+    // has a slot there.
+    eval_loads_.resize(retained_.size() + marked_.size());
+    eval_slot_.assign(num_nodes_, 0);
+    for (size_t i = 0; i < retained_.size(); ++i) eval_slot_[retained_[i]] = i;
+    for (size_t i = 0; i < marked_.size(); ++i) {
+      eval_slot_[marked_[i]] = retained_.size() + i;
+    }
+    // The cost and count of placing each item on each node, summed in the
+    // item's group order, so every candidate's DeltaFor is two loads.
+    migration_to_.assign(items.size() * num_nodes_, MoveDelta{0.0, 0});
+    for (size_t i = 0; i < items.size(); ++i) {
+      for (size_t n = 0; n < num_nodes_; ++n) {
+        MoveDelta& m = migration_to_[i * num_nodes_ + n];
+        for (const engine::KeyGroupId g : items[i].groups) {
+          if (snap.assignment.node_of(g) == static_cast<NodeId>(n)) continue;
+          m.cost += snap.migration_costs[g];
+          ++m.count;
+        }
+      }
+    }
 
     // Candidate order: measured service-time share, heaviest first, when
     // the snapshot carries shares (measured-cost planning) — the migration
@@ -101,23 +124,31 @@ class Search {
 
   /// The objective of the current placement, with node \p a's load read as
   /// \p load_a and \p b's as \p load_b: a candidate move or swap is scored
-  /// from its two substituted node loads without touching node_load_.
+  /// from its two substituted node loads without touching node_load_. The
+  /// loads are summed in retained_ then marked_ order, and \p a wins when
+  /// a == b.
   Objective Evaluate(NodeId a = engine::kInvalidNode, double load_a = 0.0,
-                     NodeId b = engine::kInvalidNode,
-                     double load_b = 0.0) const {
-    const auto load = [&](NodeId n) {
-      return n == a ? load_a : n == b ? load_b : node_load_[n];
-    };
+                     NodeId b = engine::kInvalidNode, double load_b = 0.0) {
+    const size_t num_retained = retained_.size();
+    double* loads = eval_loads_.data();
+    for (size_t i = 0; i < num_retained; ++i) {
+      loads[i] = node_load_[retained_[i]];
+    }
+    for (size_t i = 0; i < marked_.size(); ++i) {
+      loads[num_retained + i] = node_load_[marked_[i]];
+    }
+    if (b != engine::kInvalidNode) loads[eval_slot_[b]] = load_b;
+    if (a != engine::kInvalidNode) loads[eval_slot_[a]] = load_a;
     Objective obj;
     double total = 0.0;
-    for (NodeId n : retained_) total += load(n);
-    for (NodeId n : marked_) {
-      total += load(n);
-      obj.drain += load(n);
+    for (size_t i = 0; i < num_retained; ++i) total += loads[i];
+    for (size_t i = num_retained; i < eval_loads_.size(); ++i) {
+      total += loads[i];
+      obj.drain += loads[i];
     }
-    const double mean = total / static_cast<double>(retained_.size());
-    for (NodeId n : retained_) {
-      const double dev = load(n) - mean;
+    const double mean = total / static_cast<double>(num_retained);
+    for (size_t i = 0; i < num_retained; ++i) {
+      const double dev = loads[i] - mean;
       obj.distance = std::max(obj.distance, std::fabs(dev));
       obj.ssq += dev * dev;
     }
@@ -184,22 +215,15 @@ class Search {
     int count;
   };
 
-  // Migration cost and count of placing the item on n: ItemMoveCost and
-  // ItemMoveCount in one inline pass over its groups, since every
-  // candidate the search scores calls this twice.
-  MoveDelta MigrationTo(int item, NodeId n) const {
-    MoveDelta m{0.0, 0};
-    for (const engine::KeyGroupId g : items_[item].groups) {
-      if (snap_.assignment.node_of(g) == n) continue;
-      m.cost += snap_.migration_costs[g];
-      ++m.count;
-    }
-    return m;
+  // Migration cost and count of placing the item on n (ItemMoveCost and
+  // ItemMoveCount together), from the table built at construction.
+  const MoveDelta& MigrationTo(int item, NodeId n) const {
+    return migration_to_[static_cast<size_t>(item) * num_nodes_ + n];
   }
 
   MoveDelta DeltaFor(int item, NodeId to) const {
-    const MoveDelta next = MigrationTo(item, to);
-    const MoveDelta now = MigrationTo(item, item_node_[item]);
+    const MoveDelta& next = MigrationTo(item, to);
+    const MoveDelta& now = MigrationTo(item, item_node_[item]);
     return {next.cost - now.cost, next.count - now.count};
   }
 
@@ -282,40 +306,43 @@ class Search {
     }
   }
 
-  // Source nodes worth moving load away from: all of B (drain), plus the
-  // most loaded retained nodes.
-  std::vector<NodeId> SourceNodes() const {
-    std::vector<NodeId> sources = marked_;
-    std::vector<NodeId> by_load = retained_;
-    std::sort(by_load.begin(), by_load.end(), [&](NodeId a, NodeId b) {
-      return node_load_[a] > node_load_[b];
+  // Sorts *out to retained_ in the order \p before gives node loads. Each
+  // sort starts from retained_'s order, so ties always break the same way.
+  template <typename Before>
+  void RetainedByLoad(std::vector<NodeId>* out, Before before) const {
+    out->assign(retained_.begin(), retained_.end());
+    std::sort(out->begin(), out->end(), [&](NodeId a, NodeId b) {
+      return before(node_load_[a], node_load_[b]);
     });
-    const size_t top = std::min<size_t>(4, by_load.size());
-    sources.insert(sources.end(), by_load.begin(), by_load.begin() + top);
-    return sources;
   }
 
-  std::vector<NodeId> DestNodes() const {
-    std::vector<NodeId> by_load = retained_;
-    std::sort(by_load.begin(), by_load.end(), [&](NodeId a, NodeId b) {
-      return node_load_[a] < node_load_[b];
-    });
-    if (by_load.size() > 6) by_load.resize(6);
-    return by_load;
+  // Source nodes worth moving load away from: all of B (drain), plus the
+  // four most loaded retained nodes.
+  void CollectSourceNodes() {
+    RetainedByLoad(&by_load_, std::greater<double>());
+    sources_.assign(marked_.begin(), marked_.end());
+    const size_t top = std::min<size_t>(4, by_load_.size());
+    sources_.insert(sources_.end(), by_load_.begin(), by_load_.begin() + top);
+  }
+
+  // Destination nodes: the six least loaded retained nodes.
+  void CollectDestNodes() {
+    RetainedByLoad(&dests_, std::less<double>());
+    if (dests_.size() > 6) dests_.resize(6);
   }
 
   // One best-improvement single-item move. Returns true if a move was made.
   bool ImproveOnce() {
-    const std::vector<NodeId> sources = SourceNodes();
-    const std::vector<NodeId> dests = DestNodes();
+    CollectSourceNodes();
+    CollectDestNodes();
 
     int best_item = -1;
     NodeId best_to = engine::kInvalidNode;
     Objective best_obj = Evaluate();
-    for (NodeId src : sources) {
+    for (NodeId src : sources_) {
       for (const int i : node_items_[src]) {
         const double src_load = node_load_[src] - LoadOn(src, items_[i].load);
-        for (NodeId dst : dests) {
+        for (NodeId dst : dests_) {
           if (dst == src) continue;
           if (!SecondaryAllows(i, dst)) continue;
           const MoveDelta delta = DeltaFor(i, dst);
@@ -338,23 +365,20 @@ class Search {
 
   // One best-improvement swap between a loaded and an unloaded node.
   bool SwapOnce() {
-    std::vector<NodeId> by_load = retained_;
-    std::sort(by_load.begin(), by_load.end(), [&](NodeId a, NodeId b) {
-      return node_load_[a] > node_load_[b];
-    });
-    if (by_load.size() < 2) return false;
+    RetainedByLoad(&by_load_, std::greater<double>());
+    if (by_load_.size() < 2) return false;
 
-    const size_t top = std::min<size_t>(2, by_load.size());
+    const size_t top = std::min<size_t>(2, by_load_.size());
     int best_a = -1, best_b = -1;
     Objective best_obj = Evaluate();
     for (size_t hi = 0; hi < top; ++hi) {
-      const NodeId src = by_load[hi];
+      const NodeId src = by_load_[hi];
       for (size_t lo = 0; lo < top; ++lo) {
-        const NodeId dst = by_load[by_load.size() - 1 - lo];
+        const NodeId dst = by_load_[by_load_.size() - 1 - lo];
         if (src == dst) continue;
         for (const int a : node_items_[src]) {
+          const MoveDelta da = DeltaFor(a, dst);
           for (const int b : node_items_[dst]) {
-            const MoveDelta da = DeltaFor(a, dst);
             const MoveDelta db = DeltaFor(b, src);
             if (!BudgetAllows(da.cost + db.cost, da.count + db.count)) {
               continue;
@@ -465,6 +489,11 @@ class Search {
 
   std::vector<NodeId> retained_;
   std::vector<NodeId> marked_;
+  size_t num_nodes_ = 0;  ///< All node ids, terminated ones included.
+  std::vector<MoveDelta> migration_to_;  ///< See MigrationTo().
+  std::vector<double> eval_loads_;       ///< See Evaluate().
+  std::vector<size_t> eval_slot_;        ///< Node id -> eval_loads_ index.
+  std::vector<NodeId> by_load_, sources_, dests_;  ///< Per-step node lists.
   std::vector<double> node_load_;
   std::vector<double> node_secondary_;
   std::vector<NodeId> item_node_;

@@ -1,6 +1,7 @@
 #include "ops/topk.h"
 
 #include <algorithm>
+#include <array>
 
 #include "ops/serde_util.h"
 
@@ -49,25 +50,44 @@ void WindowedTopKOperator::ProcessBatch(const engine::TupleBatch& batch,
 
 void WindowedTopKOperator::OnWindow(int group_index, engine::Emitter* out) {
   auto& counts = window_counts_[group_index];
+  auto& top = last_top_[group_index];
+  top.clear();  // an empty window's top k is empty
   if (counts.empty()) return;
-  std::vector<std::pair<uint64_t, int64_t>> entries;
-  counts.AppendEntries(&entries);
-  const size_t keep = std::min<size_t>(static_cast<size_t>(k_),
-                                       entries.size());
-  std::partial_sort(entries.begin(), entries.begin() + keep, entries.end(),
+  entries_.clear();
+  counts.AppendEntries(&entries_);
+  // Only entries whose count, clamped to [0, 255], reaches the bucket at
+  // which the histogram's tail first holds k entries can be in the top k:
+  // the clamp is monotone, so an entry below it has k heavier ones.
+  const auto bucket = [](int64_t count) {
+    return static_cast<size_t>(std::clamp<int64_t>(count, 0, 255));
+  };
+  std::array<uint32_t, 256> histogram{};
+  for (const auto& entry : entries_) ++histogram[bucket(entry.second)];
+  const size_t k = static_cast<size_t>(k_);
+  size_t threshold = 255;
+  for (size_t tail = histogram[255]; tail < k && threshold > 0;) {
+    tail += histogram[--threshold];
+  }
+  const auto candidates_end =
+      std::partition(entries_.begin(), entries_.end(), [&](const auto& e) {
+        return bucket(e.second) >= threshold;
+      });
+  const auto keep_end =
+      entries_.begin() +
+      std::min(k, static_cast<size_t>(candidates_end - entries_.begin()));
+  std::partial_sort(entries_.begin(), keep_end, candidates_end,
                     [](const auto& a, const auto& b) {
                       if (a.second != b.second) return a.second > b.second;
                       return a.first < b.first;  // deterministic ties
                     });
-  entries.resize(keep);
-  for (const auto& [id, count] : entries) {
+  top.assign(entries_.begin(), keep_end);
+  for (const auto& [id, count] : top) {
     engine::Tuple t;
     t.key = id;  // downstream (global TopK) partitions by the id
     t.aux = id;
     t.num = static_cast<double>(count);
     out->Emit(t);
   }
-  last_top_[group_index] = std::move(entries);
   counts.clear();
 }
 

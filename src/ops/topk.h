@@ -73,6 +73,7 @@ class WindowedTopKOperator : public engine::StreamOperator {
   TopKCountMode mode_;
   std::vector<FlatMap64<int64_t>> window_counts_;
   std::vector<std::vector<std::pair<uint64_t, int64_t>>> last_top_;
+  std::vector<std::pair<uint64_t, int64_t>> entries_;  ///< OnWindow's gather.
 };
 
 }  // namespace albic::ops

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
+#include <memory>
+#include <sstream>
+#include <string>
 
 #include "balance/balance_item.h"
 #include "common/rng.h"
@@ -295,6 +299,152 @@ TEST(LocalSearchTest, ConvergesBeforeItsBudget) {
   const LocalSearchSolution capped_5s = MustSolve(f, cons, 5000.0);
   EXPECT_EQ(capped_10s.item_node, capped_5s.item_node);
   EXPECT_LE(capped_10s.used_count, 4);
+}
+
+/// A seeded planning instance shaped like a perfbench controller round.
+struct Instance {
+  Topology topo;
+  Cluster cluster;
+  SystemSnapshot snap;
+  std::vector<BalanceItem> items;
+  RebalanceConstraints cons;
+};
+
+/// `groups` key groups round-robin over nodes of capacities `caps`, with
+/// Zipf-shaped loads times a seeded jitter, unit migration costs and one
+/// item per group.
+std::unique_ptr<Instance> SeededInstance(const std::vector<double>& caps,
+                                         int groups, uint64_t seed) {
+  auto in = std::make_unique<Instance>();
+  for (const double c : caps) in->cluster.AddNode(c);
+  in->topo.AddOperator("op", groups, 1 << 20);
+  Assignment assign(groups);
+  Rng rng(seed);
+  for (KeyGroupId g = 0; g < groups; ++g) {
+    assign.set_node(g, g % static_cast<int>(caps.size()));
+    in->snap.group_loads.push_back(rng.Uniform(0.5, 1.5) * 60.0 /
+                                   (1.0 + g % 18));
+  }
+  in->snap.topology = &in->topo;
+  in->snap.cluster = &in->cluster;
+  in->snap.assignment = assign;
+  in->snap.migration_costs.assign(static_cast<size_t>(groups), 1.0);
+  in->snap.node_loads.assign(caps.size(), 0.0);
+  in->items = ItemsFromGroups(in->snap);
+  return in;
+}
+
+/// What a golden plan pins: the placement, the moves and the exact bits of
+/// the reported load distance.
+struct GoldenPlan {
+  std::vector<NodeId> item_node;
+  int used_count = 0;
+  uint64_t load_distance_bits = 0;
+};
+
+std::string Format(const GoldenPlan& plan) {
+  std::ostringstream os;
+  os << "{{";
+  for (size_t i = 0; i < plan.item_node.size(); ++i) {
+    os << (i == 0 ? "" : ", ") << plan.item_node[i];
+  }
+  os << "}, " << plan.used_count << ", 0x" << std::hex
+     << plan.load_distance_bits << "}";
+  return os.str();
+}
+
+/// The six golden instances: shaped like steady (54 single-group items on
+/// 6 nodes, 4 moves), shift (32 items on 4 nodes) and collocate (16
+/// two-group items, two of them pinned), plus a marked node, heterogeneous
+/// capacities and a cost budget.
+std::unique_ptr<Instance> GoldenInstance(int which) {
+  std::unique_ptr<Instance> in;
+  switch (which) {
+    case 0:
+      in = SeededInstance(std::vector<double>(6, 1.0), 54, 101);
+      in->cons.max_migrations = 4;
+      break;
+    case 1:
+      in = SeededInstance(std::vector<double>(4, 1.0), 32, 102);
+      in->cons.max_migrations = 4;
+      break;
+    case 2: {
+      // Eight pairs split across nodes, as collocate starts, and eight
+      // collocated ones (groups 4 apart share a node).
+      in = SeededInstance(std::vector<double>(4, 1.0), 32, 103);
+      std::vector<BalanceItem> pairs(16);
+      for (int i = 0; i < 16; ++i) {
+        const int first = i < 8 ? 2 * i : 16 + (i - 8) % 4 + 8 * ((i - 8) / 4);
+        const int second = i < 8 ? first + 1 : first + 4;
+        for (const int g : {first, second}) {
+          pairs[i].groups.push_back(g);
+          pairs[i].load += in->items[g].load;
+        }
+      }
+      pairs[0].pinned = 1;
+      pairs[9].pinned = 2;
+      in->items = std::move(pairs);
+      in->cons.max_migrations = 12;  // the split pairs' placement takes 8
+      break;
+    }
+    case 3:
+      in = SeededInstance(std::vector<double>(5, 1.0), 30, 104);
+      EXPECT_TRUE(in->cluster.MarkForRemoval(4).ok());
+      in->cons.max_migrations = 6;
+      break;
+    case 4:
+      in = SeededInstance({1.0, 2.0, 0.5, 1.5, 1.0}, 40, 105);
+      in->cons.max_migrations = 6;
+      break;
+    default: {
+      in = SeededInstance(std::vector<double>(6, 1.0), 48, 106);
+      Rng rng(107);
+      for (double& c : in->snap.migration_costs) c = rng.Uniform(0.5, 3.0);
+      in->cons.max_migration_cost = 6.0;
+      break;
+    }
+  }
+  return in;
+}
+
+TEST(LocalSearchTest, GoldenPlansOnWorkloadShapedInstances) {
+  // Plans recorded before candidate scoring moved to per-solve move-cost
+  // tables; the search converges long before its 10 s cap, so any
+  // difference here is a change in what the planner decides. A failure
+  // prints the new plan in this table's form.
+  const GoldenPlan golden[] = {
+      {{0, 1, 2, 3, 4, 5, 5, 1, 3, 3, 4, 5, 0, 1, 2, 3, 4, 5,
+        0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5,
+        5, 4, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5},
+       4, 0x4011c881a7b24b60},
+      {{0, 1, 3, 3, 0, 1, 1, 3, 0, 1, 2, 3, 0, 1, 2, 3,
+        0, 1, 2, 3, 0, 1, 3, 3, 1, 1, 2, 3, 0, 1, 2, 3},
+       4, 0x3ff05232a8937000},
+      {{1, 3, 0, 2, 0, 3, 0, 3, 0, 2, 2, 3, 0, 0, 2, 3}, 12, 0x4015ccadca4b9680},
+      {{0, 1, 2, 2, 2, 0, 1, 2, 3, 1, 0, 1, 2, 3, 4,
+        0, 1, 2, 3, 2, 1, 1, 2, 0, 4, 0, 1, 2, 3, 4},
+       6, 0x40173db27544ad00},
+      {{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 1, 0, 1, 2, 3, 4,
+        0, 1, 1, 3, 4, 0, 1, 2, 3, 3, 3, 1, 2, 3, 2, 0, 1, 1, 3, 4},
+       6, 0x3fcff0d5483a2e00},
+      {{0, 3, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 4, 1, 2, 3, 4, 5,
+        0, 1, 2, 1, 4, 5, 0, 1, 2, 3, 4, 5, 5, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5},
+       4, 0x40302ae37786183c},
+  };
+  for (int which = 0; which < 6; ++which) {
+    const std::unique_ptr<Instance> in = GoldenInstance(which);
+    LocalSearchOptions opts;
+    opts.time_budget_ms = 10000.0;
+    auto res = LocalSearchSolver::Solve(in->snap, in->items, in->cons, opts);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    GoldenPlan got{res->item_node, res->used_count, 0};
+    std::memcpy(&got.load_distance_bits, &res->load_distance, 8);
+    const GoldenPlan& want = golden[which];
+    EXPECT_TRUE(got.item_node == want.item_node &&
+                got.used_count == want.used_count &&
+                got.load_distance_bits == want.load_distance_bits)
+        << "instance " << which << " planned " << Format(got);
+  }
 }
 
 }  // namespace
