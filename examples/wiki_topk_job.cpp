@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
   eopts.serde_cost = 0.3;
   eopts.window_every_us = kPeriodUs;
   // Latency telemetry: one sampled ingestion stamp per 32 tuples feeds the
-  // per-period p50/p99 columns below (and would drive an SLO trigger).
+  // per-period p50/p99 columns below, and the measured service times feed
+  // the shares the planner balances on.
   eopts.latency_sample_every = 32;
   // Causal attribution: decompose wall time into wave phases (journaled as
   // each round's dominant_phase + top attributed operator costs) and trace

@@ -5,7 +5,7 @@ Usage: analyze_journal.py JOURNAL.jsonl
        analyze_journal.py --self-test
 
 Reads one ControllerRound record per line and reports:
-  - round counts (total, SLO-triggered, recovery rounds)
+  - round counts (total, recovery rounds)
   - planning time per round (plan_ms: p50 and max)
   - migration mode shares and the reasons the controller recorded
   - predicted-vs-actual pause error per mode (the cost model's accuracy)
@@ -14,15 +14,25 @@ Reads one ControllerRound record per line and reports:
   - causal attribution: the dominant wave-phase histogram across rounds
     and the top attributed (operator, group) service costs
 
-Exits non-zero on malformed input — every record must carry a valid
-"attribution" object (dominant_phase is "off" when the engine ran without
-wave-phase profiling) — so CI can use it as a schema check. --self-test
-validates the checks themselves against inline pass/fail fixtures.
+Exits non-zero on malformed input — every record must carry exactly the
+top-level keys in JOURNAL_KEYS and a valid "attribution" object
+(dominant_phase is "off" when the engine ran without wave-phase profiling)
+— so CI can use it as a schema check. --self-test validates the checks
+themselves against inline pass/fail fixtures.
 """
 
 import json
 import statistics
 import sys
+
+# A record's top-level keys, in the order RoundJournal::ToJson writes them
+# (src/core/round_journal.cc). A record with any other key set means the
+# journal and the analyzer drifted.
+JOURNAL_KEYS = (
+    "round", "measured_costs", "plan_ms", "tuples", "migrations",
+    "decisions", "checkpoint", "recovery", "cluster", "load", "backlog_us",
+    "latency", "attribution",
+)
 
 # WavePhaseName's fixed vocabulary (src/common/profiler.h), plus "off" for
 # rounds journaled without profiling.
@@ -64,12 +74,13 @@ def main(argv):
             except json.JSONDecodeError as exc:
                 print(f"{path}:{lineno}: invalid JSON: {exc}", file=sys.stderr)
                 return 1
-            for key in ("round", "plan_ms", "migrations", "decisions",
-                        "recovery", "attribution"):
-                if key not in rec:
-                    print(f"{path}:{lineno}: missing key '{key}'",
-                          file=sys.stderr)
-                    return 1
+            missing = [k for k in JOURNAL_KEYS if k not in rec]
+            unexpected = sorted(set(rec) - set(JOURNAL_KEYS))
+            if missing or unexpected:
+                print(f"{path}:{lineno}: key set differs from JOURNAL_KEYS "
+                      f"(missing {missing}, unexpected {unexpected})",
+                      file=sys.stderr)
+                return 1
             phase = rec["attribution"].get("dominant_phase")
             if phase not in VALID_PHASES:
                 print(f"{path}:{lineno}: invalid dominant_phase {phase!r}",
@@ -86,15 +97,13 @@ def main(argv):
         print(f"{path}: empty journal", file=sys.stderr)
         return 1
 
-    slo = sum(1 for r in rounds if r.get("slo_triggered"))
     recovery_rounds = sum(
         1 for r in rounds if r["recovery"]["groups_recovered"] > 0)
     planned = sum(r["migrations"]["planned"] for r in rounds)
     applied = sum(r["migrations"]["applied"] for r in rounds)
 
     print(f"journal: {path}")
-    print(f"rounds: {len(rounds)} "
-          f"(slo-triggered: {slo}, with recovery: {recovery_rounds})")
+    print(f"rounds: {len(rounds)} (with recovery: {recovery_rounds})")
     print(f"migrations: {applied} applied of {planned} planned")
     plan_ms = [r["plan_ms"] for r in rounds]
     print(f"planning: p50 {statistics.median(plan_ms):.3f} ms, "
@@ -185,19 +194,27 @@ def main(argv):
 
 def self_test():
     """Inline fixtures: the schema checks must accept a valid record and
-    reject attribution-less or mis-phased ones."""
+    reject ones with a missing or unexpected key, a bad phase or a bad
+    reason."""
     import io
     import os
     import tempfile
 
     valid = {
-        "round": 0, "slo_triggered": False, "plan_ms": 0.25,
+        "round": 0, "measured_costs": False, "plan_ms": 0.25,
+        "tuples": {"processed": 0, "ingested": 0, "buffered": 0,
+                   "replayed": 0},
         "migrations": {"planned": 0, "applied": 0},
         "decisions": [],
         "checkpoint": {"taken": 0, "bytes": 0},
         "recovery": {"nodes_failed": 0, "groups_recovered": 0,
                      "pause_us": 0.0, "wall_us": 0.0},
+        "cluster": {"active": 2, "marked": 0, "added": 0, "terminated": 0},
+        "load": {"mean": 50.0, "distance": 0.0, "overloaded_nodes": 0,
+                 "max_service_utilization": 0.0},
         "backlog_us": [],
+        "latency": {"count": 0, "p50_us": 0, "p99_us": 0, "max_us": 0,
+                    "queue_p99_us": 0},
         "attribution": {"dominant_phase": "service", "dominant_share": 0.8,
                         "wall_ns": 1000,
                         "top_costs": [{"group": 1, "op": 0,
@@ -216,6 +233,7 @@ def self_test():
                  decisions=[lease_decision])
     missing = {k: v for k, v in valid.items() if k != "attribution"}
     no_plan_ms = {k: v for k, v in valid.items() if k != "plan_ms"}
+    extra_key = dict(valid, unknown_key=True)
     bad_phase = dict(valid, attribution={"dominant_phase": "banana"})
     bad_reason = dict(valid,
                       decisions=[dict(lease_decision, reason="vibes")])
@@ -242,6 +260,8 @@ def self_test():
         failures.append("missing-attribution-rejected")
     if run_on([no_plan_ms]) == 0:
         failures.append("missing-plan-ms-rejected")
+    if run_on([extra_key]) == 0:
+        failures.append("unexpected-key-rejected")
     if run_on([bad_phase]) == 0:
         failures.append("invalid-phase-rejected")
     if run_on([bad_reason]) == 0:

@@ -10,8 +10,10 @@
 #   4. the tooling self-tests pass;
 #   5. the documented vocabularies exist in the code: every span in
 #      docs/OBSERVABILITY.md's span catalog is a string literal under src/,
-#      and every decision reason scripts/analyze_journal.py accepts is a
-#      literal in src/core/controller_loop.cc.
+#      every decision reason scripts/analyze_journal.py accepts is a
+#      literal in src/core/controller_loop.cc, and every journal key it
+#      requires (JOURNAL_KEYS) is a "key": literal in
+#      src/core/round_journal.cc.
 #
 # Usage: scripts/check_docs.sh   (from anywhere; operates on the repo root)
 
@@ -101,9 +103,24 @@ if [[ $reasons -eq 0 ]]; then
   echo "REASONS: no decision reasons found in scripts/analyze_journal.py"
   fail=1
 fi
+# The serializer writes each key as an escaped C++ literal: \"key\":
+keys=0
+while IFS= read -r key; do
+  keys=$((keys + 1))
+  if ! grep -qF "\\\"$key\\\":" src/core/round_journal.cc; then
+    echo "JOURNAL KEYS: scripts/analyze_journal.py requires '$key', which src/core/round_journal.cc never writes"
+    fail=1
+  fi
+done < <(python3 -c 'import sys; sys.path.insert(0, "scripts")
+import analyze_journal
+print("\n".join(analyze_journal.JOURNAL_KEYS))')
+if [[ $keys -eq 0 ]]; then
+  echo "JOURNAL KEYS: no journal keys found in scripts/analyze_journal.py"
+  fail=1
+fi
 
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (links resolve, common/engine/core/balance/scaling/ops + test harness headers documented, sample journal parses, tooling self-tests pass, $spans catalog spans and $reasons decision reasons found in the code)"
+echo "check_docs: OK (links resolve, common/engine/core/balance/scaling/ops + test harness headers documented, sample journal parses, tooling self-tests pass, $spans catalog spans, $reasons decision reasons and $keys journal keys found in the code)"

@@ -36,11 +36,6 @@ engine::SystemSnapshot AdaptationFramework::BuildSnapshot(
       engine::AllMigrationCosts(topology, options_.migration_model);
   if (measured != nullptr) {
     snap.group_service_share = measured->group_service_share;
-    snap.group_queue_delay_us = measured->group_queue_delay_us;
-    snap.queue_trend = measured->queue_trend;
-    snap.dominant_phase = measured->dominant_phase;
-    snap.dominant_phase_share = measured->dominant_phase_share;
-    snap.top_service_costs = measured->top_service_costs;
     if (!measured->lease_available.empty()) {
       // Lease-available groups migrate by flipping an arena lease — zero
       // bytes move, so their mck is genuinely zero. Zeroing it keeps the
@@ -62,7 +57,6 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
     const engine::Topology& topology, const engine::LoadModel& load_model,
     const std::vector<double>& group_proc_loads, const engine::CommMatrix* comm,
     engine::Cluster* cluster, engine::Assignment* assignment,
-    const engine::LatencySummary* latency,
     const engine::MeasuredSignals* measured) {
   AdaptationRound round;
   // Every keyGroupAlloc() call of the round runs here, timed and traced.
@@ -89,7 +83,6 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
   engine::SystemSnapshot snap =
       BuildSnapshot(topology, load_model, group_proc_loads, comm, *cluster,
                     *assignment, measured);
-  if (latency != nullptr) snap.latency = *latency;
   ALBIC_RETURN_NOT_OK(compute_plan(snap));
 
   // Line 5: scaling decision, informed by the potential plan.
@@ -108,7 +101,6 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
         // Lines 6-7: recalculate the plan after scaling, integratively.
         snap = BuildSnapshot(topology, load_model, group_proc_loads, comm,
                              *cluster, *assignment, measured);
-        if (latency != nullptr) snap.latency = *latency;
         ALBIC_RETURN_NOT_OK(compute_plan(snap));
       }
     }

@@ -5,6 +5,7 @@
 /// round combining scaling, rebalancing and collocation.
 
 #include "balance/rebalancer.h"
+#include "engine/cost_model.h"
 #include "engine/load_model.h"
 #include "engine/migration.h"
 #include "engine/snapshot.h"
@@ -51,24 +52,22 @@ class AdaptationFramework {
                       AdaptationOptions options);
 
   /// \brief Runs one adaptation round, mutating the cluster (terminations,
-  /// additions, marks) and the assignment (migrations). \p latency is the
-  /// measured latency summary of the period (optional; copied into the
-  /// snapshot so rebalancers and scaling policies can see p50/p99).
-  /// \p measured optionally carries the measured-cost model's signals
-  /// (service shares, queue-delay trend, replay-suffix bytes); when given,
-  /// \p group_proc_loads should already be the measured loads.
+  /// additions, marks) and the assignment (migrations). \p measured
+  /// optionally carries the measured signals (service shares, lease
+  /// availability); when it holds service shares, \p group_proc_loads
+  /// should already be the measured loads.
   Result<AdaptationRound> RunRound(
       const engine::Topology& topology, const engine::LoadModel& load_model,
       const std::vector<double>& group_proc_loads,
       const engine::CommMatrix* comm, engine::Cluster* cluster,
       engine::Assignment* assignment,
-      const engine::LatencySummary* latency = nullptr,
       const engine::MeasuredSignals* measured = nullptr);
 
   /// \brief Builds the controller's view of the system (§3, "Controller"):
-  /// loads, gLoads, migration costs (direct, and indirect when \p measured
-  /// carries replay-suffix bytes) and measured signals under the given
-  /// allocation.
+  /// loads, gLoads, migration costs (zeroed for groups \p measured marks
+  /// lease-available) and service shares under the given allocation. Empty
+  /// signal vectors change nothing, so a default MeasuredSignals builds
+  /// the same snapshot as nullptr.
   engine::SystemSnapshot BuildSnapshot(
       const engine::Topology& topology, const engine::LoadModel& load_model,
       const std::vector<double>& group_proc_loads,

@@ -21,9 +21,7 @@ ControllerLoop::ControllerLoop(engine::LocalEngine* engine,
       load_model_(load_model),
       topology_(topology),
       cluster_(cluster),
-      options_(options),
-      cost_model_(options.measured_cost),
-      slo_policy_(options.slo) {}
+      options_(options) {}
 
 Status ControllerLoop::MaybeRunRounds(int64_t ts) {
   if (options_.period_every_us <= 0) return Status::OK();
@@ -41,34 +39,10 @@ Status ControllerLoop::MaybeRunRounds(int64_t ts) {
   return Status::OK();
 }
 
-Status ControllerLoop::MaybeSloRound(int64_t ts) {
-  if (!slo_policy_.WantsCheck(ts)) return Status::OK();
-  if (!slo_policy_.ShouldTrigger(ts, engine_->PeekLatency())) {
-    return Status::OK();
-  }
-  // Fire early and restart the period cadence from here: the breach round
-  // measured a partial period, so the next boundary round gets a full one.
-  next_round_slo_ = true;
-  const Result<ControllerRound> round = RunRoundNow();
-  // A failed round returns before consuming the flag; clear it so a later
-  // boundary or recovery round is not mislabeled as SLO-triggered — and
-  // skip the trigger bookkeeping (cooldown, backoff, counter) for a round
-  // that never ran, so a transient planner error neither suppresses the
-  // next legitimate breach nor breaks triggered_rounds() == rounds run.
-  next_round_slo_ = false;
-  if (round.ok()) {
-    slo_policy_.OnTriggeredRound(ts);
-    period_start_us_ = ts;
-    period_initialized_ = true;
-  }
-  return round.status();
-}
-
 Status ControllerLoop::Ingest(engine::OperatorId source_op,
                               const engine::Tuple& tuple) {
   ALBIC_RETURN_NOT_OK(MaybeRunRounds(tuple.ts));
-  ALBIC_RETURN_NOT_OK(engine_->Inject(source_op, tuple));
-  return MaybeSloRound(tuple.ts);
+  return engine_->Inject(source_op, tuple);
 }
 
 Status ControllerLoop::IngestSplitting(
@@ -91,17 +65,13 @@ Status ControllerLoop::IngestSplitting(
   if (count > start) {
     ALBIC_RETURN_NOT_OK(inject(tuples + start, count - start));
   }
-  if (count > 0) {
-    ALBIC_RETURN_NOT_OK(MaybeSloRound(tuples[count - 1].ts));
-  }
   return Status::OK();
 }
 
 Status ControllerLoop::IngestBatch(engine::OperatorId source_op,
                                    const engine::Tuple* tuples, size_t count) {
   if (options_.period_every_us <= 0) {
-    ALBIC_RETURN_NOT_OK(engine_->InjectBatch(source_op, tuples, count));
-    return count > 0 ? MaybeSloRound(tuples[count - 1].ts) : Status::OK();
+    return engine_->InjectBatch(source_op, tuples, count);
   }
   return IngestSplitting(tuples, count,
                          [&](const engine::Tuple* run, size_t n) {
@@ -113,9 +83,8 @@ Status ControllerLoop::IngestRouted(engine::OperatorId source_op, int shard,
                                     int group, const engine::Tuple* tuples,
                                     size_t count, int64_t ingest_wall_ns) {
   if (options_.period_every_us <= 0) {
-    ALBIC_RETURN_NOT_OK(engine_->InjectRouted(source_op, shard, group, tuples,
-                                              count, ingest_wall_ns));
-    return count > 0 ? MaybeSloRound(tuples[count - 1].ts) : Status::OK();
+    return engine_->InjectRouted(source_op, shard, group, tuples, count,
+                                 ingest_wall_ns);
   }
   return IngestSplitting(
       tuples, count, [&](const engine::Tuple* run, size_t n) {
@@ -138,10 +107,10 @@ Status ControllerLoop::KillNode(engine::NodeId node) {
   ALBIC_RETURN_NOT_OK(RunRoundNow().status());
   // The eager round harvested a partial period; restart the cadence so the
   // next boundary round measures a full one — otherwise its halved loads
-  // would read as phantom underload right after a failure (same reasoning
-  // as the SLO path above). Only when a period is actually running: before
-  // the first tuple the origin must stay unanchored, or a stream carrying
-  // absolute epoch timestamps would enter a catch-up-round storm.
+  // would read as phantom underload right after a failure. Only when a
+  // period is actually running: before the first tuple the origin must
+  // stay unanchored, or a stream carrying absolute epoch timestamps would
+  // enter a catch-up-round storm.
   if (period_initialized_) {
     period_start_us_ = engine_->event_time();
   }
@@ -154,8 +123,6 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   // Measure: complete in-flight work and harvest the period.
   engine_->Flush();
   engine::EnginePeriodStats stats = engine_->HarvestPeriod();
-  const engine::LatencySummary latency_summary =
-      engine::LatencySummary::FromPeriod(stats.latency);
 
   // Convert measured work units into percent-of-reference-node loads.
   std::vector<double> modeled_loads(stats.group_work.size(), 0.0);
@@ -168,9 +135,9 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   ControllerRound round;
 
   // Measured-cost planning: redistribute the period's load by measured
-  // service-time shares (EWMA across periods) and surface the queue-delay
-  // trend. With telemetry off UpdateAndBlend returns the modeled loads
-  // bit-identically and the latency-derived signals stay empty.
+  // service-time shares (EWMA across periods). With telemetry off
+  // UpdateAndBlend returns the modeled loads bit-identically and the
+  // shares stay empty.
   std::vector<double> group_loads;
   engine::MeasuredSignals signals;  // this round's snapshot inputs
   if (options_.use_measured_costs) {
@@ -191,8 +158,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   // Causal attribution: with wave-phase profiling on, name the phase that
   // dominated the period's wall time and rank the (operator, key group)
   // pairs by measured service time — the data every journal `reason` can
-  // be explained from. Carried on the round, the journal line and (via
-  // the signals) the snapshot planners see.
+  // be explained from. Carried on the round and its journal line.
   if (stats.phases.enabled) {
     round.dominant_phase = albic::WavePhaseName(stats.phases.DominantPhase());
     round.dominant_phase_share = stats.phases.DominantShare();
@@ -225,30 +191,22 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
                        : 0.0;
       round.top_costs.push_back(cost);
     }
-    signals.dominant_phase = round.dominant_phase;
-    signals.dominant_phase_share = round.dominant_phase_share;
-    signals.top_service_costs = round.top_costs;
   }
-
-  const engine::MeasuredSignals* measured =
-      cost_model_.measured() || engine_->checkpointing_enabled() ||
-              !signals.lease_available.empty() || stats.phases.enabled
-          ? &signals
-          : nullptr;
 
   // Overload-stall model (a fluid queue per node): a node whose measured
   // wall service demand exceeds its per-period capacity falls behind, and
   // the shortfall COMPOUNDS — the backlog grows every overloaded period
   // and only drains while the node runs under capacity. The backlog is the
   // delay the node's tuples would see in a real deployment; it is
-  // accounted as modeled stall latency (like migration pauses: folded into
-  // reported percentiles, excluded from the SLO trigger's peek).
+  // accounted as modeled stall latency (like migration pauses: kept apart
+  // from the measured end-to-end histogram, folded into reported
+  // percentiles).
   if (options_.service_capacity_us_per_period > 0.0 && stats.latency.enabled) {
     // The capacity is defined per FULL statistics period, but rounds also
-    // harvest partial periods (SLO triggers, eager recovery, manual
-    // rounds): scale the capacity by the event time actually harvested, so
-    // a short harvest cannot spuriously drain backlog it never had the
-    // capacity to work off.
+    // harvest partial periods (eager recovery, manual rounds): scale the
+    // capacity by the event time actually harvested, so a short harvest
+    // cannot spuriously drain backlog it never had the capacity to work
+    // off.
     const int64_t now_us = engine_->event_time();
     double period_frac = 1.0;
     if (options_.period_every_us > 0 &&
@@ -340,7 +298,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   ALBIC_ASSIGN_OR_RETURN(
       AdaptationRound adaptation,
       framework_->RunRound(*topology_, *load_model_, group_loads, comm,
-                           cluster_, &planned, &latency_summary, measured));
+                           cluster_, &planned, &signals));
 
   // Act: apply the plan's migrations to the live engine. Lost groups are
   // skipped here (StartMigration rejects them) and restored below at their
@@ -441,9 +399,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   nodes_failed_pending_ = 0;
 
   round.period = static_cast<int>(history_.size());
-  round.slo_triggered = next_round_slo_;
-  next_round_slo_ = false;
-  round.latency = latency_summary;
+  round.latency = engine::LatencySummary::FromPeriod(stats.latency);
   round.tuples_processed = stats.tuples_processed;
   for (const int64_t n : stats.shard_ingested) round.tuples_ingested += n;
   round.tuples_buffered = stats.tuples_buffered;
@@ -474,9 +430,6 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   if (options_.metrics != nullptr) {
     MetricsRegistry* reg = options_.metrics;
     reg->Counter("controller_rounds_total")->Increment();
-    if (round.slo_triggered) {
-      reg->Counter("controller_rounds_slo_triggered_total")->Increment();
-    }
     reg->Counter("controller_migrations_planned_total")
         ->Add(round.migrations_planned);
     reg->Counter("controller_migrations_applied_total")

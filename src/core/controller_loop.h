@@ -4,11 +4,9 @@
 /// \brief ControllerLoop, the online measure -> decide -> act
 /// cycle: harvests measured engine statistics every period, runs one
 /// adaptation round and applies the planned migrations to the live engine.
-/// Rounds also fire early when the latency-SLO trigger observes an
-/// end-to-end p99 breach. Node failures (KillNode) run their recovery
-/// round eagerly — the assignment is re-planned over the surviving nodes
-/// and every lost group restored from checkpoint + replay-log suffix
-/// before KillNode returns.
+/// Node failures (KillNode) run their recovery round eagerly — the
+/// assignment is re-planned over the surviving nodes and every lost group
+/// restored from checkpoint + replay-log suffix before KillNode returns.
 
 #include <cstdint>
 #include <functional>
@@ -17,7 +15,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/adaptation_framework.h"
-#include "core/slo_policy.h"
 #include "engine/cost_model.h"
 #include "engine/local_engine.h"
 #include "engine/sharded_source.h"
@@ -42,21 +39,20 @@ struct ControllerLoopOptions {
   bool use_comm = true;
   /// Measured-cost planning: feed the planners loads derived from the
   /// measured per-group wall service time (engine/cost_model.h) instead of
-  /// tuple counts alone, plus the queue-delay trend and per-group
-  /// service-time shares. With telemetry off (latency_sample_every == 0)
-  /// this falls back bit-identically to the modeled tuple-count loads, so
-  /// it is safe to leave on.
+  /// tuple counts alone, plus the per-group service-time shares. With
+  /// telemetry off (latency_sample_every == 0) this falls back
+  /// bit-identically to the modeled tuple-count loads, so it is safe to
+  /// leave on.
   bool use_measured_costs = true;
-  /// Smoothing and trend knobs of the measured-cost model.
-  engine::MeasuredCostOptions measured_cost;
   /// Overload stall modeling: when > 0, a node whose measured wall service
   /// time in a period exceeds this many microseconds (x its capacity
   /// factor) is overloaded — in a real deployment it would fall behind.
   /// The shortfall compounds as a per-node fluid-queue backlog (growing
   /// every overloaded period, draining while under capacity), accounted as
   /// modeled stall latency for the node's tuples (like migration pauses:
-  /// folded into reported percentiles, never into the SLO trigger's peek);
-  /// rounds report the overloaded-node count and per-node backlog.
+  /// kept apart from the measured end-to-end histogram, folded into
+  /// reported percentiles); rounds report the overloaded-node count and
+  /// per-node backlog.
   /// 0 disables the model. Requires latency telemetry.
   double service_capacity_us_per_period = 0.0;
   /// Force every planned migration to the indirect mode (checkpoint +
@@ -82,13 +78,6 @@ struct ControllerLoopOptions {
   /// Off by default so existing deployments, their pause accounting and
   /// their planner budgets stay byte-identical.
   bool use_lease_migration = false;
-  /// Latency-SLO trigger: fire an adaptation round as soon as the engine's
-  /// observed end-to-end p99 breaches slo.p99_bound_us instead of waiting
-  /// for the statistics boundary (with check pacing, cooldown and backoff;
-  /// see SloTriggerOptions). Needs the engine to run with latency
-  /// telemetry (LocalEngineOptions::latency_sample_every > 0) — without
-  /// measurements the trigger never sees a breach. Disabled by default.
-  SloTriggerOptions slo;
   /// Registry the loop publishes per-round controller counters into
   /// (controller_* series: rounds, migrations planned/applied, scaling
   /// actions, recovery, load view). nullptr (default) = off. Observability
@@ -180,9 +169,6 @@ struct ControllerRound {
   /// Measured latency of the harvested period (all zeros unless the engine
   /// runs with latency telemetry): p50/p99/max end-to-end, p99 queueing.
   engine::LatencySummary latency;
-  /// True when this round fired early on an SLO p99 breach rather than at
-  /// the statistics-period boundary.
-  bool slo_triggered = false;
   // Causal attribution (engine profile_wave_phases; "off"/empty without).
   /// Stable name of the phase that dominated the period's measured wall
   /// time ("service", "wave_barrier", "checkpoint", ...).
@@ -258,18 +244,9 @@ class ControllerLoop {
   int rounds_run() const { return static_cast<int>(history_.size()); }
   const std::vector<ControllerRound>& history() const { return history_; }
   const ControllerLoopOptions& options() const { return options_; }
-  const SloTriggerPolicy& slo_policy() const { return slo_policy_; }
-  /// \brief The measured-cost model's live signals (service shares,
-  /// queue-delay trend) as of the last round.
-  const engine::MeasuredSignals& measured_signals() const {
-    return cost_model_.signals();
-  }
 
  private:
   Status MaybeRunRounds(int64_t ts);
-  /// Polls the engine's live p99 against the SLO and fires an early round
-  /// on a breach; called after every ingest step.
-  Status MaybeSloRound(int64_t ts);
   /// Shared splitter of the bulk-ingest paths: hands each maximal sub-run
   /// of [tuples, tuples + count) that crosses no period boundary to
   /// \p inject, running adaptation rounds at every boundary in between.
@@ -288,15 +265,13 @@ class ControllerLoop {
   std::vector<ControllerRound> history_;
   /// Overload-stall model state: per-node modeled backlog in microseconds
   /// (see ControllerLoopOptions::service_capacity_us_per_period), plus the
-  /// event time of the previous harvest so partial-period rounds (SLO
-  /// triggers, eager recovery) get proportionally scaled capacity.
+  /// event time of the previous harvest so partial-period rounds (eager
+  /// recovery, manual rounds) get proportionally scaled capacity.
   std::vector<double> node_backlog_us_;
   int64_t last_overload_harvest_us_ = INT64_MIN;
-  SloTriggerPolicy slo_policy_;
   int64_t period_start_us_ = 0;
   bool period_initialized_ = false;
   int nodes_failed_pending_ = 0;  ///< KillNode calls since the last round.
-  bool next_round_slo_ = false;   ///< Mark the next round as SLO-triggered.
 };
 
 /// \brief ShardSink over the online controller: sharded sources stream

@@ -59,8 +59,6 @@ std::string RoundJournal::ToJson(const ControllerRound& round) {
   out.reserve(512 + round.migration_decisions.size() * 160);
   out += "{\"round\":";
   AppendInt(&out, round.period);
-  out += ",\"slo_triggered\":";
-  out += round.slo_triggered ? "true" : "false";
   out += ",\"measured_costs\":";
   out += round.measured_costs ? "true" : "false";
   out += ",\"plan_ms\":";

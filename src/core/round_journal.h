@@ -5,9 +5,9 @@
 /// adaptation round — the snapshot inputs the controller saw, every
 /// migration's chosen mode with the per-mode predicted pauses and the
 /// reason for the choice, the predicted pause beside the engine's modeled
-/// one (kEnginePauseUsPerByte × the bytes it rebuilt; neither is timed),
-/// the SLO trigger state and the per-node overload backlog. The journal is the replayable
-/// audit trail of the measure -> decide -> act cycle: scripts/
+/// one (kEnginePauseUsPerByte × the bytes it rebuilt; neither is timed)
+/// and the per-node overload backlog. The journal is the replayable audit
+/// trail of the measure -> decide -> act cycle: scripts/
 /// analyze_journal.py turns it into prediction-error and mode-share
 /// reports. Attach via ControllerLoopOptions::journal; appends never fail
 /// a round — write errors are counted (write_errors) instead.

@@ -1,8 +1,15 @@
 #include "engine/cost_model.h"
 
-#include <algorithm>
-
 namespace albic::engine {
+
+namespace {
+
+/// EWMA weight of the newest period's service shares: a one-period flip
+/// moves a share halfway, which damps one-period noise without lagging a
+/// genuine shift by more than a period or two.
+constexpr double kShareEwmaWeight = 0.5;
+
+}  // namespace
 
 std::vector<double> MeasuredCostModel::UpdateAndBlend(
     const std::vector<double>& modeled_loads,
@@ -23,8 +30,6 @@ std::vector<double> MeasuredCostModel::UpdateAndBlend(
     signals_ = MeasuredSignals();
     measured_ = false;
     have_share_ = false;
-    have_queue_ = false;
-    queue_delay_seeded_.clear();
     return modeled_loads;
   }
   measured_ = true;
@@ -41,60 +46,15 @@ std::vector<double> MeasuredCostModel::UpdateAndBlend(
             ? latency.group_service[g].service_sum_us / service_total
             : 0.0;
     double& share = signals_.group_service_share[g];
-    share = have_share_
-                ? options_.ewma_alpha * period_share +
-                      (1.0 - options_.ewma_alpha) * share
-                : period_share;
+    share = have_share_ ? kShareEwmaWeight * period_share +
+                              (1.0 - kShareEwmaWeight) * share
+                        : period_share;
     ewma_total += share;
   }
   if (ewma_total > 0.0) {
     for (double& s : signals_.group_service_share) s /= ewma_total;
   }
   have_share_ = true;
-
-  // --- per-group queue delay: EWMA of the period's mean, seeded by each
-  // group's first measured period (blending the first sample against the
-  // zero initial value would under-report delay by up to 1 - alpha). -----
-  if (signals_.group_queue_delay_us.size() != n) {
-    signals_.group_queue_delay_us.assign(n, 0.0);
-    queue_delay_seeded_.assign(n, 0);
-  }
-  for (size_t g = 0; g < n && g < latency.group_service.size(); ++g) {
-    const GroupLatency& gl = latency.group_service[g];
-    if (gl.queue_batches == 0) continue;  // keep the previous estimate
-    const double mean = gl.queue_sum_us / static_cast<double>(gl.queue_batches);
-    double& ewma = signals_.group_queue_delay_us[g];
-    if (!queue_delay_seeded_[g]) {
-      ewma = mean;
-      queue_delay_seeded_[g] = 1;
-    } else {
-      ewma = options_.ewma_alpha * mean + (1.0 - options_.ewma_alpha) * ewma;
-    }
-  }
-
-  // --- queue-delay trend --------------------------------------------------
-  QueueDelayTrend& trend = signals_.queue_trend;
-  if (!latency.queue_us.empty()) {
-    const double p99 =
-        static_cast<double>(latency.queue_us.Percentile(99.0));
-    if (!have_queue_) {
-      trend.p99_ewma_us = p99;
-      trend.slope_us_per_period = 0.0;
-      trend.rising_periods = 0;
-      have_queue_ = true;
-    } else {
-      const double prev = trend.p99_ewma_us;
-      trend.p99_ewma_us = options_.ewma_alpha * p99 +
-                          (1.0 - options_.ewma_alpha) * prev;
-      trend.slope_us_per_period = trend.p99_ewma_us - prev;
-      if (p99 > prev + options_.trend_epsilon_us) {
-        ++trend.rising_periods;
-      } else {
-        trend.rising_periods = 0;
-      }
-    }
-    trend.measured = true;
-  }
 
   // --- blend: total modeled load, measured distribution -------------------
   double modeled_total = 0.0;

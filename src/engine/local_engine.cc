@@ -670,11 +670,6 @@ void LocalEngine::DeliverBatch(OperatorId op, int group_index,
     wall_cache_ns_ = t0_ns;  // fresh stamp for batches routed from here
     if (enqueue_ns > 0) {
       period_.latency.queue_us.Record((t0_ns - enqueue_ns) / 1000);
-      // Per-group accumulation feeds the measured-cost model's queue-delay
-      // trend (engine/cost_model.h); fractional us, like the service sums.
-      GroupLatency& gl = period_.latency.group_service[g];
-      gl.queue_sum_us += static_cast<double>(t0_ns - enqueue_ns) / 1000.0;
-      ++gl.queue_batches;
     }
     batch_tuples = batch.size();
     batch_last_ts = batch.tuples().back().ts;

@@ -283,8 +283,8 @@ class LocalEngine {
   /// experienced \p pause_us of modeled queueing the single-process runtime
   /// cannot produce for real (a node whose measured service demand exceeds
   /// its capacity falls behind; the excess is its backlog delay). Recorded
-  /// in the stall histogram like migration pauses: folded into reported
-  /// percentiles, excluded from the SLO trigger's peek.
+  /// in the stall histogram like migration pauses, so modeled pause stays
+  /// apart from measured latency; reported percentiles fold it in.
   void RecordOverloadStall(double pause_us, int64_t tuples) {
     RecordBufferedPause(pause_us,
                         tuples > 0 ? static_cast<size_t>(tuples) : 0);
@@ -360,18 +360,6 @@ class LocalEngine {
   /// \brief Journey sampling active (journey_sample_every > 0, telemetry
   /// on)?
   bool journey_sampling_enabled() const { return journeys_.enabled(); }
-
-  /// \brief Percentile summary of the running (not yet harvested) period's
-  /// latency — what the controller's SLO trigger polls between ingest calls
-  /// without disturbing the period. Tuples still staged (not yet drained)
-  /// are not included, and neither are modeled migration/recovery stall
-  /// samples: the trigger must react to the stream's wall-clock latency,
-  /// not to the controller's own reconfiguration cost. Empty when
-  /// telemetry is disabled.
-  LatencySummary PeekLatency() const {
-    return LatencySummary::FromPeriod(period_.latency,
-                                      /*include_stalls=*/false);
-  }
 
   const Assignment& assignment() const { return arena_.assignment(); }
   const Topology& topology() const { return *topology_; }

@@ -2,13 +2,12 @@
 
 namespace albic::engine {
 
-LatencySummary LatencySummary::FromPeriod(const LatencyPeriodStats& period,
-                                          bool include_stalls) {
+LatencySummary LatencySummary::FromPeriod(const LatencyPeriodStats& period) {
   LatencySummary out;
   if (!period.enabled) return out;
   const LogHistogram* e2e = &period.e2e_us;
   LogHistogram merged;
-  if (include_stalls && !period.stall_e2e_us.empty()) {
+  if (!period.stall_e2e_us.empty()) {
     merged = period.e2e_us;
     merged.Merge(period.stall_e2e_us);
     e2e = &merged;

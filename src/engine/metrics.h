@@ -39,17 +39,13 @@ struct IngestSample {
   int64_t wall_ns = 0;
 };
 
-/// \brief Per-key-group service-time and queueing-delay accumulator (full
-/// histograms per group would be memory-heavy at fig-5 scale; sum/count
-/// pairs per group are enough to rank groups by mean service time and to
-/// feed the measured-cost model's per-group queue-delay trend).
+/// \brief Per-key-group service-time accumulator (full histograms per
+/// group would be memory-heavy at fig-5 scale; a sum/count pair per group
+/// is enough to rank groups by mean service time and to feed the
+/// measured-cost model's service shares).
 struct GroupLatency {
   double service_sum_us = 0.0;
   int64_t tuples = 0;
-  /// Mailbox queueing delay of batches delivered to this group (enqueue
-  /// stamp to dequeue), summed per delivered batch.
-  double queue_sum_us = 0.0;
-  int64_t queue_batches = 0;
 };
 
 /// \brief Latency measurements of one statistics period. Lives inside
@@ -63,13 +59,11 @@ struct LatencyPeriodStats {
   /// Modeled migration/recovery pause experienced by buffered tuples, one
   /// sample per tuple, recorded at drain time (the engine cannot perform
   /// the inter-node transfer for real, so the pause enters latency the
-  /// same way it enters migration_pause_us). Kept SEPARATE from e2e_us:
-  /// LatencySummary merges both for reporting — the spike is real and the
-  /// latency timeline must show it — but the SLO trigger peeks only at the
-  /// wall-clock histogram, so the controller never mistakes its own
-  /// reconfiguration cost for a stream-latency breach and re-triggers
-  /// itself. A buffered tuple thus appears once here (the stall event) and
-  /// once in e2e_us (its later delivery).
+  /// same way it enters migration_pause_us). Kept SEPARATE from e2e_us so
+  /// modeled pause stays apart from measured latency; LatencySummary
+  /// merges both for reporting — the spike is real and the latency
+  /// timeline must show it. A buffered tuple thus appears once here (the
+  /// stall event) and once in e2e_us (its later delivery).
   LogHistogram stall_e2e_us;
   /// Mailbox queueing delay: batch enqueue (AppendRouted) to dequeue
   /// (DeliverBatch), across all operators.
@@ -87,8 +81,8 @@ struct LatencyPeriodStats {
 };
 
 /// \brief Compact percentile summary derived from a period's histograms —
-/// what ControllerRound and SystemSnapshot carry so planners and SLO
-/// policies see latency without owning the histograms.
+/// what ControllerRound carries so reports and the journal see latency
+/// without owning the histograms.
 struct LatencySummary {
   int64_t e2e_count = 0;
   int64_t e2e_p50_us = 0;
@@ -96,12 +90,9 @@ struct LatencySummary {
   int64_t e2e_max_us = 0;
   int64_t queue_p99_us = 0;
 
-  /// \brief Summary of a period. \p include_stalls folds the modeled
-  /// migration/recovery stall samples into the end-to-end percentiles —
-  /// what reports and timelines want; the SLO trigger passes false so the
-  /// controller's own reconfiguration cost can never re-trigger it.
-  static LatencySummary FromPeriod(const LatencyPeriodStats& period,
-                                   bool include_stalls = true);
+  /// \brief Summary of a period, with the modeled migration/recovery
+  /// stall samples folded into the end-to-end percentiles.
+  static LatencySummary FromPeriod(const LatencyPeriodStats& period);
 };
 
 }  // namespace albic::engine

@@ -9,8 +9,6 @@
 #include "engine/assignment.h"
 #include "engine/cluster.h"
 #include "engine/comm_matrix.h"
-#include "engine/cost_model.h"
-#include "engine/metrics.h"
 #include "engine/topology.h"
 
 namespace albic::engine {
@@ -39,34 +37,10 @@ struct SystemSnapshot {
   /// rebalancers additionally cap each node's secondary usage
   /// (RebalanceConstraints::max_secondary_per_node). Empty = untracked.
   std::vector<double> group_secondary_loads;
-  /// Measured latency of the harvested period (p50/p99 end-to-end, p99
-  /// queueing delay) when the engine runs with latency telemetry; all
-  /// zeros (e2e_count == 0) otherwise. Informational for planners and
-  /// policies — the SLO trigger consumes the live version pre-harvest.
-  LatencySummary latency;
   /// Per-group measured service-time shares (EWMA across periods, summing
   /// to 1); the rebalancers order migration candidates by it. Empty when
   /// telemetry is off.
   std::vector<double> group_service_share;
-  /// Per-group EWMA of the mean mailbox queueing delay (us). Empty when
-  /// telemetry is off. Informational: no planner consumes it yet — the
-  /// ROADMAP follow-on is to weigh collocation scoring with it; the
-  /// aggregate trend below is what the scaling policy acts on.
-  std::vector<double> group_queue_delay_us;
-  /// Across-period queue-delay trend — the forecastable precursor of a p99
-  /// breach; the scaling policy can scale out on sustained growth before
-  /// the SLO trigger ever fires.
-  QueueDelayTrend queue_trend;
-  /// Wave-phase attribution (profile_wave_phases): the stable name of the
-  /// phase that dominated the period's measured wall time ("service",
-  /// "wave_barrier", "checkpoint", ...), "off" when profiling is off.
-  /// Explains *why* the loads look the way they do — a service-dominated
-  /// period calls for rebalancing, a checkpoint-dominated one does not.
-  const char* dominant_phase = "off";
-  double dominant_phase_share = 0.0;  ///< Dominant phase's time share.
-  /// Top-k (operator, key group) pairs by measured wall service time;
-  /// empty when profiling is off.
-  std::vector<AttributedCost> top_service_costs;
 };
 
 }  // namespace albic::engine

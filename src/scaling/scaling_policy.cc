@@ -50,24 +50,6 @@ ScalingDecision UtilizationScalingPolicy::Decide(
   }
   const double mean = total_load / retained_capacity;
 
-  // --- Early scale-out on sustained measured queue-delay growth: act on
-  // the precursor before the p99 breach (and its SLO round) ever fires.
-  // Edge-triggered on every queue_trend_min_periods-th rising period (not
-  // level-triggered on the streak), so one sustained ramp adds one node,
-  // then waits another full observation window before escalating — and
-  // never while a previous decision is still draining nodes. ---
-  if (options_.queue_trend_slope_us > 0.0 && snapshot.queue_trend.measured &&
-      snapshot.cluster->marked_nodes().empty() &&
-      snapshot.queue_trend.rising_periods >= options_.queue_trend_min_periods &&
-      snapshot.queue_trend.rising_periods %
-              options_.queue_trend_min_periods == 0 &&
-      snapshot.queue_trend.slope_us_per_period >=
-          options_.queue_trend_slope_us &&
-      mean >= options_.queue_trend_min_mean_load) {
-    decision.add_nodes = 1;
-    return decision;
-  }
-
   // --- Scale in: only when already well under-utilized, only when no node
   // is draining, and only if the survivors can absorb the load. ---
   if (!snapshot.cluster->marked_nodes().empty()) return decision;

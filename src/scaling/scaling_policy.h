@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file
-/// \brief ScalingPolicy interface and the utilization-band policy with
-/// latency-aware early scale-out on sustained measured queue-delay growth.
+/// \brief ScalingPolicy interface and the utilization-band policy.
 
 #include <vector>
 
@@ -43,24 +42,6 @@ struct UtilizationPolicyOptions {
   double scale_in_threshold = 40.0;
   /// Cap on simultaneous additions / removals per adaptation round.
   int max_change_per_round = 4;
-  /// Latency-aware EARLY scale-out (measured-cost planning): queue-delay
-  /// growth is the forecastable precursor of an end-to-end p99 breach —
-  /// batches sit longer in mailboxes well before latency blows through an
-  /// SLO. When the snapshot's measured queue trend has risen for
-  /// queue_trend_min_periods consecutive periods with an EWMA slope of at
-  /// least this many microseconds per period, one node is added even
-  /// though no node has crossed overload_threshold yet. The trigger is
-  /// edge-paced (it re-fires only after ANOTHER full min_periods of
-  /// continued growth) and suppressed while marked nodes are draining, so
-  /// a single ramp cannot add a node every round. 0 disables (and with
-  /// telemetry off the trend is never measured, so behaviour is
-  /// unchanged).
-  double queue_trend_slope_us = 0.0;
-  /// Consecutive rising periods per early scale-out firing.
-  int queue_trend_min_periods = 3;
-  /// Early scale-out only fires at or above this mean load (%), so an
-  /// idle system never scales on queue-delay noise.
-  double queue_trend_min_mean_load = 30.0;
 };
 
 /// \brief Simple utilization-band scaling in the spirit of [10, 12] (the

@@ -50,6 +50,16 @@ TEST(AdaptationFrameworkTest, BuildSnapshotComputesLoads) {
   EXPECT_DOUBLE_EQ(snap.node_loads[1], 20.0);
   EXPECT_EQ(snap.group_loads.size(), 4u);
   EXPECT_EQ(snap.migration_costs.size(), 4u);
+
+  // The controller always hands over its signals: an empty signals object
+  // must build exactly the snapshot that no signals do.
+  const engine::MeasuredSignals empty;
+  const engine::SystemSnapshot with_empty = fw.BuildSnapshot(
+      f.topo, f.load_model, f.proc, nullptr, f.cluster, f.assign, &empty);
+  EXPECT_EQ(with_empty.group_loads, snap.group_loads);
+  EXPECT_EQ(with_empty.node_loads, snap.node_loads);
+  EXPECT_EQ(with_empty.migration_costs, snap.migration_costs);
+  EXPECT_EQ(with_empty.group_service_share, snap.group_service_share);
 }
 
 TEST(AdaptationFrameworkTest, RoundBalancesWithoutScaling) {

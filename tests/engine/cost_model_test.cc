@@ -1,7 +1,6 @@
 // MeasuredCostModel unit tests: the bit-identical fallback contract, the
 // measured redistribution (total preserved, distribution from service
-// shares), EWMA smoothing across periods, and the queue-delay trend
-// detector (sustained growth vs. reset).
+// shares) and EWMA smoothing across periods.
 
 #include "engine/cost_model.h"
 
@@ -31,7 +30,6 @@ TEST(MeasuredCostModelTest, TelemetryOffFallsBackBitIdentically) {
   EXPECT_EQ(out, modeled);  // exact, not approximate
   EXPECT_FALSE(model.measured());
   EXPECT_TRUE(model.signals().group_service_share.empty());
-  EXPECT_FALSE(model.signals().queue_trend.measured);
 }
 
 TEST(MeasuredCostModelTest, EnabledButEmptyPeriodFallsBack) {
@@ -69,9 +67,7 @@ TEST(MeasuredCostModelTest, RedistributesBySharePreservingTotal) {
 }
 
 TEST(MeasuredCostModelTest, SharesSmoothAcrossPeriods) {
-  MeasuredCostOptions options;
-  options.ewma_alpha = 0.5;
-  MeasuredCostModel model(options);
+  MeasuredCostModel model;
   const std::vector<double> modeled = {50.0, 50.0};
   model.UpdateAndBlend(modeled, PeriodWithService({1000.0, 0.0}));
   EXPECT_DOUBLE_EQ(model.signals().group_service_share[0], 1.0);
@@ -79,70 +75,6 @@ TEST(MeasuredCostModelTest, SharesSmoothAcrossPeriods) {
   model.UpdateAndBlend(modeled, PeriodWithService({0.0, 1000.0}));
   EXPECT_DOUBLE_EQ(model.signals().group_service_share[0], 0.5);
   EXPECT_DOUBLE_EQ(model.signals().group_service_share[1], 0.5);
-}
-
-LatencyPeriodStats PeriodWithQueueP99(int64_t queue_us) {
-  LatencyPeriodStats period = PeriodWithService({100.0, 100.0});
-  period.queue_us.RecordN(queue_us, 100);
-  return period;
-}
-
-TEST(MeasuredCostModelTest, QueueTrendDetectsSustainedGrowthAndResets) {
-  MeasuredCostOptions options;
-  options.ewma_alpha = 1.0;  // no smoothing: the trend tracks raw p99s
-  MeasuredCostModel model(options);
-  const std::vector<double> modeled = {50.0, 50.0};
-
-  model.UpdateAndBlend(modeled, PeriodWithQueueP99(100));
-  EXPECT_TRUE(model.signals().queue_trend.measured);
-  EXPECT_EQ(model.signals().queue_trend.rising_periods, 0);
-
-  int last_rising = 0;
-  for (int64_t q = 200; q <= 500; q += 100) {
-    model.UpdateAndBlend(modeled, PeriodWithQueueP99(q));
-    EXPECT_GT(model.signals().queue_trend.rising_periods, last_rising);
-    EXPECT_GT(model.signals().queue_trend.slope_us_per_period, 0.0);
-    last_rising = model.signals().queue_trend.rising_periods;
-  }
-  EXPECT_GE(last_rising, 3);
-
-  // A flat (within epsilon) period resets the streak.
-  model.UpdateAndBlend(modeled, PeriodWithQueueP99(500));
-  EXPECT_EQ(model.signals().queue_trend.rising_periods, 0);
-}
-
-TEST(MeasuredCostModelTest, PerGroupQueueDelaySeedsFromFirstSample) {
-  MeasuredCostOptions options;
-  options.ewma_alpha = 0.5;
-  MeasuredCostModel model(options);
-  LatencyPeriodStats period = PeriodWithService({100.0, 100.0});
-  period.group_service[0].queue_sum_us = 400.0;
-  period.group_service[0].queue_batches = 2;
-  const std::vector<double> modeled = {50.0, 50.0};
-  model.UpdateAndBlend(modeled, period);
-  // First measured period SEEDS the estimate (200), it must not blend
-  // against the zero initial value (which would report 100).
-  EXPECT_DOUBLE_EQ(model.signals().group_queue_delay_us[0], 200.0);
-  model.UpdateAndBlend(modeled, period);
-  EXPECT_DOUBLE_EQ(model.signals().group_queue_delay_us[0], 200.0);
-  period.group_service[0].queue_sum_us = 800.0;
-  model.UpdateAndBlend(modeled, period);
-  EXPECT_DOUBLE_EQ(model.signals().group_queue_delay_us[0], 300.0);
-}
-
-TEST(MeasuredCostModelTest, PerGroupQueueDelayTracksMeans) {
-  MeasuredCostOptions options;
-  options.ewma_alpha = 1.0;
-  MeasuredCostModel model(options);
-  LatencyPeriodStats period = PeriodWithService({100.0, 100.0});
-  period.group_service[0].queue_sum_us = 900.0;
-  period.group_service[0].queue_batches = 3;
-  const std::vector<double> modeled = {50.0, 50.0};
-  model.UpdateAndBlend(modeled, period);
-  ASSERT_EQ(model.signals().group_queue_delay_us.size(), 2u);
-  EXPECT_DOUBLE_EQ(model.signals().group_queue_delay_us[0], 300.0);
-  // Group 1 had no delivered batches: its estimate stays put.
-  EXPECT_DOUBLE_EQ(model.signals().group_queue_delay_us[1], 0.0);
 }
 
 }  // namespace

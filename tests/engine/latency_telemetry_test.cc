@@ -96,7 +96,7 @@ TEST(LatencyTelemetryTest, DisabledByDefaultAndInert) {
   engine::EnginePeriodStats stats = p.engine->HarvestPeriod();
   EXPECT_FALSE(stats.latency.enabled);
   EXPECT_EQ(stats.latency.e2e_us.count(), 0);
-  EXPECT_EQ(p.engine->PeekLatency().e2e_count, 0);
+  EXPECT_EQ(engine::LatencySummary::FromPeriod(stats.latency).e2e_count, 0);
 }
 
 TEST(LatencyTelemetryTest, OutputsBitIdenticalWithTelemetryEnabled) {
@@ -190,8 +190,8 @@ TEST(LatencyTelemetryTest, MigrationPauseAccountedForBufferedTuples) {
   // ...which the reported summary folds into the end-to-end percentiles,
   EXPECT_GE(engine::LatencySummary::FromPeriod(stats.latency).e2e_max_us,
             static_cast<int64_t>(*pause * 0.99));
-  // ...while the SLO trigger's live peek sees only wall-clock latency —
-  // the controller must not re-trigger on its own reconfiguration cost.
+  // ...while the measured histogram keeps the modeled pause out: it holds
+  // wall-clock latency only.
   EXPECT_LT(stats.latency.e2e_us.max(), static_cast<int64_t>(*pause * 0.99));
 }
 
@@ -200,13 +200,15 @@ TEST(LatencyTelemetryTest, HarvestResetsRunningHistograms) {
   const std::vector<Tuple> stream = MakeStream(20000);
   ASSERT_TRUE(p.engine->InjectBatch(0, stream.data(), stream.size()).ok());
   p.engine->Flush();
-  EXPECT_GT(p.engine->PeekLatency().e2e_count +
-                p.engine->HarvestPeriod().latency.queue_us.count(),
+  const engine::EnginePeriodStats first = p.engine->HarvestPeriod();
+  EXPECT_GT(engine::LatencySummary::FromPeriod(first.latency).e2e_count +
+                first.latency.queue_us.count(),
             0);
-  const engine::LatencySummary after = p.engine->PeekLatency();
+  const engine::EnginePeriodStats next = p.engine->HarvestPeriod();
+  const engine::LatencySummary after =
+      engine::LatencySummary::FromPeriod(next.latency);
   EXPECT_EQ(after.e2e_count, 0);
   EXPECT_EQ(after.e2e_p99_us, 0);
-  engine::EnginePeriodStats next = p.engine->HarvestPeriod();
   EXPECT_TRUE(next.latency.enabled);
   EXPECT_EQ(next.latency.queue_us.count(), 0);
 }

@@ -107,93 +107,5 @@ TEST(ScalingPolicyTest, NullPolicyNeverActs) {
   EXPECT_FALSE(policy.Decide(f.snap, f.plan).any());
 }
 
-UtilizationPolicyOptions TrendOptions() {
-  UtilizationPolicyOptions opts;
-  opts.queue_trend_slope_us = 50.0;
-  opts.queue_trend_min_periods = 3;
-  opts.queue_trend_min_mean_load = 30.0;
-  return opts;
-}
-
-engine::QueueDelayTrend RisingTrend(int periods, double slope) {
-  engine::QueueDelayTrend trend;
-  trend.measured = true;
-  trend.p99_ewma_us = 5000.0;
-  trend.slope_us_per_period = slope;
-  trend.rising_periods = periods;
-  return trend;
-}
-
-TEST(ScalingPolicyTest, SustainedQueueGrowthScalesOutEarly) {
-  // Two nodes at 60%: inside the comfort band, so plain utilization
-  // scaling does nothing — but the measured queue delay has been rising
-  // for three periods, the forecastable precursor of a p99 breach, and
-  // the policy adds a node before the breach ever fires.
-  Fixture f(2, {60, 60});
-  f.snap.queue_trend = RisingTrend(3, 120.0);
-  UtilizationScalingPolicy policy(TrendOptions());
-  ScalingDecision d = policy.Decide(f.snap, f.plan);
-  EXPECT_EQ(d.add_nodes, 1);
-  EXPECT_TRUE(d.mark_for_removal.empty());
-}
-
-TEST(ScalingPolicyTest, ShortOrShallowQueueGrowthDoesNotScale) {
-  Fixture f(2, {60, 60});
-  UtilizationScalingPolicy policy(TrendOptions());
-  // Only two rising periods: not sustained yet.
-  f.snap.queue_trend = RisingTrend(2, 120.0);
-  EXPECT_FALSE(policy.Decide(f.snap, f.plan).any());
-  // Sustained but shallow slope: below the configured threshold.
-  f.snap.queue_trend = RisingTrend(6, 10.0);
-  EXPECT_FALSE(policy.Decide(f.snap, f.plan).any());
-}
-
-TEST(ScalingPolicyTest, QueueGrowthFiresEdgePacedNotEveryRound) {
-  // Level-triggering would add one node per round for as long as the ramp
-  // lasts; the trigger must instead fire on every min_periods-th rising
-  // period — once per full observation window.
-  Fixture f(2, {60, 60});
-  UtilizationScalingPolicy policy(TrendOptions());
-  f.snap.queue_trend = RisingTrend(3, 120.0);
-  EXPECT_EQ(policy.Decide(f.snap, f.plan).add_nodes, 1);
-  // The ramp continues: periods 4 and 5 are between edges — no action.
-  f.snap.queue_trend = RisingTrend(4, 120.0);
-  EXPECT_FALSE(policy.Decide(f.snap, f.plan).any());
-  f.snap.queue_trend = RisingTrend(5, 120.0);
-  EXPECT_FALSE(policy.Decide(f.snap, f.plan).any());
-  // A further full window of growth escalates once more.
-  f.snap.queue_trend = RisingTrend(6, 120.0);
-  EXPECT_EQ(policy.Decide(f.snap, f.plan).add_nodes, 1);
-}
-
-TEST(ScalingPolicyTest, QueueGrowthSuppressedWhileDraining) {
-  // A node is still draining from an earlier decision: adding now would
-  // oscillate against the in-flight scale-in.
-  Fixture f(4, {60, 60, 60, 60});
-  ASSERT_TRUE(f.cluster.MarkForRemoval(3).ok());
-  f.snap.queue_trend = RisingTrend(3, 120.0);
-  UtilizationScalingPolicy policy(TrendOptions());
-  EXPECT_FALSE(policy.Decide(f.snap, f.plan).any());
-}
-
-TEST(ScalingPolicyTest, QueueGrowthOnIdleSystemIgnored) {
-  // A near-idle system with rising queue noise must not scale out (the
-  // min-mean-load gate): scale-in still proceeds as usual.
-  Fixture f(4, {20, 20, 20, 20});
-  f.snap.queue_trend = RisingTrend(6, 120.0);
-  UtilizationScalingPolicy policy(TrendOptions());
-  ScalingDecision d = policy.Decide(f.snap, f.plan);
-  EXPECT_EQ(d.add_nodes, 0);
-  EXPECT_FALSE(d.mark_for_removal.empty());
-}
-
-TEST(ScalingPolicyTest, UnmeasuredTrendChangesNothing) {
-  // Trend knobs configured but telemetry off (trend unmeasured): the
-  // decision is exactly the plain utilization decision.
-  Fixture f(2, {60, 60});
-  UtilizationScalingPolicy policy(TrendOptions());
-  EXPECT_FALSE(policy.Decide(f.snap, f.plan).any());
-}
-
 }  // namespace
 }  // namespace albic::scaling
