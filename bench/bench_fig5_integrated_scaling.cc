@@ -149,9 +149,16 @@ SeriesResult RunOne(bool integrated, int overloaded, int max_periods) {
     auto round = controller.RunRoundNow();
     if (!round.ok()) break;
     result.distance.push_back(round->load_distance);
+    // The round's moves land during the next period; a marked node counts
+    // as drained once the round has planned it empty.
+    engine::Assignment planned = engine.assignment();
+    for (const core::ControllerLoop::PendingMove& p :
+         controller.pending_moves()) {
+      planned.set_node(p.move.group, p.move.to);
+    }
     int remaining = 0;
     for (engine::NodeId n = 50; n < 60; ++n) {
-      remaining += engine.assignment().count_on(n);
+      remaining += planned.count_on(n);
     }
     if (remaining == 0 && result.periods_to_scale_in == 0) {
       result.periods_to_scale_in = period;

@@ -13,7 +13,7 @@
 // rounds — while lease-available groups have their mck zeroed in the
 // snapshot (adaptation_framework.cc), so the same planner absorbs the
 // whole spike in a single round. The reaction metric is the number of
-// post-spike rounds that still apply migrations.
+// post-spike rounds that still plan migrations.
 
 #include <algorithm>
 #include <memory>
@@ -39,13 +39,14 @@ struct ScaleOutScenarioOptions {
 };
 
 struct ScaleOutScenarioResult {
-  int reaction_periods = 0;   ///< Post-spike rounds that applied moves.
+  int reaction_periods = 0;   ///< Post-spike rounds whose moves landed.
   int migrations = 0;         ///< Applied moves, whole run.
   int migrations_lease = 0;
   int migrations_direct = 0;
   int migrations_indirect = 0;
   int pre_spike_migrations = 0;  ///< Should stay 0 (start is balanced).
-  int last_round_migrations = 0; ///< Should settle back to 0.
+  /// Moves the trailing round planned; should settle back to 0.
+  int last_round_migrations = 0;
   double final_load_distance = 0.0;
   double total_pause_us = 0.0;
   bool ok = false;
@@ -149,21 +150,27 @@ inline ScaleOutScenarioResult RunScaleOutScenario(
   // Round r harvests period r (boundary rounds harvest the period just
   // ended; the trailing RunRoundNow harvests the last). The first round
   // that SEES the spike is the one harvesting the first spiked period.
+  // A record reports the moves landed since the previous one: round 0, the
+  // first, lands its plan at once, and every later round's plan lands
+  // during the next period, so record r > 0 reports round r - 1's moves.
+  // The trailing round's plan never lands (no tuple follows it).
   const std::vector<core::ControllerRound>& history = controller.history();
   for (size_t r = 0; r < history.size(); ++r) {
     const core::ControllerRound& round = history[r];
+    const size_t planned_by = r == 0 ? 0 : r - 1;
     out.migrations += round.migrations_applied;
     out.migrations_lease += round.migrations_lease;
     out.migrations_direct += round.migrations_direct;
     out.migrations_indirect += round.migrations_indirect;
     out.total_pause_us += round.migration_pause_us;
-    if (r < static_cast<size_t>(opts.warmup_periods)) {
+    if (planned_by < static_cast<size_t>(opts.warmup_periods)) {
       out.pre_spike_migrations += round.migrations_applied;
     } else if (round.migrations_applied > 0) {
       ++out.reaction_periods;
     }
   }
-  out.last_round_migrations = history.back().migrations_applied;
+  out.last_round_migrations =
+      static_cast<int>(controller.pending_moves().size());
   out.final_load_distance = history.back().load_distance;
   out.ok = true;
   return out;

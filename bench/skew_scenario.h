@@ -230,6 +230,8 @@ inline SkewScenarioResult RunSkewScenario(const SkewScenarioOptions& opts) {
   }
   if (!controller.RunRoundNow().ok()) return out;
 
+  // Records report the moves landed since the previous record, so the
+  // sums below cover every plan but the trailing round's, which never lands.
   const std::vector<core::ControllerRound>& history = controller.history();
   for (size_t r = 0; r < history.size(); ++r) {
     const core::ControllerRound& round = history[r];

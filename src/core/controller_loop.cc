@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <utility>
 
 #include "common/trace.h"
 #include "core/round_journal.h"
@@ -39,8 +40,20 @@ Status ControllerLoop::MaybeRunRounds(int64_t ts) {
   return Status::OK();
 }
 
+Status ControllerLoop::LandDue(int64_t ts) {
+  if (pending_.empty() || pending_.front().due_us > ts) return Status::OK();
+  engine_->Flush();
+  while (!pending_.empty() && pending_.front().due_us <= ts) {
+    const engine::Migration move = pending_.front().move;
+    pending_.pop_front();
+    ALBIC_RETURN_NOT_OK(Land(move, &landed_));
+  }
+  return Status::OK();
+}
+
 Status ControllerLoop::Ingest(engine::OperatorId source_op,
                               const engine::Tuple& tuple) {
+  ALBIC_RETURN_NOT_OK(LandDue(tuple.ts));
   ALBIC_RETURN_NOT_OK(MaybeRunRounds(tuple.ts));
   return engine_->Inject(source_op, tuple);
 }
@@ -70,6 +83,7 @@ Status ControllerLoop::IngestSplitting(
 
 Status ControllerLoop::IngestBatch(engine::OperatorId source_op,
                                    const engine::Tuple* tuples, size_t count) {
+  if (count > 0) ALBIC_RETURN_NOT_OK(LandDue(tuples[0].ts));
   if (options_.period_every_us <= 0) {
     return engine_->InjectBatch(source_op, tuples, count);
   }
@@ -82,6 +96,7 @@ Status ControllerLoop::IngestBatch(engine::OperatorId source_op,
 Status ControllerLoop::IngestRouted(engine::OperatorId source_op, int shard,
                                     int group, const engine::Tuple* tuples,
                                     size_t count, int64_t ingest_wall_ns) {
+  if (count > 0) ALBIC_RETURN_NOT_OK(LandDue(tuples[0].ts));
   if (options_.period_every_us <= 0) {
     return engine_->InjectRouted(source_op, shard, group, tuples, count,
                                  ingest_wall_ns);
@@ -117,12 +132,102 @@ Status ControllerLoop::KillNode(engine::NodeId node) {
   return Status::OK();
 }
 
+Status ControllerLoop::Land(const engine::Migration& m,
+                            ControllerRound* round) {
+  ++round->migrations_planned;
+  // The mode is chosen PER GROUP from the predicted pauses — indirect when
+  // the replay-log suffix undercuts the state size, lease when opted in —
+  // unless use_indirect_migration forces indirect everywhere (the
+  // pre-measured-cost behaviour, kept as an override).
+  const bool checkpointed = engine_->checkpointing_enabled();
+  const engine::MigrationPauseEstimate est =
+      engine_->EstimateMigrationPause(m.group);
+  engine::MigrationMode mode = engine::MigrationMode::kDirect;
+  double predicted = est.direct_us;
+  const char* reason = checkpointed ? "direct-cheapest" : "no-checkpointing";
+  if (checkpointed) {
+    if (options_.use_indirect_migration ||
+        (est.indirect_available && est.indirect_us < est.direct_us)) {
+      mode = engine::MigrationMode::kIndirect;
+      predicted = est.indirect_available ? est.indirect_us : est.direct_us;
+      reason = options_.use_indirect_migration ? "forced-indirect"
+                                               : "indirect-cheaper";
+    }
+  }
+  // Lease flips sit OUTSIDE the checkpointed gate: the arena flip needs
+  // no checkpoint subsystem at all. `<=` (not `<`) so a lease's zero
+  // prediction beats an indirect move whose chain leaves no suffix to
+  // replay — when both cost nothing, the mode that also moves zero bytes
+  // wins. The forced-indirect override still takes precedence via the
+  // use_indirect_migration guard.
+  if (!options_.use_indirect_migration && options_.use_lease_migration &&
+      est.lease_available && est.lease_us <= predicted) {
+    mode = engine::MigrationMode::kLease;
+    predicted = est.lease_us;
+    reason = "lease-zero-cost";
+  }
+  // The engine rejects a move that is no longer valid: its group is lost
+  // (restored by the recovery pass) or already at the target, or a failure
+  // took its target. Such a move is dropped.
+  if (!engine_->StartMigration(m.group, m.to, mode).ok()) return Status::OK();
+  ALBIC_TRACE_SPAN2("controller", "controller.land", "group", m.group, "mode",
+                    static_cast<int>(mode));
+  Result<double> pause = engine_->FinishMigration(m.group);
+  if (!pause.ok()) {
+    // The rebuild failed and left the group lost, exactly as a node failure
+    // does: restore it from checkpoint + replay at its planned node now
+    // instead of buffering its input until the next round.
+    const auto start = std::chrono::steady_clock::now();
+    ALBIC_ASSIGN_OR_RETURN(const engine::GroupRecovery rec,
+                           engine_->RecoverGroup(m.group, m.to));
+    ++round->groups_recovered;
+    round->tuples_replayed += rec.replayed;
+    round->recovery_pause_us += rec.pause_us;
+    round->recovery_wall_us +=
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    return Status::OK();
+  }
+  ++round->migrations_applied;
+  // Modeled: kEnginePauseUsPerByte × the bytes the engine rebuilt.
+  round->migration_pause_us += *pause;
+  MigrationDecision decision;
+  decision.group = m.group;
+  decision.from = m.from;
+  decision.to = m.to;
+  decision.mode = mode;
+  decision.predicted_pause_us = predicted;
+  decision.actual_pause_us = *pause;
+  decision.est_direct_us = est.direct_us;
+  decision.est_indirect_us = est.indirect_available ? est.indirect_us : -1;
+  // Without the opt-in the lease estimate never entered the choice, so it
+  // is journaled as unavailable — an est of 0 beside a non-lease winner
+  // would read as the controller ignoring the cheapest mode.
+  decision.est_lease_us =
+      options_.use_lease_migration && est.lease_available ? est.lease_us : -1;
+  decision.reason = reason;
+  round->migration_decisions.push_back(decision);
+  if (mode == engine::MigrationMode::kLease) {
+    ++round->migrations_lease;
+  } else if (mode == engine::MigrationMode::kIndirect) {
+    ++round->migrations_indirect;
+  } else {
+    ++round->migrations_direct;
+  }
+  return Status::OK();
+}
+
 Result<ControllerRound> ControllerLoop::RunRoundNow() {
   ALBIC_TRACE_SPAN1("controller", "controller.round", "round",
                     static_cast<int64_t>(history_.size()));
-  // Measure: complete in-flight work and harvest the period.
-  engine_->Flush();
+  // Land what is left of the previous plan, so this round measures and
+  // plans from it fully applied; then harvest the period (which completes
+  // in-flight work first).
+  ALBIC_RETURN_NOT_OK(LandDue(INT64_MAX));
   engine::EnginePeriodStats stats = engine_->HarvestPeriod();
+  const int64_t now_us = engine_->event_time();
+  const int64_t prev_round_us = std::exchange(last_round_us_, now_us);
 
   // Convert measured work units into percent-of-reference-node loads.
   std::vector<double> modeled_loads(stats.group_work.size(), 0.0);
@@ -132,7 +237,8 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   }
   const engine::CommMatrix* comm = options_.use_comm ? &stats.comm : nullptr;
 
-  ControllerRound round;
+  // The record reports the moves landed since the previous one.
+  ControllerRound round = std::exchange(landed_, ControllerRound());
 
   // Measured-cost planning: redistribute the period's load by measured
   // service-time shares (EWMA across periods). With telemetry off
@@ -207,16 +313,13 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
     // capacity by the event time actually harvested, so a short harvest
     // cannot spuriously drain backlog it never had the capacity to work
     // off.
-    const int64_t now_us = engine_->event_time();
     double period_frac = 1.0;
-    if (options_.period_every_us > 0 &&
-        last_overload_harvest_us_ != INT64_MIN) {
+    if (options_.period_every_us > 0 && prev_round_us != INT64_MIN) {
       period_frac = std::clamp(
-          static_cast<double>(now_us - last_overload_harvest_us_) /
+          static_cast<double>(now_us - prev_round_us) /
               static_cast<double>(options_.period_every_us),
           0.0, 1.0);
     }
-    last_overload_harvest_us_ = now_us;
     const size_t num_nodes =
         static_cast<size_t>(cluster_->num_nodes_total());
     if (node_backlog_us_.size() < num_nodes) {
@@ -300,79 +403,25 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
       framework_->RunRound(*topology_, *load_model_, group_loads, comm,
                            cluster_, &planned, &signals));
 
-  // Act: apply the plan's migrations to the live engine. Lost groups are
-  // skipped here (StartMigration rejects them) and restored below at their
-  // planned placement. The mode is chosen PER GROUP from the predicted
-  // pauses — indirect when the replay-log suffix undercuts the state size,
-  // lease when opted in — unless use_indirect_migration forces indirect
-  // everywhere (the pre-measured-cost behaviour, kept as an override).
-  const bool checkpointed = engine_->checkpointing_enabled();
-  for (const engine::Migration& m : adaptation.plan.migrations) {
-    ++round.migrations_planned;
-    const engine::MigrationPauseEstimate est =
-        engine_->EstimateMigrationPause(m.group);
-    engine::MigrationMode mode = engine::MigrationMode::kDirect;
-    double predicted = est.direct_us;
-    const char* reason = checkpointed ? "direct-cheapest" : "no-checkpointing";
-    if (checkpointed) {
-      if (options_.use_indirect_migration ||
-          (est.indirect_available && est.indirect_us < est.direct_us)) {
-        mode = engine::MigrationMode::kIndirect;
-        predicted = est.indirect_available ? est.indirect_us : est.direct_us;
-        reason = options_.use_indirect_migration ? "forced-indirect"
-                                                 : "indirect-cheaper";
-      }
-    }
-    // Lease flips sit OUTSIDE the checkpointed gate: the arena flip needs
-    // no checkpoint subsystem at all. `<=` (not `<`) so a lease's zero
-    // prediction beats an indirect move whose chain leaves no suffix to
-    // replay — when both cost nothing, the mode that also moves zero bytes
-    // wins. The forced-indirect override still takes precedence via the
-    // use_indirect_migration guard.
-    if (!options_.use_indirect_migration && options_.use_lease_migration &&
-        est.lease_available && est.lease_us <= predicted) {
-      mode = engine::MigrationMode::kLease;
-      predicted = est.lease_us;
-      reason = "lease-zero-cost";
-    }
-    if (!engine_->StartMigration(m.group, m.to, mode).ok()) continue;
-    Result<double> pause = engine_->FinishMigration(m.group);
-    if (pause.ok()) {
-      ++round.migrations_applied;
-      // Modeled: kEnginePauseUsPerByte × the bytes the engine rebuilt.
-      round.migration_pause_us += *pause;
-      MigrationDecision decision;
-      decision.group = m.group;
-      decision.from = m.from;
-      decision.to = m.to;
-      decision.mode = mode;
-      decision.predicted_pause_us = predicted;
-      decision.actual_pause_us = *pause;
-      decision.est_direct_us = est.direct_us;
-      decision.est_indirect_us = est.indirect_available ? est.indirect_us : -1;
-      // Without the opt-in the lease estimate never entered the choice, so
-      // it is journaled as unavailable — an est of 0 beside a non-lease
-      // winner would read as the controller ignoring the cheapest mode.
-      decision.est_lease_us =
-          options_.use_lease_migration && est.lease_available ? est.lease_us
-                                                              : -1;
-      decision.reason = reason;
-      round.migration_decisions.push_back(decision);
-      if (mode == engine::MigrationMode::kLease) {
-        ++round.migrations_lease;
-      } else if (mode == engine::MigrationMode::kIndirect) {
-        ++round.migrations_indirect;
-      } else {
-        ++round.migrations_direct;
-      }
+  // Act: spread the moves over the event time the previous period took,
+  // the i-th of n due at now + i * gap / (n + 1); with no earlier round, or
+  // no event time since it, land them now. A lost group's move is dropped
+  // at landing (StartMigration rejects it); the group is restored below.
+  const std::vector<engine::Migration>& moves = adaptation.plan.migrations;
+  const int64_t gap = prev_round_us == INT64_MIN ? 0 : now_us - prev_round_us;
+  const auto slots = static_cast<int64_t>(moves.size() + 1);
+  for (size_t i = 0; i < moves.size(); ++i) {
+    if (gap <= 0) {
+      ALBIC_RETURN_NOT_OK(Land(moves[i], &round));
+    } else {
+      pending_.push_back(
+          {moves[i], now_us + static_cast<int64_t>(i + 1) * gap / slots});
     }
   }
 
-  // Recover: restore every lost group (checkpoint + replay) at its planned
-  // node and drain the tuples buffered during the outage. The list is read
-  // after the act loop, so a planned move whose rebuild failed (the group
-  // is lost then, exactly as after a node failure) is restored in this
-  // round rather than the next.
+  // Recover: restore every group lost to a node failure (checkpoint +
+  // replay) at its planned node and drain the tuples buffered during the
+  // outage. (A move whose rebuild failed was restored where it landed.)
   const std::vector<engine::KeyGroupId> to_recover = engine_->lost_groups();
   for (const engine::KeyGroupId g : to_recover) {
     engine::NodeId to = planned.node_of(g);
@@ -390,7 +439,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
     round.recovery_pause_us += rec.pause_us;
   }
   if (!to_recover.empty()) {
-    round.recovery_wall_us =
+    round.recovery_wall_us +=
         std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
             std::chrono::steady_clock::now() - recovery_start)
             .count();
@@ -414,9 +463,10 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
 
   round.backlog_us = node_backlog_us_;
 
-  // Post-round measured view: same period loads under the new allocation.
+  // Post-round measured view: same period loads under the planned
+  // allocation (the moves land during the next period).
   const engine::NodeLoads loads = load_model_->ComputeNodeLoads(
-      *topology_, group_loads, comm, engine_->assignment(), *cluster_);
+      *topology_, group_loads, comm, planned, *cluster_);
   round.mean_load = engine::MeanLoad(loads.bottleneck_loads(), *cluster_);
   round.load_distance =
       engine::LoadDistance(loads.bottleneck_loads(), *cluster_);

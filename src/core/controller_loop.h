@@ -3,12 +3,14 @@
 /// \file
 /// \brief ControllerLoop, the online measure -> decide -> act
 /// cycle: harvests measured engine statistics every period, runs one
-/// adaptation round and applies the planned migrations to the live engine.
+/// adaptation round and lands the planned migrations on the live engine one
+/// at a time, spread over the following period.
 /// Node failures (KillNode) run their recovery round eagerly — the
 /// assignment is re-planned over the surviving nodes and every lost group
 /// restored from checkpoint + replay-log suffix before KillNode returns.
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -126,12 +128,18 @@ struct ControllerRound {
   /// downstream hops.
   int64_t tuples_ingested = 0;
   int64_t tuples_buffered = 0;
-  /// Modeled pause of this round's moves (sum of actual_pause_us).
+  // Every migrations_* field, migration_decisions and migration_pause_us
+  // count the moves landed since the previous record: the previous round's
+  // plan, plus this round's own when it landed them at once (see
+  // ControllerLoop).
+  /// Modeled pause of the landed moves (sum of actual_pause_us).
   double migration_pause_us = 0.0;
   /// Measured planning time of the round (AdaptationRound::plan_ms).
   double plan_ms = 0.0;
+  /// Planned moves that came due, landed or dropped by the engine (a
+  /// failure made them invalid, or the group already sat at the target).
   int migrations_planned = 0;
-  int migrations_applied = 0;
+  int migrations_applied = 0;   ///< Of those, the moves the engine made.
   int migrations_direct = 0;    ///< Applied with direct O(state) moves.
   int migrations_indirect = 0;  ///< Applied via checkpoint + replay.
   /// Applied via lease flips over the state arena (zero bytes, zero pause).
@@ -154,11 +162,14 @@ struct ControllerRound {
   int nodes_marked = 0;
   int active_nodes = 0;        ///< Cluster state after the round.
   int marked_nodes = 0;        ///< Ditto (drain still in progress).
-  double mean_load = 0.0;      ///< Measured, after this round's migrations.
+  /// The period's measured loads on the assignment this round planned.
+  double mean_load = 0.0;
   double load_distance = 0.0;  ///< Ditto.
   // Fault tolerance (0 on failure-free rounds).
   int nodes_failed = 0;         ///< Nodes killed since the previous round.
-  int groups_recovered = 0;     ///< Lost groups restored this round.
+  /// Lost groups restored since the previous record: the round's node
+  /// failures, and moves whose rebuild failed, restored where they landed.
+  int groups_recovered = 0;
   int64_t tuples_replayed = 0;  ///< Log entries reapplied during recovery.
   double recovery_pause_us = 0.0;  ///< Modeled restore + replay latency.
   /// Measured wall-clock time of the whole recovery: detection, re-planning
@@ -188,14 +199,23 @@ struct ControllerRound {
 /// Tuples stream in through Ingest; at every statistics-period boundary the
 /// loop harvests the engine's measured EnginePeriodStats, converts them
 /// into the controller's SystemSnapshot inputs (group loads in percent of a
-/// reference node, plus the measured communication matrix), runs one
-/// integrative adaptation round (scaling + rebalancing + collocation), and
-/// applies the planned migrations to the live engine, choosing each move's
-/// mode per group (see ControllerLoopOptions): a direct or indirect move
-/// buffers the group's in-flight tuples and drains them at the target, a
-/// lease flips ownership at a quiescent instant, so adaptation never loses
-/// or reorders data. Groups lost to a failure, or to a move whose rebuild
-/// failed, are restored from checkpoint + replay in the same round.
+/// reference node, plus the measured communication matrix) and runs one
+/// integrative adaptation round (scaling + rebalancing + collocation).
+///
+/// The plan's n moves land one at a time: the i-th is due at event time
+/// t + i * gap / (n + 1), t being the round's event time and gap the event
+/// time since the previous round, and lands, after a flush, at the start of
+/// the first ingest call whose first tuple has reached that time (no run is
+/// split for a move). A round with no earlier round, or with gap 0, lands
+/// its moves at once. Every round first lands the previous plan's
+/// leftovers, so it plans from that plan fully applied; the engine drops a
+/// leftover that a failure made invalid. Each move's mode is chosen per
+/// group (see ControllerLoopOptions): a direct or indirect move buffers the
+/// group's in-flight tuples and drains them at the target, a lease flips
+/// ownership at a quiescent instant, so adaptation never loses or reorders
+/// data. A move whose rebuild failed is restored from checkpoint + replay
+/// where it landed, groups lost to a node failure in the round that detects
+/// it. Each ControllerRound reports the moves landed since the previous one.
 ///
 /// No caller-supplied load vectors anywhere: the loop closes the
 /// measure -> decide -> act cycle on real measurements.
@@ -239,13 +259,31 @@ class ControllerLoop {
 
   /// \brief Runs one adaptation round immediately (e.g. at end of stream).
   /// If nodes failed since the last round, this round performs recovery.
+  /// The returned record reports the moves landed since the previous one;
+  /// this round's own moves are pending_moves() unless it landed them at
+  /// once.
   Result<ControllerRound> RunRoundNow();
+
+  /// \brief A planned move waiting for its due event time.
+  struct PendingMove {
+    engine::Migration move;
+    int64_t due_us = 0;
+  };
+  /// \brief The latest plan's moves that have not landed yet, in plan
+  /// order (due times ascending).
+  const std::deque<PendingMove>& pending_moves() const { return pending_; }
 
   int rounds_run() const { return static_cast<int>(history_.size()); }
   const std::vector<ControllerRound>& history() const { return history_; }
   const ControllerLoopOptions& options() const { return options_; }
 
  private:
+  /// Lands, after a flush, every pending move due by event time \p ts.
+  Status LandDue(int64_t ts);
+  /// Lands one planned move and reports it into \p round: the mode
+  /// choice, the engine's cutover and rebuild, and the in-place recovery
+  /// of a move whose rebuild failed.
+  Status Land(const engine::Migration& m, ControllerRound* round);
   Status MaybeRunRounds(int64_t ts);
   /// Shared splitter of the bulk-ingest paths: hands each maximal sub-run
   /// of [tuples, tuples + count) that crosses no period boundary to
@@ -263,12 +301,17 @@ class ControllerLoop {
   engine::MeasuredCostModel cost_model_;
 
   std::vector<ControllerRound> history_;
+  std::deque<PendingMove> pending_;
+  /// The moves landed since the previous record; the next round reports
+  /// them.
+  ControllerRound landed_;
+  /// Event time of the previous round (INT64_MIN before the first): spaces
+  /// the moves and scales the overload model's capacity for partial-period
+  /// rounds (eager recovery, manual rounds).
+  int64_t last_round_us_ = INT64_MIN;
   /// Overload-stall model state: per-node modeled backlog in microseconds
-  /// (see ControllerLoopOptions::service_capacity_us_per_period), plus the
-  /// event time of the previous harvest so partial-period rounds (eager
-  /// recovery, manual rounds) get proportionally scaled capacity.
+  /// (see ControllerLoopOptions::service_capacity_us_per_period).
   std::vector<double> node_backlog_us_;
-  int64_t last_overload_harvest_us_ = INT64_MIN;
   int64_t period_start_us_ = 0;
   bool period_initialized_ = false;
   int nodes_failed_pending_ = 0;  ///< KillNode calls since the last round.

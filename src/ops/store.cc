@@ -14,6 +14,13 @@ void StoreSinkOperator::Process(const engine::Tuple& tuple, int group_index,
   table_[group_index][tuple.key] = tuple.num;
 }
 
+void StoreSinkOperator::ProcessBatch(const engine::TupleBatch& batch,
+                                     int group_index, engine::Emitter* out) {
+  (void)out;
+  FlatMap64<double>& table = table_[group_index];
+  for (const engine::Tuple& tuple : batch) table[tuple.key] = tuple.num;
+}
+
 void StoreSinkOperator::OnWindow(int group_index, engine::Emitter* out) {
   (void)out;
   // Periodic flush to the "database": modeled as a counter.

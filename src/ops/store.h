@@ -33,6 +33,9 @@ class StoreSinkOperator : public engine::StreamOperator {
 
   void Process(const engine::Tuple& tuple, int group_index,
                engine::Emitter* out) override;
+  /// One table lookup per batch, then the upserts in order.
+  void ProcessBatch(const engine::TupleBatch& batch, int group_index,
+                    engine::Emitter* out) override;
   void OnWindow(int group_index, engine::Emitter* out) override;
 
   std::string SerializeGroupState(int group_index) const override;

@@ -11,7 +11,7 @@
 //     model: indirect for a large-state/short-suffix group, direct for a
 //     small-state/long-suffix group, reported per migration in
 //     ControllerRound::migration_decisions. A planned move whose rebuild
-//     fails is recovered in the same round.
+//     fails is recovered where it lands.
 
 #include <gtest/gtest.h>
 
@@ -434,10 +434,10 @@ TEST(MeasuredCostPlanningTest, LeaseOffLeavesDecisionsUnchanged) {
 
 TEST(MeasuredCostPlanningTest, FailedMoveIsRecoveredInTheSameRound) {
   // A planned move whose rebuild fails leaves its group lost, exactly as a
-  // node failure does. The round's recovery pass reads the engine's lost
-  // list after the moves, so the group is restored from checkpoint +
-  // replay in the same round, at its planned node, instead of buffering
-  // its input until the next round.
+  // node failure does. Landing restores it from checkpoint + replay right
+  // there, at its planned node, instead of buffering its input until the
+  // next round; a first round lands its moves at once, so this happens in
+  // the same round.
   class FlakyRestoreSum : public ops::SumByKeyOperator {
    public:
     using ops::SumByKeyOperator::SumByKeyOperator;

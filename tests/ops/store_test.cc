@@ -32,6 +32,36 @@ TEST(StoreTest, UpsertsLatestValue) {
   EXPECT_DOUBLE_EQ(op.ValueFor(0, 1), 20.0);
 }
 
+TEST(StoreTest, ProcessBatchMatchesProcess) {
+  // A batch with repeated keys and key 0, split over two groups, must leave
+  // each group's table exactly as per-tuple Process does: the same values,
+  // the same row count and the same state image.
+  Rng rng(31);
+  engine::TupleBatch batch;
+  for (int i = 0; i < 500; ++i) {
+    engine::Tuple t;
+    t.key = static_cast<uint64_t>(rng.UniformInt(0, 40));  // includes 0
+    t.num = rng.Uniform(-50.0, 50.0);
+    batch.push_back(t);
+  }
+  StoreSinkOperator batched(2), per_tuple(2);
+  Capture out;
+  for (int g = 0; g < 2; ++g) {
+    batched.ProcessBatch(batch, g, &out);
+    for (const engine::Tuple& t : batch) per_tuple.Process(t, g, &out);
+  }
+  batched.ProcessBatch(engine::TupleBatch(), 1, &out);  // empty: no change
+  EXPECT_TRUE(out.tuples.empty());
+  for (int g = 0; g < 2; ++g) {
+    ASSERT_EQ(batched.rows(g), per_tuple.rows(g));
+    for (uint64_t k = 0; k <= 40; ++k) {
+      EXPECT_EQ(batched.ValueFor(g, k), per_tuple.ValueFor(g, k)) << k;
+    }
+    EXPECT_EQ(batched.SerializeGroupState(g),
+              per_tuple.SerializeGroupState(g));
+  }
+}
+
 TEST(StoreTest, PeriodicFlushCounts) {
   StoreSinkOperator op(1);
   Capture out;
