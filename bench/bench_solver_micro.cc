@@ -151,8 +151,16 @@ BENCHMARK(BM_LocalSearchSteadyRound);
 
 // The steady window fire: 18 per-cell TopK groups (k = 32) holding one
 // period of Zipf(0.8) edits over 20,000 articles, 65,536 tuples. Only the
-// 18 OnWindow calls are timed; refilling the counts is not.
-void BM_TopKWindowFire(benchmark::State& state) {
+// 18 OnWindow calls are timed; refilling the counts is not. From the second
+// window on, every fire selects its top k from the ids that crossed half of
+// the previous window's k-th count.
+//
+// With \p shifting, every other window spreads its tuples evenly over the
+// articles instead, so the heavy set comes and goes: after a Zipf window,
+// fewer than k ids reach the threshold and the fire falls back to the
+// whole table; after an even one, the threshold is low and nearly every
+// id is a candidate.
+void TopKWindowFire(benchmark::State& state, bool shifting) {
   constexpr int kGroups = 18;
   constexpr int kArticles = 20000;
   Rng rng(7);
@@ -160,21 +168,29 @@ void BM_TopKWindowFire(benchmark::State& state) {
   std::vector<uint64_t> ids(kArticles);
   std::iota(ids.begin(), ids.end(), uint64_t{1});
   rng.Shuffle(&ids);
-  std::vector<std::vector<engine::Tuple>> per_group(kGroups);
-  for (int i = 0; i < 65536; ++i) {
-    engine::Tuple t;
-    t.aux = ids[zipf.Sample(&rng)];
-    t.key = t.aux;
-    per_group[t.aux % kGroups].push_back(t);
-  }
-  std::vector<engine::TupleBatch> batches;
-  for (auto& tuples : per_group) batches.emplace_back(std::move(tuples));
+  const auto window = [&](bool even) {
+    std::vector<std::vector<engine::Tuple>> per_group(kGroups);
+    for (int i = 0; i < 65536; ++i) {
+      engine::Tuple t;
+      t.aux = ids[even ? rng.Index(kArticles) : zipf.Sample(&rng)];
+      t.key = t.aux;
+      per_group[t.aux % kGroups].push_back(t);
+    }
+    std::vector<engine::TupleBatch> batches;
+    for (auto& tuples : per_group) batches.emplace_back(std::move(tuples));
+    return batches;
+  };
+  std::vector<std::vector<engine::TupleBatch>> windows = {window(false)};
+  if (shifting) windows.push_back(window(true));
   ops::WindowedTopKOperator op(kGroups, 32);
   struct : engine::Emitter {
     void Emit(const engine::Tuple&) override {}
   } discard;
+  size_t next = 0;
   for (auto _ : state) {
     state.PauseTiming();
+    const std::vector<engine::TupleBatch>& batches =
+        windows[next++ % windows.size()];
     for (int g = 0; g < kGroups; ++g) op.ProcessBatch(batches[g], g, &discard);
     state.ResumeTiming();
     for (int g = 0; g < kGroups; ++g) op.OnWindow(g, &discard);
@@ -182,7 +198,16 @@ void BM_TopKWindowFire(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
+
+void BM_TopKWindowFire(benchmark::State& state) {
+  TopKWindowFire(state, false);
+}
 BENCHMARK(BM_TopKWindowFire);
+
+void BM_TopKWindowFireShiftingHeavySet(benchmark::State& state) {
+  TopKWindowFire(state, true);
+}
+BENCHMARK(BM_TopKWindowFireShiftingHeavySet);
 
 }  // namespace
 }  // namespace albic

@@ -6,7 +6,8 @@ Usage: analyze_journal.py JOURNAL.jsonl
 
 Reads one ControllerRound record per line and reports:
   - round counts (total, recovery rounds)
-  - planning time per round (plan_ms: p50 and max)
+  - planning time per round (plan_ms: p50 and max), and the rounds whose
+    planning a wall-clock cap cut short (plan_capped)
   - migration mode shares and the reasons the controller recorded
   - predicted-vs-actual pause error per mode (the cost model's accuracy)
   - checkpoint volume and recovery totals
@@ -29,7 +30,8 @@ import sys
 # (src/core/round_journal.cc). A record with any other key set means the
 # journal and the analyzer drifted.
 JOURNAL_KEYS = (
-    "round", "measured_costs", "plan_ms", "tuples", "migrations",
+    "round", "measured_costs", "plan_ms", "plan_capped", "tuples",
+    "migrations",
     "decisions", "checkpoint", "recovery", "cluster", "load", "backlog_us",
     "latency", "attribution",
 )
@@ -108,6 +110,8 @@ def main(argv):
     plan_ms = [r["plan_ms"] for r in rounds]
     print(f"planning: p50 {statistics.median(plan_ms):.3f} ms, "
           f"max {max(plan_ms):.3f} ms")
+    capped = sum(1 for r in rounds if r["plan_capped"])
+    print(f"capped plans: {capped} of {len(rounds)} rounds")
 
     # Mode shares, reasons and prediction error, from the decision records.
     by_mode = {}
@@ -202,6 +206,7 @@ def self_test():
 
     valid = {
         "round": 0, "measured_costs": False, "plan_ms": 0.25,
+        "plan_capped": False,
         "tuples": {"processed": 0, "ingested": 0, "buffered": 0,
                    "replayed": 0},
         "migrations": {"planned": 0, "applied": 0},

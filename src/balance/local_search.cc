@@ -1,10 +1,13 @@
 #include "balance/local_search.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
+#include <optional>
 
 namespace albic::balance {
 
@@ -13,6 +16,9 @@ namespace {
 using engine::NodeId;
 
 constexpr double kEps = 1e-9;
+/// Relative slack of a candidate's load-distance lower bound, far above
+/// the few ulps by which Evaluate's rounding can undercut the exact value.
+constexpr double kBoundMargin = 1e-12;
 
 /// Mutable search state over items and nodes.
 class Search {
@@ -57,6 +63,24 @@ class Search {
         }
       }
     }
+    // Each item's two retained nodes cheapest under the budget's measure,
+    // so a step can skip an item whose cheapest move the budget rejects.
+    cheapest_.resize(items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      const auto measure = [&](NodeId n) {
+        return BudgetMeasure(MigrationTo(static_cast<int>(i), n));
+      };
+      std::array<NodeId, 2>& two = cheapest_[i];
+      two = {engine::kInvalidNode, engine::kInvalidNode};
+      for (const NodeId n : retained_) {
+        if (two[0] == engine::kInvalidNode || measure(n) < measure(two[0])) {
+          two = {n, two[0]};
+        } else if (two[1] == engine::kInvalidNode ||
+                   measure(n) < measure(two[1])) {
+          two[1] = n;
+        }
+      }
+    }
 
     // Candidate order: measured service-time share, heaviest first, when
     // the snapshot carries shares (measured-cost planning) — the migration
@@ -97,8 +121,12 @@ class Search {
     }
   }
 
-  bool TimeLeft() const {
-    return std::chrono::steady_clock::now() < deadline_;
+  /// False once the cap has expired, which marks the solve capped: every
+  /// caller stops short of convergence on it.
+  bool TimeLeft() {
+    if (std::chrono::steady_clock::now() < deadline_) return true;
+    capped_ = true;
+    return false;
   }
 
   /// The paper's objective, lexicographically: minimize the load distance
@@ -206,6 +234,7 @@ class Search {
     out.drain_load = final_obj.drain;
     out.used_cost = used_cost_;
     out.used_count = used_count_;
+    out.capped = capped_;
     return out;
   }
 
@@ -247,6 +276,54 @@ class Search {
     const MoveDelta m = MigrationTo(item, n);
     used_cost_ += m.cost;
     used_count_ += m.count;
+  }
+
+  // The quantity the budget limits: the move count when it is
+  // count-limited, the cost otherwise. BudgetAllows is monotone in it.
+  double BudgetMeasure(const MoveDelta& m) const {
+    return constraints_.CountLimited() ? m.count : m.cost;
+  }
+
+  // The item's cheapest move under the budget's measure to a retained node
+  // other than its own, if there is one. When the budget rejects it, it
+  // rejects every move of the item.
+  std::optional<MoveDelta> CheapestMove(int item) const {
+    const std::array<NodeId, 2>& two = cheapest_[item];
+    const NodeId to = two[0] != item_node_[item] ? two[0] : two[1];
+    if (to == engine::kInvalidNode) return std::nullopt;
+    return DeltaFor(item, to);
+  }
+
+  // A lower bound on the load distance of the current placement with node
+  // a's load read as load_a and b's as load_b: half the spread of the
+  // retained loads, since no mean sits closer than that to both the
+  // largest and the smallest. Reads the step's by_load_ (retained nodes,
+  // most loaded first), and shrinks by kBoundMargin so that Evaluate's
+  // rounding never puts the distance it computes below the bound.
+  double DistanceLowerBound(NodeId a, double load_a, NodeId b,
+                            double load_b) const {
+    double hi = -std::numeric_limits<double>::infinity();
+    double lo = std::numeric_limits<double>::infinity();
+    for (const NodeId n : by_load_) {
+      if (n != a && n != b) {
+        hi = node_load_[n];
+        break;
+      }
+    }
+    for (auto it = by_load_.rbegin(); it != by_load_.rend(); ++it) {
+      if (*it != a && *it != b) {
+        lo = node_load_[*it];
+        break;
+      }
+    }
+    const auto substitute = [&](NodeId n, double load) {
+      if (eval_slot_[n] >= retained_.size()) return;  // a marked node
+      hi = std::max(hi, load);
+      lo = std::min(lo, load);
+    };
+    substitute(a, load_a);
+    substitute(b, load_b);
+    return (hi - lo) / 2.0 * (1.0 - kBoundMargin);
   }
 
   bool BudgetAllows(double cost_delta, int count_delta) const {
@@ -341,15 +418,23 @@ class Search {
     Objective best_obj = Evaluate();
     for (NodeId src : sources_) {
       for (const int i : node_items_[src]) {
+        const std::optional<MoveDelta> cheapest = CheapestMove(i);
+        if (!cheapest || !BudgetAllows(cheapest->cost, cheapest->count)) {
+          continue;
+        }
         const double src_load = node_load_[src] - LoadOn(src, items_[i].load);
         for (NodeId dst : dests_) {
           if (dst == src) continue;
           if (!SecondaryAllows(i, dst)) continue;
           const MoveDelta delta = DeltaFor(i, dst);
           if (!BudgetAllows(delta.cost, delta.count)) continue;
-          const Objective obj =
-              Evaluate(src, src_load, dst,
-                       node_load_[dst] + LoadOn(dst, items_[i].load));
+          const double dst_load =
+              node_load_[dst] + LoadOn(dst, items_[i].load);
+          if (DistanceLowerBound(src, src_load, dst, dst_load) >
+              best_obj.distance + kEps) {
+            continue;  // cannot be BetterThan the best
+          }
+          const Objective obj = Evaluate(src, src_load, dst, dst_load);
           if (obj.BetterThan(best_obj)) {
             best_obj = obj;
             best_item = i;
@@ -375,9 +460,20 @@ class Search {
       const NodeId src = by_load_[hi];
       for (size_t lo = 0; lo < top; ++lo) {
         const NodeId dst = by_load_[by_load_.size() - 1 - lo];
-        if (src == dst) continue;
+        if (src == dst || node_items_[dst].empty()) continue;
+        // No partner's move back to src is cheaper than the cheapest move
+        // of the cheapest partner (src is another retained node, so every
+        // partner has one).
+        MoveDelta partner = *CheapestMove(node_items_[dst].front());
+        for (const int b : node_items_[dst]) {
+          const MoveDelta m = *CheapestMove(b);
+          if (BudgetMeasure(m) < BudgetMeasure(partner)) partner = m;
+        }
         for (const int a : node_items_[src]) {
           const MoveDelta da = DeltaFor(a, dst);
+          if (!BudgetAllows(da.cost + partner.cost, da.count + partner.count)) {
+            continue;
+          }
           for (const int b : node_items_[dst]) {
             const MoveDelta db = DeltaFor(b, src);
             if (!BudgetAllows(da.cost + db.cost, da.count + db.count)) {
@@ -395,11 +491,15 @@ class Search {
                 continue;
               }
             }
-            const Objective obj = Evaluate(
-                src,
-                node_load_[src] + LoadOn(src, items_[b].load - items_[a].load),
-                dst,
-                node_load_[dst] + LoadOn(dst, items_[a].load - items_[b].load));
+            const double src_load =
+                node_load_[src] + LoadOn(src, items_[b].load - items_[a].load);
+            const double dst_load =
+                node_load_[dst] + LoadOn(dst, items_[a].load - items_[b].load);
+            if (DistanceLowerBound(src, src_load, dst, dst_load) >
+                best_obj.distance + kEps) {
+              continue;  // cannot be BetterThan the best
+            }
+            const Objective obj = Evaluate(src, src_load, dst, dst_load);
             if (obj.BetterThan(best_obj)) {
               best_obj = obj;
               best_a = a;
@@ -491,6 +591,8 @@ class Search {
   std::vector<NodeId> marked_;
   size_t num_nodes_ = 0;  ///< All node ids, terminated ones included.
   std::vector<MoveDelta> migration_to_;  ///< See MigrationTo().
+  /// Per item: its two retained nodes cheapest under BudgetMeasure.
+  std::vector<std::array<NodeId, 2>> cheapest_;
   std::vector<double> eval_loads_;       ///< See Evaluate().
   std::vector<size_t> eval_slot_;        ///< Node id -> eval_loads_ index.
   std::vector<NodeId> by_load_, sources_, dests_;  ///< Per-step node lists.
@@ -501,6 +603,7 @@ class Search {
   std::vector<std::vector<int>> node_items_;  ///< See CollectNodeItems().
   double used_cost_ = 0.0;
   int used_count_ = 0;
+  bool capped_ = false;  ///< See TimeLeft().
 };
 
 }  // namespace

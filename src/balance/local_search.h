@@ -34,6 +34,8 @@ struct LocalSearchSolution {
   double drain_load = 0.0;     ///< Residual load on nodes marked for removal.
   double used_cost = 0.0;      ///< Migration cost consumed.
   int used_count = 0;          ///< Key groups migrated.
+  /// True when the wall-clock cap ended the search before it converged.
+  bool capped = false;
 };
 
 /// \brief Deterministic, converging local search for the integrated

@@ -77,17 +77,21 @@ Result<RebalancePlan> MilpRebalancer::ComputePlanForItems(
       options_.mode == MilpRebalancerOptions::Mode::kExact ||
       (options_.mode == MilpRebalancerOptions::Mode::kAuto &&
        cells <= options_.exact_max_cells);
+  bool exact_capped = false;
   if (exact) {
-    auto res = SolveExact(snapshot, items, constraints);
+    auto res = SolveExact(snapshot, items, constraints, &exact_capped);
     if (res.ok()) {
       last_mode_used_ = "exact";
+      res->capped = exact_capped;
       return res;
     }
     ALBIC_LOG(kWarn) << "exact MILP failed (" << res.status().ToString()
                      << "); falling back to heuristic";
   }
   last_mode_used_ = "heuristic";
-  return SolveHeuristic(snapshot, items, constraints);
+  auto res = SolveHeuristic(snapshot, items, constraints);
+  if (res.ok()) res->capped = res->capped || exact_capped;
+  return res;
 }
 
 Result<RebalancePlan> MilpRebalancer::SolveHeuristic(
@@ -99,13 +103,15 @@ Result<RebalancePlan> MilpRebalancer::SolveHeuristic(
   ALBIC_ASSIGN_OR_RETURN(
       LocalSearchSolution sol,
       LocalSearchSolver::Solve(snapshot, items, constraints, ls));
-  return PlanFromItemPlacement(snapshot, items, sol.item_node);
+  RebalancePlan plan = PlanFromItemPlacement(snapshot, items, sol.item_node);
+  plan.capped = sol.capped;
+  return plan;
 }
 
 Result<RebalancePlan> MilpRebalancer::SolveExact(
     const engine::SystemSnapshot& snapshot,
     const std::vector<BalanceItem>& items,
-    const RebalanceConstraints& constraints) {
+    const RebalanceConstraints& constraints, bool* capped) {
   const std::vector<NodeId> active = snapshot.cluster->active_nodes();
   const std::vector<NodeId> retained = snapshot.cluster->retained_nodes();
   if (retained.empty()) {
@@ -242,6 +248,7 @@ Result<RebalancePlan> MilpRebalancer::SolveExact(
   bb.time_limit_ms = options_.time_budget_ms;
   ALBIC_ASSIGN_OR_RETURN(milp::MilpSolution sol,
                          milp::BranchAndBoundSolver::Solve(model, bb));
+  *capped = sol.timed_out;
   if (sol.status != milp::MilpStatus::kOptimal &&
       sol.status != milp::MilpStatus::kFeasible) {
     return Status::Infeasible(std::string("MILP terminal status: ") +

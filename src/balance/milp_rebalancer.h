@@ -63,9 +63,12 @@ class MilpRebalancer : public Rebalancer {
   const char* last_mode_used() const { return last_mode_used_; }
 
  private:
+  /// Sets *capped when branch and bound's time limit ended the solve,
+  /// whether or not it found a plan.
   Result<RebalancePlan> SolveExact(const engine::SystemSnapshot& snapshot,
                                    const std::vector<BalanceItem>& items,
-                                   const RebalanceConstraints& constraints);
+                                   const RebalanceConstraints& constraints,
+                                   bool* capped);
   Result<RebalancePlan> SolveHeuristic(
       const engine::SystemSnapshot& snapshot,
       const std::vector<BalanceItem>& items,

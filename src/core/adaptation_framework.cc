@@ -68,6 +68,7 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
     round.plan_ms += std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start)
                          .count();
+    round.plan_capped = round.plan_capped || round.plan.capped;
     return Status::OK();
   };
 

@@ -29,6 +29,9 @@ struct AdaptationRound {
   /// Wall-clock time of the round's ComputePlan calls (both, when the
   /// round re-plans after scaling), traced as controller.plan spans.
   double plan_ms = 0.0;
+  /// True when a wall-clock cap cut any of those calls short
+  /// (RebalancePlan::capped).
+  bool plan_capped = false;
   engine::MigrationReport report;
   scaling::ScalingDecision scaling;
   int nodes_terminated = 0;

@@ -293,8 +293,13 @@ Result<balance::RebalancePlan> Albic::ComputePlan(
   double max_pl = options_.max_partition_load;
   Result<balance::RebalancePlan> best =
       Status::Internal("albic: no solve attempted");
+  bool capped = false;  // any of the round's solves
   while (true) {
     auto plan = SolveOnce(snapshot, constraints, max_pl);
+    if (plan.ok()) {
+      capped = capped || plan->capped;
+      plan->capped = capped;
+    }
     if (plan.ok() &&
         plan->predicted_load_distance <= options_.max_load_distance) {
       return plan;

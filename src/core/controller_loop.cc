@@ -455,6 +455,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   round.checkpoints_taken = stats.checkpoints_taken;
   round.checkpoint_bytes = stats.checkpoint_bytes;
   round.plan_ms = adaptation.plan_ms;
+  round.plan_capped = adaptation.plan_capped;
   round.nodes_added = adaptation.nodes_added;
   round.nodes_terminated = adaptation.nodes_terminated;
   round.nodes_marked = adaptation.nodes_marked;
@@ -480,6 +481,8 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   if (options_.metrics != nullptr) {
     MetricsRegistry* reg = options_.metrics;
     reg->Counter("controller_rounds_total")->Increment();
+    reg->Counter("controller_plans_capped_total")
+        ->Add(round.plan_capped ? 1 : 0);
     reg->Counter("controller_migrations_planned_total")
         ->Add(round.migrations_planned);
     reg->Counter("controller_migrations_applied_total")

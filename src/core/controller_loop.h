@@ -136,6 +136,9 @@ struct ControllerRound {
   double migration_pause_us = 0.0;
   /// Measured planning time of the round (AdaptationRound::plan_ms).
   double plan_ms = 0.0;
+  /// A wall-clock cap cut the round's planning short, so its plan depends
+  /// on host speed (AdaptationRound::plan_capped).
+  bool plan_capped = false;
   /// Planned moves that came due, landed or dropped by the engine (a
   /// failure made them invalid, or the group already sat at the target).
   int migrations_planned = 0;

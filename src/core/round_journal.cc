@@ -63,6 +63,8 @@ std::string RoundJournal::ToJson(const ControllerRound& round) {
   out += round.measured_costs ? "true" : "false";
   out += ",\"plan_ms\":";
   AppendDouble(&out, round.plan_ms);
+  out += ",\"plan_capped\":";
+  out += round.plan_capped ? "true" : "false";
   out += ",\"tuples\":{\"processed\":";
   AppendInt(&out, round.tuples_processed);
   out += ",\"ingested\":";

@@ -184,6 +184,7 @@ Result<MilpSolution> BranchAndBoundSolver::Solve(const MilpModel& model,
     }
     if (options.time_limit_ms > 0.0 && elapsed_ms() > options.time_limit_ms) {
       limits_hit = true;
+      out.timed_out = true;
       break;
     }
     Node node = open.top();

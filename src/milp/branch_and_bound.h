@@ -27,6 +27,7 @@ struct MilpSolution {
   std::vector<double> values;    ///< Incumbent variable values.
   int nodes_explored = 0;
   int lp_iterations = 0;
+  bool timed_out = false;  ///< Options::time_limit_ms ended the search.
 };
 
 /// \brief LP-based branch & bound with best-first search, most-fractional

@@ -28,6 +28,15 @@ enum class TopKCountMode {
 /// `num`, and are keyed by the id so a downstream TopK can merge. Per-group
 /// state is the count map — real, sizeable, and exercised by the
 /// direct-migration round-trip.
+///
+/// The window fire selects from candidates when it can: each group keeps a
+/// threshold, half the k-th count of its previous window, and lists every
+/// id whose count crosses it. Counts start the window at 0 and only grow,
+/// so once k ids crossed, the k-th count is at or above the threshold and
+/// every top-k id is on the list. Otherwise (fewer crossings, the group's
+/// first window, or a window whose counts were loaded, restored or
+/// cleared) the fire selects from the whole table. Neither the list nor
+/// the threshold is state: images and outputs are the same either way.
 class WindowedTopKOperator : public engine::StreamOperator {
  public:
   WindowedTopKOperator(int num_groups, int k,
@@ -69,10 +78,21 @@ class WindowedTopKOperator : public engine::StreamOperator {
     return tuple.aux != 0 ? tuple.aux : tuple.key;
   }
 
+  /// Drops a group's candidate list until its next fire: its counts no
+  /// longer started the window at 0.
+  void Disarm(int group_index) {
+    threshold_[group_index] = 0;
+    candidates_[group_index].clear();
+  }
+
   int k_;
   TopKCountMode mode_;
   std::vector<FlatMap64<int64_t>> window_counts_;
   std::vector<std::vector<std::pair<uint64_t, int64_t>>> last_top_;
+  /// Per group: the count at which an id becomes a candidate (0: none, the
+  /// fire selects from the whole table), and the ids that crossed it.
+  std::vector<int64_t> threshold_;
+  std::vector<std::vector<uint64_t>> candidates_;
   std::vector<std::pair<uint64_t, int64_t>> entries_;  ///< OnWindow's gather.
 };
 

@@ -447,5 +447,143 @@ TEST(LocalSearchTest, GoldenPlansOnWorkloadShapedInstances) {
   }
 }
 
+TEST(LocalSearchTest, ReportsACapThatCutTheSearchShort) {
+  // Every golden instance has moves worth making: a zero cap stops the
+  // search before it converges, a 10 s one does not.
+  for (int which = 0; which < 6; ++which) {
+    SCOPED_TRACE(which);
+    const std::unique_ptr<Instance> in = GoldenInstance(which);
+    for (const double cap_ms : {0.0, 10000.0}) {
+      LocalSearchOptions opts;
+      opts.time_budget_ms = cap_ms;
+      auto res = LocalSearchSolver::Solve(in->snap, in->items, in->cons, opts);
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      EXPECT_EQ(res->capped, cap_ms == 0.0);
+    }
+  }
+}
+
+/// One instance of the randomized exactness pin: 2 to \p max_retained
+/// retained nodes, sometimes marked nodes and heterogeneous capacities, a
+/// count or cost budget (zero, tight or loose), sometimes a secondary cap,
+/// measured service shares, and multi-group items, some of them pinned.
+std::unique_ptr<Instance> RandomInstance(uint64_t seed, int max_retained) {
+  auto in = std::make_unique<Instance>();
+  Rng rng(seed);
+  const int retained =
+      static_cast<int>(2 + rng.Index(static_cast<size_t>(max_retained - 1)));
+  const int marked = rng.Bernoulli(0.25) ? static_cast<int>(1 + rng.Index(2))
+                                         : 0;
+  const bool mixed_caps = rng.Bernoulli(0.35);
+  for (int n = 0; n < retained + marked; ++n) {
+    in->cluster.AddNode(mixed_caps ? rng.Uniform(0.5, 2.0) : 1.0);
+  }
+  for (int n = retained; n < retained + marked; ++n) {
+    EXPECT_TRUE(in->cluster.MarkForRemoval(n).ok());
+  }
+  const int groups = (retained + marked) * static_cast<int>(1 + rng.Index(3));
+  in->topo.AddOperator("op", groups, 1 << 20);
+  Assignment assign(groups);
+  for (KeyGroupId g = 0; g < groups; ++g) {
+    assign.set_node(g, static_cast<NodeId>(rng.Index(
+                           static_cast<size_t>(retained + marked))));
+    in->snap.group_loads.push_back(rng.Uniform(0.5, 1.5) * 60.0 /
+                                   (1.0 + g % 18));
+    in->snap.migration_costs.push_back(rng.Uniform(0.5, 3.0));
+  }
+  in->snap.topology = &in->topo;
+  in->snap.cluster = &in->cluster;
+  in->snap.assignment = assign;
+  in->snap.node_loads.assign(static_cast<size_t>(retained + marked), 0.0);
+  in->items = ItemsFromGroups(in->snap);
+
+  // Budgets: zero, tight or loose, counted or costed.
+  const size_t budget = rng.Index(6);
+  switch (budget) {
+    case 0: in->cons.max_migrations = 0; break;
+    case 1: in->cons.max_migrations = static_cast<int>(1 + rng.Index(6)); break;
+    case 2: in->cons.max_migrations = groups; break;
+    case 3: in->cons.max_migration_cost = 0.0; break;
+    case 4: in->cons.max_migration_cost = rng.Uniform(1.0, 12.0); break;
+    default: break;  // no limit at all
+  }
+  if (rng.Bernoulli(0.3)) {
+    in->snap.group_secondary_loads.resize(static_cast<size_t>(groups));
+    double total = 0.0;
+    for (double& l : in->snap.group_secondary_loads) {
+      l = rng.Uniform(0.0, 5.0);
+      total += l;
+    }
+    in->cons.max_secondary_per_node = total / retained * rng.Uniform(1.1, 1.8);
+  }
+  const bool shares = rng.Bernoulli(0.3);
+  // Multi-group items: runs of two or three consecutive groups, some pinned
+  // to a retained node.
+  std::vector<BalanceItem> items;
+  for (KeyGroupId g = 0; g < groups;) {
+    const int len =
+        rng.Bernoulli(0.3)
+            ? std::min(groups - g, static_cast<int>(2 + rng.Index(2)))
+            : 1;
+    BalanceItem item;
+    for (int j = 0; j < len; ++j, ++g) {
+      item.groups.push_back(g);
+      item.load += in->snap.group_loads[g];
+      if (!in->snap.group_secondary_loads.empty()) {
+        item.secondary_load += in->snap.group_secondary_loads[g];
+      }
+    }
+    if (shares) item.service_share = rng.NextDouble();
+    if (len > 1 && rng.Bernoulli(0.2)) {
+      item.pinned =
+          static_cast<NodeId>(rng.Index(static_cast<size_t>(retained)));
+    }
+    items.push_back(std::move(item));
+  }
+  in->items = std::move(items);
+  return in;
+}
+
+TEST(LocalSearchTest, PlansUnchangedOnSeededInstances) {
+  // One FNV-1a hash over the placement, move count and load-distance bits
+  // of seeded instances, each solved to convergence: 200 with 2-60
+  // retained nodes, then 1,200 small ones with 2-4, where a step more often
+  // sits at its budget's edge (a wrong swap-partner bound or a wrong
+  // cheapest node changes some of their plans). The hash was recorded
+  // before the search learned to skip candidates that its budget or a
+  // load-distance bound rule out, so a change in any decision of any
+  // instance changes it; it covers the cost-budget and secondary-cap
+  // branches that the workload-shaped golden plans leave out.
+  uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](const void* data, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      hash = (hash ^ bytes[i]) * 1099511628211ull;
+    }
+  };
+  for (const auto& [instances, max_retained] :
+       {std::pair{200, 60}, std::pair{1200, 4}}) {
+    for (int s = 0; s < instances; ++s) {
+      const std::unique_ptr<Instance> in =
+          RandomInstance(9000 + s, max_retained);
+      LocalSearchOptions opts;
+      opts.time_budget_ms = 10000.0;
+      auto res = LocalSearchSolver::Solve(in->snap, in->items, in->cons, opts);
+      ASSERT_TRUE(res.ok()) << "instance " << s << ": "
+                            << res.status().ToString();
+      for (const NodeId n : res->item_node) {
+        const int32_t node = n;
+        mix(&node, sizeof(node));
+      }
+      const int32_t used = res->used_count;
+      mix(&used, sizeof(used));
+      uint64_t bits = 0;
+      std::memcpy(&bits, &res->load_distance, sizeof(bits));
+      mix(&bits, sizeof(bits));
+    }
+  }
+  EXPECT_EQ(hash, 0x655cb10d904d99deull) << std::hex << "0x" << hash;
+}
+
 }  // namespace
 }  // namespace albic::balance

@@ -54,6 +54,29 @@ TEST(MilpRebalancerTest, ExactModeBalancesPerfectlyWhenPossible) {
   EXPECT_EQ(plan->migrations.size(), 2u);  // exactly two groups move
 }
 
+TEST(MilpRebalancerTest, PlanReportsWhetherACapCutItsSolveShort) {
+  // Both solvers, each cut off by its cap and run to completion: a zero
+  // local-search cap stops the search before it converges, and a 1e-9 ms
+  // branch-and-bound limit ends the search after the root relaxation.
+  Fixture f(2, {7, 5, 4, 3, 1}, {0, 0, 0, 0, 0});
+  for (const auto mode : {MilpRebalancerOptions::Mode::kHeuristic,
+                          MilpRebalancerOptions::Mode::kExact}) {
+    for (const bool cut : {true, false}) {
+      MilpRebalancerOptions opts;
+      opts.mode = mode;
+      opts.time_budget_ms =
+          !cut ? 2000.0
+               : (mode == MilpRebalancerOptions::Mode::kExact ? 1e-9 : 0.0);
+      MilpRebalancer r(opts);
+      auto plan = r.ComputePlan(f.snap, RebalanceConstraints{});
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_EQ(plan->capped, cut)
+          << "mode " << static_cast<int>(mode) << " used "
+          << r.last_mode_used();
+    }
+  }
+}
+
 TEST(MilpRebalancerTest, ExactRespectsMigrationCountConstraint) {
   Fixture f(2, {10, 10, 10, 10}, {0, 0, 0, 0});
   MilpRebalancerOptions opts;

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "balance/milp_rebalancer.h"
+#include "common/metrics_registry.h"
 #include "core/controller_loop.h"
+#include "core/round_journal.h"
 #include "engine/checkpoint.h"
 #include "engine/load_model.h"
 #include "ops/aggregate.h"
@@ -43,11 +45,12 @@ struct Harness {
   engine::LoadModel load_model{engine::CostModel{}};
   std::unique_ptr<core::ControllerLoop> controller;
 
-  explicit Harness(int latency_sample_every = 0)
-      : rebalancer([] {
+  explicit Harness(int latency_sample_every = 0, double plan_cap_ms = 5,
+                   MetricsRegistry* metrics = nullptr)
+      : rebalancer([plan_cap_ms] {
           balance::MilpRebalancerOptions mopts;
           mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
-          mopts.time_budget_ms = 5;
+          mopts.time_budget_ms = plan_cap_ms;
           return mopts;
         }()) {
     topo.AddOperator("sum", kGroups, 1 << 10);
@@ -69,6 +72,7 @@ struct Harness {
     // 100 work units per period = 100% on a reference node.
     copts.node_capacity_work_units = 100.0;
     copts.use_comm = false;
+    copts.metrics = metrics;
     controller = std::make_unique<core::ControllerLoop>(
         engine.get(), framework.get(), &load_model, &topo, &cluster, copts);
   }
@@ -104,6 +108,27 @@ TEST(ControllerLoopTest, RoundsFireAtPeriodBoundaries) {
         EXPECT_GT(r.latency.e2e_count, 0);
       }
     }
+  }
+}
+
+TEST(ControllerLoopTest, RecordsPlansCutShortByTheirCap) {
+  // A zero cap stops every solve before it converges; a 10 s one lets each
+  // converge. The round record, its journal line and the counter agree.
+  for (const double cap_ms : {0.0, 10000.0}) {
+    SCOPED_TRACE(cap_ms);
+    const bool capped = cap_ms == 0.0;
+    MetricsRegistry metrics;
+    Harness h(/*latency_sample_every=*/0, cap_ms, &metrics);
+    h.Stream(/*periods=*/4, /*tuples_per_period=*/100);
+    ASSERT_EQ(h.controller->rounds_run(), 3);
+    for (const core::ControllerRound& r : h.controller->history()) {
+      EXPECT_EQ(r.plan_capped, capped);
+      EXPECT_NE(core::RoundJournal::ToJson(r).find(
+                    capped ? "\"plan_capped\":true" : "\"plan_capped\":false"),
+                std::string::npos);
+    }
+    EXPECT_EQ(metrics.Counter("controller_plans_capped_total")->value(),
+              capped ? 3 : 0);
   }
 }
 

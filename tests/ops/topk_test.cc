@@ -256,6 +256,236 @@ TEST(TopKTest, FireMatchesFullSortInBothCountModes) {
   }
 }
 
+// Adds \p times occurrences of \p id to group 0.
+void Feed(WindowedTopKOperator& op, uint64_t id, int times) {
+  Capture out;
+  for (int i = 0; i < times; ++i) op.Process(ForId(id), 0, &out);
+}
+
+// Closes a window of \p k ids counted \p kth times each, so the next
+// window's threshold is kth / 2; ids from 10,000 up.
+void Arm(WindowedTopKOperator& op, int k, int kth) {
+  for (int i = 0; i < k; ++i) Feed(op, 10000 + static_cast<uint64_t>(i), kth);
+  ExpectFireMatchesFullSort(op, k);
+}
+
+// An image of \p counts with no last-top rows.
+std::string ImageOf(const FlatMap64<int64_t>& counts) {
+  StateWriter image;
+  WriteMapRows(image, counts);
+  image.PutU64(0);
+  return image.Take();
+}
+
+TEST(TopKTest, SumNumWeightIsDefinedForEveryDouble) {
+  // NaN and anything below 1 weigh 1, 2^63 and up weigh INT64_MAX, and a
+  // count saturates at INT64_MAX instead of wrapping, in Process and
+  // ProcessBatch alike; a loaded INT64_MAX count stays there.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<double, int64_t> cases[] = {
+      {std::numeric_limits<double>::quiet_NaN(), 1},
+      {kInf, kMax},
+      {-kInf, 1},
+      {1e300, kMax},
+      {-1e300, 1},
+      {9223372036854775808.0, kMax},  // 2^63
+      {9223372036854774784.0, 9223372036854774784},  // the double below 2^63
+      {0.5, 1},
+      {-3.5, 1},
+      {3.9, 3},
+  };
+  for (const bool batched : {false, true}) {
+    WindowedTopKOperator op(1, 4, TopKCountMode::kSumNum);
+    FlatMap64<int64_t> loaded;
+    loaded[100] = kMax;
+    ASSERT_TRUE(op.DeserializeGroupState(0, ImageOf(loaded)).ok());
+    std::vector<engine::Tuple> tuples;
+    uint64_t id = 1;
+    for (const auto& [num, weight] : cases) {
+      engine::Tuple t = ForId(id++);
+      t.num = num;
+      tuples.push_back(t);
+    }
+    engine::Tuple again = ForId(2);  // already at INT64_MAX
+    again.num = 5.0;
+    tuples.push_back(again);
+    engine::Tuple top_up = ForId(100);  // loaded at INT64_MAX
+    top_up.num = 7.0;
+    tuples.push_back(top_up);
+    engine::Tuple huge = ForId(7);  // 2^63 - 1024, plus 2^62
+    huge.num = 4611686018427387904.0;
+    tuples.push_back(huge);
+    Capture out;
+    if (batched) {
+      op.ProcessBatch(engine::TupleBatch(std::move(tuples)), 0, &out);
+    } else {
+      for (const engine::Tuple& t : tuples) op.Process(t, 0, &out);
+    }
+    SCOPED_TRACE(batched);
+    id = 1;
+    for (const auto& [num, weight] : cases) {
+      const int64_t want = id == 7 ? kMax : weight;
+      EXPECT_EQ(op.counts(0).at(id), want) << "id " << id << " num " << num;
+      ++id;
+    }
+    EXPECT_EQ(op.counts(0).at(100), kMax);
+    ExpectFireMatchesFullSort(op, 4);
+  }
+  // Occurrence counts saturate too.
+  WindowedTopKOperator occurrences(1, 2);
+  FlatMap64<int64_t> loaded;
+  loaded[5] = kMax;
+  ASSERT_TRUE(occurrences.DeserializeGroupState(0, ImageOf(loaded)).ok());
+  Feed(occurrences, 5, 3);
+  EXPECT_EQ(occurrences.counts(0).at(5), kMax);
+}
+
+TEST(TopKTest, CandidateFiresMatchFullSortInBothCountModes) {
+  // Zipf windows through ProcessBatch: every window after the first
+  // follows an armed one, so its fire selects from the candidates.
+  for (const TopKCountMode mode :
+       {TopKCountMode::kOccurrences, TopKCountMode::kSumNum}) {
+    WindowedTopKOperator op(1, 32, mode);
+    Rng rng(23);
+    ZipfSampler ids(1500, 0.8);
+    for (int window = 0; window < 5; ++window) {
+      std::vector<engine::Tuple> tuples;
+      for (int i = 0; i < 8000; ++i) {
+        engine::Tuple t = ForId(1 + ids.Sample(&rng));
+        t.num = static_cast<double>(1 + rng.Index(3));
+        tuples.push_back(t);
+      }
+      Capture out;
+      op.ProcessBatch(engine::TupleBatch(std::move(tuples)), 0, &out);
+      SCOPED_TRACE(window);
+      ExpectFireMatchesFullSort(op, 32);
+    }
+  }
+}
+
+TEST(TopKTest, FireFallsBackWhenFewerThanKReachTheThreshold) {
+  WindowedTopKOperator op(1, 8);
+  Arm(op, 8, 100);  // threshold 50
+  // One id crosses 50; the rest stay below, so the whole table decides.
+  Feed(op, 1, 60);
+  for (uint64_t id = 2; id <= 20; ++id) Feed(op, id, static_cast<int>(id));
+  ExpectFireMatchesFullSort(op, 8);
+  // This window armed the next at 13 / 2 = 6.
+  for (uint64_t id = 30; id <= 45; ++id) Feed(op, id, static_cast<int>(id) % 9);
+  ExpectFireMatchesFullSort(op, 8);
+}
+
+TEST(TopKTest, LoadedCountsDropTheCandidateList) {
+  // Counts loaded mid-window did not start it at 0: the heavy loaded ids
+  // never crossed the threshold, and only the whole table finds them.
+  WindowedTopKOperator op(1, 8);
+  Arm(op, 8, 20);  // threshold 10
+  for (uint64_t id = 1; id <= 20; ++id) Feed(op, id, 15);
+  FlatMap64<int64_t> loaded;
+  for (uint64_t id = 500; id < 505; ++id) loaded[id] = 1000 - id;
+  for (uint64_t id = 1; id <= 6; ++id) loaded[id] = 3;
+  ASSERT_TRUE(op.DeserializeGroupState(0, ImageOf(loaded)).ok());
+  for (uint64_t id = 1; id <= 20; ++id) Feed(op, id, 15);
+  ExpectFireMatchesFullSort(op, 8);
+  for (int fire = 0; fire < 2; ++fire) {
+    SCOPED_TRACE(fire);
+    for (uint64_t id = 1; id <= 30; ++id) Feed(op, id, 200 + 7 * (id % 5));
+    ExpectFireMatchesFullSort(op, 8);
+  }
+}
+
+TEST(TopKTest, AppliedDeltaDropsTheCandidateList) {
+  WindowedTopKOperator op(1, 8);
+  Arm(op, 8, 20);  // threshold 10
+  for (uint64_t id = 1; id <= 20; ++id) Feed(op, id, 15);
+  // The delta raises ids that never crossed and lowers some that did.
+  FlatMap64<int64_t> changed;
+  std::vector<uint64_t> keys;
+  for (uint64_t id = 1; id <= 10; ++id) {
+    changed[id] = 2;
+    keys.push_back(id);
+  }
+  for (uint64_t id = 600; id < 604; ++id) {
+    changed[id] = 5000 - id;
+    keys.push_back(id);
+  }
+  StateWriter delta;
+  WriteMapDelta(delta, keys, changed,
+                [](StateWriter& w, int64_t v) { w.PutI64(v); });
+  delta.PutU64(0);  // no last-top rows
+  ASSERT_TRUE(op.ApplyGroupDelta(0, delta.Take()).ok());
+  for (uint64_t id = 1; id <= 20; ++id) Feed(op, id, 1);
+  ExpectFireMatchesFullSort(op, 8);
+  for (int fire = 0; fire < 2; ++fire) {
+    SCOPED_TRACE(fire);
+    for (uint64_t id = 1; id <= 30; ++id) {
+      Feed(op, id, 20 + static_cast<int>(id));
+    }
+    ExpectFireMatchesFullSort(op, 8);
+  }
+}
+
+TEST(TopKTest, ClearedGroupDropsTheCandidateList) {
+  // The ids listed before the clear are gone from the table.
+  WindowedTopKOperator op(1, 4);
+  Arm(op, 4, 20);  // threshold 10
+  for (uint64_t id = 1; id <= 20; ++id) Feed(op, id, 12);
+  op.ClearGroupState(0);
+  for (uint64_t id = 300; id <= 305; ++id) {
+    Feed(op, id, static_cast<int>(id) - 290);
+  }
+  ExpectFireMatchesFullSort(op, 4);
+  for (uint64_t id = 1; id <= 12; ++id) Feed(op, id, static_cast<int>(id));
+  ExpectFireMatchesFullSort(op, 4);
+}
+
+TEST(TopKTest, SumNumWeightsThatJumpOverTheThreshold) {
+  // One tuple may carry an id from 0 far past the threshold, and a later
+  // one past it again: each id is listed once.
+  WindowedTopKOperator op(1, 4, TopKCountMode::kSumNum);
+  Capture out;
+  const auto send = [&](uint64_t id, double num) {
+    engine::Tuple t = ForId(id);
+    t.num = num;
+    op.Process(t, 0, &out);
+  };
+  for (uint64_t id = 1; id <= 4; ++id) send(id, 100.0);
+  ExpectFireMatchesFullSort(op, 4);  // threshold 50
+  send(7, 1e6);
+  send(7, 1e6);
+  send(8, 49.0);
+  send(8, 1.0);  // lands exactly on 50
+  send(9, 30.0);
+  send(9, 30.0);
+  send(10, 49.0);  // stays below
+  std::vector<engine::Tuple> batch;
+  for (const auto& [id, num] : {std::pair{11, 500.0}, {11, 500.0}, {12, 51.0},
+                                {12, 2.0}, {13, 1e300}, {13, 5.0}}) {
+    engine::Tuple t = ForId(id);
+    t.num = num;
+    batch.push_back(t);
+  }
+  op.ProcessBatch(engine::TupleBatch(std::move(batch)), 0, &out);
+  ExpectFireMatchesFullSort(op, 4);
+}
+
+TEST(TopKTest, TiesAtTheKthCountStraddlingTheThreshold) {
+  // Threshold 5: three ids at 9, six at exactly 5 (listed) and six at 4
+  // (not). With k = 5 the candidates decide, and the two smallest ids at 5
+  // take the last places; with k = 12 fewer than k are listed, and the
+  // whole table breaks the tie at 4.
+  for (const int k : {5, 12}) {
+    WindowedTopKOperator op(1, k);
+    Arm(op, k, 11);  // threshold 5
+    for (uint64_t id = 1; id <= 3; ++id) Feed(op, id, 9);
+    for (uint64_t id = 20; id > 14; --id) Feed(op, id, 5);
+    for (uint64_t id = 14; id > 8; --id) Feed(op, id, 4);
+    SCOPED_TRACE(k);
+    ExpectFireMatchesFullSort(op, k);
+  }
+}
+
 TEST(TopKTest, FallsBackToPartitionKeyWithoutAux) {
   WindowedTopKOperator op(1, 1);
   Capture out;
