@@ -4,12 +4,12 @@
 // group for O(state) while the serialized image travels, an INDIRECT
 // migration (checkpoint restored in the background + replay of the logged
 // suffix) pauses only for O(suffix), and a LEASE migration (the group's
-// slot stays in the shared state arena and only the LeaseTable entry flips
-// at the wave barrier) moves zero bytes outright. Tuples that arrive
-// during a pause buffer and account the modeled pause as latency, so the
-// p99 timeline shows the spike each mode causes and how quickly it
-// subsides; the lease timeline's self-check is that it shows NO spike at
-// all, and that engine_migration_bytes_total{mode="lease"} == 0.
+// state slot stays put and only its owner flips, at FinishMigration)
+// moves zero bytes outright. Tuples that arrive during a pause buffer and
+// account the modeled pause as latency, so the p99 timeline shows the
+// spike each mode causes and how quickly it subsides; the lease timeline's
+// self-check is that it shows NO spike at all, and that
+// engine_migration_bytes_total{mode="lease"} == 0.
 //
 // The run is sliced into fixed-size windows; each slice's histograms are
 // harvested and reported as a BENCH_JSON series (one line per slice and
@@ -221,9 +221,9 @@ int main() {
   const albic::TimelineResult indirect = albic::RunTimeline(
       stream, slices, albic::engine::MigrationMode::kIndirect,
       /*checkpointed=*/true, sample_every);
-  // Lease: the state slot never moves — the arena lease flips at the wave
-  // barrier and that is the whole migration. Checkpointing stays on so the
-  // three pipelines do identical logging work.
+  // Lease: the state slot never moves — the owner flips at FinishMigration
+  // and that is the whole migration. Checkpointing stays on so the three
+  // pipelines do identical logging work.
   const albic::TimelineResult lease = albic::RunTimeline(
       stream, slices, albic::engine::MigrationMode::kLease,
       /*checkpointed=*/true, sample_every);

@@ -16,7 +16,7 @@
 // three-mode migration showcase, so the trace shows the direct, indirect
 // and lease signatures side by side) and the controller's decision
 // journal. The controller itself runs with the lease opt-in, so every
-// round-applied migration is a zero-cost arena lease flip (journal reason
+// round-applied migration is a zero-cost lease flip (journal reason
 // "lease-zero-cost"). Printed output is identical with or without the
 // observability flags.
 
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   // near 50% mean load at 6000 edits/minute.
   copts.node_capacity_work_units = 2.0 * kTuplesPerPeriod / kNodes / 0.5;
   copts.use_comm = true;
-  // Zero-copy reconfiguration: round-applied moves flip arena leases (no
+  // Zero-copy reconfiguration: round-applied moves flip leases (no
   // state serialized, no pause) — works without checkpointing, which this
   // job only attaches later for the migration showcase.
   copts.use_lease_migration = true;

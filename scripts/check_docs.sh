@@ -13,7 +13,11 @@
 #      every decision reason scripts/analyze_journal.py accepts is a
 #      literal in src/core/controller_loop.cc, and every journal key it
 #      requires (JOURNAL_KEYS) is a "key": literal in
-#      src/core/round_journal.cc.
+#      src/core/round_journal.cc;
+#   6. no header under src/ is dead: each one is included by some file
+#      under src/, bench/, examples/, perfbench/ or tests/ other than its
+#      own .cc, so a header nothing uses cannot keep documenting code that
+#      does not exist.
 #
 # Usage: scripts/check_docs.sh   (from anywhere; operates on the repo root)
 
@@ -119,8 +123,21 @@ if [[ $keys -eq 0 ]]; then
   fail=1
 fi
 
+# --- 6. every header under src/ is included somewhere ------------------------
+headers=0
+while IFS= read -r h; do
+  headers=$((headers + 1))
+  rel="${h#src/}"
+  users=$(grep -rlE "^[[:space:]]*#[[:space:]]*include[[:space:]]+\"(src/)?${rel//./\\.}\"" \
+            src bench examples perfbench tests | grep -vxF "${h%.h}.cc" || true)
+  if [[ -z "$users" ]]; then
+    echo "DEAD HEADER: $h is included by no file under src/, bench/, examples/, perfbench/ or tests/ other than its own .cc"
+    fail=1
+  fi
+done < <(find src -name '*.h' | sort)
+
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (links resolve, common/engine/core/balance/scaling/ops + test harness headers documented, sample journal parses, tooling self-tests pass, $spans catalog spans, $reasons decision reasons and $keys journal keys found in the code)"
+echo "check_docs: OK (links resolve, common/engine/core/balance/scaling/ops + test harness headers documented, sample journal parses, tooling self-tests pass, $spans catalog spans, $reasons decision reasons and $keys journal keys found in the code, $headers src/ headers all included)"

@@ -89,21 +89,19 @@ class Search {
     // whole search bit-identical to the tuple-count path.
     item_order_.resize(items.size());
     std::iota(item_order_.begin(), item_order_.end(), 0);
-    if (constraints.order_by_service_share) {
-      bool any_share = false;
-      for (const BalanceItem& item : items) {
-        if (item.service_share > 0.0) {
-          any_share = true;
-          break;
-        }
+    bool any_share = false;
+    for (const BalanceItem& item : items) {
+      if (item.service_share > 0.0) {
+        any_share = true;
+        break;
       }
-      if (any_share) {
-        std::stable_sort(item_order_.begin(), item_order_.end(),
-                         [&](int a, int b) {
-                           return items[a].service_share >
-                                  items[b].service_share;
-                         });
-      }
+    }
+    if (any_share) {
+      std::stable_sort(item_order_.begin(), item_order_.end(),
+                       [&](int a, int b) {
+                         return items[a].service_share >
+                                items[b].service_share;
+                       });
     }
 
     // Initial placement: pinned items at their pin, everything else at its

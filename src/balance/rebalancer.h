@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file
-/// \brief Rebalancer interface, RebalanceConstraints (migration budget,
-/// measured-cost candidate ordering) and RebalancePlan — the contract of
-/// every key-group allocation algorithm (keyGroupAlloc() in Algorithm 1).
+/// \brief Rebalancer interface, RebalanceConstraints (migration budget)
+/// and RebalancePlan — the contract of every key-group allocation
+/// algorithm (keyGroupAlloc() in Algorithm 1).
 
 #include <limits>
 #include <string>
@@ -28,13 +28,6 @@ struct RebalanceConstraints {
   /// tracked non-bottleneck resource (SystemSnapshot::
   /// group_secondary_loads), in the same percent units. Infinity = off.
   double max_secondary_per_node = std::numeric_limits<double>::infinity();
-  /// Measured-cost candidate ordering: when the snapshot carries measured
-  /// service-time shares, the local search considers move candidates in
-  /// descending share order, so the migration budget is spent on the
-  /// groups that measurably cost the most first. With telemetry off (no
-  /// shares) candidate order is unchanged, keeping plans bit-identical to
-  /// the tuple-count path.
-  bool order_by_service_share = true;
 
   bool CountLimited() const { return max_migrations >= 0; }
   bool SecondaryLimited() const {

@@ -37,7 +37,7 @@ engine::SystemSnapshot AdaptationFramework::BuildSnapshot(
   if (measured != nullptr) {
     snap.group_service_share = measured->group_service_share;
     if (!measured->lease_available.empty()) {
-      // Lease-available groups migrate by flipping an arena lease — zero
+      // Lease-available groups migrate by flipping their owner — zero
       // bytes move, so their mck is genuinely zero. Zeroing it keeps the
       // rebalancer's max_migration_cost budget from throttling moves that
       // cost nothing: a load spike whose byte-moving absorption would be
@@ -98,12 +98,10 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
         ALBIC_RETURN_NOT_OK(cluster->MarkForRemoval(n));
         ++round.nodes_marked;
       }
-      if (options_.replan_after_scaling) {
-        // Lines 6-7: recalculate the plan after scaling, integratively.
-        snap = BuildSnapshot(topology, load_model, group_proc_loads, comm,
-                             *cluster, *assignment, measured);
-        ALBIC_RETURN_NOT_OK(compute_plan(snap));
-      }
+      // Lines 6-7: recalculate the plan after scaling, integratively.
+      snap = BuildSnapshot(topology, load_model, group_proc_loads, comm,
+                           *cluster, *assignment, measured);
+      ALBIC_RETURN_NOT_OK(compute_plan(snap));
     }
   }
 

@@ -17,10 +17,6 @@ namespace albic::core {
 struct AdaptationOptions {
   balance::RebalanceConstraints constraints;
   engine::MigrationCostModel migration_model;
-  /// Algorithm 1 line 7: recompute the allocation after a scaling decision
-  /// so scaling, balancing and collocation are decided integratively.
-  /// Disabling this yields the non-integrated behaviour used in Fig 5.
-  bool replan_after_scaling = true;
 };
 
 /// \brief Result of one adaptation round.

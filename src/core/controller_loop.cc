@@ -154,7 +154,7 @@ Status ControllerLoop::Land(const engine::Migration& m,
                                                : "indirect-cheaper";
     }
   }
-  // Lease flips sit OUTSIDE the checkpointed gate: the arena flip needs
+  // Lease flips sit OUTSIDE the checkpointed gate: an owner flip needs
   // no checkpoint subsystem at all. `<=` (not `<`) so a lease's zero
   // prediction beats an indirect move whose chain leaves no suffix to
   // replay — when both cost nothing, the mode that also moves zero bytes
@@ -253,7 +253,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   } else {
     group_loads = modeled_loads;
   }
-  // Lease availability is arena-derived, not telemetry-derived, and only
+  // Lease availability is engine state, not telemetry-derived, and only
   // meaningful when the controller may actually choose leases: with the
   // opt-in off the vector stays empty and the snapshot's migration-cost
   // terms are untouched, keeping legacy planning bit-identical.

@@ -66,10 +66,10 @@ struct ControllerLoopOptions {
   /// (reported per migration in ControllerRound::migration_decisions).
   bool use_indirect_migration = false;
   /// Opt into lease migration (engine::MigrationMode::kLease) for planned
-  /// moves: reassign groups by flipping lease ownership over the shared
-  /// state arena — zero bytes serialized, zero background transfer, pause
-  /// bounded by one wave barrier. It needs no checkpointing, and with it
-  /// on lease wins for every group whose state is live in the arena
+  /// moves: reassign groups by flipping their owner while the state slot
+  /// stays put — zero bytes serialized, zero background transfer, zero
+  /// pause. It needs no checkpointing, and with it on lease wins for
+  /// every group whose state is live in its slot
   /// (journal reason "lease-zero-cost"); only groups lost across a
   /// FailNode boundary fall back to the byte-moving modes and checkpoint
   /// recovery.
@@ -145,7 +145,7 @@ struct ControllerRound {
   int migrations_applied = 0;   ///< Of those, the moves the engine made.
   int migrations_direct = 0;    ///< Applied with direct O(state) moves.
   int migrations_indirect = 0;  ///< Applied via checkpoint + replay.
-  /// Applied via lease flips over the state arena (zero bytes, zero pause).
+  /// Applied via lease flips (zero bytes, zero pause).
   int migrations_lease = 0;
   /// Per-migration record: chosen mode, predicted vs. actual pause.
   std::vector<MigrationDecision> migration_decisions;
@@ -214,11 +214,12 @@ struct ControllerRound {
 /// leftovers, so it plans from that plan fully applied; the engine drops a
 /// leftover that a failure made invalid. Each move's mode is chosen per
 /// group (see ControllerLoopOptions): a direct or indirect move buffers the
-/// group's in-flight tuples and drains them at the target, a lease flips
-/// ownership at a quiescent instant, so adaptation never loses or reorders
-/// data. A move whose rebuild failed is restored from checkpoint + replay
-/// where it landed, groups lost to a node failure in the round that detects
-/// it. Each ControllerRound reports the moves landed since the previous one.
+/// group's in-flight tuples and drains them at the target, a lease keeps
+/// processing at the source until its finish flips ownership, so
+/// adaptation never loses or reorders data. A move whose rebuild failed is
+/// restored from checkpoint + replay where it landed, groups lost to a node
+/// failure in the round that detects it. Each ControllerRound reports the
+/// moves landed since the previous one.
 ///
 /// No caller-supplied load vectors anywhere: the loop closes the
 /// measure -> decide -> act cycle on real measurements.

@@ -16,9 +16,6 @@ namespace albic::core {
 struct DriverOptions {
   int periods = 60;           ///< Number of SPL periods to simulate.
   int baseline_periods = 1;   ///< Periods defining the load-index baseline.
-  /// Record statistics after applying the round's migrations ("directly
-  /// after applying migrations", §5.2.1).
-  bool record_post_adaptation = true;
   /// Initialization periods before the controller starts adapting (§5,
   /// "Initialization": the paper measures its load-index baseline right
   /// after the initialization phase, before any adaptation savings).

@@ -33,13 +33,12 @@ struct MeasuredSignals {
   /// Per-group share of the measured wall service time, EWMA-smoothed and
   /// summing to 1 over groups with any service. Empty = not measured.
   std::vector<double> group_service_share;
-  /// Per-group flag (1/0): a lease flip over the shared state arena can
-  /// migrate the group at zero transfer cost (state_arena.h). Filled by
-  /// the controller from the engine when lease migration is opted in —
-  /// empty otherwise, so legacy planning never sees it. The snapshot
-  /// builder zeroes the migration-cost terms of lease-available groups,
-  /// letting the rebalancer's migration budget ignore moves that are
-  /// actually free.
+  /// Per-group flag (1/0): a lease flip can migrate the group at zero
+  /// transfer cost (MigrationMode::kLease). Filled by the controller from
+  /// the engine when lease migration is opted in — empty otherwise, so
+  /// legacy planning never sees it. The snapshot builder zeroes the
+  /// migration-cost terms of lease-available groups, letting the
+  /// rebalancer's migration budget ignore moves that are actually free.
   std::vector<uint8_t> lease_available;
 };
 

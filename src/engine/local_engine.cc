@@ -80,11 +80,12 @@ LocalEngine::LocalEngine(const Topology* topology, const Cluster* cluster,
                          LocalEngineOptions options)
     : topology_(topology),
       cluster_(cluster),
-      arena_(topology, std::move(operators), std::move(initial)),
-      operators_(arena_.operators()),
+      assignment_(std::move(initial)),
+      operators_(std::move(operators)),
       options_(options),
       migrating_(static_cast<size_t>(topology->num_key_groups())) {
   assert(static_cast<int>(operators_.size()) == topology_->num_operators());
+  assert(assignment_.num_groups() == topology_->num_key_groups());
   if (options_.max_batch_tuples < 1) options_.max_batch_tuples = 1;
   if (options_.latency_sample_every < 0) options_.latency_sample_every = 0;
   if (options_.journey_sample_every < 0) options_.journey_sample_every = 0;
@@ -339,7 +340,7 @@ Status LocalEngine::Inject(OperatorId source_op, const Tuple& tuple) {
     // Real source operators deliver like any other hop: append straight
     // into the open batch in the owning node's mailbox.
     const KeyGroupId g = topology_->first_group(source_op) + group;
-    AppendRouted(arena_.owner_of(g), source_op, group, g, &tuple, 1);
+    AppendRouted(assignment_.node_of(g), source_op, group, g, &tuple, 1);
     ++staged_tuples_;
   }
   if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
@@ -468,7 +469,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
         StageIngress(source_op, group_index, t);
       } else {
         const KeyGroupId g = topology_->first_group(source_op) + group_index;
-        AppendRouted(arena_.owner_of(g), source_op, group_index, g, &t, 1);
+        AppendRouted(assignment_.node_of(g), source_op, group_index, g, &t, 1);
         ++staged_tuples_;
       }
       if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
@@ -484,7 +485,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
     }
   } else {
     const KeyGroupId g = topology_->first_group(source_op) + group_index;
-    AppendRouted(arena_.owner_of(g), source_op, group_index, g, tuples,
+    AppendRouted(assignment_.node_of(g), source_op, group_index, g, tuples,
                  count);
     staged_tuples_ += static_cast<int64_t>(count);
   }
@@ -572,7 +573,7 @@ void LocalEngine::SendRouted(OperatorId to_op, int target_group,
   const KeyGroupId dst_global = topology_->first_group(to_op) + target_group;
   const double n = static_cast<double>(count);
   period_.comm.Add(src_global, dst_global, n);
-  const NodeId dst_node = arena_.owner_of(dst_global);
+  const NodeId dst_node = assignment_.node_of(dst_global);
   if (src_node != dst_node && src_node != kInvalidNode &&
       dst_node != kInvalidNode) {
     EnsureNodeSlot(&period_.node_work, src_node);
@@ -598,7 +599,7 @@ void LocalEngine::RouteBatch(OperatorId from_op, int from_group,
                              const TupleBatch& batch) {
   if (batch.empty()) return;
   const KeyGroupId src_global = topology_->first_group(from_op) + from_group;
-  const NodeId src_node = arena_.owner_of(src_global);
+  const NodeId src_node = assignment_.node_of(src_global);
   for (const StreamEdge& e : downstream_[from_op]) {
     const int down_groups = topology_->op(e.to).num_key_groups;
     switch (e.pattern) {
@@ -640,9 +641,8 @@ void LocalEngine::DeliverBatch(OperatorId op, int group_index,
   if (mig.active && MigrationBuffers(mig.mode)) {
     // Tuples that arrive while the group migrates buffer in order at the
     // target (§3, "State Migration"); FinishMigration drains them. A lease
-    // skips the buffer entirely: the group processes live at the owner the
-    // lease table currently names, and the flip at the next wave barrier
-    // is what changes that name.
+    // skips the buffer entirely: the group processes live at its source
+    // until FinishMigration flips its owner.
     for (const Tuple& t : batch) mig.buffer.push_back(t);
     period_.tuples_buffered += static_cast<int64_t>(batch.size());
     return;
@@ -674,7 +674,7 @@ void LocalEngine::DeliverBatch(OperatorId op, int group_index,
     batch_tuples = batch.size();
     batch_last_ts = batch.tuples().back().ts;
   }
-  const NodeId node = arena_.owner_of(g);
+  const NodeId node = assignment_.node_of(g);
   const double cost = topology_->op(op).cost_per_tuple;
   const double n = static_cast<double>(batch.size());
   period_.group_work[g] += cost * n;
@@ -795,9 +795,7 @@ void LocalEngine::DrainAll() {
     RunWave(&wave);
     // Between waves every operator is quiescent and each group's log
     // matches its state — the safe point for asynchronous incremental
-    // checkpoints (no global drain or alignment required). Pending leases
-    // flip here too, before the next wave resolves any owner.
-    if (!flip_pending_.empty()) FlipPendingLeases();
+    // checkpoints (no global drain or alignment required).
     if (checkpointer_ != nullptr) checkpointer_->OnSafePoint(this);
   }
   // Sweep the journeys completed by this drain into the period's worst-N.
@@ -847,11 +845,14 @@ void LocalEngine::MaybeFireWindows(int64_t new_time) {
 //   mode       state source           cutover
 //   kDirect    live round-trip        buffer; flip + drain at FinishMigration
 //   kIndirect  chain + logged suffix  buffer; flip + drain at FinishMigration
-//   kLease     none                   flip at the next quiescent instant
+//   kLease     none                   live at the source; flip + drain at
+//                                     FinishMigration
 //   recovery   chain + logged suffix  buffer; flip + drain at RecoverGroup
 //
-// A move whose chain is unusable falls back to the live round-trip; a lost
-// group has no live state, so its recovery fails instead.
+// So every owner change happens in one Cutover call, at FinishMigration or
+// RecoverGroup. A move whose chain is unusable falls back to the live
+// round-trip; a lost group has no live state, so its recovery fails
+// instead.
 // ---------------------------------------------------------------------------
 
 Status LocalEngine::StartMigration(KeyGroupId group, NodeId to,
@@ -871,19 +872,12 @@ Status LocalEngine::StartMigration(KeyGroupId group, NodeId to,
   if (mig.active) {
     return Status::AlreadyExists("group is already migrating");
   }
-  if (arena_.owner_of(group) == to) {
+  if (assignment_.node_of(group) == to) {
     return Status::InvalidArgument("group already on target node");
   }
   mig.active = true;
   mig.target = to;
   mig.mode = mode;
-  if (!MigrationBuffers(mode)) {
-    // A lease flips at the next quiescent instant. It needs no checkpoint
-    // chain — the state stays put in the arena — so it works without
-    // checkpointing, and without weakening it (replay logging is
-    // untouched by the flip).
-    flip_pending_.push_back(group);
-  }
   return Status::OK();
 }
 
@@ -953,15 +947,7 @@ Status LocalEngine::RebuildGroup(KeyGroupId g, StateSource source,
 
 void LocalEngine::Cutover(KeyGroupId g, NodeId to) {
   MigrationState& mig = migrating_[g];
-  if (to != kInvalidNode && !mig.flipped) {
-    arena_.Flip(g, to);
-    if (!mig.lost && !MigrationBuffers(mig.mode)) {
-      // A flip cutover at its quiescent instant: ownership changed hands,
-      // and the move stays open until FinishMigration reports it.
-      mig.flipped = true;
-      return;
-    }
-  }
+  if (to != kInvalidNode) assignment_.set_node(g, to);
   if (mig.lost) {
     lost_groups_.erase(
         std::remove(lost_groups_.begin(), lost_groups_.end(), g),
@@ -969,7 +955,6 @@ void LocalEngine::Cutover(KeyGroupId g, NodeId to) {
   }
   mig.active = false;
   mig.lost = false;
-  mig.flipped = false;
   mig.target = kInvalidNode;
   mig.mode = MigrationMode::kDirect;
   DrainMigrationBuffer(g);
@@ -983,11 +968,9 @@ void LocalEngine::LoseGroup(KeyGroupId g) {
   mig.active = true;
   mig.lost = true;
   mig.target = kInvalidNode;
-  // A lost group never flips: a pending lease entry self-cleans at the next
-  // flip (the mode is no longer kLease), and recovery goes through
-  // checkpoint + replay (RecoverGroup).
+  // A buffering mode, so input buffers until RecoverGroup restores the
+  // group through checkpoint + replay — a lease move included.
   mig.mode = MigrationMode::kDirect;
-  mig.flipped = false;
 }
 
 void LocalEngine::DrainMigrationBuffer(KeyGroupId group) {
@@ -1007,55 +990,40 @@ void LocalEngine::DrainMigrationBuffer(KeyGroupId group) {
   DrainAll();
 }
 
-void LocalEngine::FlipPendingLeases() {
-  if (flip_pending_.empty()) return;
-  PhaseScope prof_scope(prof_, WavePhase::kMigration);
-  std::vector<KeyGroupId> pending;
-  pending.swap(flip_pending_);
-  for (const KeyGroupId g : pending) {
-    MigrationState& mig = migrating_[g];
-    // Validate against the live migration record: FailNode may have
-    // cancelled the move or turned the group into a lost one since Start —
-    // stale entries drop out here.
-    if (!mig.active || mig.lost || MigrationBuffers(mig.mode) ||
-        mig.flipped) {
-      continue;
-    }
-    ALBIC_TRACE_SPAN2("migration", "migration.lease.flip", "group", g, "to",
-                      mig.target);
-    // The slot never moves, and the group's replay log and chain stay as
-    // they are: from here every delivery — in-flight mailbox batches
-    // included — resolves the new owner. Redirected, not stalled.
-    Cutover(g, mig.target);
-  }
-}
-
 Result<double> LocalEngine::FinishMigration(KeyGroupId group) {
+  if (group < 0 || group >= topology_->num_key_groups()) {
+    return Status::InvalidArgument("unknown key group");
+  }
   PhaseScope prof_scope(prof_, WavePhase::kMigration);
   MigrationState& mig = migrating_[group];
   if (!mig.active) {
     return Status::InvalidArgument("group is not migrating");
   }
-  if (!mig.lost && !MigrationBuffers(mig.mode)) {
-    ALBIC_TRACE_SPAN1("migration", "migration.lease.finish", "group", group);
-    // The driving thread being here is itself a quiescent instant — if no
-    // wave barrier happened since Start, flip now. Nothing buffered and
-    // nothing drains, so the pause is the single wave barrier: zero in the
-    // engine's byte-proportional model.
-    if (!mig.flipped) FlipPendingLeases();
-  }
   if (mig.lost) {
     return Status::InvalidArgument("group is lost; use RecoverGroup");
   }
-  MigrationMode counted = mig.mode;
+  if (!MigrationBuffers(mig.mode)) {
+    // A lease: the slot never moves and the replay log and chain stay as
+    // they are, so nothing is rebuilt and nothing buffered — the pause is
+    // zero in the engine's byte-proportional model.
+    ALBIC_TRACE_SPAN1("migration", "migration.lease.finish", "group", group);
+    CounterMetric* moves =
+        metrics_.migrations[static_cast<int>(MigrationMode::kLease)];
+    if (moves != nullptr) moves->Increment();
+    ALBIC_TRACE_SPAN2("migration", "migration.lease.flip", "group", group,
+                      "to", mig.target);
+    Cutover(group, mig.target);
+    return 0.0;
+  }
+  // Buffered cutover: rebuild while new input buffers at the target. An
+  // indirect move without a usable chain is a direct one — span, pause and
+  // metrics all follow the source actually used.
+  const StateSource source = MoveSource(group, mig.mode);
+  const MigrationMode counted = source == StateSource::kChain
+                                    ? MigrationMode::kIndirect
+                                    : MigrationMode::kDirect;
   double pause_us = 0.0;
-  if (MigrationBuffers(mig.mode)) {
-    // Buffered cutover: rebuild while new input buffers at the target. An
-    // indirect move without a usable chain is a direct one — span, pause
-    // and metrics all follow the source actually used.
-    const StateSource source = MoveSource(group, mig.mode);
-    counted = source == StateSource::kChain ? MigrationMode::kIndirect
-                                            : MigrationMode::kDirect;
+  {
     ALBIC_TRACE_SPAN2("migration",
                       source == StateSource::kChain ? "migration.indirect"
                                                     : "migration.direct",
@@ -1105,16 +1073,15 @@ Status LocalEngine::FailNode(NodeId node) {
   PhaseScope prof_scope(prof_, WavePhase::kRecovery);
   for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
     const MigrationState& mig = migrating_[g];
-    if (arena_.owner_of(g) == node) {
+    if (assignment_.node_of(g) == node) {
       // The group dies with its node: its live state is lost, and new
       // input buffers exactly as during a migration until RecoverGroup
       // restores it elsewhere — recovery is just another reconfiguration.
       LoseGroup(g);
     } else if (mig.active && mig.target == node) {
-      // A move toward the dead node: the state never left the source —
-      // cancel it without a flip and release the buffered tuples at the
-      // source. (An unflipped lease buffered nothing; its pending entry
-      // self-cleans at the next flip.)
+      // A move toward the dead node, of any mode: ownership has not
+      // changed, so cancel it without a flip and release the buffered
+      // tuples at the source.
       Cutover(g, kInvalidNode);
     }
   }
@@ -1160,8 +1127,8 @@ MigrationPauseEstimate LocalEngine::EstimateMigrationPause(
   MigrationPauseEstimate est;
   est.direct_us =
       kEnginePauseUsPerByte * topology_->group_state_bytes(group);
-  // A lease flip needs nothing but the live slot in the arena — no
-  // checkpoint chain, no suffix, no bytes. Only a group lost to a node
+  // A lease flip needs nothing but the group's live slot — no checkpoint
+  // chain, no suffix, no bytes. Only a group lost to a node
   // failure (its slot cleared) cannot be leased; checkpoint + replay
   // recovers it instead.
   est.lease_available = !migrating_[group].lost;

@@ -4,7 +4,7 @@
 /// \brief LocalEngine, the single-process PSPE runtime: executes
 /// operator code over simulated nodes in batches drained in waves, and
 /// implements direct, indirect (checkpoint + replay) and lease (zero-copy
-/// ownership flip over the shared state arena) state migration plus
+/// ownership flip: the state slot never moves) state migration plus
 /// checkpoint-based failure recovery — all four as one rebuild step plus
 /// one cutover step.
 
@@ -26,7 +26,6 @@
 #include "engine/migration.h"
 #include "engine/operator.h"
 #include "engine/replay_log.h"
-#include "engine/state_arena.h"
 #include "engine/topology.h"
 #include "engine/tuple.h"
 
@@ -165,11 +164,11 @@ struct MigrationPauseEstimate {
   /// replay log still reaches); without one an indirect migration would
   /// fall back to the direct round-trip.
   bool indirect_available = false;
-  /// Lease flip: reassign the group's slot in the shared state arena —
-  /// zero bytes serialized, zero background transfer, pause bounded by one
-  /// wave barrier. Modeled as zero. Meaningless unless lease_available.
+  /// Lease flip: reassign the group's owner while its state slot stays
+  /// put — zero bytes serialized, zero background transfer, nothing
+  /// buffered. Modeled as zero. Meaningless unless lease_available.
   double lease_us = 0.0;
-  /// A lease flip is possible: the group's state sits live in the arena.
+  /// A lease flip is possible: the group's state sits live in its slot.
   /// False only for groups lost across a FailNode boundary, where the
   /// slot's state is gone and checkpoint + replay is the recovery path.
   bool lease_available = false;
@@ -241,11 +240,10 @@ class LocalEngine {
   /// the reconfiguration pipeline, a state source plus a cutover (see
   /// docs/ARCHITECTURE.md, "Reconfiguration pipeline"). kDirect/kIndirect
   /// cut over by buffering: subsequent tuples for the group buffer at the
-  /// target until FinishMigration. kLease cuts over by a flip: nothing
-  /// buffers — the group keeps processing at the old owner until the next
-  /// quiescent instant flips ownership. kIndirect requires checkpointing
-  /// (EnableCheckpointing); kLease needs none — the state never leaves
-  /// the arena.
+  /// target until FinishMigration. kLease records the target only: nothing
+  /// buffers — the group keeps processing live at its source until
+  /// FinishMigration flips ownership. kIndirect requires checkpointing
+  /// (EnableCheckpointing); kLease needs none — the state slot never moves.
   Status StartMigration(KeyGroupId group, NodeId to,
                         MigrationMode mode = MigrationMode::kDirect);
 
@@ -254,12 +252,12 @@ class LocalEngine {
   /// indirect restores the newest checkpoint chain and replays the logged
   /// suffix (the base travels in the background, so the pause is
   /// O(deltas + suffix)), falling back to the direct round-trip without a
-  /// usable chain; then ownership flips and the buffer drains. Lease: the
-  /// flip happened at a wave barrier (here, if none occurred since Start);
-  /// nothing buffered, nothing drains, and the returned pause is zero. A
-  /// failed rebuild is returned here and by this group's call only; the
-  /// group is then lost exactly as after FailNode (listed in
-  /// lost_groups(), input buffered until RecoverGroup).
+  /// usable chain; then ownership flips and the buffer drains. Lease:
+  /// nothing is rebuilt or buffered; ownership flips here, and the
+  /// returned pause is zero. Every mode changes owner here (or in
+  /// RecoverGroup) and nowhere else. A failed rebuild is returned here and
+  /// by this group's call only; the group is then lost exactly as after
+  /// FailNode (listed in lost_groups(), input buffered until RecoverGroup).
   Result<double> FinishMigration(KeyGroupId group);
 
   /// \brief Convenience: start + finish in one step.
@@ -273,7 +271,7 @@ class LocalEngine {
   MigrationPauseEstimate EstimateMigrationPause(KeyGroupId group) const;
 
   /// \brief Per-group lease availability: 1 when the group's slot holds
-  /// live state in the arena (ownership can flip by lease, zero bytes),
+  /// live state (ownership can flip by lease, zero bytes),
   /// 0 for groups lost to a node failure and awaiting checkpoint recovery.
   /// Feeds MeasuredSignals::lease_available, which zeroes the planner's
   /// migration-cost budget terms for lease-eligible groups.
@@ -361,12 +359,8 @@ class LocalEngine {
   /// on)?
   bool journey_sampling_enabled() const { return journeys_.enabled(); }
 
-  const Assignment& assignment() const { return arena_.assignment(); }
+  const Assignment& assignment() const { return assignment_; }
   const Topology& topology() const { return *topology_; }
-
-  /// \brief The arena owning every operator's state slots and the lease
-  /// table mapping groups to their current owners (tests, observability).
-  const StateArena& arena() const { return arena_; }
 
   int64_t event_time() const { return event_time_us_; }
   const LocalEngineOptions& options() const { return options_; }
@@ -384,9 +378,6 @@ class LocalEngine {
     bool lost = false;
     MigrationMode mode = MigrationMode::kDirect;
     NodeId target = kInvalidNode;
-    /// kLease only: ownership already flipped at a quiescent instant;
-    /// FinishMigration only reports the move.
-    bool flipped = false;
     std::deque<Tuple> buffer;
   };
 
@@ -452,22 +443,17 @@ class LocalEngine {
   /// its whole log. On failure the group is lost (LoseGroup) and the error
   /// returned.
   Status RebuildGroup(KeyGroupId g, StateSource source, Rebuild* out);
-  /// The cutover of every mode and of recovery: ownership flips to \p to,
-  /// once per move (kInvalidNode: a cancelled move, no flip). A lease
-  /// flipping at a quiescent instant stays open until FinishMigration;
-  /// every other call ends the move: the record resets, the buffer drains.
+  /// The cutover of every mode and of recovery, and the only code that
+  /// writes a group's owner: ownership flips to \p to (kInvalidNode: a
+  /// cancelled move, no flip), the record resets and the buffer drains.
+  /// The drain also delivers every batch staged for the old owner before
+  /// any batch routed to the new one can run.
   void Cutover(KeyGroupId g, NodeId to);
   /// Marks \p g lost (FailNode, failed rebuilds): its state is cleared and
   /// new input buffers until RecoverGroup.
   void LoseGroup(KeyGroupId g);
   /// Drains the tuples buffered for a group while it migrated/recovered.
   void DrainMigrationBuffer(KeyGroupId g);
-  /// Lease cutovers: called on the driving thread at quiescent instants
-  /// (wave barriers, FinishMigration). Every group with a pending kLease
-  /// move flips ownership here — nothing is rebuilt, and batches already
-  /// in flight resolve the new owner at delivery, redirected rather than
-  /// stalled.
-  void FlipPendingLeases();
 
   // --- latency telemetry helpers ---
   static int64_t NowNs();
@@ -565,20 +551,15 @@ class LocalEngine {
 
   const Topology* topology_;
   const Cluster* cluster_;
-  /// Owns every operator's state slots and the lease table mapping groups
-  /// to owners; all ownership changes (migrations, lease flips, recovery)
-  /// go through arena_.Flip so lease epochs stay accurate.
-  StateArena arena_;
-  /// View into arena_'s slot table (the arena owns the instances; this
-  /// reference keeps the dozens of per-delivery use sites untouched).
-  const std::vector<StreamOperator*>& operators_;
+  /// Group -> owner node (the paper's q matrix); written by Cutover only.
+  Assignment assignment_;
+  /// Per-operator state slots, indexed by OperatorId (null for stateless
+  /// sources). Every operator instance keys its state by group, so a slot
+  /// never moves between nodes: only its owner in assignment_ changes.
+  std::vector<StreamOperator*> operators_;
   LocalEngineOptions options_;
 
   std::vector<MigrationState> migrating_;  // per key group
-  /// Groups whose kLease move awaits its flip; entries are validated
-  /// against migrating_ at the flip, so cancelled or failed-over moves
-  /// self-clean.
-  std::vector<KeyGroupId> flip_pending_;
   EnginePeriodStats period_;
 
   // Checkpointing state (unused until EnableCheckpointing).

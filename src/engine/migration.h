@@ -21,14 +21,14 @@ enum class MigrationMode {
   /// the group's latest checkpoint (transferred in the background) and
   /// replays the logged suffix — the pause is O(suffix), not O(state).
   kIndirect,
-  /// Lease flip over the shared state arena (see engine/state_arena.h):
-  /// the group's state slot never moves — at the next wave barrier the
-  /// LeaseTable entry flips to the new owner, and that is the entire
-  /// migration. Zero bytes serialized, zero background transfer, pause
-  /// bounded by one wave. Works with or without checkpointing (the flip
-  /// does not touch the replay-log machinery, so the failure path stays
-  /// intact); unavailable only for groups lost across a FailNode
-  /// boundary, where checkpoint + replay remains the recovery mechanism.
+  /// Lease flip: the group's state slot never moves — it keeps
+  /// processing live at its source until FinishMigration flips its owner
+  /// to the target, and that is the entire migration. Zero bytes
+  /// serialized, zero background transfer, zero pause. Works with or
+  /// without checkpointing (the flip does not touch the replay-log
+  /// machinery, so the failure path stays intact); unavailable only for
+  /// groups lost across a FailNode boundary, where checkpoint + replay
+  /// remains the recovery mechanism.
   kLease,
 };
 
@@ -45,8 +45,7 @@ const char* MigrationModeName(MigrationMode mode);
 
 /// \brief True for the modes that buffer new input at the target while the
 /// state travels (direct/indirect). A lease never buffers: the group keeps
-/// processing at whichever owner the lease table currently names, and the
-/// wave-barrier flip is what changes that name.
+/// processing live at its source until FinishMigration flips its owner.
 inline bool MigrationBuffers(MigrationMode mode) {
   return mode == MigrationMode::kDirect || mode == MigrationMode::kIndirect;
 }

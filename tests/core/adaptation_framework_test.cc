@@ -107,20 +107,6 @@ TEST(AdaptationFrameworkTest, ScalingPolicyAddsNodesAndReplans) {
   EXPECT_GT(f.assign.count_on(2), 0);
 }
 
-TEST(AdaptationFrameworkTest, NonIntegratedSkipsReplan) {
-  Fixture f(2, 4, 48.0);
-  scaling::UtilizationScalingPolicy policy;
-  AdaptationOptions opts;
-  opts.replan_after_scaling = false;
-  AdaptationFramework fw(&f.rebalancer, &policy, opts);
-  auto round = fw.RunRound(f.topo, f.load_model, f.proc, nullptr,
-                           &f.cluster, &f.assign);
-  ASSERT_TRUE(round.ok());
-  EXPECT_GT(round->nodes_added, 0);
-  // Without the line-7 replan nothing lands on the new node this round.
-  EXPECT_EQ(f.assign.count_on(2), 0);
-}
-
 TEST(AdaptationFrameworkTest, MigrationBudgetFlowsThrough) {
   Fixture f(2, 8, 10.0);
   for (KeyGroupId g = 0; g < 8; ++g) f.assign.set_node(g, 0);

@@ -321,7 +321,7 @@ TEST(MeasuredCostPlanningTest, LeaseModeWinsWhenOptedIn) {
                              std::vector<engine::StreamOperator*>{&big,
                                                                   &small},
                              eopts);
-  // Deliberately NO checkpointing: a lease flip needs only the arena, so
+  // Deliberately NO checkpointing: a lease flip needs only the live slot, so
   // the opt-in must beat direct even where indirect is unavailable.
 
   const KeyGroupId big_group = topo.first_group(0);

@@ -7,14 +7,15 @@
 // in-flight traffic, back-to-back migrations of the same group, target
 // equal to source).
 // The same loop pins each mode's accounting: returned pause, buffered and
-// replayed tuples, the per-mode migration counters and exactly one lease
-// flip per move. Plus the mode-request contracts: kLease without
-// checkpointing still flips (the arena lease needs no checkpoint
-// subsystem), kIndirect without checkpointing is rejected, a group already
-// mid-migration rejects a second StartMigration, a lease flip racing a
-// node kill loses no tuples on either side of the stamp, and a failed
-// rebuild loses only its own group, which recovers from checkpoint +
-// replay.
+// replayed tuples, the per-mode migration counters, and the one ownership
+// rule — the source owns the group while the move is open, the target once
+// FinishMigration returns. Plus the mode-request contracts: kLease without
+// checkpointing still flips (the state slot never moves, so a lease needs
+// no checkpoint subsystem), kIndirect without checkpointing is rejected,
+// FinishMigration rejects an unknown group, a group already mid-migration
+// rejects a second StartMigration, a lease racing a node kill loses no
+// tuples whichever endpoint dies, and a failed rebuild loses only its own
+// group, which recovers from checkpoint + replay.
 
 #include <gtest/gtest.h>
 
@@ -133,7 +134,10 @@ struct StoreRunResult {
   // Migrated runs: the move's accounting...
   double pause_us = 0.0;
   int64_t replayed = 0;
-  int64_t flips = 0;
+  NodeId from = engine::kInvalidNode;
+  NodeId to = engine::kInvalidNode;
+  NodeId owner_open = engine::kInvalidNode;  ///< After the in-flight Flush.
+  NodeId owner_finished = engine::kInvalidNode;  ///< After FinishMigration.
   /// engine_migrations_total{mode}.
   int64_t migrations[engine::kNumMigrationModes] = {};
   /// engine_migration_bytes_total{mode}.
@@ -159,14 +163,14 @@ StoreRunResult RunStoreScenario(const StoreScenario& scenario,
   EXPECT_TRUE(p.coordinator->CheckpointNow(p.engine.get()).ok());
   StoreRunResult out;
   if (migrate) {
-    const NodeId to = (p.engine->assignment().node_of(group) + 1) %
-                      kStoreNodes;
+    out.from = p.engine->assignment().node_of(group);
+    out.to = (out.from + 1) % kStoreNodes;
     out.in_flight = static_cast<int64_t>(keys.size() - half);
     out.state_bytes =
         static_cast<int64_t>(p.sink.SerializeGroupState(0).size());
     out.chain_delta_bytes =
         static_cast<int64_t>(p.cstore.ChainDeltaBytes(group));
-    EXPECT_TRUE(p.engine->StartMigration(group, to, mode).ok());
+    EXPECT_TRUE(p.engine->StartMigration(group, out.to, mode).ok());
     if (keys.size() > half) {
       // In-flight traffic between Start and Finish: buffered for direct
       // and indirect, processed live for lease — same final state either
@@ -176,9 +180,10 @@ StoreRunResult RunStoreScenario(const StoreScenario& scenario,
               .ok());
       p.engine->Flush();
     }
+    out.owner_open = p.engine->assignment().node_of(group);
     const auto pause = p.engine->FinishMigration(group);
     EXPECT_TRUE(pause.ok()) << pause.status().ToString();
-    EXPECT_EQ(p.engine->assignment().node_of(group), to);
+    out.owner_finished = p.engine->assignment().node_of(group);
     out.pause_us = pause.ok() ? *pause : -1.0;
   } else if (keys.size() > half) {
     EXPECT_TRUE(
@@ -191,7 +196,6 @@ StoreRunResult RunStoreScenario(const StoreScenario& scenario,
   out.processed = stats.tuples_processed;
   out.buffered = stats.tuples_buffered;
   out.replayed = stats.tuples_replayed;
-  out.flips = p.engine->arena().leases().flips();
   for (int m = 0; m < engine::kNumMigrationModes; ++m) {
     const MetricLabels mode = {{"mode", ModeLabel(m)}};
     out.migrations[m] =
@@ -229,7 +233,12 @@ void ExpectMoveAccounting(const StoreRunResult& run, MigrationMode mode,
   EXPECT_DOUBLE_EQ(run.pause_us, pause_us) << where;
   EXPECT_EQ(run.buffered, buffered) << where;
   EXPECT_EQ(run.replayed, 0) << where;
-  EXPECT_EQ(run.flips, 1) << where << ": one lease flip per move";
+  // Every mode changes owner in FinishMigration and nowhere else: waves
+  // that ran while the move was open left the source in charge.
+  EXPECT_EQ(run.owner_open, run.from)
+      << where << ": owner changed before FinishMigration";
+  EXPECT_EQ(run.owner_finished, run.to)
+      << where << ": owner is not the target after FinishMigration";
   for (int m = 0; m < engine::kNumMigrationModes; ++m) {
     const bool own = m == static_cast<int>(mode);
     EXPECT_EQ(run.migrations[m], own ? 1 : 0)
@@ -450,10 +459,22 @@ TEST(MigrationModeContractTest, LeaseWithoutCheckpointingStillFlips) {
   EXPECT_EQ(stats.tuples_processed, 33);
 }
 
+TEST(MigrationModeContractTest, FinishMigrationRejectsUnknownGroup) {
+  // The same range check StartMigration and RecoverGroup make: an id
+  // outside [0, num_key_groups()) is an error, never an index.
+  StorePipeline p;
+  for (const KeyGroupId g : {KeyGroupId{-1}, p.topo.num_key_groups()}) {
+    const auto pause = p.engine->FinishMigration(g);
+    EXPECT_EQ(pause.status().code(), StatusCode::kInvalidArgument)
+        << "group " << g << ": " << pause.status().ToString();
+  }
+}
+
 TEST(MigrationModeContractTest, LeaseTowardDyingNodeIsCancelledLossFree) {
-  // A lease flip racing a kill of its TARGET: the stamp never happened, so
-  // the lease table still names the source — FailNode cancels the pending
-  // move and the group keeps processing where it is, losing nothing.
+  // A kill of a lease's TARGET before FinishMigration: ownership changes
+  // only at the finish, so the source still owns the group even though
+  // waves ran while the lease was open — FailNode cancels the move and the
+  // group keeps processing where it is, losing nothing.
   const StoreScenario scenario{"single_owner", 48};
   const StoreRunResult baseline =
       RunStoreScenario(scenario, /*migrate=*/false, MigrationMode::kDirect);
@@ -469,12 +490,18 @@ TEST(MigrationModeContractTest, LeaseTowardDyingNodeIsCancelledLossFree) {
   const NodeId from = p.engine->assignment().node_of(group);
   const NodeId to = (from + 1) % kStoreNodes;
   ASSERT_TRUE(p.engine->StartMigration(group, to, MigrationMode::kLease).ok());
-  // No wave barrier between Start and the kill: the flip is still pending.
+  // Part of the second half runs in waves while the lease is open.
+  const size_t open_end = half + (keys.size() - half) / 2;
+  ASSERT_TRUE(p.engine->InjectBatch(0, keys.data() + half, open_end - half)
+                  .ok());
+  p.engine->Flush();
   ASSERT_TRUE(p.engine->FailNode(to).ok());
   EXPECT_EQ(p.engine->assignment().node_of(group), from)
       << "a cancelled lease flip must leave ownership untouched";
-  ASSERT_TRUE(
-      p.engine->InjectBatch(0, keys.data() + half, keys.size() - half).ok());
+  ASSERT_TRUE(p.engine
+                  ->InjectBatch(0, keys.data() + open_end,
+                                keys.size() - open_end)
+                  .ok());
   p.engine->Flush();
   // Groups that died WITH the node recover normally (checkpoint + replay);
   // the leased group is not among them.
@@ -488,10 +515,9 @@ TEST(MigrationModeContractTest, LeaseTowardDyingNodeIsCancelledLossFree) {
 }
 
 TEST(MigrationModeContractTest, LeasedGroupDyingWithNodeRecoversLossFree) {
-  // A lease flip whose stamp ALREADY happened, followed by a kill of the
-  // new owner: the lease dies with the node, and recovery goes through
-  // checkpoint + replay like any other lost group — zero tuple loss, and
-  // never another flip of a dead lease.
+  // A finished lease, followed by a kill of the new owner: the group dies
+  // with the node, and recovery goes through checkpoint + replay like any
+  // other lost group — zero tuple loss.
   const StoreScenario scenario{"single_owner", 48};
   const StoreRunResult baseline =
       RunStoreScenario(scenario, /*migrate=*/false, MigrationMode::kDirect);

@@ -2,8 +2,8 @@
 // indirect and lease migrations plus node failures, interleaved
 // with sharded ingestion on a wide cluster, differentially
 // checked against a single-node no-reconfiguration oracle. Node kills can
-// land while a migration is still open (including a pending or
-// just-stamped lease flip), so the schedule exercises the
+// land while a migration of any mode is still open (its source owns the
+// group until FinishMigration), so the schedule exercises the
 // cancelled-toward-victim, lost-with-victim and survived-the-kill paths of
 // every mode. Every seed must produce bit-identical canonical state and
 // windowed output — reconfiguration is supposed to be invisible to the
@@ -204,8 +204,8 @@ void RunSoak(uint64_t seed) {
       // a migration is still open the kill races it: a move toward the
       // victim is cancelled by FailNode, a group whose owner died is lost
       // (and recovered below), and a move the failure didn't touch stays
-      // finishable. For an open lease move the "owner" depends on whether a
-      // wave barrier already stamped the flip during the previous chunk.
+      // finishable. Every mode changes owner only at FinishMigration, so
+      // an open move's owner is its source, whatever ran since Start.
       NodeId victim = static_cast<NodeId>(rng.NextU64() %
                                           static_cast<uint64_t>(kNodes));
       while (!fuzz.cluster.is_active(victim)) victim = (victim + 1) % kNodes;

@@ -165,8 +165,8 @@ TEST_F(TraceTest, MigrationModesLeaveDistinctSpans) {
       p.engine->MigrateGroup(0, /*to=*/1, MigrationMode::kDirect).ok());
   ASSERT_TRUE(
       p.engine->MigrateGroup(1, /*to=*/2, MigrationMode::kIndirect).ok());
-  // A lease flips at FinishMigration's quiescent instant (no wave barrier
-  // ran since Start), so its flip span nests inside its finish span.
+  // A lease flips in FinishMigration's cutover, so its flip span nests
+  // inside its finish span.
   ASSERT_TRUE(
       p.engine->MigrateGroup(2, /*to=*/3, MigrationMode::kLease).ok());
   Tracer::Global().Disable();
