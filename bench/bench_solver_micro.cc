@@ -1,20 +1,25 @@
 // Micro-benchmarks (google-benchmark) for the optimization substrates that
 // power Figs 2-4: the simplex LP solver, branch & bound, the multilevel
-// graph partitioner and the assignment local search; plus the two kernels of
-// a steady controller round's boundary chunk, a converging local search and
-// the TopK window fire.
+// graph partitioner and the assignment local search; plus the kernels of a
+// steady controller round's boundary chunk, a converging local search and
+// the TopK window fire, and steady's fan-out through the engine: one
+// regular chunk and one window-fire cascade.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <numeric>
+#include <vector>
 
 #include "balance/local_search.h"
 #include "balance/milp_rebalancer.h"
 #include "common/rng.h"
 #include "engine/batch.h"
+#include "engine/local_engine.h"
 #include "graph/partitioner.h"
 #include "lp/simplex.h"
 #include "milp/branch_and_bound.h"
+#include "ops/geohash.h"
 #include "ops/topk.h"
 #include "workload/synthetic.h"
 
@@ -208,6 +213,115 @@ void BM_TopKWindowFireShiftingHeavySet(benchmark::State& state) {
   TopKWindowFire(state, true);
 }
 BENCHMARK(BM_TopKWindowFireShiftingHeavySet);
+
+// Steady's data path through a LocalEngine with no controller: Real Job 1's
+// geohash -> windowed top-k -> global top-k, 18 groups each over 6 nodes,
+// full partitioning on both hops, k = 32, checkpointing off. One period is
+// 65,536 Zipf(0.8) edits over 20,000 articles in 16 chunks of 4,096.
+class SteadyFanOut {
+ public:
+  static constexpr int kGroups = 18;
+  static constexpr int kPeriodTuples = 65536;
+  static constexpr int kChunkTuples = 4096;
+  static constexpr int64_t kPeriodUs = 1000000;
+
+  explicit SteadyFanOut(int64_t window_every_us)
+      : cluster_(6),
+        geohash_(kGroups, 1024),
+        topk_(kGroups, 32),
+        global_(kGroups, 32, ops::TopKCountMode::kSumNum) {
+    topo_.AddOperator("geohash", kGroups, 1 << 16);
+    topo_.AddOperator("topk", kGroups, 1 << 18);
+    topo_.AddOperator("global-topk", kGroups, 1 << 16);
+    const auto full = engine::PartitioningPattern::kFullPartitioning;
+    (void)topo_.AddStream(0, 1, full);
+    (void)topo_.AddStream(1, 2, full);
+    engine::Assignment assign(topo_.num_key_groups());
+    for (engine::KeyGroupId g = 0; g < topo_.num_key_groups(); ++g) {
+      assign.set_node(g, topo_.group_index_in_operator(g) % 6);
+    }
+    engine::LocalEngineOptions opts;
+    opts.window_every_us = window_every_us;
+    opts.max_batch_tuples = kChunkTuples;
+    opts.serde_cost = 0.3;
+    engine_ = std::make_unique<engine::LocalEngine>(
+        &topo_, &cluster_, assign,
+        std::vector<engine::StreamOperator*>{&geohash_, &topk_, &global_},
+        opts);
+    Rng rng(7);
+    const ZipfSampler zipf(20000, 0.8);
+    std::vector<uint64_t> ids(20000);
+    std::iota(ids.begin(), ids.end(), uint64_t{1});
+    rng.Shuffle(&ids);
+    period_.resize(kPeriodTuples);
+    for (int i = 0; i < kPeriodTuples; ++i) {
+      period_[i].key = ids[zipf.Sample(&rng)];
+      period_[i].ts = int64_t{i} * kPeriodUs / kPeriodTuples;
+      period_[i].num = 1.0;
+    }
+  }
+
+  /// Ingests chunk \p c (of 16) of period \p p and drains it.
+  void SendChunk(int64_t p, int c) {
+    chunk_.assign(period_.begin() + c * kChunkTuples,
+                  period_.begin() + (c + 1) * kChunkTuples);
+    for (engine::Tuple& t : chunk_) t.ts += p * kPeriodUs;
+    (void)engine_->InjectBatch(0, chunk_.data(), chunk_.size());
+    engine_->Flush();
+  }
+
+  /// Ingests one tuple at the start of period \p p and drains it.
+  void SendFirstOf(int64_t p) {
+    engine::Tuple t = period_[0];
+    t.ts = p * kPeriodUs;
+    (void)engine_->Inject(0, t);
+    engine_->Flush();
+  }
+
+  const ops::WindowedTopKOperator& global() const { return global_; }
+
+ private:
+  engine::Topology topo_;
+  engine::Cluster cluster_;
+  ops::GeoHashOperator geohash_;
+  ops::WindowedTopKOperator topk_;
+  ops::WindowedTopKOperator global_;
+  std::unique_ptr<engine::LocalEngine> engine_;
+  std::vector<engine::Tuple> period_;
+  std::vector<engine::Tuple> chunk_;
+};
+
+// One regular chunk, windows off: 18 geohash batches of about 228 tuples,
+// each fanning out to the 18 top-k groups (324 runs of about 12.6).
+void BM_SteadyFanOutChunk(benchmark::State& state) {
+  SteadyFanOut job(/*window_every_us=*/0);
+  for (int c = 0; c < 16; ++c) job.SendChunk(0, c);  // warm the tables
+  int c = 0;
+  for (auto _ : state) {
+    job.SendChunk(0, c);
+    c = (c + 1) % 16;
+  }
+  state.SetItemsProcessed(state.iterations() * SteadyFanOut::kChunkTuples);
+}
+BENCHMARK(BM_SteadyFanOutChunk);
+
+// One window-fire cascade: a period's 16 chunks go in untimed, then the
+// tuple that opens the next period fires the window: 18 top-k fires send
+// their 576 tuples to the 18 global groups (324 runs of about 1.8), the
+// global groups process them, and the 18 global fires close the window.
+void BM_SteadyFanOutFire(benchmark::State& state) {
+  SteadyFanOut job(SteadyFanOut::kPeriodUs);
+  job.SendFirstOf(0);
+  int64_t p = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (int c = 0; c < 16; ++c) job.SendChunk(p, c);
+    state.ResumeTiming();
+    job.SendFirstOf(++p);
+    benchmark::DoNotOptimize(job.global().last_window_top(0).data());
+  }
+}
+BENCHMARK(BM_SteadyFanOutFire);
 
 }  // namespace
 }  // namespace albic

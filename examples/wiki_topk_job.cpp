@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   // the trace and bumps its engine_migrations_total{mode} counter. Direct
   // first (no checkpoint needed), then checkpointing is attached for the
   // indirect move, and a lease flip closes the set (its trace shows only
-  // the flip span — nothing travels). Prints nothing: stdout stays
+  // the finish span — nothing travels). Prints nothing: stdout stays
   // identical with observability off.
   {
     engine::MemoryCheckpointStore showcase_store;

@@ -44,25 +44,26 @@ class NullEmitter : public Emitter {
 
 }  // namespace
 
-/// Emitter that scatters emitted tuples straight into the engine's
-/// per-destination-group route buckets — the fast path for operators with a
-/// single partitioning downstream edge, which skips the intermediate
-/// emission staging entirely.
-class LocalEngine::ScatterEmitter : public Emitter {
+/// Emitter of an operator with a direct edge: each emitted tuple lands
+/// straight in the open mailbox batch of its destination group, with no
+/// staging copy; RouteOutput accounts the runs once the call returns.
+class LocalEngine::RouteEmitter : public Emitter {
  public:
-  ScatterEmitter(LocalEngine* engine, int down_groups)
-      : engine_(engine), down_groups_(down_groups) {}
+  RouteEmitter(LocalEngine* engine, OperatorId to_op, size_t input_tuples)
+      : engine_(engine),
+        to_op_(to_op),
+        down_groups_(engine->topology_->op(to_op).num_key_groups),
+        first_run_(input_tuples / static_cast<size_t>(down_groups_) + 1) {}
 
   void Emit(const Tuple& tuple) override {
-    const int target = RouteKey(tuple.key, down_groups_);
-    std::vector<Tuple>& bucket = engine_->route_buckets_[target];
-    if (bucket.empty()) engine_->route_touched_.push_back(target);
-    bucket.push_back(tuple);
+    engine_->RouteTuple(to_op_, down_groups_, first_run_, tuple);
   }
 
  private:
   LocalEngine* engine_;
+  OperatorId to_op_;
   int down_groups_;
+  size_t first_run_;  ///< Expected run length, to size fresh batches.
 };
 
 int LocalEngine::RouteKey(uint64_t key, int num_groups) {
@@ -116,9 +117,19 @@ LocalEngine::LocalEngine(const Topology* topology, const Cluster* cluster,
                      topology_->num_operators(), is_sink_);
   }
   downstream_.reserve(static_cast<size_t>(topology_->num_operators()));
+  direct_to_.assign(static_cast<size_t>(topology_->num_operators()), -1);
+  int widest = 0;
   for (OperatorId op = 0; op < topology_->num_operators(); ++op) {
     downstream_.push_back(topology_->downstream(op));
+    const std::vector<StreamEdge>& down = downstream_.back();
+    if (down.size() == 1 &&
+        (down[0].pattern == PartitioningPattern::kPartialPartitioning ||
+         down[0].pattern == PartitioningPattern::kFullPartitioning)) {
+      direct_to_[op] = down[0].to;
+    }
+    widest = std::max(widest, topology_->op(op).num_key_groups);
   }
+  run_dst_.assign(static_cast<size_t>(widest), nullptr);
   ingress_slot_.assign(static_cast<size_t>(topology_->num_key_groups()), -1);
   mailboxes_.resize(static_cast<size_t>(cluster_->num_nodes_total()));
   open_slot_.assign(static_cast<size_t>(topology_->num_key_groups()), -1);
@@ -543,11 +554,14 @@ void LocalEngine::ReleaseVec(std::vector<Tuple>&& vec) {
   if (vec_pool_.size() < 256) vec_pool_.push_back(std::move(vec));
 }
 
-void LocalEngine::AppendRouted(NodeId node, OperatorId op, int group_index,
-                               KeyGroupId dst_global, const Tuple* data,
-                               size_t count) {
-  const int mailbox = node < 0 ? 0 : node;  // unassigned groups park on 0
+LocalEngine::PendingBatch& LocalEngine::OpenBatch(NodeId node,
+                                                  OperatorId op,
+                                                  int group_index,
+                                                  KeyGroupId dst_global,
+                                                  size_t first_run) {
+  const int mailbox = std::max(node, 0);  // unassigned groups park on 0
   if (static_cast<size_t>(mailbox) >= mailboxes_.size()) {
+    // Moves the mailbox vectors, not their batches: open runs stay aimed.
     mailboxes_.resize(static_cast<size_t>(mailbox) + 1);
   }
   // Look up the batch currently open for this destination group. Entries
@@ -559,21 +573,59 @@ void LocalEngine::AppendRouted(NodeId node, OperatorId op, int group_index,
       box[slot].op != op || box[slot].group_index != group_index ||
       static_cast<int>(box[slot].batch.size()) >= options_.max_batch_tuples) {
     slot = static_cast<int32_t>(box.size());
+    const PendingBatch* before = box.data();
     box.push_back(PendingBatch{op, group_index,
-                               TupleBatch(AcquireVecFor(count)),
+                               TupleBatch(AcquireVecFor(first_run)),
                                wall_cache_ns_});
+    if (box.data() != before) {
+      // The mailbox grew and its batches moved: re-aim the open runs
+      // appending to them (each still holds its group's open slot).
+      for (const Run& r : runs_) {
+        if (std::max(r.dst_node, 0) == mailbox) {
+          run_dst_[r.target] =
+              &box[open_slot_[r.dst_global]].batch.mutable_tuples();
+        }
+      }
+    }
   }
-  std::vector<Tuple>& dst = box[slot].batch.mutable_tuples();
+  return box[slot];
+}
+
+void LocalEngine::AppendRouted(NodeId node, OperatorId op, int group_index,
+                               KeyGroupId dst_global, const Tuple* data,
+                               size_t count) {
+  std::vector<Tuple>& dst =
+      OpenBatch(node, op, group_index, dst_global, count)
+          .batch.mutable_tuples();
   dst.insert(dst.end(), data, data + count);
 }
 
-void LocalEngine::SendRouted(OperatorId to_op, int target_group,
-                             KeyGroupId src_global, NodeId src_node,
-                             const Tuple* data, size_t count) {
-  const KeyGroupId dst_global = topology_->first_group(to_op) + target_group;
+std::vector<Tuple>* LocalEngine::OpenRun(OperatorId to_op, int target,
+                                         size_t first_run) {
+  const KeyGroupId dst_global = topology_->first_group(to_op) + target;
+  const NodeId dst_node = assignment_.node_of(dst_global);
+  std::vector<Tuple>* dst =
+      &OpenBatch(dst_node, to_op, target, dst_global, first_run)
+           .batch.mutable_tuples();
+  runs_.push_back(Run{target, dst_global, dst_node, dst->size()});
+  run_dst_[target] = dst;
+  return dst;
+}
+
+void LocalEngine::CloseRuns(KeyGroupId src_global, NodeId src_node) {
+  for (const Run& r : runs_) {
+    AccountRun(src_global, src_node, r.dst_global, r.dst_node,
+               run_dst_[r.target]->size() - r.start);
+    run_dst_[r.target] = nullptr;
+  }
+  runs_.clear();
+}
+
+void LocalEngine::AccountRun(KeyGroupId src_global, NodeId src_node,
+                             KeyGroupId dst_global, NodeId dst_node,
+                             size_t count) {
   const double n = static_cast<double>(count);
   period_.comm.Add(src_global, dst_global, n);
-  const NodeId dst_node = assignment_.node_of(dst_global);
   if (src_node != dst_node && src_node != kInvalidNode &&
       dst_node != kInvalidNode) {
     EnsureNodeSlot(&period_.node_work, src_node);
@@ -581,18 +633,15 @@ void LocalEngine::SendRouted(OperatorId to_op, int target_group,
     period_.node_work[src_node] += options_.serde_cost * n;
     period_.node_work[dst_node] += options_.serde_cost * n;
   }
-  AppendRouted(dst_node, to_op, target_group, dst_global, data, count);
 }
 
-void LocalEngine::FlushBuckets(OperatorId to_op, KeyGroupId src_global,
-                               NodeId src_node) {
-  for (const int target : route_touched_) {
-    std::vector<Tuple>& bucket = route_buckets_[target];
-    SendRouted(to_op, target, src_global, src_node, bucket.data(),
-               bucket.size());
-    bucket.clear();
-  }
-  route_touched_.clear();
+void LocalEngine::SendRouted(OperatorId to_op, int target_group,
+                             KeyGroupId src_global, NodeId src_node,
+                             const Tuple* data, size_t count) {
+  const KeyGroupId dst_global = topology_->first_group(to_op) + target_group;
+  const NodeId dst_node = assignment_.node_of(dst_global);
+  AccountRun(src_global, src_node, dst_global, dst_node, count);
+  AppendRouted(dst_node, to_op, target_group, dst_global, data, count);
 }
 
 void LocalEngine::RouteBatch(OperatorId from_op, int from_group,
@@ -613,23 +662,41 @@ void LocalEngine::RouteBatch(OperatorId from_op, int from_group,
       case PartitioningPattern::kPartialPartitioning:
       case PartitioningPattern::kFullPartitioning:
       default: {
-        // Bucket the batch by destination group, then send each bucket in
-        // one go: comm/serde accounting and mailbox pushes amortize over
-        // the bucket instead of costing per tuple. Buckets keep their
-        // capacity across batches.
-        if (static_cast<int>(route_buckets_.size()) < down_groups) {
-          route_buckets_.resize(static_cast<size_t>(down_groups));
-        }
+        // Each tuple lands straight in its destination group's batch; the
+        // runs are accounted once, after the last tuple.
+        const size_t first_run =
+            batch.size() / static_cast<size_t>(down_groups) + 1;
         for (const Tuple& t : batch) {
-          const int target = RouteKey(t.key, down_groups);
-          if (route_buckets_[target].empty()) route_touched_.push_back(target);
-          route_buckets_[target].push_back(t);
+          RouteTuple(e.to, down_groups, first_run, t);
         }
-        FlushBuckets(e.to, src_global, src_node);
+        CloseRuns(src_global, src_node);
         break;
       }
     }
   }
+}
+
+template <typename Call>
+void LocalEngine::CallOperator(OperatorId op, size_t input_tuples,
+                               Call call) {
+  const OperatorId to = direct_to_[op];
+  if (to >= 0) {
+    RouteEmitter out(this, to, input_tuples);
+    call(&out);
+  } else {
+    emitted_.clear();
+    BatchEmitter out(&emitted_);
+    call(&out);
+  }
+}
+
+void LocalEngine::RouteOutput(OperatorId op, int group_index) {
+  if (direct_to_[op] < 0) {
+    RouteBatch(op, group_index, emitted_);
+    return;
+  }
+  const KeyGroupId g = topology_->first_group(op) + group_index;
+  CloseRuns(g, assignment_.node_of(g));
 }
 
 void LocalEngine::DeliverBatch(OperatorId op, int group_index,
@@ -682,57 +749,26 @@ void LocalEngine::DeliverBatch(OperatorId op, int group_index,
   if (node != kInvalidNode) period_.node_work[node] += cost * n;
   period_.tuples_processed += static_cast<int64_t>(batch.size());
   if (operators_[op] != nullptr) {
-    const std::vector<StreamEdge>& down = downstream_[op];
-    if (down.size() == 1 &&
-        (down[0].pattern == PartitioningPattern::kPartialPartitioning ||
-         down[0].pattern == PartitioningPattern::kFullPartitioning)) {
-      // Single partitioning edge: emitted tuples scatter straight into the
-      // route buckets, skipping the intermediate staging pass.
-      const int down_groups = topology_->op(down[0].to).num_key_groups;
-      if (static_cast<int>(route_buckets_.size()) < down_groups) {
-        route_buckets_.resize(static_cast<size_t>(down_groups));
-      }
-      ScatterEmitter emitter(this, down_groups);
-      operators_[op]->ProcessBatch(batch, group_index, &emitter);
-      if (telemetry_) {
-        const int64_t t1_ns =
-            RecordBatchLatency(op, g, batch_tuples, batch_last_ts, t0_ns);
-        if (journeys_.enabled()) {
-          // Window-fire aggregates carry ts = 0; claim against the
-          // event-time frontier instead (same fallback RecordBatchLatency
-          // uses for the e2e match — the aggregate reflects everything up
-          // to the frontier).
-          journeys_.OnBatchDelivered(
-              op, g, batch_last_ts != 0 ? batch_last_ts : event_time_us_,
-              enqueue_ns, t0_ns, t1_ns);
-        }
-      }
-      // Steal the consumed batch into the replay log (zero-copy logging);
-      // after this the batch is empty and must not be read again.
-      if (checkpointer_ != nullptr) LogDeliveredBatch(g, batch_ptr);
-      FlushBuckets(down[0].to, g, node);
-      if (prof) {
-        const int64_t p1_ns = ProfilerNowNs();
-        prof_->SwitchTo(prof_prev, p1_ns);
-        period_.phases.group_service_ns[g] += p1_ns - p0_ns;
-      }
-      return;
-    }
-    emitted_.clear();
-    BatchEmitter emitter(&emitted_);
-    operators_[op]->ProcessBatch(batch, group_index, &emitter);
+    CallOperator(op, batch.size(), [&](Emitter* out) {
+      operators_[op]->ProcessBatch(batch, group_index, out);
+    });
     if (telemetry_) {
       const int64_t t1_ns =
           RecordBatchLatency(op, g, batch_tuples, batch_last_ts, t0_ns);
       if (journeys_.enabled()) {
-        // ts = 0 window aggregates: see the scatter path above.
+        // Window-fire aggregates carry ts = 0; claim against the
+        // event-time frontier instead (same fallback RecordBatchLatency
+        // uses for the e2e match — the aggregate reflects everything up
+        // to the frontier).
         journeys_.OnBatchDelivered(
             op, g, batch_last_ts != 0 ? batch_last_ts : event_time_us_,
             enqueue_ns, t0_ns, t1_ns);
       }
     }
+    // Steal the consumed batch into the replay log (zero-copy logging);
+    // after this the batch is empty and must not be read again.
     if (checkpointer_ != nullptr) LogDeliveredBatch(g, batch_ptr);
-    RouteBatch(op, group_index, emitted_);
+    RouteOutput(op, group_index);
   } else {
     RouteBatch(op, group_index, batch);
   }
@@ -825,10 +861,10 @@ void LocalEngine::MaybeFireWindows(int64_t new_time) {
         const KeyGroupId g = topology_->first_group(op) + gi;
         if (migrating_[g].lost) continue;  // nothing to fire; see FailNode
         if (checkpointer_ != nullptr) LogWindowFire(g);
-        emitted_.clear();
-        BatchEmitter emitter(&emitted_);
-        operators_[op]->OnWindow(gi, &emitter);
-        RouteBatch(op, gi, emitted_);
+        CallOperator(op, 0, [&](Emitter* out) {
+          operators_[op]->OnWindow(gi, out);
+        });
+        RouteOutput(op, gi);
       }
       // Cascade fully before the next operator's same-boundary window
       // closes (the topological-order guarantee the jobs rely on).
@@ -1006,12 +1042,11 @@ Result<double> LocalEngine::FinishMigration(KeyGroupId group) {
     // A lease: the slot never moves and the replay log and chain stay as
     // they are, so nothing is rebuilt and nothing buffered — the pause is
     // zero in the engine's byte-proportional model.
-    ALBIC_TRACE_SPAN1("migration", "migration.lease.finish", "group", group);
+    ALBIC_TRACE_SPAN2("migration", "migration.lease.finish", "group", group,
+                      "to", mig.target);
     CounterMetric* moves =
         metrics_.migrations[static_cast<int>(MigrationMode::kLease)];
     if (moves != nullptr) moves->Increment();
-    ALBIC_TRACE_SPAN2("migration", "migration.lease.flip", "group", group,
-                      "to", mig.target);
     Cutover(group, mig.target);
     return 0.0;
   }
@@ -1305,6 +1340,9 @@ EnginePeriodStats LocalEngine::HarvestPeriod() {
   period_.node_work.assign(
       static_cast<size_t>(cluster_->num_nodes_total()), 0.0);
   period_.comm = CommMatrix(topology_->num_key_groups());
+  // Sized for this period's pairs, so the next period's first chunk does
+  // not grow every row and the index.
+  period_.comm.ReserveLike(out.comm);
   if (telemetry_) {
     period_.latency.EnableFor(topology_->num_operators(),
                               topology_->num_key_groups());

@@ -369,7 +369,7 @@ class LocalEngine {
   static int RouteKey(uint64_t key, int num_groups);
 
  private:
-  class ScatterEmitter;
+  class RouteEmitter;
 
   struct MigrationState {
     bool active = false;
@@ -397,6 +397,16 @@ class LocalEngine {
     int64_t shipped() const {
       return bytes + replayed * static_cast<int64_t>(sizeof(Tuple));
     }
+  };
+
+  /// A run: the tuples one operator call, or one RouteBatch edge, sends to
+  /// one destination group. They append in place to the batch OpenBatch
+  /// picked at the run's first tuple, and CloseRuns accounts them.
+  struct Run {
+    int target = 0;  ///< Destination group index, run_dst_'s slot.
+    KeyGroupId dst_global = 0;
+    NodeId dst_node = kInvalidNode;
+    size_t start = 0;  ///< The batch's size when the run opened.
   };
 
   /// One staged unit of work: a batch bound for (op, group).
@@ -489,15 +499,47 @@ class LocalEngine {
   /// (telemetry; 0 when the batch never sat in a mailbox).
   void DeliverBatch(OperatorId op, int group_index, TupleBatch* batch,
                     int64_t enqueue_ns = 0);
+  /// Calls \p call (operator code taking an Emitter*) with the emitter
+  /// \p op's output needs: a RouteEmitter when \p op has a direct edge,
+  /// else one staging into emitted_. \p input_tuples sizes fresh batches.
+  template <typename Call>
+  void CallOperator(OperatorId op, size_t input_tuples, Call call);
+  /// Sends what the last CallOperator on (\p op, \p group_index) emitted:
+  /// closes its runs, or routes emitted_ edge by edge.
+  void RouteOutput(OperatorId op, int group_index);
   void RouteBatch(OperatorId from_op, int from_group, const TupleBatch& batch);
+  /// Appends \p t to the run of its destination group among \p to_op's
+  /// \p down_groups, opening the run at the group's first tuple.
+  void RouteTuple(OperatorId to_op, int down_groups, size_t first_run,
+                  const Tuple& t) {
+    const int target = RouteKey(t.key, down_groups);
+    std::vector<Tuple>* dst = run_dst_[target];
+    if (dst == nullptr) dst = OpenRun(to_op, target, first_run);
+    dst->push_back(t);
+  }
+  std::vector<Tuple>* OpenRun(OperatorId to_op, int target, size_t first_run);
+  /// Accounts every open run as sent from \p src_global, in the order the
+  /// runs opened, and closes them.
+  void CloseRuns(KeyGroupId src_global, NodeId src_node);
+  /// Charges one run of \p count tuples: its comm entry and, across
+  /// nodes, the serde cost at both ends.
+  void AccountRun(KeyGroupId src_global, NodeId src_node,
+                  KeyGroupId dst_global, NodeId dst_node, size_t count);
+  /// A one-to-one or partial-merge edge's run: accounted, then appended.
   void SendRouted(OperatorId to_op, int target_group, KeyGroupId src_global,
                   NodeId src_node, const Tuple* data, size_t count);
-  void FlushBuckets(OperatorId to_op, KeyGroupId src_global, NodeId src_node);
   void AppendRouted(NodeId node, OperatorId op, int group_index,
                     KeyGroupId dst_global, const Tuple* data, size_t count);
+  /// The batch in \p node's mailbox that a run bound for (op,
+  /// group_index) appends to: the group's open batch, or a new one when
+  /// there is none or it already holds max_batch_tuples. Re-aims the open
+  /// runs when opening one moves the mailbox's batches.
+  PendingBatch& OpenBatch(NodeId node, OperatorId op, int group_index,
+                          KeyGroupId dst_global, size_t first_run);
   std::vector<Tuple> AcquireVec();
-  /// AcquireVec for a batch opening with a run of \p first_run tuples:
-  /// pre-reserves capacity when checkpointing has drained the pool.
+  /// AcquireVec for a batch whose first run is expected to hold about
+  /// \p first_run tuples: pre-reserves capacity when checkpointing has
+  /// drained the pool.
   std::vector<Tuple> AcquireVecFor(size_t first_run);
   void ReleaseVec(std::vector<Tuple>&& vec);
   /// Closes every window boundary up to \p new_time: drains, then fires
@@ -606,15 +648,23 @@ class LocalEngine {
   std::vector<PendingBatch> ingress_;        ///< Staged injected tuples.
   std::vector<int32_t> ingress_slot_;        ///< Global group -> ingress_ idx.
   std::vector<KeyGroupId> ingress_used_;     ///< Groups with a live slot.
-  /// InjectBatch scatter scratch — separate from the route buckets
-  /// because flushing delivers inline, which scatters again.
+  /// InjectBatch scatter scratch for real sources: one bucket per source
+  /// group, delivered inline by FlushInjectScatter.
   std::vector<std::vector<Tuple>> inject_buckets_;
   std::vector<int> inject_touched_;
   std::vector<std::vector<PendingBatch>> mailboxes_;  ///< Per node.
   int64_t staged_tuples_ = 0;  ///< Injected since the last drain.
-  std::vector<std::vector<Tuple>> route_buckets_;  ///< Per dst group.
-  std::vector<int> route_touched_;                 ///< Buckets in use.
-  TupleBatch emitted_;                             ///< ProcessBatch staging.
+  /// Per operator: the destination of its only downstream edge when that
+  /// edge partitions by key, so its output routes as it is emitted; -1
+  /// otherwise (no edge, several, or one-to-one / partial merge).
+  std::vector<OperatorId> direct_to_;
+  /// Output of an operator without a direct edge, staged for RouteBatch.
+  TupleBatch emitted_;
+  /// Open runs, in the order their first tuples came.
+  std::vector<Run> runs_;
+  /// Per destination group index: the batch vector its open run appends
+  /// to, or null. Sized to the widest operator.
+  std::vector<std::vector<Tuple>*> run_dst_;
   /// Free-list of tuple vectors: consumed batches return here and their
   /// capacity is reused, keeping the hot path allocation free once warm.
   std::vector<std::vector<Tuple>> vec_pool_;

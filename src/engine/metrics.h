@@ -65,7 +65,7 @@ struct LatencyPeriodStats {
   /// timeline must show it. A buffered tuple thus appears once here (the
   /// stall event) and once in e2e_us (its later delivery).
   LogHistogram stall_e2e_us;
-  /// Mailbox queueing delay: batch enqueue (AppendRouted) to dequeue
+  /// Mailbox queueing delay: batch enqueue (OpenBatch) to dequeue
   /// (DeliverBatch), across all operators.
   LogHistogram queue_us;
   /// Per-operator batch service time (one sample per delivered batch).

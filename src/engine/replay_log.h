@@ -69,6 +69,9 @@ class ReplayLog {
 
   size_t tuple_count() const { return retained_tuples_; }
   size_t window_fire_count() const { return marker_seqs_.size(); }
+  /// \brief Retained chunks: one per delivered batch since the last
+  /// truncation, so the count pins the engine's batch boundaries.
+  size_t chunk_count() const { return chunks_.size(); }
 
   /// \brief Replays the retained events with seq >= \p from_seq in order:
   /// \p on_tuple(const Tuple&) per delivered tuple, \p on_window() per

@@ -125,15 +125,17 @@ void WindowedTopKOperator::OnWindow(int group_index, engine::Emitter* out) {
       std::partition(entries_.begin(), entries_.end(), [&](const auto& e) {
         return bucket(e.second) >= threshold;
       });
-  const auto keep_end =
-      entries_.begin() +
+  // Ids are unique, so the comparator is a strict total order: sorting
+  // the candidates puts the same k entries first, in the same order, as
+  // std::partial_sort's heap selection did, at a lower cost per candidate.
+  const size_t kept =
       std::min(k, static_cast<size_t>(candidates_end - entries_.begin()));
-  std::partial_sort(entries_.begin(), keep_end, candidates_end,
-                    [](const auto& a, const auto& b) {
-                      if (a.second != b.second) return a.second > b.second;
-                      return a.first < b.first;  // deterministic ties
-                    });
-  top.assign(entries_.begin(), keep_end);
+  std::sort(entries_.begin(), candidates_end,
+            [](const auto& a, const auto& b) {
+              if (a.second != b.second) return a.second > b.second;
+              return a.first < b.first;  // deterministic ties
+            });
+  top.assign(entries_.begin(), entries_.begin() + kept);
   if (top.size() == k && k > 0) {
     threshold_[group_index] =
         std::max<int64_t>(0, top.back().second / kThresholdDivisor);

@@ -165,19 +165,28 @@ TEST_F(TraceTest, MigrationModesLeaveDistinctSpans) {
       p.engine->MigrateGroup(0, /*to=*/1, MigrationMode::kDirect).ok());
   ASSERT_TRUE(
       p.engine->MigrateGroup(1, /*to=*/2, MigrationMode::kIndirect).ok());
-  // A lease flips in FinishMigration's cutover, so its flip span nests
-  // inside its finish span.
+  // A lease flips in FinishMigration's cutover, inside its one finish
+  // span, which names the target.
   ASSERT_TRUE(
       p.engine->MigrateGroup(2, /*to=*/3, MigrationMode::kLease).ok());
   Tracer::Global().Disable();
 
   const std::string json = Tracer::Global().ChromeTraceJson();
   for (const char* span : {"migration.direct", "migration.indirect",
-                           "migration.lease.flip", "migration.lease.finish"}) {
+                           "migration.lease.finish"}) {
     EXPECT_NE(json.find("\"name\":\"" + std::string(span) + "\""),
               std::string::npos)
         << span << " missing from " << json;
   }
+  const size_t finish = json.find("\"name\":\"migration.lease.finish\"");
+  ASSERT_NE(finish, std::string::npos);
+  const size_t args = json.find("\"args\":{", finish);
+  ASSERT_NE(args, std::string::npos);
+  const std::string finish_args =
+      json.substr(args, json.find('}', args) - args);
+  EXPECT_NE(finish_args.find("\"to\":3"), std::string::npos) << finish_args;
+  EXPECT_EQ(json.find("migration.lease.flip"), std::string::npos)
+      << "a lease move leaves one span, not a flip nested in its finish";
 }
 
 TEST_F(TraceTest, EngineOutputsBitIdenticalWithObservabilityOnAndOff) {
