@@ -99,7 +99,6 @@ inline std::unique_ptr<core::Albic> MakeAlbic(uint64_t seed,
                                               double budget_ms = 15.0,
                                               int pairs_per_round = 1) {
   core::AlbicOptions aopts;
-  aopts.milp.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   aopts.milp.time_budget_ms = budget_ms;
   aopts.seed = seed;
   aopts.max_pairs_per_round = pairs_per_round;

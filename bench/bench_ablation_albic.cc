@@ -32,7 +32,6 @@ bench::AlbicColaSeries RunWith(core::AlbicOptions aopts, int periods) {
 
 core::AlbicOptions Base() {
   core::AlbicOptions aopts;
-  aopts.milp.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   aopts.milp.time_budget_ms = 10;
   aopts.max_pairs_per_round = 4;
   return aopts;

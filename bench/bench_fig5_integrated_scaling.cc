@@ -92,7 +92,6 @@ SeriesResult RunOne(bool integrated, int overloaded, int max_periods) {
                              {nullptr, &work}, eopts);
 
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 20;
   std::unique_ptr<balance::Rebalancer> rebalancer;
   if (integrated) {

@@ -73,7 +73,6 @@ int main() {
       "maxMigrations=13\n\n");
 
   albic::balance::MilpRebalancerOptions mopts;
-  mopts.mode = albic::balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 15;
   albic::balance::MilpRebalancer milp(mopts);
   albic::balance::FluxRebalancer flux;

@@ -26,7 +26,6 @@ engine::StatsCollector RunWithLimit(int max_migrations, int periods) {
   engine::Cluster cluster = wl.MakeCluster();
   engine::Assignment assign = wl.MakeInitialAssignment();
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 15;
   balance::MilpRebalancer milp(mopts);
   core::AdaptationOptions aopts;

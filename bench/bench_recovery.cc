@@ -103,7 +103,6 @@ BenchRun RunJob(const std::vector<engine::Tuple>& stream, bool checkpoint,
   }
 
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 10;
   balance::MilpRebalancer milp(mopts);
   core::AdaptationOptions aopts;

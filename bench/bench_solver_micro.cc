@@ -1,9 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the optimization substrates that
-// power Figs 2-4: the simplex LP solver, branch & bound, the multilevel
-// graph partitioner and the assignment local search; plus the kernels of a
-// steady controller round's boundary chunk, a converging local search and
-// the TopK window fire, and steady's fan-out through the engine: one
-// regular chunk and one window-fire cascade.
+// power Figs 2-4: the multilevel graph partitioner and the assignment local
+// search; plus the kernels of a steady controller round's boundary chunk, a
+// converging local search and the TopK window fire, and steady's fan-out
+// through the engine: one regular chunk and one window-fire cascade.
 
 #include <benchmark/benchmark.h>
 
@@ -17,63 +16,12 @@
 #include "engine/batch.h"
 #include "engine/local_engine.h"
 #include "graph/partitioner.h"
-#include "lp/simplex.h"
-#include "milp/branch_and_bound.h"
 #include "ops/geohash.h"
 #include "ops/topk.h"
 #include "workload/synthetic.h"
 
 namespace albic {
 namespace {
-
-void BM_SimplexTransportation(benchmark::State& state) {
-  const int supplies = static_cast<int>(state.range(0));
-  const int demands = supplies + 2;
-  Rng rng(7);
-  lp::LpModel model;
-  std::vector<std::vector<int>> x(supplies);
-  std::vector<std::vector<double>> cost(supplies,
-                                        std::vector<double>(demands));
-  for (int i = 0; i < supplies; ++i) {
-    for (int j = 0; j < demands; ++j) {
-      cost[i][j] = rng.Uniform(1.0, 9.0);
-      x[i].push_back(model.AddVariable(0, lp::kInfinity, cost[i][j]));
-    }
-  }
-  for (int i = 0; i < supplies; ++i) {
-    std::vector<std::pair<int, double>> row;
-    for (int j = 0; j < demands; ++j) row.push_back({x[i][j], 1.0});
-    model.AddConstraint(std::move(row), lp::Sense::kLe, 10.0 + i);
-  }
-  for (int j = 0; j < demands; ++j) {
-    std::vector<std::pair<int, double>> row;
-    for (int i = 0; i < supplies; ++i) row.push_back({x[i][j], 1.0});
-    model.AddConstraint(std::move(row), lp::Sense::kEq, 5.0);
-  }
-  for (auto _ : state) {
-    auto res = lp::SimplexSolver::Solve(model);
-    benchmark::DoNotOptimize(res);
-  }
-}
-BENCHMARK(BM_SimplexTransportation)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_BranchAndBoundKnapsack(benchmark::State& state) {
-  const int items = static_cast<int>(state.range(0));
-  Rng rng(3);
-  milp::MilpModel model;
-  model.set_objective_sense(lp::ObjSense::kMaximize);
-  std::vector<std::pair<int, double>> row;
-  for (int i = 0; i < items; ++i) {
-    int x = model.AddBinary(rng.Uniform(5.0, 20.0));
-    row.push_back({x, rng.Uniform(1.0, 8.0)});
-  }
-  model.AddConstraint(std::move(row), lp::Sense::kLe, items * 1.5);
-  for (auto _ : state) {
-    auto res = milp::BranchAndBoundSolver::Solve(model);
-    benchmark::DoNotOptimize(res);
-  }
-}
-BENCHMARK(BM_BranchAndBoundKnapsack)->Arg(10)->Arg(14)->Arg(18);
 
 void BM_GraphPartitioner(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

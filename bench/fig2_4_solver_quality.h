@@ -4,9 +4,10 @@
 // load distance achieved by Flux vs the MILP at increasing solver budgets,
 // sweeping the `varies` perturbation and the migration limit.
 //
-// Substitution note (DESIGN.md §4.2): the paper gives CPLEX 5-60 *seconds*
-// on a desktop; our local search gets a 5-60 *millisecond* cap, which
-// exercises the same quality-vs-budget tradeoff at in-memory instance sizes.
+// Substitution note (BENCHMARKS.md, "Figs 2–4: solver caps"): the paper
+// gives CPLEX 5-60 *seconds* on a desktop; our local search gets a 5-60
+// *millisecond* cap, which exercises the same quality-vs-budget tradeoff at
+// in-memory instance sizes.
 // Like CPLEX under a time limit, the search returns as soon as it converges
 // (a whole perturbation sweep finds nothing better), so a row's MILP columns
 // stop improving once the search converges inside the smaller cap.
@@ -36,7 +37,7 @@ inline void RunSolverQuality(const SolverQualityConfig& cfg) {
   std::printf(
       "%s: %d nodes, %d key groups, %d operators — load distance (%%)\n"
       "Flux vs MILP at solver budgets of 5/10/30/60 ms (paper: seconds; see "
-      "DESIGN.md)\n\n",
+      "BENCHMARKS.md)\n\n",
       cfg.figure, cfg.nodes, cfg.key_groups, cfg.operators);
 
   for (int mm : max_migrations) {
@@ -65,7 +66,6 @@ inline void RunSolverQuality(const SolverQualityConfig& cfg) {
 
         for (size_t b = 0; b < budgets_ms.size(); ++b) {
           balance::MilpRebalancerOptions mopts;
-          mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
           mopts.time_budget_ms = budgets_ms[b];
           balance::MilpRebalancer milp(mopts);
           auto mp = milp.ComputePlan(snap, cons);

@@ -107,7 +107,6 @@ inline ScaleOutScenarioResult RunScaleOutScenario(
   if (!engine.EnableCheckpointing(&coordinator).ok()) return out;
 
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 10;
   balance::MilpRebalancer rebalancer(mopts);
   core::AdaptationOptions aopts;

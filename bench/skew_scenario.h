@@ -203,7 +203,6 @@ inline SkewScenarioResult RunSkewScenario(const SkewScenarioOptions& opts) {
   }
 
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 10;
   balance::MilpRebalancer rebalancer(mopts);
   core::AdaptationOptions aopts;

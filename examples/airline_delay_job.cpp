@@ -58,7 +58,6 @@ int main() {
                                         /*seed=*/2026);
 
   core::AlbicOptions aopts;
-  aopts.milp.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   aopts.milp.time_budget_ms = 10;
   core::Albic albic(aopts);
   engine::MigrationCostModel mig_model;

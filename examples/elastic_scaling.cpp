@@ -97,7 +97,6 @@ int main() {
                              eopts);
 
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 10;
   balance::MilpRebalancer rebalancer(mopts);
   scaling::UtilizationScalingPolicy policy;

@@ -170,7 +170,6 @@ int main(int argc, char** argv) {
   if (!engine.EnableCheckpointing(&coordinator).ok()) return 1;
 
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 10;
   balance::MilpRebalancer milp(mopts);
   core::AdaptationOptions aopts;

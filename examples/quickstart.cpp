@@ -46,7 +46,8 @@ int main() {
   snap.migration_costs =
       engine::AllMigrationCosts(topology, engine::MigrationCostModel());
 
-  // 4. Solve the integrated balancing MILP under a migration budget.
+  // 4. Plan with the integrated balancing MILP (its local search) under a
+  //    migration budget.
   balance::MilpRebalancer rebalancer;
   balance::RebalanceConstraints constraints;
   constraints.max_migrations = 12;

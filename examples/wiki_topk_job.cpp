@@ -124,7 +124,6 @@ int main(int argc, char** argv) {
                              {&geohash, &topk, &global_topk}, eopts);
 
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 10;
   balance::MilpRebalancer milp(mopts);
   core::AdaptationOptions aopts;

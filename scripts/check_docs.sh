@@ -4,8 +4,9 @@
 #      an existing file;
 #   2. every public header under src/common/, src/engine/, src/core/,
 #      src/balance/, src/scaling/ and src/ops/ — plus the shared test
-#      harness headers under tests/engine/ — carries a file-level doxygen
-#      header (\file + \brief), so the API docs cannot rot silently;
+#      harness headers under tests/engine/ and the exact MILP oracle's under
+#      tests/lp/ and tests/milp/ — carries a file-level doxygen header
+#      (\file + \brief), so the API docs cannot rot silently;
 #   3. the journal analyzer parses the checked-in sample decision journal;
 #   4. the tooling self-tests pass;
 #   5. the documented vocabularies exist in the code: every span in
@@ -17,7 +18,10 @@
 #   6. no header under src/ is dead: each one is included by some file
 #      under src/, bench/, examples/, perfbench/ or tests/ other than its
 #      own .cc, so a header nothing uses cannot keep documenting code that
-#      does not exist.
+#      does not exist;
+#   7. every markdown file named in a file under src/, bench/, examples/,
+#      tests/ or scripts/ exists at the repo root or in docs/, so a pointer
+#      to the documentation cannot outlive the document.
 #
 # Usage: scripts/check_docs.sh   (from anywhere; operates on the repo root)
 
@@ -47,7 +51,8 @@ done
 
 # --- 2. header-doc check ----------------------------------------------------
 for h in src/common/*.h src/engine/*.h src/core/*.h src/balance/*.h \
-         src/scaling/*.h src/ops/*.h tests/engine/*.h; do
+         src/scaling/*.h src/ops/*.h tests/engine/*.h tests/lp/*.h \
+         tests/milp/*.h; do
   [[ -f "$h" ]] || continue   # tests/engine may hold no headers
   if ! grep -q '\\file' "$h"; then
     echo "MISSING DOC: $h lacks a file-level \\file header"
@@ -136,8 +141,19 @@ while IFS= read -r h; do
   fi
 done < <(find src -name '*.h' | sort)
 
+# --- 7. every markdown file named in the code exists -------------------------
+docs=0
+while IFS= read -r md; do
+  docs=$((docs + 1))
+  if [[ ! -f "$md" && ! -f "docs/$md" ]]; then
+    echo "MISSING DOC FILE: $md is named under src/, bench/, examples/, tests/ or scripts/ but is neither at the repo root nor in docs/"
+    fail=1
+  fi
+done < <(grep -rhoE '[A-Za-z0-9_-]+\.md\b' src bench examples tests scripts |
+         sort -u)
+
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (links resolve, common/engine/core/balance/scaling/ops + test harness headers documented, sample journal parses, tooling self-tests pass, $spans catalog spans, $reasons decision reasons and $keys journal keys found in the code, $headers src/ headers all included)"
+echo "check_docs: OK (links resolve, common/engine/core/balance/scaling/ops + test harness and oracle headers documented, sample journal parses, tooling self-tests pass, $spans catalog spans, $reasons decision reasons and $keys journal keys found in the code, $headers src/ headers all included, $docs named markdown files exist)"

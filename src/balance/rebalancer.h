@@ -42,8 +42,8 @@ struct RebalancePlan {
   /// Load distance the plan predicts, using the snapshot's (location
   /// independent) group loads.
   double predicted_load_distance = 0.0;
-  /// True when a wall-clock cap cut the solve short: the local search's
-  /// before it converged, or branch and bound's time limit.
+  /// True when the local search's wall-clock cap cut the solve short
+  /// before it converged.
   bool capped = false;
 };
 

@@ -37,7 +37,7 @@ struct DriverOptions {
 /// This is the substrate substitution for the paper's EC2/Storm runs: all
 /// reported metrics (load distance, load index, collocation factor,
 /// migration counts and pause latency) are functions of exactly the
-/// quantities simulated here (DESIGN.md §4.1).
+/// quantities simulated here (ARCHITECTURE.md, "Planners").
 class ExperimentDriver {
  public:
   /// \brief None of the pointers are owned. `framework` encapsulates the

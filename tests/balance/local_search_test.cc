@@ -11,6 +11,7 @@
 #include "balance/balance_item.h"
 #include "common/rng.h"
 #include "engine/migration.h"
+#include "tests/milp/exact_rebalance.h"
 
 namespace albic::balance {
 namespace {
@@ -411,7 +412,12 @@ TEST(LocalSearchTest, GoldenPlansOnWorkloadShapedInstances) {
   // Plans recorded before candidate scoring moved to per-solve move-cost
   // tables; the search converges long before its 10 s cap, so any
   // difference here is a change in what the planner decides. A failure
-  // prints the new plan in this table's form.
+  // prints the new plan in this table's form. The shift- and
+  // collocate-shaped instances (1 and 2) are small enough for the exact
+  // oracle to prove their optima in a few branch-and-bound nodes (61 and
+  // 4), and the search reaches them: its optimality gap there is 0. The
+  // other four take seconds or more to prove; BENCHMARKS.md ("Figs 2–4:
+  // solver caps") lists all six.
   const GoldenPlan golden[] = {
       {{0, 1, 2, 3, 4, 5, 5, 1, 3, 3, 4, 5, 0, 1, 2, 3, 4, 5,
         0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5,
@@ -444,6 +450,15 @@ TEST(LocalSearchTest, GoldenPlansOnWorkloadShapedInstances) {
                 got.used_count == want.used_count &&
                 got.load_distance_bits == want.load_distance_bits)
         << "instance " << which << " planned " << Format(got);
+    if (which == 1 || which == 2) {
+      auto exact = milp::SolveExact(in->snap, in->items, in->cons);
+      ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+      ASSERT_EQ(exact->status, milp::MilpStatus::kOptimal)
+          << "instance " << which;
+      EXPECT_NEAR(res->load_distance, exact->plan.predicted_load_distance,
+                  1e-9)
+          << "instance " << which;
+    }
   }
 }
 

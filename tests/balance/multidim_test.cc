@@ -6,6 +6,7 @@
 
 #include "balance/milp_rebalancer.h"
 #include "common/rng.h"
+#include "tests/milp/exact_rebalance.h"
 
 namespace albic::balance {
 namespace {
@@ -51,18 +52,16 @@ TEST(MultiDimTest, ExactModeRespectsSecondaryCap) {
   // 4 groups: equal CPU, but two memory hogs. Without the cap the perfect
   // CPU balance puts both hogs anywhere; with cap 50 they must split.
   Fixture f(2, {10, 10, 10, 10}, {40, 40, 5, 5}, {0, 0, 0, 0});
-  MilpRebalancerOptions opts;
-  opts.mode = MilpRebalancerOptions::Mode::kExact;
-  opts.time_budget_ms = 3000;
-  MilpRebalancer r(opts);
   RebalanceConstraints cons;
   cons.max_secondary_per_node = 50.0;
-  auto plan = r.ComputePlan(f.snap, cons);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  std::vector<double> sec = f.SecondaryPerNode(plan->assignment);
+  auto exact = milp::SolveExact(f.snap, ItemsFromGroups(f.snap), cons);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  ASSERT_EQ(exact->status, milp::MilpStatus::kOptimal);
+  std::vector<double> sec = f.SecondaryPerNode(exact->plan.assignment);
   EXPECT_LE(sec[0], 50.0 + 1e-6);
   EXPECT_LE(sec[1], 50.0 + 1e-6);
-  EXPECT_NEAR(plan->predicted_load_distance, 0.0, 1e-6);  // CPU still even
+  // CPU still even.
+  EXPECT_NEAR(exact->plan.predicted_load_distance, 0.0, 1e-6);
 }
 
 TEST(MultiDimTest, HeuristicModeRespectsSecondaryCap) {
@@ -78,7 +77,6 @@ TEST(MultiDimTest, HeuristicModeRespectsSecondaryCap) {
   // Initial secondary per node is ~45; cap just above so moves are
   // constrained but feasible.
   MilpRebalancerOptions opts;
-  opts.mode = MilpRebalancerOptions::Mode::kHeuristic;
   opts.time_budget_ms = 20;
   MilpRebalancer r(opts);
   RebalanceConstraints cons;
@@ -92,21 +90,19 @@ TEST(MultiDimTest, HeuristicModeRespectsSecondaryCap) {
 
 TEST(MultiDimTest, CapOffMeansUnconstrained) {
   Fixture f(2, {10, 10}, {90, 90}, {0, 1});
-  MilpRebalancerOptions opts;
-  opts.mode = MilpRebalancerOptions::Mode::kExact;
-  opts.time_budget_ms = 2000;
-  MilpRebalancer r(opts);
-  auto plan = r.ComputePlan(f.snap, RebalanceConstraints{});
-  ASSERT_TRUE(plan.ok());  // no secondary rows, no infeasibility
+  // No secondary rows, no infeasibility.
+  auto exact =
+      milp::SolveExact(f.snap, ItemsFromGroups(f.snap), RebalanceConstraints{});
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  ASSERT_EQ(exact->status, milp::MilpStatus::kOptimal);
 }
 
 TEST(MultiDimTest, InfeasibleCapFallsBackGracefully) {
-  // Secondary cap below any single group: exact model infeasible; the
-  // rebalancer must still return a plan (heuristic fallback keeps the
-  // current placement rather than failing the adaptation round).
+  // Secondary cap below any single group: the exact model is infeasible,
+  // yet the rebalancer must still return a plan (the local search keeps
+  // the current placement rather than failing the adaptation round).
   Fixture f(2, {10, 10}, {80, 80}, {0, 1});
   MilpRebalancerOptions opts;
-  opts.mode = MilpRebalancerOptions::Mode::kAuto;
   opts.time_budget_ms = 500;
   MilpRebalancer r(opts);
   RebalanceConstraints cons;
@@ -114,6 +110,9 @@ TEST(MultiDimTest, InfeasibleCapFallsBackGracefully) {
   auto plan = r.ComputePlan(f.snap, cons);
   ASSERT_TRUE(plan.ok());
   EXPECT_TRUE(plan->migrations.empty());  // nothing admissible
+  auto exact = milp::SolveExact(f.snap, ItemsFromGroups(f.snap), cons);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(exact->status, milp::MilpStatus::kInfeasible);
 }
 
 }  // namespace

@@ -37,7 +37,6 @@ struct Fixture {
 
 std::unique_ptr<NonIntegratedRebalancer> Make() {
   MilpRebalancerOptions opts;
-  opts.mode = MilpRebalancerOptions::Mode::kHeuristic;
   opts.time_budget_ms = 10;
   return std::make_unique<NonIntegratedRebalancer>(
       std::make_unique<MilpRebalancer>(opts));

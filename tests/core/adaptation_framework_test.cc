@@ -31,7 +31,6 @@ struct Fixture {
   Fixture(int nodes, int groups, double load_each)
       : cluster(nodes), assign(groups), rebalancer([] {
           MilpRebalancerOptions o;
-          o.mode = MilpRebalancerOptions::Mode::kHeuristic;
           o.time_budget_ms = 10;
           return o;
         }()) {

@@ -52,7 +52,6 @@ struct Fixture {
 
 AlbicOptions FastOptions() {
   AlbicOptions opts;
-  opts.milp.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   opts.milp.time_budget_ms = 10;
   return opts;
 }

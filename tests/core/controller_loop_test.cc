@@ -49,7 +49,6 @@ struct Harness {
                    MetricsRegistry* metrics = nullptr)
       : rebalancer([plan_cap_ms] {
           balance::MilpRebalancerOptions mopts;
-          mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
           mopts.time_budget_ms = plan_cap_ms;
           return mopts;
         }()) {

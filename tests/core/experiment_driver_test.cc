@@ -27,7 +27,6 @@ TEST(ExperimentDriverTest, RunsAllPeriodsAndRecordsStats) {
   engine::Cluster cluster = wl.MakeCluster();
   engine::Assignment assign = wl.MakeInitialAssignment();
   MilpRebalancerOptions mopts;
-  mopts.mode = MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 5;
   balance::MilpRebalancer rebalancer(mopts);
   AdaptationOptions aopts;
@@ -60,7 +59,6 @@ TEST(ExperimentDriverTest, AdaptationReducesLoadDistanceOverTime) {
     assign.set_node(g, 0);
   }
   MilpRebalancerOptions mopts;
-  mopts.mode = MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 10;
   balance::MilpRebalancer rebalancer(mopts);
   AdaptationOptions aopts;
@@ -83,7 +81,6 @@ TEST(ExperimentDriverTest, LoadIndexBaselineIsFirstPeriods) {
   engine::Cluster cluster = wl.MakeCluster();
   engine::Assignment assign = wl.MakeInitialAssignment();
   MilpRebalancerOptions mopts;
-  mopts.mode = MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 5;
   balance::MilpRebalancer rebalancer(mopts);
   AdaptationFramework fw(&rebalancer, nullptr, AdaptationOptions{});

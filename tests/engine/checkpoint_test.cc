@@ -1263,7 +1263,6 @@ ControlledRun RunControlled(const std::vector<Tuple>& stream, bool kill,
   p.EnableCheckpointing(copts);
 
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   mopts.time_budget_ms = 10;
   balance::MilpRebalancer milp(mopts);
   core::AdaptationOptions aopts;
@@ -1384,7 +1383,6 @@ TEST(CheckpointRecoveryTest, EagerRecoveryAllowsWindowsDuringFormerOutage) {
 TEST(CheckpointRecoveryTest, KillNodeRequiresControllerCheckpointing) {
   Pipeline p;  // checkpointing not enabled
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
   balance::MilpRebalancer milp(mopts);
   core::AdaptationFramework framework(&milp, nullptr, {});
   engine::LoadModel load_model{engine::CostModel{}};

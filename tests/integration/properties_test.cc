@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "core/albic.h"
 #include "engine/load_model.h"
+#include "tests/milp/exact_rebalance.h"
 
 namespace albic {
 namespace {
@@ -59,6 +60,13 @@ struct RandomInstance {
   }
 };
 
+/// The heuristic's wall-clock cap in these properties: one no solve here
+/// reaches, so every plan checked is the converged search's on any host.
+/// Converged solves take at most 1.5 ms at -O3, but a sanitizer slows them
+/// about tenfold, past the few-millisecond caps that would otherwise cut
+/// them.
+constexpr double kConvergeCapMs = 10000.0;
+
 class SeededProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SeededProperty, LocalSearchNeverExceedsCountBudget) {
@@ -66,7 +74,7 @@ TEST_P(SeededProperty, LocalSearchNeverExceedsCountBudget) {
   RebalanceConstraints cons;
   cons.max_migrations = 7;
   balance::LocalSearchOptions opts;
-  opts.time_budget_ms = 8;
+  opts.time_budget_ms = kConvergeCapMs;
   auto sol = balance::LocalSearchSolver::Solve(
       inst.snap, balance::ItemsFromGroups(inst.snap), cons, opts);
   ASSERT_TRUE(sol.ok());
@@ -87,7 +95,7 @@ TEST_P(SeededProperty, LocalSearchNeverExceedsCostBudget) {
   RebalanceConstraints cons;
   cons.max_migration_cost = 6.0;
   balance::LocalSearchOptions opts;
-  opts.time_budget_ms = 8;
+  opts.time_budget_ms = kConvergeCapMs;
   auto sol = balance::LocalSearchSolver::Solve(
       inst.snap, balance::ItemsFromGroups(inst.snap), cons, opts);
   ASSERT_TRUE(sol.ok());
@@ -106,7 +114,7 @@ TEST_P(SeededProperty, LocalSearchNeverWorsensTheObjective) {
   RebalanceConstraints cons;
   cons.max_migrations = 10;
   balance::LocalSearchOptions opts;
-  opts.time_budget_ms = 8;
+  opts.time_budget_ms = kConvergeCapMs;
   auto sol = balance::LocalSearchSolver::Solve(
       inst.snap, balance::ItemsFromGroups(inst.snap), cons, opts);
   ASSERT_TRUE(sol.ok());
@@ -134,8 +142,7 @@ TEST_P(SeededProperty, MilpHeuristicBeatsOrMatchesFlux) {
   auto flux_plan = flux.ComputePlan(inst.snap, cons);
   ASSERT_TRUE(flux_plan.ok());
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
-  mopts.time_budget_ms = 25;
+  mopts.time_budget_ms = kConvergeCapMs;
   balance::MilpRebalancer milp(mopts);
   auto milp_plan = milp.ComputePlan(inst.snap, cons);
   ASSERT_TRUE(milp_plan.ok());
@@ -144,29 +151,32 @@ TEST_P(SeededProperty, MilpHeuristicBeatsOrMatchesFlux) {
 }
 
 TEST_P(SeededProperty, ExactMilpDominatesHeuristicOnSmallInstances) {
+  // The local search's optimality gap, stated rather than tuned: the exact
+  // oracle's proven optimum is never worse than the heuristic's plan, and
+  // the heuristic trails it by at most kMaxGap load-distance points. The
+  // bound is the largest gap over these eight seeds (0.411, seed 1) rounded
+  // up to half a point; BENCHMARKS.md ("Figs 2–4: solver caps") lists each.
+  constexpr double kMaxGap = 0.5;
   RandomInstance inst(GetParam(), 3, 12);
   RebalanceConstraints cons;
-  balance::MilpRebalancerOptions exact_opts;
-  exact_opts.mode = balance::MilpRebalancerOptions::Mode::kExact;
-  exact_opts.time_budget_ms = 4000;
-  balance::MilpRebalancer exact(exact_opts);
-  auto pe = exact.ComputePlan(inst.snap, cons);
-  ASSERT_TRUE(pe.ok());
+  auto exact = milp::SolveExact(inst.snap, balance::ItemsFromGroups(inst.snap),
+                                cons);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  ASSERT_EQ(exact->status, milp::MilpStatus::kOptimal);
   balance::MilpRebalancerOptions heur_opts;
-  heur_opts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
-  heur_opts.time_budget_ms = 10;
+  heur_opts.time_budget_ms = kConvergeCapMs;
   balance::MilpRebalancer heur(heur_opts);
   auto ph = heur.ComputePlan(inst.snap, cons);
   ASSERT_TRUE(ph.ok());
-  EXPECT_LE(pe->predicted_load_distance,
-            ph->predicted_load_distance + 1e-6);
+  const double optimum = exact->plan.predicted_load_distance;
+  EXPECT_LE(optimum, ph->predicted_load_distance + 1e-6);
+  EXPECT_LE(ph->predicted_load_distance - optimum, kMaxGap);
 }
 
 TEST_P(SeededProperty, DrainIsMonotoneUnderRepeatedRounds) {
   RandomInstance inst(GetParam(), 6, 60, /*marked=*/2);
   balance::MilpRebalancerOptions mopts;
-  mopts.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
-  mopts.time_budget_ms = 8;
+  mopts.time_budget_ms = kConvergeCapMs;
   balance::MilpRebalancer milp(mopts);
   RebalanceConstraints cons;
   cons.max_migrations = 4;
@@ -220,8 +230,7 @@ TEST_P(SeededProperty, AlbicNeverSplitsItsCollocatedPairs) {
     snap.node_loads[assign.node_of(g)] += snap.group_loads[g];
   }
   core::AlbicOptions aopts;
-  aopts.milp.mode = balance::MilpRebalancerOptions::Mode::kHeuristic;
-  aopts.milp.time_budget_ms = 10;
+  aopts.milp.time_budget_ms = kConvergeCapMs;
   aopts.seed = seed;
   core::Albic albic(aopts);
   RebalanceConstraints cons;

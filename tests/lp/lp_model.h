@@ -1,5 +1,8 @@
 #pragma once
 
+/// \file
+/// \brief Test-only linear-program builder solved by SimplexSolver.
+
 #include <limits>
 #include <string>
 #include <utility>

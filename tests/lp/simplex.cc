@@ -1,4 +1,4 @@
-#include "lp/simplex.h"
+#include "tests/lp/simplex.h"
 
 #include <algorithm>
 #include <cassert>

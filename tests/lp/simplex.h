@@ -1,10 +1,14 @@
 #pragma once
 
+/// \file
+/// \brief Test-only bounded-variable simplex, the LP solver beneath the
+/// branch-and-bound oracle.
+
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
-#include "lp/lp_model.h"
+#include "tests/lp/lp_model.h"
 
 namespace albic::lp {
 
@@ -31,9 +35,9 @@ struct LpSolution {
 /// Supports arbitrary finite/infinite variable bounds (free variables — both
 /// bounds infinite — are rejected), <= / >= / = rows, and minimization or
 /// maximization. Anti-cycling via Bland's rule after a run of degenerate
-/// pivots. Suitable for the model sizes used by the exact MILP path (up to
-/// a few thousand columns); cluster-scale balancing uses the heuristic path
-/// in `milp/` instead (see DESIGN.md §4.2).
+/// pivots. Suitable for the model sizes the exact MILP oracle solves (up to
+/// a few thousand columns); the planner itself runs the local search in
+/// balance/ (see ARCHITECTURE.md, "Planners").
 class SimplexSolver {
  public:
   struct Options {

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "lp/simplex.h"
+#include "tests/lp/simplex.h"
 
 namespace albic::lp {
 namespace {

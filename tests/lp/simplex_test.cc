@@ -1,8 +1,8 @@
-#include "lp/simplex.h"
+#include "tests/lp/simplex.h"
 
 #include <gtest/gtest.h>
 
-#include "lp/lp_model.h"
+#include "tests/lp/lp_model.h"
 
 namespace albic::lp {
 namespace {

@@ -1,4 +1,4 @@
-#include "milp/branch_and_bound.h"
+#include "tests/milp/branch_and_bound.h"
 
 #include <gtest/gtest.h>
 

@@ -1,17 +1,20 @@
 #pragma once
 
+/// \file
+/// \brief Test-only MILP builder: an LpModel plus integrality marks.
+
 #include <string>
 #include <vector>
 
-#include "lp/lp_model.h"
+#include "tests/lp/lp_model.h"
 
 namespace albic::milp {
 
 /// \brief A mixed-integer linear program: an LpModel plus integrality marks.
 ///
-/// This is the modeling surface the MILP rebalancer uses to express the
-/// paper's §4.3.1 program (constraints (1)-(5)); the solver lives in
-/// BranchAndBoundSolver.
+/// This is the modeling surface the exact oracle (exact_rebalance.h) uses to
+/// express the paper's §4.3.1 program (constraints (1)-(5)); the solver
+/// lives in BranchAndBoundSolver.
 class MilpModel {
  public:
   /// \brief Adds a continuous variable.

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "milp/branch_and_bound.h"
+#include "tests/milp/branch_and_bound.h"
 
 namespace albic::milp {
 namespace {
