@@ -10,8 +10,13 @@
 // the whole budget; balance only afterwards).
 //
 // Output (a): load distance after each period. Output (b): periods needed
-// to finish scale-in.
+// to finish scale-in. Output (c): the peak load distance until scale-in
+// finished. The figure's claim, checked on exit: every series finishes
+// scale-in within the run, and the integrated peak sits below the
+// non-integrated one in each setup (the drain-first baseline may finish
+// sooner, but lets the load distance grow while it drains).
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -36,6 +41,7 @@ constexpr double kNodeCapacity = 400.0;  // work units / period at 100% load
 struct SeriesResult {
   std::vector<double> distance;  // per period
   int periods_to_scale_in = 0;
+  double peak_distance = 0.0;  // over the periods until scale-in finished
 };
 
 /// One representative key per work group (RouteKey is hash-based, so the
@@ -148,6 +154,10 @@ SeriesResult RunOne(bool integrated, int overloaded, int max_periods) {
     auto round = controller.RunRoundNow();
     if (!round.ok()) break;
     result.distance.push_back(round->load_distance);
+    if (result.periods_to_scale_in == 0) {
+      result.peak_distance =
+          std::max(result.peak_distance, round->load_distance);
+    }
     // The round's moves land during the next period; a marked node counts
     // as drained once the round has planned it empty.
     engine::Assignment planned = engine.assignment();
@@ -210,6 +220,14 @@ int main() {
              fmt(non1.periods_to_scale_in)});
   t2.Print();
 
+  std::printf("\n(c) Peak load distance (%%) until scale-in finished\n");
+  albic::TablePrinter t3({"setup", "Integrated", "Non-Integrated"});
+  t3.AddRow({"5OL", albic::FormatDouble(int5.peak_distance, 1),
+             albic::FormatDouble(non5.peak_distance, 1)});
+  t3.AddRow({"1OL", albic::FormatDouble(int1.peak_distance, 1),
+             albic::FormatDouble(non1.peak_distance, 1)});
+  t3.Print();
+
   // -1 = did not finish; recorded as-is so the trajectory files cannot
   // mistake a capped run for a genuine completion.
   albic::bench::BenchJson("fig5", "scale_in_periods_integrated_5ol",
@@ -220,5 +238,33 @@ int main() {
                           int1.periods_to_scale_in, "periods");
   albic::bench::BenchJson("fig5", "scale_in_periods_nonintegrated_1ol",
                           non1.periods_to_scale_in, "periods");
-  return 0;
+  albic::bench::BenchJson("fig5", "scale_in_peak_distance_integrated_5ol",
+                          int5.peak_distance, "%");
+  albic::bench::BenchJson("fig5", "scale_in_peak_distance_nonintegrated_5ol",
+                          non5.peak_distance, "%");
+  albic::bench::BenchJson("fig5", "scale_in_peak_distance_integrated_1ol",
+                          int1.peak_distance, "%");
+  albic::bench::BenchJson("fig5", "scale_in_peak_distance_nonintegrated_1ol",
+                          non1.peak_distance, "%");
+
+  int failures = 0;
+  const auto check = [&](const char* setup, const albic::SeriesResult& in,
+                         const albic::SeriesResult& non) {
+    if (in.periods_to_scale_in < 0 || non.periods_to_scale_in < 0) {
+      std::fprintf(stderr,
+                   "FAIL: %s: scale-in did not finish within %d periods\n",
+                   setup, max_periods);
+      ++failures;
+    }
+    if (in.peak_distance >= non.peak_distance) {
+      std::fprintf(stderr,
+                   "FAIL: %s: integrated peak distance %.1f%% should sit "
+                   "below non-integrated %.1f%%\n",
+                   setup, in.peak_distance, non.peak_distance);
+      ++failures;
+    }
+  };
+  check("5OL", int5, non5);
+  check("1OL", int1, non1);
+  return failures == 0 ? 0 : 1;
 }

@@ -5,23 +5,24 @@
 // migration (checkpoint restored in the background + replay of the logged
 // suffix) pauses only for O(suffix), and a LEASE migration (the group's
 // state slot stays put and only its owner flips, at FinishMigration)
-// moves zero bytes outright. Tuples that arrive during a pause buffer and
-// account the modeled pause as latency, so the p99 timeline shows the
-// spike each mode causes and how quickly it subsides; the lease timeline's
-// self-check is that it shows NO spike at all, and that
-// engine_migration_bytes_total{mode="lease"} == 0.
+// moves zero bytes outright. Every latency point is one the process timed;
+// the pause is a model (kEnginePauseUsPerByte x the bytes rebuilt) and is
+// reported apart, per mode. The lease run's self-checks: its pause is
+// zero, engine_migration_bytes_total{mode="lease"} == 0, and its migration
+// window's p99 sits within noise of steady state.
 //
 // The run is sliced into fixed-size windows; each slice's histograms are
 // harvested and reported as a BENCH_JSON series (one line per slice and
-// mode), plus summary metrics: the pause of each mode, the peak p99 of the
-// migration slice, and their ratios.
+// mode), plus summary metrics: the pause of each mode and its ratio, and
+// each mode's peak p99 over the slices.
 //
 // A second scenario pits MEASURED-COST planning against tuple-count
 // planning on a workload whose per-tuple wall cost is skewed by key group
 // (uniform tuple counts, so modeled loads see nothing): the tuple-count
-// controller leaves every hot group on one node, whose modeled backlog
-// compounds into a p99 breach, while the measured-cost controller spreads
-// the groups by their measured service shares and stays clear of it.
+// controller leaves every hot group on one node, whose measured service
+// exceeds the calibrated node capacity period after period, while the
+// measured-cost controller spreads the groups by their measured service
+// shares and clears the overload.
 //
 // A third scenario measures scale-out reaction time under a migration-cost
 // budget: the default direct/indirect controller against the lease one.
@@ -109,8 +110,6 @@ TimelineResult RunTimeline(const std::vector<engine::Tuple>& stream,
   // Harvests the running period into one timeline point.
   auto harvest = [&] {
     engine::EnginePeriodStats stats = engine.HarvestPeriod();
-    // The reported summary folds the modeled stall samples into the
-    // wall-clock histogram — the timeline must show the migration spike.
     const engine::LatencySummary s =
         engine::LatencySummary::FromPeriod(stats.latency);
     SlicePoint point;
@@ -136,10 +135,9 @@ TimelineResult RunTimeline(const std::vector<engine::Tuple>& stream,
       // Live migration as its own timeline point. First stream one chunk
       // past the checkpoint so a realistic log suffix exists (an indirect
       // move replays it), then start the migration, keep streaming one
-      // chunk (the tuples routed to the group buffer and sit out the
-      // pause — exactly the window a controller-applied move exposes to
-      // in-flight traffic), finish, and harvest just that window so its
-      // percentiles show the spike at the timeline's resolution.
+      // chunk (the tuples routed to the group buffer until the finish —
+      // exactly the window a controller-applied move exposes to in-flight
+      // traffic), finish, and harvest just that window as its own point.
       const size_t pre = std::min(end, pos + 8192);
       if (!engine.InjectBatch(0, stream.data() + pos, pre - pos).ok()) {
         return out;
@@ -206,8 +204,8 @@ int main() {
   std::printf(
       "Latency timeline: wiki geohash -> top-k, %d tuples in %d slices, "
       "heaviest top-k group migrated at slice %d\n"
-      "(end-to-end latency from sampled ingestion stamps; buffered tuples "
-      "account the modeled migration pause)\n\n",
+      "(measured end-to-end latency from sampled ingestion stamps; the "
+      "modeled migration pause is reported apart)\n\n",
       tuples, slices, slices / 2);
   const std::vector<albic::engine::Tuple> stream =
       albic::MakeStream(tuples, articles);
@@ -355,20 +353,11 @@ int main() {
   BenchJson("latency", "replayed_tuples",
             static_cast<double>(indirect.tuples_replayed), "tuples");
 
-  // The trade-off must point the right way: the indirect pause (and the
-  // latency spike it causes) is bounded by the suffix, not the state.
+  // The trade-off must point the right way: the indirect pause is bounded
+  // by the suffix, not the state.
   if (direct.pause_us <= indirect.pause_us) {
     std::fprintf(stderr,
                  "FAIL: indirect migration should pause less than direct\n");
-    return 1;
-  }
-  // And the telemetry must have SEEN the spike: the migration window's p99
-  // is dominated by the buffered tuples' pause in the direct run.
-  if (static_cast<double>(dmig.p99_us) < direct.pause_us * 0.5) {
-    std::fprintf(stderr,
-                 "FAIL: direct migration pause (%.0f us) did not surface in "
-                 "the migration window's p99 (%lld us)\n",
-                 direct.pause_us, static_cast<long long>(dmig.p99_us));
     return 1;
   }
   // The lease mode's contract, all three legs: the accounted pause is
@@ -405,15 +394,6 @@ int main() {
                  static_cast<long long>(lease_steady_max), lease_noise_bound);
     return 1;
   }
-  if (static_cast<double>(lmig.p99_us) >=
-      0.5 * static_cast<double>(dmig.p99_us)) {
-    std::fprintf(stderr,
-                 "FAIL: lease migration window p99 (%lld us) should sit far "
-                 "below the direct spike (%lld us)\n",
-                 static_cast<long long>(lmig.p99_us),
-                 static_cast<long long>(dmig.p99_us));
-    return 1;
-  }
 
   // --- Scenario 2: measured-cost vs. tuple-count planning ---------------
   albic::bench::SkewScenarioOptions sopts;
@@ -439,27 +419,18 @@ int main() {
               "period)\n",
               measured.capacity_us);
 
-  albic::TablePrinter skew_table({"planning", "overloaded periods",
-                                  "late p99(us)", "final backlog(us)",
-                                  "migrations (dir/ind)"});
+  albic::TablePrinter skew_table(
+      {"planning", "overloaded periods", "migrations (dir/ind)"});
   char mig_buf[32];
   std::snprintf(mig_buf, sizeof(mig_buf), "%d (%d/%d)", tuple_count.migrations,
                 tuple_count.migrations_direct,
                 tuple_count.migrations_indirect);
   skew_table.AddRow({"tuple-count",
-                     std::to_string(tuple_count.overloaded_periods),
-                     std::to_string(tuple_count.max_late_p99_us),
-                     std::to_string(
-                         static_cast<long long>(tuple_count.final_backlog_us)),
-                     mig_buf});
+                     std::to_string(tuple_count.overloaded_periods), mig_buf});
   std::snprintf(mig_buf, sizeof(mig_buf), "%d (%d/%d)", measured.migrations,
                 measured.migrations_direct, measured.migrations_indirect);
   skew_table.AddRow({"measured-cost",
-                     std::to_string(measured.overloaded_periods),
-                     std::to_string(measured.max_late_p99_us),
-                     std::to_string(
-                         static_cast<long long>(measured.final_backlog_us)),
-                     mig_buf});
+                     std::to_string(measured.overloaded_periods), mig_buf});
   skew_table.Print();
   if (measured.actual_pause_us > 0.0) {
     std::printf("measured-cost migrations: predicted pause %.0f us vs "
@@ -472,14 +443,6 @@ int main() {
             tuple_count.overloaded_periods, "periods");
   BenchJson("latency", "skew_measured_overloaded_periods",
             measured.overloaded_periods, "periods");
-  BenchJson("latency", "skew_tuplecount_late_p99_ms",
-            static_cast<double>(tuple_count.max_late_p99_us) / 1000.0, "ms");
-  BenchJson("latency", "skew_measured_late_p99_ms",
-            static_cast<double>(measured.max_late_p99_us) / 1000.0, "ms");
-  BenchJson("latency", "skew_tuplecount_final_backlog_ms",
-            tuple_count.final_backlog_us / 1000.0, "ms");
-  BenchJson("latency", "skew_measured_final_backlog_ms",
-            measured.final_backlog_us / 1000.0, "ms");
   BenchJson("latency", "skew_measured_migrations_direct",
             measured.migrations_direct, "migrations");
   BenchJson("latency", "skew_measured_migrations_indirect",
@@ -490,20 +453,12 @@ int main() {
             measured.actual_pause_us / 1000.0, "ms");
 
   // Measured-cost planning must beat tuple-count planning on the skewed
-  // workload: fewer overloaded periods and a lower late p99.
+  // workload: fewer overloaded periods.
   if (measured.overloaded_periods >= tuple_count.overloaded_periods) {
     std::fprintf(stderr,
                  "FAIL: measured-cost planning should suffer fewer "
                  "overloaded periods (%d vs %d)\n",
                  measured.overloaded_periods, tuple_count.overloaded_periods);
-    return 1;
-  }
-  if (measured.max_late_p99_us >= tuple_count.max_late_p99_us) {
-    std::fprintf(stderr,
-                 "FAIL: measured-cost planning should keep the late p99 "
-                 "below tuple-count planning (%lld vs %lld us)\n",
-                 static_cast<long long>(measured.max_late_p99_us),
-                 static_cast<long long>(tuple_count.max_late_p99_us));
     return 1;
   }
 

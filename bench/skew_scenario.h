@@ -8,10 +8,9 @@
 // few "hot" groups burn real wall time per tuple, and every hot group
 // starts on the same node. Tuple-count planning sees balanced loads and
 // never acts; measured-cost planning sees the service-time shares and
-// spreads the hot groups. The controller's fluid-queue overload model
-// (ControllerLoopOptions::service_capacity_us_per_period) converts the
-// persistent overload into compounding stall latency, so the difference
-// shows up as overloaded periods and late-round p99.
+// spreads the hot groups. A period counts as overloaded when some node's
+// measured service (ControllerRound::node_service_us) exceeds the node
+// capacity, so the difference shows up as overloaded periods.
 //
 // The capacity is CALIBRATED, not hard-coded: a one-period probe run
 // measures the workload's total service time on this machine under the
@@ -20,7 +19,6 @@
 // the probe and the measured runs together, so the
 // concentrated-vs-balanced margin survives them.
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -100,8 +98,6 @@ struct SkewScenarioOptions {
 struct SkewScenarioResult {
   int overloaded_periods = 0;
   int last_round_overloaded_nodes = 0;
-  int64_t max_late_p99_us = 0;  ///< Worst p99 past the warmup rounds.
-  double final_backlog_us = 0.0;
   int migrations = 0;
   int migrations_direct = 0;
   int migrations_indirect = 0;
@@ -216,7 +212,6 @@ inline SkewScenarioResult RunSkewScenario(const SkewScenarioOptions& opts) {
       static_cast<double>(kSkewGroups * opts.tuples_per_group);
   copts.use_comm = false;
   copts.use_measured_costs = opts.use_measured_costs;
-  copts.service_capacity_us_per_period = out.capacity_us;
   core::ControllerLoop controller(&engine, &framework, &load_model, &topo,
                                   &cluster, copts);
 
@@ -229,12 +224,18 @@ inline SkewScenarioResult RunSkewScenario(const SkewScenarioOptions& opts) {
   }
   if (!controller.RunRoundNow().ok()) return out;
 
+  const auto overloaded_nodes = [&](const core::ControllerRound& round) {
+    int nodes = 0;
+    for (const double us : round.node_service_us) {
+      if (us > out.capacity_us) ++nodes;
+    }
+    return nodes;
+  };
   // Records report the moves landed since the previous record, so the
   // sums below cover every plan but the trailing round's, which never lands.
   const std::vector<core::ControllerRound>& history = controller.history();
-  for (size_t r = 0; r < history.size(); ++r) {
-    const core::ControllerRound& round = history[r];
-    if (round.overloaded_nodes > 0) ++out.overloaded_periods;
+  for (const core::ControllerRound& round : history) {
+    if (overloaded_nodes(round) > 0) ++out.overloaded_periods;
     out.migrations += round.migrations_applied;
     out.migrations_direct += round.migrations_direct;
     out.migrations_indirect += round.migrations_indirect;
@@ -243,17 +244,8 @@ inline SkewScenarioResult RunSkewScenario(const SkewScenarioOptions& opts) {
       out.predicted_pause_us += d.predicted_pause_us;
       out.actual_pause_us += d.actual_pause_us;
     }
-    // Warmup: the first round measures the pre-plan placement, the second
-    // still carries the first overload's modeled stall.
-    if (r >= 2) {
-      out.max_late_p99_us =
-          std::max(out.max_late_p99_us, round.latency.e2e_p99_us);
-    }
   }
-  for (const double b : history.back().backlog_us) {
-    out.final_backlog_us = std::max(out.final_backlog_us, b);
-  }
-  out.last_round_overloaded_nodes = history.back().overloaded_nodes;
+  out.last_round_overloaded_nodes = overloaded_nodes(history.back());
   out.ok = true;
   return out;
 }

@@ -11,7 +11,6 @@ Reads one ControllerRound record per line and reports:
   - migration mode shares and the reasons the controller recorded
   - predicted-vs-actual pause error per mode (the cost model's accuracy)
   - checkpoint volume and recovery totals
-  - peak overload backlog
   - causal attribution: the dominant wave-phase histogram across rounds
     and the top attributed (operator, group) service costs
 
@@ -32,8 +31,8 @@ import sys
 JOURNAL_KEYS = (
     "round", "measured_costs", "plan_ms", "plan_capped", "tuples",
     "migrations",
-    "decisions", "checkpoint", "recovery", "cluster", "load", "backlog_us",
-    "latency", "attribution",
+    "decisions", "checkpoint", "recovery", "cluster", "load", "latency",
+    "attribution",
 )
 
 # WavePhaseName's fixed vocabulary (src/common/profiler.h), plus "off" for
@@ -155,11 +154,6 @@ def main(argv):
         print(f"recovery: {failed} node failures, {recovered} groups "
               f"restored, modeled pause {fmt_us(pause)}, wall {fmt_us(wall)}")
 
-    peak_backlog = max(
-        (max(r.get("backlog_us", []) or [0.0]) for r in rounds), default=0.0)
-    if peak_backlog > 0:
-        print(f"peak overload backlog: {fmt_us(peak_backlog)}")
-
     # Causal attribution: where did each round's wall time dominantly go,
     # and which (operator, group) pairs carried the service load.
     phase_hist = {}
@@ -215,9 +209,7 @@ def self_test():
         "recovery": {"nodes_failed": 0, "groups_recovered": 0,
                      "pause_us": 0.0, "wall_us": 0.0},
         "cluster": {"active": 2, "marked": 0, "added": 0, "terminated": 0},
-        "load": {"mean": 50.0, "distance": 0.0, "overloaded_nodes": 0,
-                 "max_service_utilization": 0.0},
-        "backlog_us": [],
+        "load": {"mean": 50.0, "distance": 0.0},
         "latency": {"count": 0, "p50_us": 0, "p99_us": 0, "max_us": 0,
                     "queue_p99_us": 0},
         "attribution": {"dominant_phase": "service", "dominant_share": 0.8,

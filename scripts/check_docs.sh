@@ -21,7 +21,11 @@
 #      does not exist;
 #   7. every markdown file named in a file under src/, bench/, examples/,
 #      tests/ or scripts/ exists at the repo root or in docs/, so a pointer
-#      to the documentation cannot outlive the document.
+#      to the documentation cannot outlive the document;
+#   8. every backticked `Name::member` (or `Name::member()`) in README.md
+#      and docs/*.md still exists: some file under src/, bench/, tests/,
+#      examples/, perfbench/ or scripts/ holds both names as whole words,
+#      so the documentation cannot keep naming a deleted option or field.
 #
 # Usage: scripts/check_docs.sh   (from anywhere; operates on the repo root)
 
@@ -152,8 +156,21 @@ while IFS= read -r md; do
 done < <(grep -rhoE '[A-Za-z0-9_-]+\.md\b' src bench examples tests scripts |
          sort -u)
 
+# --- 8. every documented Name::member still exists --------------------------
+members=0
+while IFS= read -r name; do
+  members=$((members + 1))
+  hits=$(grep -rlw -- "${name%%::*}" src bench tests examples perfbench scripts |
+         xargs -r grep -lw -- "${name#*::}" || true)
+  if [[ -z "$hits" ]]; then
+    echo "STALE NAME: README.md or docs/*.md names \`$name\`, but no file under src/, bench/, tests/, examples/, perfbench/ or scripts/ holds both names"
+    fail=1
+  fi
+done < <(grep -ohE '`[A-Za-z_][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*(\(\))?`' \
+           README.md docs/*.md | tr -d '`' | sed 's/()$//' | sort -u)
+
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (links resolve, common/engine/core/balance/scaling/ops + test harness and oracle headers documented, sample journal parses, tooling self-tests pass, $spans catalog spans, $reasons decision reasons and $keys journal keys found in the code, $headers src/ headers all included, $docs named markdown files exist)"
+echo "check_docs: OK (links resolve, common/engine/core/balance/scaling/ops + test harness and oracle headers documented, sample journal parses, tooling self-tests pass, $spans catalog spans, $reasons decision reasons and $keys journal keys found in the code, $headers src/ headers all included, $docs named markdown files exist, $members documented Name::member names found in the code)"

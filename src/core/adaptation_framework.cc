@@ -71,6 +71,11 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
     round.plan_capped = round.plan_capped || round.plan.capped;
     return Status::OK();
   };
+  const auto snapshot = [&] {
+    ALBIC_TRACE_SPAN("controller", "controller.snapshot");
+    return BuildSnapshot(topology, load_model, group_proc_loads, comm,
+                         *cluster, *assignment, measured);
+  };
 
   // Lines 1-3: terminate drained nodes marked in previous rounds.
   for (NodeId n : cluster->marked_nodes()) {
@@ -81,9 +86,7 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
   }
 
   // Line 4: potential allocation plan.
-  engine::SystemSnapshot snap =
-      BuildSnapshot(topology, load_model, group_proc_loads, comm, *cluster,
-                    *assignment, measured);
+  engine::SystemSnapshot snap = snapshot();
   ALBIC_RETURN_NOT_OK(compute_plan(snap));
 
   // Line 5: scaling decision, informed by the potential plan.
@@ -99,8 +102,7 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
         ++round.nodes_marked;
       }
       // Lines 6-7: recalculate the plan after scaling, integratively.
-      snap = BuildSnapshot(topology, load_model, group_proc_loads, comm,
-                           *cluster, *assignment, measured);
+      snap = snapshot();
       ALBIC_RETURN_NOT_OK(compute_plan(snap));
     }
   }

@@ -225,7 +225,10 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   // plans from it fully applied; then harvest the period (which completes
   // in-flight work first).
   ALBIC_RETURN_NOT_OK(LandDue(INT64_MAX));
-  engine::EnginePeriodStats stats = engine_->HarvestPeriod();
+  const engine::EnginePeriodStats stats = [this] {
+    ALBIC_TRACE_SPAN("controller", "controller.harvest");
+    return engine_->HarvestPeriod();
+  }();
   const int64_t now_us = engine_->event_time();
   const int64_t prev_round_us = std::exchange(last_round_us_, now_us);
 
@@ -299,68 +302,16 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
     }
   }
 
-  // Overload-stall model (a fluid queue per node): a node whose measured
-  // wall service demand exceeds its per-period capacity falls behind, and
-  // the shortfall COMPOUNDS — the backlog grows every overloaded period
-  // and only drains while the node runs under capacity. The backlog is the
-  // delay the node's tuples would see in a real deployment; it is
-  // accounted as modeled stall latency (like migration pauses: kept apart
-  // from the measured end-to-end histogram, folded into reported
-  // percentiles).
-  if (options_.service_capacity_us_per_period > 0.0 && stats.latency.enabled) {
-    // The capacity is defined per FULL statistics period, but rounds also
-    // harvest partial periods (eager recovery, manual rounds): scale the
-    // capacity by the event time actually harvested, so a short harvest
-    // cannot spuriously drain backlog it never had the capacity to work
-    // off.
-    double period_frac = 1.0;
-    if (options_.period_every_us > 0 && prev_round_us != INT64_MIN) {
-      period_frac = std::clamp(
-          static_cast<double>(now_us - prev_round_us) /
-              static_cast<double>(options_.period_every_us),
-          0.0, 1.0);
-    }
-    const size_t num_nodes =
-        static_cast<size_t>(cluster_->num_nodes_total());
-    if (node_backlog_us_.size() < num_nodes) {
-      node_backlog_us_.resize(num_nodes, 0.0);
-    }
-    std::vector<double> node_service(num_nodes, 0.0);
-    std::vector<int64_t> node_tuples(num_nodes, 0);
+  // Measured service per node: each group counts on the node the
+  // engine's assignment gives it at harvest.
+  if (stats.latency.enabled) {
+    round.node_service_us.assign(
+        static_cast<size_t>(cluster_->num_nodes_total()), 0.0);
     const engine::Assignment& assign = engine_->assignment();
-    const size_t groups =
-        std::min(stats.latency.group_service.size(),
-                 static_cast<size_t>(assign.num_groups()));
-    for (size_t g = 0; g < groups; ++g) {
+    for (size_t g = 0; g < stats.latency.group_service.size(); ++g) {
       const engine::NodeId n = assign.node_of(static_cast<int>(g));
-      if (n < 0 || n >= static_cast<int>(num_nodes)) continue;
-      node_service[n] += stats.latency.group_service[g].service_sum_us;
-      node_tuples[n] += stats.latency.group_service[g].tuples;
-    }
-    for (engine::NodeId n = 0; n < cluster_->num_nodes_total(); ++n) {
-      if (!cluster_->is_active(n)) {
-        node_backlog_us_[n] = 0.0;
-        continue;
-      }
-      const double capacity_us = period_frac *
-                                 options_.service_capacity_us_per_period *
-                                 cluster_->capacity(n);
-      if (capacity_us <= 0.0) {
-        // Zero event time harvested: carry the backlog, account its stall.
-        if (node_backlog_us_[n] > 0.0) {
-          engine_->RecordOverloadStall(node_backlog_us_[n], node_tuples[n]);
-        }
-        continue;
-      }
-      const double util = node_service[n] / capacity_us;
-      round.max_service_utilization =
-          std::max(round.max_service_utilization, util);
-      node_backlog_us_[n] = std::max(
-          0.0, node_backlog_us_[n] + node_service[n] - capacity_us);
-      if (util > 1.0) ++round.overloaded_nodes;
-      if (node_backlog_us_[n] > 0.0) {
-        engine_->RecordOverloadStall(node_backlog_us_[n], node_tuples[n]);
-      }
+      if (n < 0 || n >= cluster_->num_nodes_total()) continue;
+      round.node_service_us[n] += stats.latency.group_service[g].service_sum_us;
     }
   }
 
@@ -462,8 +413,6 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   round.active_nodes = cluster_->num_active();
   round.marked_nodes = static_cast<int>(cluster_->marked_nodes().size());
 
-  round.backlog_us = node_backlog_us_;
-
   // Post-round measured view: same period loads under the planned
   // allocation (the moves land during the next period).
   const engine::NodeLoads loads = load_model_->ComputeNodeLoads(
@@ -493,8 +442,6 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
     reg->Counter("controller_nodes_failed_total")->Add(round.nodes_failed);
     reg->Counter("controller_groups_recovered_total")
         ->Add(round.groups_recovered);
-    reg->Counter("controller_overloaded_node_periods_total")
-        ->Add(round.overloaded_nodes);
     reg->Gauge("controller_active_nodes")->Set(round.active_nodes);
     reg->Gauge("controller_marked_nodes")->Set(round.marked_nodes);
     if (options_.journal != nullptr) {

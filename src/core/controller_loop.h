@@ -46,17 +46,6 @@ struct ControllerLoopOptions {
   /// bit-identically to the modeled tuple-count loads, so it is safe to
   /// leave on.
   bool use_measured_costs = true;
-  /// Overload stall modeling: when > 0, a node whose measured wall service
-  /// time in a period exceeds this many microseconds (x its capacity
-  /// factor) is overloaded — in a real deployment it would fall behind.
-  /// The shortfall compounds as a per-node fluid-queue backlog (growing
-  /// every overloaded period, draining while under capacity), accounted as
-  /// modeled stall latency for the node's tuples (like migration pauses:
-  /// kept apart from the measured end-to-end histogram, folded into
-  /// reported percentiles); rounds report the overloaded-node count and
-  /// per-node backlog.
-  /// 0 disables the model. Requires latency telemetry.
-  double service_capacity_us_per_period = 0.0;
   /// Force every planned migration to the indirect mode (checkpoint +
   /// replay, pause O(log suffix) instead of O(state)); requires the engine
   /// to have checkpointing enabled — ignored (direct migration) otherwise.
@@ -152,14 +141,10 @@ struct ControllerRound {
   /// True when this round's planning loads came from measured service-time
   /// shares (telemetry produced data); false = tuple-count modeled loads.
   bool measured_costs = false;
-  /// Overload-stall model (service_capacity_us_per_period > 0): nodes
-  /// whose measured service demand exceeded their capacity this period,
-  /// and the highest node utilization observed (1.0 = at capacity).
-  int overloaded_nodes = 0;
-  double max_service_utilization = 0.0;
-  /// Per-node modeled backlog (us) after this period — the compounding
-  /// shortfall of overloaded nodes. Empty when the model is off.
-  std::vector<double> backlog_us;
+  /// Measured wall service of the harvested period per node id, summed
+  /// over the groups the engine's assignment placed on the node at
+  /// harvest. Empty without latency telemetry.
+  std::vector<double> node_service_us;
   int nodes_added = 0;
   int nodes_terminated = 0;
   int nodes_marked = 0;
@@ -310,12 +295,8 @@ class ControllerLoop {
   /// them.
   ControllerRound landed_;
   /// Event time of the previous round (INT64_MIN before the first): spaces
-  /// the moves and scales the overload model's capacity for partial-period
-  /// rounds (eager recovery, manual rounds).
+  /// the moves.
   int64_t last_round_us_ = INT64_MIN;
-  /// Overload-stall model state: per-node modeled backlog in microseconds
-  /// (see ControllerLoopOptions::service_capacity_us_per_period).
-  std::vector<double> node_backlog_us_;
   int64_t period_start_us_ = 0;
   bool period_initialized_ = false;
   int nodes_failed_pending_ = 0;  ///< KillNode calls since the last round.

@@ -135,16 +135,7 @@ std::string RoundJournal::ToJson(const ControllerRound& round) {
   AppendDouble(&out, round.mean_load);
   out += ",\"distance\":";
   AppendDouble(&out, round.load_distance);
-  out += ",\"overloaded_nodes\":";
-  AppendInt(&out, round.overloaded_nodes);
-  out += ",\"max_service_utilization\":";
-  AppendDouble(&out, round.max_service_utilization);
-  out += "},\"backlog_us\":[";
-  for (size_t n = 0; n < round.backlog_us.size(); ++n) {
-    if (n > 0) out += ',';
-    AppendDouble(&out, round.backlog_us[n]);
-  }
-  out += "],\"latency\":{\"count\":";
+  out += "},\"latency\":{\"count\":";
   AppendInt(&out, round.latency.e2e_count);
   out += ",\"p50_us\":";
   AppendInt(&out, round.latency.e2e_p50_us);

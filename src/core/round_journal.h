@@ -6,7 +6,7 @@
 /// migration's chosen mode with the per-mode predicted pauses and the
 /// reason for the choice, the predicted pause beside the engine's modeled
 /// one (kEnginePauseUsPerByte × the bytes it rebuilt; neither is timed)
-/// and the per-node overload backlog. The journal is the replayable audit
+/// and the period's measured latency. The journal is the replayable audit
 /// trail of the measure -> decide -> act cycle: scripts/
 /// analyze_journal.py turns it into prediction-error and mode-share
 /// reports. Attach via ControllerLoopOptions::journal; appends never fail

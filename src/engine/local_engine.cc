@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -168,7 +167,6 @@ void LocalEngine::WireMetrics() {
   if (telemetry_) {
     metrics_.e2e_latency_us = reg->Histogram("engine_e2e_latency_us");
     metrics_.queue_delay_us = reg->Histogram("engine_queue_delay_us");
-    metrics_.stall_e2e_us = reg->Histogram("engine_stall_e2e_us");
   }
   if (prof_ != nullptr) {
     for (int p = 0; p < kNumWavePhases; ++p) {
@@ -208,7 +206,6 @@ void LocalEngine::PublishPeriodMetrics(const EnginePeriodStats& stats) {
   if (telemetry_) {
     metrics_.e2e_latency_us->Merge(stats.latency.e2e_us);
     metrics_.queue_delay_us->Merge(stats.latency.queue_us);
-    metrics_.stall_e2e_us->Merge(stats.latency.stall_e2e_us);
   }
   if (prof_ != nullptr && stats.phases.enabled) {
     for (int p = 0; p < kNumWavePhases; ++p) {
@@ -303,13 +300,6 @@ int64_t LocalEngine::RecordBatchLatency(OperatorId op, KeyGroupId g,
     }
   }
   return t1;
-}
-
-void LocalEngine::RecordBufferedPause(double pause_us, size_t buffered) {
-  if (!telemetry_ || buffered == 0) return;
-  period_.latency.stall_e2e_us.RecordN(
-      static_cast<int64_t>(std::llround(pause_us)),
-      static_cast<int64_t>(buffered));
 }
 
 void LocalEngine::CountIngested(int shard, size_t count) {
@@ -1082,9 +1072,6 @@ Result<double> LocalEngine::FinishMigration(KeyGroupId group) {
   period_.migration_pause_us += pause_us;
   CounterMetric* moves = metrics_.migrations[static_cast<int>(counted)];
   if (moves != nullptr) moves->Increment();
-  // Tuples that buffered while the group was unavailable experienced the
-  // pause as latency; account it before the drain re-delivers them.
-  RecordBufferedPause(pause_us, mig.buffer.size());
   Cutover(group, mig.target);
   return pause_us;
 }
@@ -1152,7 +1139,6 @@ Result<GroupRecovery> LocalEngine::RecoverGroup(KeyGroupId group, NodeId to) {
   out.pause_us =
       kEnginePauseUsPerByte * static_cast<double>(rebuilt.shipped());
   ++period_.groups_recovered;
-  RecordBufferedPause(out.pause_us, mig.buffer.size());
   Cutover(group, to);
   return out;
 }

@@ -99,7 +99,7 @@ struct EnginePeriodStats {
   CommMatrix comm;                  ///< Tuples sent between key groups.
   int64_t tuples_processed = 0;
   int64_t tuples_buffered = 0;      ///< Held during migrations this period.
-  double migration_pause_us = 0.0;  ///< Summed migration pause time.
+  double migration_pause_us = 0.0;  ///< Summed modeled migration pause.
   int64_t checkpoints_taken = 0;    ///< Group snapshots written this period.
   int64_t checkpoint_bytes = 0;     ///< Serialized snapshot bytes written.
   int64_t tuples_replayed = 0;      ///< Log entries reapplied (indirect
@@ -276,17 +276,6 @@ class LocalEngine {
   /// Feeds MeasuredSignals::lease_available, which zeroes the planner's
   /// migration-cost budget terms for lease-eligible groups.
   std::vector<uint8_t> LeaseAvailability() const;
-
-  /// \brief Accounts a modeled overload stall as latency: \p tuples tuples
-  /// experienced \p pause_us of modeled queueing the single-process runtime
-  /// cannot produce for real (a node whose measured service demand exceeds
-  /// its capacity falls behind; the excess is its backlog delay). Recorded
-  /// in the stall histogram like migration pauses, so modeled pause stays
-  /// apart from measured latency; reported percentiles fold it in.
-  void RecordOverloadStall(double pause_us, int64_t tuples) {
-    RecordBufferedPause(pause_us,
-                        tuples > 0 ? static_cast<size_t>(tuples) : 0);
-  }
 
   // --- checkpointing & failure recovery --------------------------------
 
@@ -479,10 +468,6 @@ class LocalEngine {
   /// end wall stamp, so journey hops reuse the clock read.
   int64_t RecordBatchLatency(OperatorId op, KeyGroupId g, size_t tuples,
                              int64_t last_ts, int64_t t0_ns);
-  /// Tuples held in a migration/recovery buffer sat out the modeled pause;
-  /// account it as their end-to-end latency (the single-process runtime
-  /// cannot make the inter-node transfer take real wall time).
-  void RecordBufferedPause(double pause_us, size_t buffered);
 
   // --- staging, waves and routing ---
   void CountIngested(int shard, size_t count);
@@ -581,7 +566,6 @@ class LocalEngine {
     GaugeMetric* chain_len_highwater = nullptr;
     HistogramMetric* e2e_latency_us = nullptr;
     HistogramMetric* queue_delay_us = nullptr;
-    HistogramMetric* stall_e2e_us = nullptr;
     /// Per-phase wall-time counters (`engine_phase_ns_total{phase=...}`);
     /// wired only when profile_wave_phases is on.
     CounterMetric* phase_ns[kNumWavePhases] = {};

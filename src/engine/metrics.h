@@ -56,15 +56,6 @@ struct LatencyPeriodStats {
   /// End-to-end latency recorded at sink operators (no downstream edges):
   /// wall time from the sampled ingestion stamp to batch completion.
   LogHistogram e2e_us;
-  /// Modeled migration/recovery pause experienced by buffered tuples, one
-  /// sample per tuple, recorded at drain time (the engine cannot perform
-  /// the inter-node transfer for real, so the pause enters latency the
-  /// same way it enters migration_pause_us). Kept SEPARATE from e2e_us so
-  /// modeled pause stays apart from measured latency; LatencySummary
-  /// merges both for reporting — the spike is real and the latency
-  /// timeline must show it. A buffered tuple thus appears once here (the
-  /// stall event) and once in e2e_us (its later delivery).
-  LogHistogram stall_e2e_us;
   /// Mailbox queueing delay: batch enqueue (OpenBatch) to dequeue
   /// (DeliverBatch), across all operators.
   LogHistogram queue_us;
@@ -90,8 +81,8 @@ struct LatencySummary {
   int64_t e2e_max_us = 0;
   int64_t queue_p99_us = 0;
 
-  /// \brief Summary of a period, with the modeled migration/recovery
-  /// stall samples folded into the end-to-end percentiles.
+  /// \brief Summary of a period's measured histograms (e2e_us and
+  /// queue_us); no modeled pause enters it.
   static LatencySummary FromPeriod(const LatencyPeriodStats& period);
 };
 

@@ -136,10 +136,11 @@ TEST(LatencyTelemetryTest, OutputsBitIdenticalWithTelemetryEnabled) {
   EXPECT_EQ(geohash_tuples, static_cast<int64_t>(stream.size()));
 }
 
-TEST(LatencyTelemetryTest, MigrationPauseAccountedForBufferedTuples) {
+TEST(LatencyTelemetryTest, ModeledPauseStaysOutOfMeasuredLatency) {
   // A terminal sum operator with per-key state: tuples that arrive while
-  // the group migrates must surface the modeled pause as end-to-end
-  // latency (the buffered tuples sat it out).
+  // the group migrates buffer until the finish. The pause is a model
+  // (kEnginePauseUsPerByte x the bytes rebuilt), so no reported
+  // percentile may contain it.
   engine::Topology topo;
   topo.AddOperator("sum", kGroups, 1 << 14);
   engine::Cluster cluster(2);
@@ -183,16 +184,8 @@ TEST(LatencyTelemetryTest, MigrationPauseAccountedForBufferedTuples) {
 
   engine::EnginePeriodStats stats = eng.HarvestPeriod();
   ASSERT_GT(stats.tuples_buffered, 0);
-  // Each buffered tuple recorded one stall sample of the modeled pause...
-  EXPECT_EQ(stats.latency.stall_e2e_us.count(), stats.tuples_buffered);
-  EXPECT_GE(stats.latency.stall_e2e_us.max(),
-            static_cast<int64_t>(*pause * 0.99));
-  // ...which the reported summary folds into the end-to-end percentiles,
-  EXPECT_GE(engine::LatencySummary::FromPeriod(stats.latency).e2e_max_us,
-            static_cast<int64_t>(*pause * 0.99));
-  // ...while the measured histogram keeps the modeled pause out: it holds
-  // wall-clock latency only.
-  EXPECT_LT(stats.latency.e2e_us.max(), static_cast<int64_t>(*pause * 0.99));
+  EXPECT_LT(engine::LatencySummary::FromPeriod(stats.latency).e2e_max_us,
+            static_cast<int64_t>(*pause));
 }
 
 TEST(LatencyTelemetryTest, HarvestResetsRunningHistograms) {
